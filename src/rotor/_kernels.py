@@ -1,15 +1,23 @@
-"""Long-orbit iteration kernels.
-
-Two interchangeable backends: numba-compiled scalar loops (default) and a
-vectorized numpy path.  ROTOR_NO_NUMBA=1 in the environment selects numpy and
-skips importing numba entirely; set_backend() switches at runtime.  Both
-backends implement the same word-program semantics; the deliberately separate
-code paths double as cross-checks in the tests and the benchmark.
+"""Word-program kernels: the one map evaluator and the long-orbit loops.
 
 A word program is the flattened form built in maps.compile_program: per-letter
 (slot, mode) plus per-slot linear matrices and trig-term ranges.  mode 0
 applies the slot's map forward, mode 1 solves it backward by Newton iteration;
 a Newton failure surfaces as NaN coordinates and the callers raise.
+
+_apply_word_np evaluates a program on a batch of plane points, vectorized
+over the points.  It is the evaluator behind maps.apply_lift_batch on every
+backend, and the step of the numpy orbit kernels.
+
+The orbit kernels have two interchangeable backends: numba-compiled scalar
+loops (default), which release the GIL so seed chunks can run on threads, and
+the vectorized numpy path.  ROTOR_NO_NUMBA=1 in the environment selects numpy
+and skips importing numba entirely; set_backend() switches at runtime.  Both
+backends implement the same word-program semantics; the deliberately separate
+code paths double as cross-checks in the tests and the benchmark.
+
+The seam snap and the Newton tolerance and step budget are defined here once
+and shared by maps.
 """
 
 import math
@@ -256,16 +264,18 @@ if _HAVE_NUMBA:
 # numpy backend (vectorized across seeds)
 
 
-def _reduce_np(arr):
-    out = arr - np.floor(arr)
+def reduce_batch(pts):
+    """Canonical torus representatives in [0,1)^2, with a snap at the seam:
+    values a hair under 1 become 0."""
+    out = pts - np.floor(pts)
     out[1.0 - out < _SNAP] = 0.0
     return out
 
 
 def _apply_word_np(pts, slot, mode, lin, lin_inv, tstart, tend,
                    amps, fkx, fky, phase, row, vx, vy):
-    x = pts[:, 0].copy()
-    y = pts[:, 1].copy()
+    x = pts[:, 0]
+    y = pts[:, 1]
     for li in range(len(slot) - 1, -1, -1):
         s = slot[li]
         if mode[li] == 0:
@@ -274,7 +284,10 @@ def _apply_word_np(pts, slot, mode, lin, lin_inv, tstart, tend,
         else:
             x, y = _newton_np(x, y, s, lin, lin_inv, tstart, tend, amps, fkx,
                               fky, phase, row)
-    return np.stack([x + vx, y + vy], axis=1)
+    out = np.empty((len(x), 2))
+    np.add(x, vx, out=out[:, 0])
+    np.add(y, vy, out=out[:, 1])
+    return out
 
 
 def _terms_np(x, y, s, tstart, tend, amps, fkx, fky, phase, row):
@@ -350,7 +363,7 @@ def _orbit_mean_batch_np(seeds, n, plane_mode, *args):
             for _ in range(n):
                 p = _apply_word_np(p, *args)
             return (p - seeds) / n
-        p = _reduce_np(seeds.copy())
+        p = reduce_batch(seeds)
         acc = np.zeros_like(p)
         comp = np.zeros_like(p)
         for _ in range(n):
@@ -360,7 +373,7 @@ def _orbit_mean_batch_np(seeds, n, plane_mode, *args):
             s = acc + t
             comp = (s - acc) - t
             acc = s
-            p = _reduce_np(q)
+            p = reduce_batch(q)
         return (acc - comp) / n
 
 
@@ -377,7 +390,7 @@ def _orbit_mean_tail_np(sx, sy, n, plane_mode, *args):
                     tail[k - (n - window) - 1] = (p[0] - seeds[0]) / k
             mean = (p[0] - seeds[0]) / n
         else:
-            p = _reduce_np(seeds.copy())
+            p = reduce_batch(seeds)
             acc = np.zeros(2)
             comp = np.zeros(2)
             for k in range(1, n + 1):
@@ -387,7 +400,7 @@ def _orbit_mean_tail_np(sx, sy, n, plane_mode, *args):
                 s = acc + t
                 comp = (s - acc) - t
                 acc = s
-                p = _reduce_np(q)
+                p = reduce_batch(q)
                 if k > n - window:
                     tail[k - (n - window) - 1] = (acc - comp) / k
             mean = (acc - comp) / n
@@ -397,12 +410,12 @@ def _orbit_mean_tail_np(sx, sy, n, plane_mode, *args):
 
 def _orbit_collect_np(sx, sy, burn, count, *args):
     out = np.empty((count, 2))
-    p = _reduce_np(np.array([[sx, sy]]))
+    p = reduce_batch(np.array([[sx, sy]]))
     for _ in range(burn):
-        p = _reduce_np(_apply_word_np(p, *args))
+        p = reduce_batch(_apply_word_np(p, *args))
     for k in range(count):
         out[k] = p[0]
-        p = _reduce_np(_apply_word_np(p, *args))
+        p = reduce_batch(_apply_word_np(p, *args))
     return out
 
 

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-6
-_NEWTON_MAX = 50
+_REFINE_MAX = 50
 _CHAIN_MIN_CELLS = 8
 _VANISH = 1e-12
 # an angular step this close to pi means consecutive field directions
@@ -167,12 +167,14 @@ def _refine(lifts, seeds: np.ndarray, tol: float) -> List[Tuple[Tuple[float, flo
         p = np.array(p0, dtype=float)
         f = _flat_residual(lifts, p)
         best = math.sqrt(float(f @ f))
-        for _ in range(_NEWTON_MAX):
+        for _ in range(_REFINE_MAX):
             if best < 1e-14:
                 break
             jac = _fd_jacobian(lifts, p)
             step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-            if not np.isfinite(step).all():
+            # the residual is Z^2-periodic, so a step longer than one period
+            # (or a non-finite one) only says the Jacobian is singular
+            if not math.hypot(step[0], step[1]) <= 1.0:
                 break
             cand = p + step
             fc = _flat_residual(lifts, cand)
@@ -269,7 +271,7 @@ def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
     norms = _combined_norm(lifts, pts).reshape(grid_n, grid_n)
 
     report = FixedPointReport(points=[], chains=[], all_points_fixed=False,
-                              grid_n=grid_n, tol=tol, newton_steps=_NEWTON_MAX)
+                              grid_n=grid_n, tol=tol, newton_steps=_REFINE_MAX)
     if bool((norms < tol).all()):
         report.all_points_fixed = True
         return report

@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
+from ._kernels import _NEWTON_MAX, _NEWTON_TOL, reduce_batch
 from .errors import NewtonDivergence, NotIsotopicToIdentity, RotorError
 from .mcg import MCGClass
 
@@ -41,26 +42,10 @@ __all__ = [
     "constant_term",
 ]
 
-_SNAP = 1e-15
-_NEWTON_TOL = 1e-12
-_NEWTON_MAX = 60
-
-
 def reduce_point(p) -> Tuple[float, float]:
     """Canonical torus representative in [0,1)^2, with a snap at the seam."""
-    x = p[0] - math.floor(p[0])
-    y = p[1] - math.floor(p[1])
-    if 1.0 - x < _SNAP:
-        x = 0.0
-    if 1.0 - y < _SNAP:
-        y = 0.0
-    return (x, y)
-
-
-def reduce_batch(pts: np.ndarray) -> np.ndarray:
-    out = pts - np.floor(pts)
-    out[1.0 - out < _SNAP] = 0.0
-    return out
+    q = reduce_batch(np.array([p], dtype=float))[0]
+    return (float(q[0]), float(q[1]))
 
 
 def trig_term(amplitude: float, kx: int, ky: int, phase: float = 0.0):
@@ -73,23 +58,6 @@ def trig_term(amplitude: float, kx: int, ky: int, phase: float = 0.0):
 def constant_term(value: float):
     # sin(pi/2) = 1 turns a term into a constant offset
     return (float(value), 0, 0, math.pi / 2)
-
-
-def _eval_terms(terms, x, y):
-    out = np.zeros_like(x)
-    for amp, kx, ky, ph in terms:
-        out += amp * np.sin(2.0 * math.pi * (kx * x + ky * y) + ph)
-    return out
-
-
-def _eval_terms_deriv(terms, x, y):
-    dx = np.zeros_like(x)
-    dy = np.zeros_like(x)
-    for amp, kx, ky, ph in terms:
-        c = amp * 2.0 * math.pi * np.cos(2.0 * math.pi * (kx * x + ky * y) + ph)
-        dx += c * kx
-        dy += c * ky
-    return dx, dy
 
 
 class Generator:
@@ -110,7 +78,6 @@ class Generator:
         self.linear = linear
         self.disp_x = tuple(trig_term(*t) for t in disp_x)
         self.disp_y = tuple(trig_term(*t) for t in disp_y)
-        self.is_trig = True
 
         row_x = sum(abs(a) * 2.0 * math.pi * (abs(kx) + abs(ky))
                     for a, kx, ky, _ in self.disp_x)
@@ -132,8 +99,7 @@ class Generator:
         self.certified = self.inverse_gen is not None or self.contraction_margin > 0.0
 
     def _constant_inverse(self):
-        cx = _eval_terms(self.disp_x, np.zeros(1), np.zeros(1))[0]
-        cy = _eval_terms(self.disp_y, np.zeros(1), np.zeros(1))[0]
+        cx, cy = _run_letters([(self, 1)], np.zeros((1, 2)))[0]
         inv = self.linear.inverse()
         mx = -(inv.a * cx + inv.b * cy)
         my = -(inv.c * cx + inv.d * cy)
@@ -144,60 +110,12 @@ class Generator:
     def _check_round_trip(self, other: "Generator"):
         g = np.linspace(0.05, 0.95, 7)
         pts = np.array([(x, y) for x in g for y in g])
-        fwd = other.apply_plane_batch(self.apply_plane_batch(pts))
-        back = self.apply_plane_batch(other.apply_plane_batch(pts))
+        fwd = _run_letters([(other, 1), (self, 1)], pts)
+        back = _run_letters([(self, 1), (other, 1)], pts)
         err = max(np.abs(fwd - pts).max(), np.abs(back - pts).max())
         if err > 1e-10:
             raise RotorError(
                 "supplied inverse for %r fails round trip (err %.3g)" % (self.name, err))
-
-    def apply_plane_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Images of plane points, shape (n,2).  Trig terms are evaluated at
-        the reduced representatives, which is exact by periodicity and keeps
-        the arguments small on long plane orbits."""
-        pts = np.asarray(pts, dtype=float)
-        a = self.linear
-        out = np.empty_like(pts)
-        out[:, 0] = a.a * pts[:, 0] + a.b * pts[:, 1]
-        out[:, 1] = a.c * pts[:, 0] + a.d * pts[:, 1]
-        red = reduce_batch(pts)
-        out[:, 0] += _eval_terms(self.disp_x, red[:, 0], red[:, 1])
-        out[:, 1] += _eval_terms(self.disp_y, red[:, 0], red[:, 1])
-        return out
-
-    def invert_plane_batch(self, pts: np.ndarray) -> np.ndarray:
-        if self.inverse_gen is not None:
-            return self.inverse_gen.apply_plane_batch(pts)
-        return self._newton_batch(np.asarray(pts, dtype=float))
-
-    def _newton_batch(self, q: np.ndarray) -> np.ndarray:
-        a = self.linear
-        inv = a.inverse()
-        p = np.empty_like(q)
-        p[:, 0] = inv.a * q[:, 0] + inv.b * q[:, 1]
-        p[:, 1] = inv.c * q[:, 0] + inv.d * q[:, 1]
-        for _ in range(_NEWTON_MAX):
-            red = reduce_batch(p)
-            fx = a.a * p[:, 0] + a.b * p[:, 1] \
-                + _eval_terms(self.disp_x, red[:, 0], red[:, 1]) - q[:, 0]
-            fy = a.c * p[:, 0] + a.d * p[:, 1] \
-                + _eval_terms(self.disp_y, red[:, 0], red[:, 1]) - q[:, 1]
-            bad = np.maximum(np.abs(fx), np.abs(fy)) > _NEWTON_TOL
-            if not bad.any():
-                return p
-            jxx, jxy = _eval_terms_deriv(self.disp_x, red[:, 0], red[:, 1])
-            jyx, jyy = _eval_terms_deriv(self.disp_y, red[:, 0], red[:, 1])
-            jxx += a.a
-            jxy += a.b
-            jyx += a.c
-            jyy += a.d
-            det = jxx * jyy - jxy * jyx
-            det[det == 0.0] = np.nan
-            p[:, 0] -= (jyy * fx - jxy * fy) / det
-            p[:, 1] -= (-jyx * fx + jxx * fy) / det
-        raise NewtonDivergence(
-            "inverse of %r did not reach residual %g in %d steps"
-            % (self.name, _NEWTON_TOL, _NEWTON_MAX))
 
     def __repr__(self):
         return "Generator(%r, linear=%r, %d+%d terms)" % (
@@ -212,6 +130,7 @@ class MapGroup:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise RotorError("generator names must be distinct")
+        self._programs = {}     # reduced letters -> compiled kernel arrays
 
     def word(self, letters) -> "Word":
         """Build a word from (index, sign) pairs or from a string.
@@ -357,15 +276,18 @@ def _as_lift(w) -> LiftedWord:
 
 
 def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
-    """Evaluate the lift on plane points, shape (n,2)."""
+    """Evaluate the lift on plane points, shape (n,2).
+
+    Runs the word's compiled program through the vectorized numpy word
+    kernel on every backend; an inverse letter whose Newton solve fails
+    raises NewtonDivergence.
+    """
     lw = _as_lift(lw)
-    out = np.array(pts, dtype=float)
-    gens = lw.word.group.generators
-    for idx, sign in reversed(lw.word.letters):
-        g = gens[idx]
-        out = g.apply_plane_batch(out) if sign > 0 else g.invert_plane_batch(out)
-    out[:, 0] += lw.extra_translation[0]
-    out[:, 1] += lw.extra_translation[1]
+    args = compile_program(lw)
+    out = _kernels._apply_word_np(np.asarray(pts, dtype=float), *args)
+    # args[1] holds the letter modes; only Newton letters (mode 1) emit NaN
+    if args[1].any() and np.isnan(out).any():
+        raise _divergence(lw)
     return out
 
 
@@ -404,85 +326,78 @@ def displacement_field_batch(lw, pts: np.ndarray) -> np.ndarray:
     return apply_lift_batch(lw, red) - red
 
 
+def _divergence(lw) -> NewtonDivergence:
+    return NewtonDivergence(
+        "an inverse letter of %r did not reach residual %g in %d Newton steps"
+        % (lw.word, _NEWTON_TOL, _NEWTON_MAX))
+
+
 # ---------------------------------------------------------------------------
-# compiled word programs for the long-orbit kernels
+# compiled word programs for the word and orbit kernels
 
 
-class _Program:
-    __slots__ = ("slot", "mode", "lin", "lin_inv", "tstart", "tend",
-                 "amps", "fkx", "fky", "phase", "row", "vx", "vy", "kernel_ok")
-
-
-def compile_program(lw) -> _Program:
-    """Flatten a lifted word into the array form the orbit kernels consume.
+def _compile_letters(letters) -> tuple:
+    """Flatten (Generator, sign) letters into the array form the kernels
+    consume: (slot, mode, lin, lin_inv, tstart, tend, amps, fkx, fky, phase,
+    row).  The last letter acts first.
 
     Inverse letters of generators carrying an explicit inverse are rewritten
-    as forward letters of that inverse; remaining inverse letters run Newton
-    inside the kernel.  Words touching non-trig generators fall back to the
-    object path and never reach the kernels.
+    as forward letters (mode 0) of that inverse; the remaining inverse
+    letters (mode 1) run Newton inside the kernel.
     """
-    lw = _as_lift(lw)
-    gens = lw.word.group.generators
-    prog = _Program()
-    prog.kernel_ok = all(g.is_trig for g in gens)
-
     table = []       # Generator objects whose forward data fill the arrays
     table_index = {}
-    letters = []
-
-    def slot_of(gen):
-        key = id(gen)
-        if key not in table_index:
-            table_index[key] = len(table)
-            table.append(gen)
-        return table_index[key]
-
-    for idx, sign in lw.word.letters:
-        g = gens[idx]
-        if sign > 0:
-            letters.append((slot_of(g), 0))
-        elif g.inverse_gen is not None and g.inverse_gen.is_trig:
-            letters.append((slot_of(g.inverse_gen), 0))
-        else:
-            letters.append((slot_of(g), 1))
+    slot, mode = [], []
+    for g, sign in letters:
+        if sign < 0 and g.inverse_gen is not None:
+            g, sign = g.inverse_gen, 1
+        if id(g) not in table_index:
+            table_index[id(g)] = len(table)
+            table.append(g)
+        slot.append(table_index[id(g)])
+        mode.append(0 if sign > 0 else 1)
 
     nslots = max(1, len(table))
-    prog.slot = np.array([l[0] for l in letters], dtype=np.int64)
-    prog.mode = np.array([l[1] for l in letters], dtype=np.int64)
-    prog.lin = np.zeros((nslots, 2, 2))
-    prog.lin_inv = np.zeros((nslots, 2, 2))
-    prog.tstart = np.zeros(nslots, dtype=np.int64)
-    prog.tend = np.zeros(nslots, dtype=np.int64)
-    amps, fkx, fky, phase, row = [], [], [], [], []
+    lin = np.zeros((nslots, 2, 2))
+    lin_inv = np.zeros((nslots, 2, 2))
+    tstart = np.zeros(nslots, dtype=np.int64)
+    tend = np.zeros(nslots, dtype=np.int64)
+    terms, row = [], []
     for i, g in enumerate(table):
-        if not g.is_trig:
-            continue
         a, ai = g.linear, g.linear.inverse()
-        prog.lin[i] = [[a.a, a.b], [a.c, a.d]]
-        prog.lin_inv[i] = [[ai.a, ai.b], [ai.c, ai.d]]
-        prog.tstart[i] = len(amps)
-        for r, terms in ((0, g.disp_x), (1, g.disp_y)):
-            for amp, kx, ky, ph in terms:
-                amps.append(amp)
-                fkx.append(float(kx))
-                fky.append(float(ky))
-                phase.append(ph)
-                row.append(r)
-        prog.tend[i] = len(amps)
-    prog.amps = np.array(amps, dtype=float)
-    prog.fkx = np.array(fkx, dtype=float)
-    prog.fky = np.array(fky, dtype=float)
-    prog.phase = np.array(phase, dtype=float)
-    prog.row = np.array(row, dtype=np.int64)
-    prog.vx = float(lw.extra_translation[0])
-    prog.vy = float(lw.extra_translation[1])
-    return prog
+        lin[i] = [[a.a, a.b], [a.c, a.d]]
+        lin_inv[i] = [[ai.a, ai.b], [ai.c, ai.d]]
+        tstart[i] = len(terms)
+        for r, disp in ((0, g.disp_x), (1, g.disp_y)):
+            terms.extend(disp)
+            row.extend([r] * len(disp))
+        tend[i] = len(terms)
+    amps, fkx, fky, phase = np.array(terms, dtype=float).reshape(-1, 4).T.copy()
+    return (np.array(slot, dtype=np.int64), np.array(mode, dtype=np.int64),
+            lin, lin_inv, tstart, tend, amps, fkx, fky, phase,
+            np.array(row, dtype=np.int64))
 
 
-def _prog_args(prog: _Program):
-    return (prog.slot, prog.mode, prog.lin, prog.lin_inv, prog.tstart,
-            prog.tend, prog.amps, prog.fkx, prog.fky, prog.phase, prog.row,
-            prog.vx, prog.vy)
+def _run_letters(letters, pts: np.ndarray) -> np.ndarray:
+    return _kernels._apply_word_np(pts, *_compile_letters(letters), 0.0, 0.0)
+
+
+def compile_program(lw) -> tuple:
+    """The kernel arguments of a lifted word: its compiled letters (see
+    _compile_letters) followed by the deck translation (vx, vy).
+
+    The letters are compiled once per group and reduced letter sequence;
+    words built afresh on every call (commutators, transports) reuse them.
+    """
+    lw = _as_lift(lw)
+    programs = lw.word.group._programs
+    prog = programs.get(lw.word.letters)
+    if prog is None:
+        gens = lw.word.group.generators
+        prog = programs[lw.word.letters] = _compile_letters(
+            [(gens[i], sign) for i, sign in lw.word.letters])
+    v = lw.extra_translation
+    return prog + (float(v[0]), float(v[1]))
 
 
 def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
@@ -490,114 +405,53 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     """n-step displacement means (lift^n(p) - p)/n for each seed, shape (m,2).
 
     Words with identity linear part iterate on the torus and accumulate the
-    per-step displacement with compensated summation; other words iterate in
-    plane coordinates (hyperbolic words overflow to inf, which is reported
-    as is).
+    per-step displacement with compensated summation; a NaN mean there can
+    only come from a failed Newton inverse and raises NewtonDivergence.
+    Other words iterate in plane coordinates (hyperbolic words overflow to
+    inf, which is reported as is).  threads splits the seeds over a thread
+    pool on the numba backend, whose kernels release the GIL; the numpy
+    backend runs all seeds in one vectorized call.  Results are the same
+    for every thread count.
     """
     lw = _as_lift(w)
     seeds = np.ascontiguousarray(np.asarray(seeds, dtype=float).reshape(-1, 2))
     if n < 1:
         raise RotorError("orbit length must be >= 1")
     plane_mode = not linear_part(lw.word).is_identity()
-    prog = compile_program(lw)
-    if not prog.kernel_ok:
-        return _object_orbit_means(lw, seeds, n, plane_mode)
-    args = _prog_args(prog)
+    args = compile_program(lw)
 
     def run(chunk):
         return _kernels.orbit_mean_batch(chunk, n, plane_mode, *args)
 
-    if threads <= 1 or len(seeds) < 2:
-        return run(seeds)
-    return _parallel_over_seeds(run, seeds, threads)
+    if threads <= 1 or len(seeds) < 2 or _kernels.get_backend() != "numba":
+        means = run(seeds)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-
-def _parallel_over_seeds(run, seeds, threads):
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(seeds, min(threads * 4, len(seeds)))
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(run, chunks))
-    return np.concatenate(parts, axis=0)
-
-
-def _object_orbit_means(lw, seeds, n, plane_mode):
-    with np.errstate(over="ignore", invalid="ignore"):
-        if plane_mode:
-            p = seeds.copy()
-            for _ in range(n):
-                p = apply_lift_batch(lw, p)
-            return (p - seeds) / n
-        acc = np.zeros_like(seeds)
-        comp = np.zeros_like(seeds)
-        p = reduce_batch(seeds.copy())
-        for _ in range(n):
-            q = apply_lift_batch(lw, p)
-            d = q - p
-            # Kahan step keeps 1e6-term sums honest
-            t = d - comp
-            s = acc + t
-            comp = (s - acc) - t
-            acc = s
-            p = reduce_batch(q)
-        return (acc - comp) / n
+        chunks = np.array_split(seeds, min(threads * 4, len(seeds)))
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            means = np.concatenate(list(ex.map(run, chunks)), axis=0)
+    if not plane_mode and np.isnan(means).any():
+        raise _divergence(lw)
+    return means
 
 
 def orbit_mean_with_tail(w, seed, n: int):
     """Displacement mean plus the max deviation of the last n//10 partial means."""
     lw = _as_lift(w)
     plane_mode = not linear_part(lw.word).is_identity()
-    prog = compile_program(lw)
-    if prog.kernel_ok:
-        mx, my, spread = _kernels.orbit_mean_tail(
-            float(seed[0]), float(seed[1]), n, plane_mode, *_prog_args(prog))
-        if math.isnan(mx):
-            raise NewtonDivergence("inverse letter failed to reach residual")
-        return (mx, my), spread
-    window = max(1, n // 10)
-    seeds = np.array([seed], dtype=float)
-    means = np.empty((0, 2))
-    # object path: track partial means explicitly
-    p = seeds.copy()
-    acc = np.zeros(2)
-    comp = np.zeros(2)
-    tail = []
-    red = reduce_batch(p) if not plane_mode else p
-    cur = red.copy()
-    for k in range(1, n + 1):
-        q = apply_lift_batch(lw, cur)
-        if plane_mode:
-            mean_k = (q[0] - seeds[0]) / k
-            cur = q
-        else:
-            t = (q[0] - cur[0]) - comp
-            s = acc + t
-            comp = (s - acc) - t
-            acc = s
-            mean_k = (acc - comp) / k
-            cur = reduce_batch(q)
-        if k > n - window:
-            tail.append(mean_k.copy())
-    final = mean_k
-    spread = max(float(np.hypot(*(t - final))) for t in tail)
-    return (float(final[0]), float(final[1])), spread
+    mx, my, spread = _kernels.orbit_mean_tail(
+        float(seed[0]), float(seed[1]), n, plane_mode, *compile_program(lw))
+    if math.isnan(mx):
+        raise _divergence(lw)
+    return (mx, my), spread
 
 
 def orbit_segment(w, seed, n: int, burn: int = 0) -> np.ndarray:
     """Torus orbit points w^burn(p), ..., w^{burn+n-1}(p), shape (n,2)."""
     lw = _as_lift(w)
-    prog = compile_program(lw)
-    if prog.kernel_ok:
-        out = _kernels.orbit_collect(float(seed[0]), float(seed[1]), burn, n,
-                                     *_prog_args(prog))
-        if np.isnan(out).any():
-            raise NewtonDivergence("inverse letter failed to reach residual")
-        return out
-    out = np.empty((n, 2))
-    p = np.array([reduce_point(seed)])
-    for _ in range(burn):
-        p = apply_torus_batch(lw, p)
-    for k in range(n):
-        out[k] = p[0]
-        p = apply_torus_batch(lw, p)
+    out = _kernels.orbit_collect(float(seed[0]), float(seed[1]), burn, n,
+                                 *compile_program(lw))
+    if np.isnan(out).any():
+        raise _divergence(lw)
     return out

@@ -119,6 +119,18 @@ def test_report_is_deterministic():
     assert [c.points for c in a.chains] == [c.points for c in b.chains]
 
 
+def test_singular_jacobian_stops_refinement():
+    # irrskew's constant x-translation makes the Jacobian of h' irrskew
+    # singular; least squares then proposes a huge step that used to run
+    # the Newton inverse far out of reach.  No seed converges.
+    from rotor.catalog import build_catalog
+    cat = build_catalog()
+    for word in ("irrskew h'", "h' irrskew", "h' tr", "tr h'"):
+        for grid_n in (8, 16, 32):
+            r = find_fixed_points(cat.word(word), grid_n, 1e-9)
+            assert r.is_empty(), (word, grid_n)
+
+
 # --- winding numbers
 
 

@@ -273,16 +273,30 @@ def test_uncertified_generator_is_flagged():
 def test_constant_displacement_closed_form_inverse():
     g = Generator("t", ID, disp_x=[constant_term(0.3)],
                   disp_y=[constant_term(-0.2)])
+    grp = MapGroup([g])
     pts = rand_points(20, seed=8)
-    back = g.invert_plane_batch(g.apply_plane_batch(pts))
+    back = apply_lift_batch(grp.word("t'"),
+                            apply_lift_batch(grp.word("t"), pts))
     assert np.abs(back - pts).max() < 1e-15
 
 
 def test_newton_inverse_accuracy():
-    g = G.generators[4]  # mix: trig in both rows, Newton-only inverse
+    # mix: trig in both rows, Newton-only inverse
     pts = rand_points(50, seed=9)
-    back = g.invert_plane_batch(g.apply_plane_batch(pts))
+    back = apply_lift_batch(G.word("mix'"),
+                            apply_lift_batch(G.word("mix"), pts))
     assert np.abs(back - pts).max() < 1e-10
+
+
+def test_newton_inverse_is_pointwise():
+    # a point's image must not depend on the batch it is evaluated in
+    from rotor.catalog import build_catalog
+    w = build_catalog().word("h'")
+    pts = rand_points(64, seed=12)
+    for batch in (pts[:4], pts):
+        together = apply_lift_batch(w, batch)
+        alone = np.vstack([apply_lift_batch(w, p[None, :]) for p in batch])
+        assert np.array_equal(together, alone)
 
 
 def test_trig_term_rejects_fractional_frequency():
@@ -336,4 +350,17 @@ def test_newton_divergence_surfaces():
     g = Generator("wild", ID, disp_y=[trig_term(1.0e8, 0, 1)])
     assert not g.certified
     with pytest.raises(NewtonDivergence):
-        g.invert_plane_batch(np.array([[0.3, 0.3]]))
+        apply_lift_batch(MapGroup([g]).word("wild'"), np.array([[0.3, 0.3]]))
+
+
+def test_failed_newton_mean_raises():
+    # not a homeomorphism: some orbits of the inverse hit a Newton failure,
+    # which must surface as an error rather than as NaN means
+    g = Generator("bad", ID, disp_x=[trig_term(0.3, 1, 0)],
+                  disp_y=[trig_term(0.3, 0, 1)])
+    w = MapGroup([g]).word("bad'")
+    seeds = np.random.default_rng(0).random((64, 2))
+    with pytest.raises(NewtonDivergence):
+        orbit_displacement_means(w, seeds, 50)
+    with pytest.raises(NewtonDivergence):
+        orbit_displacement_means(w, seeds, 50, threads=2)
