@@ -404,7 +404,7 @@ def _orbit_mean_tail_np(sx, sy, n, plane_mode, *args):
                 if k > n - window:
                     tail[k - (n - window) - 1] = (acc - comp) / k
             mean = (acc - comp) / n
-    spread = float(np.hypot(tail[:, 0] - mean[0], tail[:, 1] - mean[1]).max())
+        spread = float(np.hypot(*(tail - mean).T).max())
     return float(mean[0]), float(mean[1]), spread
 
 

@@ -16,21 +16,21 @@ and the affine orbit dichotomy used to prove rotation preservation
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ._io import write_json
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
                      NotIsotopicToIdentity)
 from .maps import (Word, _as_lift, apply_torus_batch, commutator_lift,
                    inverse as word_inverse, inverse_lift, linear_part)
 from .mcg import MCGClass, SubgroupForm, check_condition_star_star, \
     classify_nilpotent
-from .measures import EmpiricalMeasure, invariance_defect, pushforward, \
-    rotation_vector
+from .measures import (EmpiricalMeasure, _grid_merge, invariance_defect,
+                       pushforward, rotation_vector)
 
 __all__ = [
     "GroupSpec",
@@ -126,45 +126,33 @@ class ConstructionTrace:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _merge_on_grid(acc: dict, points: np.ndarray, weights: np.ndarray,
-                   scale: float, cells: int) -> None:
-    kx = np.round(points[:, 0] * scale).astype(np.int64) % cells
-    ky = np.round(points[:, 1] * scale).astype(np.int64) % cells
-    for x, y, w in zip(kx, ky, weights):
-        key = (int(x), int(y))
-        acc[key] = acc.get(key, 0.0) + float(w)
-
-
-def _measure_from_grid(acc: dict, scale: float) -> EmpiricalMeasure:
-    keys = sorted(acc)
-    pts = np.array([(x / scale, y / scale) for x, y in keys])
-    w = np.array([acc[k] for k in keys])
-    return EmpiricalMeasure(pts, w)
+        write_json(path, self.to_json_dict())
 
 
 def _cesaro_stage(word: Word, mu: EmpiricalMeasure, L: int) -> EmpiricalMeasure:
     """(1/L) sum of the first L pushforward powers, atoms merged on the
-    stage grid; re-binned coarsely if the atom count explodes."""
-    acc: dict = {}
+    stage grid; re-binned coarsely if the atom count explodes.
+
+    Images are held until they outnumber the merged cells, then merged
+    after the running sums, so each cell adds up in the order of one pass
+    over all L images (a cell's key/scale re-merges into the same cell).
+    """
+    cells, sums = np.empty((0, 2)), np.empty(0)
+    held: List[np.ndarray] = []
     pts = mu.points
     w = mu.weights / L
     for p in range(L):
         if p:
             pts = apply_torus_batch(word, pts)
-        _merge_on_grid(acc, pts, w, 1.0 / _MERGE_GRID, _MERGE_CELLS)
-    if len(acc) > _ATOM_CAP:
-        coarse: dict = {}
-        scale = 1.0 / _MERGE_GRID
-        points = np.array([(x / scale, y / scale) for x, y in sorted(acc)])
-        weights = np.array([acc[k] for k in sorted(acc)])
-        _merge_on_grid(coarse, points, weights, float(_COARSE), _COARSE)
-        return _measure_from_grid(coarse, float(_COARSE))
-    return _measure_from_grid(acc, 1.0 / _MERGE_GRID)
+        held.append(pts)
+        if len(held) * len(w) > len(sums) or p == L - 1:
+            cells, sums = _grid_merge(np.concatenate([cells] + held),
+                                      np.concatenate([sums] + [w] * len(held)),
+                                      1.0 / _MERGE_GRID, _MERGE_CELLS)
+            held = []
+    if len(sums) > _ATOM_CAP:
+        cells, sums = _grid_merge(cells, sums, float(_COARSE), _COARSE)
+    return EmpiricalMeasure(cells, sums)
 
 
 def _defect_table(words: Dict[str, Word], mu: EmpiricalMeasure) -> Dict[str, float]:

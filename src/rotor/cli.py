@@ -25,13 +25,13 @@ metadata rather than a report.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._io import _f, write_json
 from .averaging import construct_invariant, rotev_residual
 from .catalog import build_catalog
 from .covers import check_sigma_commute, klein_symmetrize, rho_bar
@@ -57,16 +57,6 @@ _SUBCOMMAND_KIND = {
 }
 
 
-def _f(x) -> str:
-    return repr(float(x))
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _hull_svg(vertices: np.ndarray) -> str:
     """A closed polyline of the hull, y axis pointing up."""
     v = np.asarray(vertices, dtype=float).reshape(-1, 2)
@@ -75,17 +65,15 @@ def _hull_svg(vertices: np.ndarray) -> str:
     span = max(xmax - xmin, ymax - ymin, 1e-3)
     pad = 0.1 * span
     closed = np.vstack([v, v[:1]])
-    pts = " ".join("%s,%s" % (repr(float(x)), repr(float(-y)))
-                   for x, y in closed)
+    pts = " ".join("%s,%s" % (_f(x), _f(-y)) for x, y in closed)
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         'viewBox="%s %s %s %s">\n'
         '  <polyline points="%s" fill="none" stroke="black" '
         'stroke-width="%s"/>\n'
         "</svg>\n"
-        % (repr(float(xmin - pad)), repr(float(-ymax - pad)),
-           repr(float(span + 2 * pad)), repr(float(span + 2 * pad)),
-           pts, repr(float(span / 200.0)))
+        % (_f(xmin - pad), _f(-ymax - pad), _f(span + 2 * pad),
+           _f(span + 2 * pad), pts, _f(span / 200.0))
     )
 
 
@@ -500,7 +488,7 @@ def _cmd_analysis(sub: str, path: str, outdir: str, threads: int) -> int:
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
             files = []
-        _write_json(json_path, payload)
+        write_json(json_path, payload)
         outputs.append(json_path)
         outputs.extend(files)
     meta = {
@@ -509,7 +497,7 @@ def _cmd_analysis(sub: str, path: str, outdir: str, threads: int) -> int:
         "threads": threads,
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
-    _write_json(os.path.join(outdir, "run_meta.json"), meta)
+    write_json(os.path.join(outdir, "run_meta.json"), meta)
     for p in outputs:
         print(p)
     return 1 if failed else 0
@@ -525,7 +513,7 @@ def _cmd_verify(outdir: str, threads: int) -> int:
         "threads": threads,
         "outputs": ["verify_report.json"],
     }
-    _write_json(os.path.join(outdir, "run_meta.json"), meta)
+    write_json(os.path.join(outdir, "run_meta.json"), meta)
     for r in report.results:
         print("%2d %-32s %s" % (r.index, r.name,
                                 "PASS" if r.passed else "FAIL"))

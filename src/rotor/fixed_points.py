@@ -15,13 +15,13 @@ grid resolution and tolerance it was computed at.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._io import write_json
 from .errors import AmbiguousWinding, DefectExceeded, NonIsolated
 from .maps import (LiftedWord, Word, _as_lift, apply_lift_batch,
                    displacement_field_batch, orbit_displacement_means,
@@ -100,9 +100,7 @@ class FixedPointReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def chains_to_csv(self, path) -> None:
         """One polyline per chain, rows (chain, x, y)."""
@@ -404,9 +402,7 @@ class FranksReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,

@@ -45,23 +45,34 @@ __all__ = [
 _GRID = 10 ** 12
 
 
+def _grid_merge(points: np.ndarray, weights: np.ndarray, scale: float,
+                cells: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge atoms by grid cell key round(p * scale) mod cells: returns the
+    sorted cells as key/scale and each cell's weight, summed in input order
+    from 0.0.  With cells = scale a point just below 1 lands in cell 0."""
+    keys = np.round(points * scale).astype(np.int64) % cells
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    cell = np.empty(len(ordered), dtype=np.intp)
+    cell[order] = np.cumsum(first) - 1
+    return ordered[first] / scale, np.bincount(cell, weights=weights)
+
+
 def _canonical(points, weights) -> Tuple[np.ndarray, np.ndarray]:
-    pts = reduce_batch(np.asarray(points, dtype=float).reshape(-1, 2))
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise ValueError("atom coordinates must be finite")
+    w = (np.full(len(pts), 1.0 / max(len(pts), 1)) if weights is None
+         else np.asarray(weights, dtype=float).reshape(-1))
     if len(w) != len(pts):
         raise ValueError("points and weights differ in length")
     if len(w) == 0:
         raise ValueError("a measure needs at least one atom")
     if (w < 0).any() or not np.isfinite(w).all():
         raise ValueError("weights must be finite and nonnegative")
-    acc = {}
-    for (x, y), wt in zip(pts, w):
-        # mod _GRID folds 1-1e-13 onto the representative of 0
-        key = (round(x * 1e12) % _GRID, round(y * 1e12) % _GRID)
-        acc[key] = acc.get(key, 0.0) + float(wt)
-    keys = sorted(acc)
-    out_pts = np.array([(kx / 1e12, ky / 1e12) for kx, ky in keys])
-    out_w = np.array([acc[k] for k in keys])
+    out_pts, out_w = _grid_merge(reduce_batch(pts), w, float(_GRID), _GRID)
     total = out_w.sum()
     if total <= 0.0:
         raise ValueError("total mass must be positive")
@@ -76,15 +87,13 @@ class EmpiricalMeasure:
 
     Atoms are canonicalized: coordinates reduced to [0,1), snapped to a
     1e-12 grid (which is also the dedup radius), sorted lexicographically,
-    weights normalized to total mass one.  Instances are immutable.
+    weights normalized to total mass one (atoms in one cell add up in input
+    order).  Coordinates must be finite.  Instances are immutable.
     """
 
     __slots__ = ("points", "weights")
 
     def __init__(self, points, weights=None):
-        if weights is None:
-            m = len(np.asarray(points, dtype=float).reshape(-1, 2))
-            weights = np.full(m, 1.0 / max(m, 1))
         pts, w = _canonical(points, weights)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
@@ -233,15 +242,24 @@ def invariance_defect(w: Word, mu: EmpiricalMeasure) -> float:
     return float(np.abs(before - after).max())
 
 
+def _require_bounded_means(lw) -> None:
+    tag = spectral_class(linear_part(_as_lift(lw).word)).tag
+    if tag in ("hyperbolic", "other_real_split"):
+        raise RotorError("rotation set undefined for %s linear part: "
+                         "displacement means diverge" % tag)
+
+
 def birkhoff_mean(lw, seed, n: int) -> BirkhoffRecord:
     """n-step displacement mean (lift^n(seed) - seed)/n along one orbit.
 
     Displacements are accumulated with compensated summation along the
     torus orbit, so coordinates never grow with n.  Words with a
-    non-identity linear part are iterated in the plane instead.
+    non-identity linear part are iterated in the plane instead, unless an
+    expanding eigenvalue makes the means diverge (RotorError).
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    _require_bounded_means(lw)
     mean, spread = orbit_mean_with_tail(lw, seed, n)
     return BirkhoffRecord(seed=reduce_point(seed), n=n, mean=mean,
                           tail_spread=spread)
@@ -261,10 +279,7 @@ def estimate_rotation_set(lw, seeds, n: int,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    tag = spectral_class(linear_part(_as_lift(lw).word)).tag
-    if tag in ("hyperbolic", "other_real_split"):
-        raise RotorError("rotation set undefined for %s linear part: "
-                         "displacement means diverge" % tag)
+    _require_bounded_means(lw)
     arr = np.asarray(seeds, dtype=float).reshape(-1, 2)
     samples = orbit_displacement_means(lw, arr, n, threads)
     return RotationSetEstimate(samples=samples, hull=convex_hull(samples), n=n)

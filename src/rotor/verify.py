@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ._io import _f, json_text, write_json
 from .averaging import (GroupSpec, bounded_orbit_check, construct_invariant,
                         rotev_residual)
 from .catalog import ALPHA, build_catalog, circle_measure, franks_cases
@@ -49,10 +50,6 @@ BIRKHOFF_SPREAD_LIMIT = 0.05
 _ID = MCGClass.identity()
 _DEHN = MCGClass(1, 0, 1, 1)
 _ANOSOV = MCGClass(2, 1, 1, 1)
-
-
-def _f(x) -> str:
-    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -88,11 +85,10 @@ class SuiteReport:
         }
 
     def json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.json_text())
+        write_json(path, self.to_json_dict())
 
 
 # --- 1: exhaustive spectral consistency over small integer matrices

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from rotor import averaging
 from rotor.averaging import (ConstructionTrace, GroupSpec, OrbitCheck,
-                             bounded_orbit_check, construct_invariant,
-                             rotev_residual)
+                             _cesaro_stage, bounded_orbit_check,
+                             construct_invariant, rotev_residual)
 from rotor.errors import (ConditionStarStarViolated, ConfigError,
                           DefectExceeded, NotIsotopicToIdentity)
-from rotor.maps import (Generator, LiftedWord, MapGroup, constant_term,
-                        trig_term)
+from rotor.maps import (Generator, LiftedWord, MapGroup, apply_torus_batch,
+                        constant_term, trig_term)
 from rotor.mcg import MCGClass, classify_nilpotent
 from rotor.measures import EmpiricalMeasure, invariance_defect
 
@@ -153,6 +154,89 @@ def test_trace_json_shape(tmp_path):
     assert data["stages"][1]["generator"] == "g1"
     assert data["stages"][1]["atom_count"] == 32
     assert set(data["stages"][1]["defects"]) == {"phi", "G0[0]", "g1"}
+
+
+# --- Cesaro stage against a plain dict loop
+
+
+def dict_stage(word, mu, L, cap=10 ** 6):
+    """Reference stage: every atom of every image added to a dict of
+    1e-10 grid cells; above cap atoms, re-binned on the 1/4096 grid."""
+    def merge(acc, pts, w, scale, cells):
+        for (x, y), wt in zip(pts, w):
+            key = (round(x * scale) % cells, round(y * scale) % cells)
+            acc[key] = acc.get(key, 0.0) + float(wt)
+
+    def cells_of(acc, scale):
+        keys = sorted(acc)
+        return (np.array([(x / scale, y / scale) for x, y in keys]),
+                np.array([acc[k] for k in keys]))
+
+    acc = {}
+    pts = mu.points
+    w = mu.weights / L
+    for p in range(L):
+        if p:
+            pts = apply_torus_batch(word, pts)
+        merge(acc, pts, w, 1.0 / 1e-10, 10 ** 10)
+    pts, w = cells_of(acc, 1.0 / 1e-10)
+    if len(w) > cap:
+        coarse = {}
+        merge(coarse, pts, w, 4096.0, 4096)
+        pts, w = cells_of(coarse, 4096.0)
+    return EmpiricalMeasure(pts, w)
+
+
+def counted_merges(monkeypatch):
+    calls = []
+    real = averaging._grid_merge
+
+    def spy(points, weights, scale, cells):
+        calls.append(len(weights))
+        return real(points, weights, scale, cells)
+
+    monkeypatch.setattr(averaging, "_grid_merge", spy)
+    return calls
+
+
+def assert_same_measure(a, b):
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.weights, b.weights)
+
+
+def test_stage_on_distinct_atoms_matches_dict_reference(monkeypatch):
+    mu = EmpiricalMeasure(np.random.default_rng(2).random((64, 2)))
+    calls = counted_merges(monkeypatch)
+    got = _cesaro_stage(W_DEHN, mu, 40)
+    assert len(calls) >= 5
+    assert len(got) == 64 * 40
+    assert_same_measure(got, dict_stage(W_DEHN, mu, 40))
+
+
+def test_heavily_merging_stage_matches_dict_reference(monkeypatch):
+    # the Dehn twist permutes the 16x16 grid, so every image merges back;
+    # weights over 16 decades make each cell sum depend on the order
+    rng = np.random.default_rng(3)
+    grid = EmpiricalMeasure.uniform_grid(16)
+    mu = EmpiricalMeasure(grid.points,
+                          rng.random(256) * 10.0 ** rng.uniform(-8, 8, 256))
+    calls = counted_merges(monkeypatch)
+    got = _cesaro_stage(W_DEHN, mu, 33)
+    assert len(calls) > 10
+    assert len(got) == 256
+    assert_same_measure(got, dict_stage(W_DEHN, mu, 33))
+
+
+def test_coarse_rebin_matches_dict_reference(monkeypatch):
+    rng = np.random.default_rng(4)
+    mu = EmpiricalMeasure(rng.random((64, 2)), rng.random(64))
+    monkeypatch.setattr(averaging, "_ATOM_CAP", 100)
+    got = _cesaro_stage(W_DEHN, mu, 40)
+    ref = dict_stage(W_DEHN, mu, 40, cap=100)
+    assert_same_measure(got, ref)
+    # the re-bin ran: every atom sits on the 1/4096 grid
+    keys = got.points * 4096
+    assert np.array_equal(keys, np.round(keys))
 
 
 # --- rotation transport recurrences

@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotor.errors import NotIsotopicToIdentity
+from rotor.errors import NotIsotopicToIdentity, RotorError
 from rotor.geometry import hausdorff_distance
 from rotor.maps import (Generator, LiftedWord, MapGroup, compose,
-                        constant_term, inverse, linear_part, translate_lift,
+                        constant_term, inverse, linear_part,
+                        orbit_mean_with_tail, reduce_batch, translate_lift,
                         trig_term)
 from rotor.mcg import MCGClass
 from rotor.measures import (BirkhoffRecord, EmpiricalMeasure,
@@ -102,6 +106,94 @@ def test_csv_round_trip(tmp_path):
     back = EmpiricalMeasure.from_csv(path)
     assert np.array_equal(back.points, m.points)
     assert np.allclose(back.weights, m.weights, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                          st.floats(1e-3, 1e3)), min_size=1, max_size=20))
+def test_csv_round_trip_property(tmp_path_factory, atoms):
+    m = EmpiricalMeasure([(x, y) for x, y, _ in atoms],
+                         [w for _, _, w in atoms])
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    m.to_csv(path)
+    back = EmpiricalMeasure.from_csv(path)
+    assert np.array_equal(back.points, m.points)
+    # renormalizing weights that already sum to 1 within rounding can move
+    # them by an ulp, so the weights round-trip to within a few ulps only
+    assert np.allclose(back.weights, m.weights,
+                       rtol=4 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_coordinates_rejected(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            EmpiricalMeasure([(0.2, 0.3), (bad, 0.1)])
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            EmpiricalMeasure([(0.1, bad)], [1.0])
+
+
+# --- the grid merge against a plain dict loop
+
+
+def dict_merge(points, weights, scale, cells):
+    """Reference merge: one dict entry per grid cell, summed atom by atom."""
+    acc = {}
+    for (x, y), wt in zip(points, weights):
+        key = (round(x * scale) % cells, round(y * scale) % cells)
+        acc[key] = acc.get(key, 0.0) + float(wt)
+    keys = sorted(acc)
+    return (np.array([(kx / scale, ky / scale) for kx, ky in keys]),
+            np.array([acc[k] for k in keys]))
+
+
+def assert_matches_dict_reference(points, weights):
+    points = np.asarray(points, dtype=float)
+    m = EmpiricalMeasure(points, weights)
+    pts, w = dict_merge(reduce_batch(points), weights, 1e12, 10 ** 12)
+    assert np.array_equal(m.points, pts)
+    assert np.array_equal(m.weights, w / w.sum())
+    return m
+
+
+def spread_weights(rng, n):
+    # magnitudes over 16 decades, so cell sums depend on the order of adding
+    return rng.random(n) * 10.0 ** rng.uniform(-8, 8, n)
+
+
+def test_heavy_merging_matches_dict_reference():
+    rng = np.random.default_rng(7)
+    n = 20000
+    centers = rng.integers(0, 16, size=(n, 2)) / 16
+    points = centers + rng.uniform(-4e-13, 4e-13, size=(n, 2))
+    weights = spread_weights(rng, n)
+    m = assert_matches_dict_reference(points, weights)
+    assert len(m) == 256
+    # the reference is order sensitive: adding in reverse differs
+    _, rev = dict_merge(reduce_batch(points)[::-1], weights[::-1],
+                        1e12, 10 ** 12)
+    assert not np.array_equal(m.weights, rev / rev.sum())
+
+
+def test_distinct_and_seam_atoms_match_dict_reference():
+    rng = np.random.default_rng(8)
+    seam = [(1 - 1e-13, 0.5), (0.0, 0.5), (0.5, 1 - 1e-13), (-1e-13, 0.5),
+            (1 - 1e-13, 1 - 1e-13), (0.0, 0.0), (1 - 6e-13, 0.25),
+            (2.5, -0.5), (0.5, 0.5)]
+    points = np.vstack([seam, rng.random((4000, 2)) * 6 - 3])
+    m = assert_matches_dict_reference(points, spread_weights(rng, len(points)))
+    assert m.points[0].tolist() == [0.0, 0.0]
+    assert m.points.max() < 1.0
+    seam_only = assert_matches_dict_reference(seam, np.ones(len(seam)))
+    assert len(seam_only) == 5
+
+
+def test_tiny_measure_matches_dict_reference():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 40):
+        assert_matches_dict_reference(rng.random((n, 2)),
+                                      spread_weights(rng, n))
 
 
 # --- pushforward
@@ -242,6 +334,25 @@ def test_birkhoff_skew_equidistributes():
     r = birkhoff_mean(LiftedWord(G.by_name("skew")), (0.123, 0.456), 10 ** 5)
     assert math.hypot(r.mean[0] - ALPHA, r.mean[1] - 0.3) < 5e-3
     assert r.tail_spread < 5e-3
+
+
+@pytest.mark.parametrize("cls", [MCGClass(2, 1, 1, 1), MCGClass(1, 1, 1, 0)])
+def test_birkhoff_rejects_expanding_linear_part(cls):
+    g = MapGroup([Generator("a", cls)]).by_name("a")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RotorError, match="means diverge"):
+            birkhoff_mean(g, (0.3, 0.2), 2000)
+        with pytest.raises(RotorError, match="means diverge"):
+            estimate_rotation_set(g, [(0.3, 0.2)], 2000)
+
+
+def test_hyperbolic_tail_overflows_without_warning():
+    g = MapGroup([Generator("a", MCGClass(2, 1, 1, 1))]).by_name("a")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, spread = orbit_mean_with_tail(g, (0.3, 0.2), 2000)
+    assert mean == (math.inf, math.inf) and math.isnan(spread)
 
 
 def test_birkhoff_rejects_bad_n():
