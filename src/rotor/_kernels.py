@@ -16,6 +16,14 @@ and skips importing numba entirely; set_backend() switches at runtime.  Both
 backends implement the same word-program semantics; the deliberately separate
 code paths double as cross-checks in the tests and the benchmark.
 
+Each backend has one mean loop, _orbit_mean_nb (one seed) and _orbit_mean_np
+(a batch of seeds).  It holds the plane/torus split and the compensated
+summation, and fills a tail array with the running means of the last steps;
+plain means pass an empty tail.  Plane mode iterates the unreduced lift and
+reads the mean off its travel; torus mode reduces every step and sums the
+per-step displacements.  The tail spread is computed once, in the
+orbit_mean_tail dispatch, for both backends.
+
 The seam snap and the Newton tolerance and step budget are defined here once
 and shared by maps.
 """
@@ -142,79 +150,31 @@ if _HAVE_NUMBA:
         return r
 
     @njit(cache=True, nogil=True)
-    def _orbit_mean_batch_nb(seeds, n, plane_mode, slot, mode, lin, lin_inv,
-                             tstart, tend, amps, fkx, fky, phase, row, vx, vy):
-        m = seeds.shape[0]
-        out = np.empty((m, 2))
-        for i in range(m):
-            if plane_mode:
-                x0 = seeds[i, 0]
-                y0 = seeds[i, 1]
-                px = x0
-                py = y0
-                for _ in range(n):
-                    px, py = _apply_word_nb(px, py, slot, mode, lin, lin_inv,
-                                            tstart, tend, amps, fkx, fky,
-                                            phase, row, vx, vy)
-                out[i, 0] = (px - x0) / n
-                out[i, 1] = (py - y0) / n
-            else:
-                px = _reduce_nb(seeds[i, 0])
-                py = _reduce_nb(seeds[i, 1])
-                ax = 0.0
-                ay = 0.0
-                cx = 0.0
-                cy = 0.0
-                for _ in range(n):
-                    qx, qy = _apply_word_nb(px, py, slot, mode, lin, lin_inv,
-                                            tstart, tend, amps, fkx, fky,
-                                            phase, row, vx, vy)
-                    # compensated summation of the per-step displacement
-                    t = (qx - px) - cx
-                    s1 = ax + t
-                    cx = (s1 - ax) - t
-                    ax = s1
-                    t = (qy - py) - cy
-                    s2 = ay + t
-                    cy = (s2 - ay) - t
-                    ay = s2
-                    px = _reduce_nb(qx)
-                    py = _reduce_nb(qy)
-                # fold the compensation back in before dividing
-                out[i, 0] = (ax - cx) / n
-                out[i, 1] = (ay - cy) / n
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _orbit_mean_tail_nb(sx, sy, n, plane_mode, slot, mode, lin, lin_inv,
-                            tstart, tend, amps, fkx, fky, phase, row, vx, vy):
-        window = n // 10
-        if window < 1:
-            window = 1
-        tail = np.empty((window, 2))
+    def _orbit_mean_nb(sx, sy, n, plane_mode, tail, slot, mode, lin, lin_inv,
+                       tstart, tend, amps, fkx, fky, phase, row, vx, vy):
+        start = n - tail.shape[0]
         if plane_mode:
             px = sx
             py = sy
-            for k in range(1, n + 1):
-                px, py = _apply_word_nb(px, py, slot, mode, lin, lin_inv,
-                                        tstart, tend, amps, fkx, fky,
-                                        phase, row, vx, vy)
-                if k > n - window:
-                    tail[k - (n - window) - 1, 0] = (px - sx) / k
-                    tail[k - (n - window) - 1, 1] = (py - sy) / k
-            mx = (px - sx) / n
-            my = (py - sy) / n
         else:
             px = _reduce_nb(sx)
             py = _reduce_nb(sy)
-            ax = 0.0
-            ay = 0.0
-            cx = 0.0
-            cy = 0.0
-            for k in range(1, n + 1):
-                qx, qy = _apply_word_nb(px, py, slot, mode, lin, lin_inv,
-                                        tstart, tend, amps, fkx, fky,
-                                        phase, row, vx, vy)
+        ax = 0.0
+        ay = 0.0
+        cx = 0.0
+        cy = 0.0
+        for k in range(1, n + 1):
+            qx, qy = _apply_word_nb(px, py, slot, mode, lin, lin_inv,
+                                    tstart, tend, amps, fkx, fky, phase, row,
+                                    vx, vy)
+            if plane_mode:
+                # the lift's own travel is the displacement sum; cx stays 0
+                px = qx
+                py = qy
+                ax = px - sx
+                ay = py - sy
+            else:
+                # compensated summation of the per-step displacement
                 t = (qx - px) - cx
                 s1 = ax + t
                 cx = (s1 - ax) - t
@@ -225,17 +185,24 @@ if _HAVE_NUMBA:
                 ay = s2
                 px = _reduce_nb(qx)
                 py = _reduce_nb(qy)
-                if k > n - window:
-                    tail[k - (n - window) - 1, 0] = (ax - cx) / k
-                    tail[k - (n - window) - 1, 1] = (ay - cy) / k
-            mx = (ax - cx) / n
-            my = (ay - cy) / n
-        spread = 0.0
-        for i in range(window):
-            d = math.sqrt((tail[i, 0] - mx) ** 2 + (tail[i, 1] - my) ** 2)
-            if d > spread:
-                spread = d
-        return mx, my, spread
+            if k > start:
+                tail[k - start - 1, 0] = (ax - cx) / k
+                tail[k - start - 1, 1] = (ay - cy) / k
+        # fold the compensation back in before dividing
+        return (ax - cx) / n, (ay - cy) / n
+
+    @njit(cache=True, nogil=True)
+    def _orbit_mean_seeds_nb(seeds, n, plane_mode, slot, mode, lin, lin_inv,
+                             tstart, tend, amps, fkx, fky, phase, row, vx, vy):
+        out = np.empty((seeds.shape[0], 2))
+        no_tail = np.empty((0, 2))
+        for i in range(seeds.shape[0]):
+            mx, my = _orbit_mean_nb(seeds[i, 0], seeds[i, 1], n, plane_mode,
+                                    no_tail, slot, mode, lin, lin_inv, tstart,
+                                    tend, amps, fkx, fky, phase, row, vx, vy)
+            out[i, 0] = mx
+            out[i, 1] = my
+        return out
 
     @njit(cache=True, nogil=True)
     def _orbit_collect_nb(sx, sy, burn, count, slot, mode, lin, lin_inv,
@@ -356,56 +323,28 @@ def _newton_np(qx, qy, s, lin, lin_inv, tstart, tend, amps, fkx, fky,
     return px, py
 
 
-def _orbit_mean_batch_np(seeds, n, plane_mode, *args):
+def _orbit_mean_np(seeds, n, plane_mode, tail, *prog):
+    # _orbit_mean_nb vectorized over the seeds; tail has shape (window, m, 2)
+    start = n - len(tail)
     with np.errstate(over="ignore", invalid="ignore"):
-        if plane_mode:
-            p = seeds.copy()
-            for _ in range(n):
-                p = _apply_word_np(p, *args)
-            return (p - seeds) / n
-        p = reduce_batch(seeds)
+        p = seeds.copy() if plane_mode else reduce_batch(seeds)
         acc = np.zeros_like(p)
         comp = np.zeros_like(p)
-        for _ in range(n):
-            q = _apply_word_np(p, *args)
-            d = q - p
-            t = d - comp
-            s = acc + t
-            comp = (s - acc) - t
-            acc = s
-            p = reduce_batch(q)
-        return (acc - comp) / n
-
-
-def _orbit_mean_tail_np(sx, sy, n, plane_mode, *args):
-    window = max(1, n // 10)
-    seeds = np.array([[sx, sy]])
-    tail = np.empty((window, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        if plane_mode:
-            p = seeds.copy()
-            for k in range(1, n + 1):
-                p = _apply_word_np(p, *args)
-                if k > n - window:
-                    tail[k - (n - window) - 1] = (p[0] - seeds[0]) / k
-            mean = (p[0] - seeds[0]) / n
-        else:
-            p = reduce_batch(seeds)
-            acc = np.zeros(2)
-            comp = np.zeros(2)
-            for k in range(1, n + 1):
-                q = _apply_word_np(p, *args)
-                d = q[0] - p[0]
-                t = d - comp
+        for k in range(1, n + 1):
+            q = _apply_word_np(p, *prog)
+            if plane_mode:
+                p = q
+                acc = p - seeds
+            else:
+                # compensated summation of the per-step displacement
+                t = (q - p) - comp
                 s = acc + t
                 comp = (s - acc) - t
                 acc = s
                 p = reduce_batch(q)
-                if k > n - window:
-                    tail[k - (n - window) - 1] = (acc - comp) / k
-            mean = (acc - comp) / n
-        spread = float(np.hypot(*(tail - mean).T).max())
-    return float(mean[0]), float(mean[1]), spread
+            if k > start:
+                tail[k - start - 1] = (acc - comp) / k
+        return (acc - comp) / n
 
 
 def _orbit_collect_np(sx, sy, burn, count, *args):
@@ -425,14 +364,26 @@ def _orbit_collect_np(sx, sy, burn, count, *args):
 
 def orbit_mean_batch(seeds, n, plane_mode, *args):
     if _BACKEND == "numba":
-        return _orbit_mean_batch_nb(seeds, n, plane_mode, *args)
-    return _orbit_mean_batch_np(seeds, n, plane_mode, *args)
+        return _orbit_mean_seeds_nb(seeds, n, plane_mode, *args)
+    return _orbit_mean_np(seeds, n, plane_mode, np.empty((0, len(seeds), 2)),
+                          *args)
 
 
 def orbit_mean_tail(sx, sy, n, plane_mode, *args):
+    """The mean of one orbit and the largest distance from it of the running
+    means over the last max(1, n//10) steps."""
+    window = max(1, n // 10)
     if _BACKEND == "numba":
-        return _orbit_mean_tail_nb(sx, sy, n, plane_mode, *args)
-    return _orbit_mean_tail_np(sx, sy, n, plane_mode, *args)
+        tail = np.empty((window, 2))
+        mx, my = _orbit_mean_nb(sx, sy, n, plane_mode, tail, *args)
+    else:
+        tail = np.empty((window, 1, 2))
+        mx, my = _orbit_mean_np(np.array([[sx, sy]]), n, plane_mode, tail,
+                                *args)[0]
+        tail = tail[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.hypot(tail[:, 0] - mx, tail[:, 1] - my).max()
+    return float(mx), float(my), float(spread)
 
 
 def orbit_collect(sx, sy, burn, count, *args):

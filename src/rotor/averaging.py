@@ -23,10 +23,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ._io import write_json
-from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
-                     NotIsotopicToIdentity)
-from .maps import (Word, _as_lift, apply_torus_batch, commutator_lift,
-                   inverse as word_inverse, inverse_lift, linear_part)
+from .errors import ConditionStarStarViolated, ConfigError, DefectExceeded
+from .maps import (Word, _as_lift, _require_identity, apply_torus_batch,
+                   commutator_lift, inverse as word_inverse, inverse_lift,
+                   linear_part)
 from .mcg import MCGClass, SubgroupForm, check_condition_star_star, \
     classify_nilpotent
 from .measures import (EmpiricalMeasure, _grid_merge, invariance_defect,
@@ -172,10 +172,7 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     defect stays above 10*tol after doubling L max_doublings times raises
     DefectExceeded.
     """
-    phi = _as_lift(phi)
-    if not linear_part(phi.word).is_identity():
-        raise NotIsotopicToIdentity(
-            "tracked word %r has a nontrivial linear part" % (phi.word,))
+    phi = _require_identity(phi, "tracked word")
     if L < 1:
         raise ValueError("need L >= 1")
 
@@ -241,10 +238,7 @@ def rotev_residual(g, h, mu: EmpiricalMeasure, p: int) -> np.ndarray:
     atom by atom.  Both sides are computed independently.
     """
     g = _as_lift(g)
-    h = _as_lift(h)
-    if not linear_part(h.word).is_identity():
-        raise NotIsotopicToIdentity(
-            "word %r has a nontrivial linear part" % (h.word,))
+    h = _require_identity(h)
     a = linear_part(g.word)
 
     mu_p = mu

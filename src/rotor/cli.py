@@ -37,12 +37,12 @@ from .catalog import build_catalog
 from .covers import check_sigma_commute, klein_symmetrize, rho_bar
 from .errors import ConfigError, RotorError
 from .fixed_points import common_fixed_points, franks_certificate
-from .maps import LiftedWord, linear_part
-from .mcg import (check_condition_star_star, classify_nilpotent,
+from .maps import LiftedWord, linear_part, torus_grid
+from .mcg import (H_LIST, check_condition_star_star, classify_nilpotent,
                   has_nontrivial_unity_root, spectral_class, torsion_order)
 from .measures import estimate_rotation_set, invariance_defect
 from .scenario import (AnalysisRequest, Scenario, generator_section_text,
-                       parse_scenario)
+                       parse_scenario, parse_scenario_text)
 from .verify import run_suite
 
 __all__ = ["main"]
@@ -75,11 +75,6 @@ def _hull_svg(vertices: np.ndarray) -> str:
         % (_f(xmin - pad), _f(-ymax - pad), _f(span + 2 * pad),
            _f(span + 2 * pad), pts, _f(span / 200.0))
     )
-
-
-def _seed_grid(k: int) -> np.ndarray:
-    ax = np.arange(k) / k
-    return np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
 
 
 # --- per-analysis runners; each returns (payload, extra files written)
@@ -122,7 +117,7 @@ def _run_rotation_set(scn: Scenario, req: AnalysisRequest, outdir: str,
                       threads: int) -> Tuple[dict, List[str]]:
     p = req.params
     lw = LiftedWord(p["word"], p["deck"])
-    est = estimate_rotation_set(lw, _seed_grid(p["seeds"]), p["n"],
+    est = estimate_rotation_set(lw, torus_grid(p["seeds"]), p["n"],
                                 threads=threads)
     cx, cy = est.centroid()
     payload = {
@@ -424,7 +419,6 @@ word = twist
 measure = slow
 """
 
-    from .mcg import H_LIST
     dihedral = ""
     names = []
     for i, m in enumerate(H_LIST):
@@ -448,7 +442,6 @@ measure = slow
 
 
 def _cmd_examples(outdir: str) -> int:
-    from .scenario import parse_scenario_text
     os.makedirs(outdir, exist_ok=True)
     written = []
     for fname, text in _example_files():

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import (BoundaryViolation, NotSigmaEquivariant, RotorError)
 from .maps import (Generator, LiftedWord, MapGroup, Word, _as_lift,
-                   apply_torus_batch, reduce_batch, trig_term)
+                   apply_torus_batch, reduce_batch, torus_grid, trig_term)
+from .mcg import MCGClass
 from .measures import EmpiricalMeasure, rotation_vector
 
 __all__ = [
@@ -61,9 +62,7 @@ def check_sigma_commute(w: Word, grid_n: int = 64) -> float:
     """Max torus distance between f(sigma(p)) and sigma(f(p)) on a grid."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    axis = np.arange(grid_n) / grid_n
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts = torus_grid(grid_n)
     left = apply_torus_batch(w, sigma_apply(pts))
     right = sigma_apply(apply_torus_batch(w, pts))
     return float(_torus_gap(left, right).max())
@@ -235,7 +234,7 @@ def double_annulus_family(named_specs) -> MapGroup:
     doubles compose as words."""
     gens = []
     for name, spec in named_specs:
-        gens.append(Generator(name, _identity_class(),
+        gens.append(Generator(name, MCGClass.identity(),
                               disp_x=doubled_displacement_terms(spec)))
     return MapGroup(gens)
 
@@ -249,11 +248,6 @@ def double_annulus(spec: AnnulusMapSpec, name: str = "doubled") -> Word:
     """
     group = double_annulus_family([(name, spec)])
     return group.by_name(name)
-
-
-def _identity_class():
-    from .mcg import MCGClass
-    return MCGClass.identity()
 
 
 def compose_annulus(f: AnnulusMapSpec, g: AnnulusMapSpec) -> AnnulusMapSpec:

@@ -25,7 +25,7 @@ from ._io import write_json
 from .errors import AmbiguousWinding, DefectExceeded, NonIsolated
 from .maps import (LiftedWord, Word, _as_lift, apply_lift_batch,
                    displacement_field_batch, orbit_displacement_means,
-                   reduce_point)
+                   reduce_point, torus_grid)
 from .measures import EmpiricalMeasure, invariance_defect, rotation_vector
 
 __all__ = [
@@ -263,9 +263,8 @@ def _local_min_seeds(norms: np.ndarray, exclude: np.ndarray) -> List[Tuple[int, 
 def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
-    axis = np.arange(grid_n) / grid_n
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts = torus_grid(grid_n)
+    axis = pts[::grid_n, 0]
     norms = _combined_norm(lifts, pts).reshape(grid_n, grid_n)
 
     report = FixedPointReport(points=[], chains=[], all_points_fixed=False,

@@ -34,6 +34,7 @@ __all__ = [
     "commutator",
     "linear_part",
     "displacement_field",
+    "torus_grid",
     "compose_lift",
     "inverse_lift",
     "commutator_lift",
@@ -46,6 +47,12 @@ def reduce_point(p) -> Tuple[float, float]:
     """Canonical torus representative in [0,1)^2, with a snap at the seam."""
     q = reduce_batch(np.array([p], dtype=float))[0]
     return (float(q[0]), float(q[1]))
+
+
+def torus_grid(k: int) -> np.ndarray:
+    """The k*k grid points (i/k, j/k), i-major ("ij" order), shape (k*k, 2)."""
+    axis = np.arange(k) / k
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
 
 
 def trig_term(amplitude: float, kx: int, ky: int, phase: float = 0.0):
@@ -306,22 +313,23 @@ def apply_torus(w, p) -> Tuple[float, float]:
     return (float(q[0]), float(q[1]))
 
 
-def displacement_field(lw, p) -> Tuple[float, float]:
-    """The vector apply_lift(p~) - p~, independent of the chosen lift of p."""
+def _require_identity(lw, what: str = "word") -> LiftedWord:
+    """lw as a lift; raises NotIsotopicToIdentity unless its linear part is Id."""
     lw = _as_lift(lw)
     if not linear_part(lw.word).is_identity():
         raise NotIsotopicToIdentity(
-            "word %r has a nontrivial linear part" % (lw.word,))
-    px, py = reduce_point(p)
-    qx, qy = apply_lift(lw, (px, py))
-    return (qx - px, qy - py)
+            "%s %r has a nontrivial linear part" % (what, lw.word))
+    return lw
+
+
+def displacement_field(lw, p) -> Tuple[float, float]:
+    """The vector apply_lift(p~) - p~, independent of the chosen lift of p."""
+    d = displacement_field_batch(lw, np.array([p], dtype=float))[0]
+    return (float(d[0]), float(d[1]))
 
 
 def displacement_field_batch(lw, pts: np.ndarray) -> np.ndarray:
-    lw = _as_lift(lw)
-    if not linear_part(lw.word).is_identity():
-        raise NotIsotopicToIdentity(
-            "word %r has a nontrivial linear part" % (lw.word,))
+    lw = _require_identity(lw)
     red = reduce_batch(np.asarray(pts, dtype=float))
     return apply_lift_batch(lw, red) - red
 
@@ -400,25 +408,36 @@ def compile_program(lw) -> tuple:
     return prog + (float(v[0]), float(v[1]))
 
 
+def _orbit_program(w, n: int):
+    """(lift, plane_mode, kernel arguments) of an orbit of length n >= 1."""
+    lw = _as_lift(w)
+    if n < 1:
+        raise RotorError("orbit length must be >= 1")
+    return lw, not linear_part(lw.word).is_identity(), compile_program(lw)
+
+
+def _check_orbit(lw, values, plane_mode: bool) -> None:
+    # A torus orbit stays in [0,1)^2, so a NaN there can only come from a
+    # failed Newton inverse; plane-mode overflow (inf, or NaN from 0 * inf)
+    # is reported as is.
+    if not plane_mode and np.isnan(values).any():
+        raise _divergence(lw)
+
+
 def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
                              ) -> np.ndarray:
     """n-step displacement means (lift^n(p) - p)/n for each seed, shape (m,2).
 
     Words with identity linear part iterate on the torus and accumulate the
-    per-step displacement with compensated summation; a NaN mean there can
-    only come from a failed Newton inverse and raises NewtonDivergence.
-    Other words iterate in plane coordinates (hyperbolic words overflow to
-    inf, which is reported as is).  threads splits the seeds over a thread
-    pool on the numba backend, whose kernels release the GIL; the numpy
-    backend runs all seeds in one vectorized call.  Results are the same
-    for every thread count.
+    per-step displacement with compensated summation; a NaN mean there
+    raises NewtonDivergence.  Other words iterate in plane coordinates,
+    where overflow is reported as is.  threads splits the seeds over a
+    thread pool on the numba backend, whose kernels release the GIL; the
+    numpy backend runs all seeds in one vectorized call.  Results are the
+    same for every thread count.
     """
-    lw = _as_lift(w)
+    lw, plane_mode, args = _orbit_program(w, n)
     seeds = np.ascontiguousarray(np.asarray(seeds, dtype=float).reshape(-1, 2))
-    if n < 1:
-        raise RotorError("orbit length must be >= 1")
-    plane_mode = not linear_part(lw.word).is_identity()
-    args = compile_program(lw)
 
     def run(chunk):
         return _kernels.orbit_mean_batch(chunk, n, plane_mode, *args)
@@ -431,19 +450,17 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
         chunks = np.array_split(seeds, min(threads * 4, len(seeds)))
         with ThreadPoolExecutor(max_workers=threads) as ex:
             means = np.concatenate(list(ex.map(run, chunks)), axis=0)
-    if not plane_mode and np.isnan(means).any():
-        raise _divergence(lw)
+    _check_orbit(lw, means, plane_mode)
     return means
 
 
 def orbit_mean_with_tail(w, seed, n: int):
-    """Displacement mean plus the max deviation of the last n//10 partial means."""
-    lw = _as_lift(w)
-    plane_mode = not linear_part(lw.word).is_identity()
+    """Displacement mean plus the max deviation of the last n//10 partial
+    means; the mean and its failures match orbit_displacement_means."""
+    lw, plane_mode, args = _orbit_program(w, n)
     mx, my, spread = _kernels.orbit_mean_tail(
-        float(seed[0]), float(seed[1]), n, plane_mode, *compile_program(lw))
-    if math.isnan(mx):
-        raise _divergence(lw)
+        float(seed[0]), float(seed[1]), n, plane_mode, *args)
+    _check_orbit(lw, (mx, my), plane_mode)
     return (mx, my), spread
 
 
@@ -452,6 +469,5 @@ def orbit_segment(w, seed, n: int, burn: int = 0) -> np.ndarray:
     lw = _as_lift(w)
     out = _kernels.orbit_collect(float(seed[0]), float(seed[1]), burn, n,
                                  *compile_program(lw))
-    if np.isnan(out).any():
-        raise _divergence(lw)
+    _check_orbit(lw, out, plane_mode=False)
     return out

@@ -764,11 +764,9 @@ def finite_index_subgroup(gens) -> FiniteIndexReport:
         D = N if N.trace == 2 else -N
         return FiniteIndexReport((D,), 2, "subset_of_C6",
                                  "twist classes, dropping -Id")
-    # nontrivial finite class group
+    # nontrivial finite class group: only finite closures fail this way,
+    # and their forms carry the group order
     n = form.order
-    if n is None:
-        G = closure(gens)
-        n = len(G)
     if n == 8 or form.tag == "pair" or (
             form.tag == "cyclic" and torsion_order(form.generator) == 4):
         quotient = "subset_of_D4"

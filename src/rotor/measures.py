@@ -17,13 +17,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NotIsotopicToIdentity, RotorError
+from .errors import RotorError
 from .geometry import (convex_hull, hull_centroid, hull_diameter,
                        point_to_hull_distance)
-from .maps import (LiftedWord, Word, _as_lift, apply_torus_batch,
-                   displacement_field_batch, linear_part,
+from .maps import (LiftedWord, Word, _as_lift, _require_identity,
+                   apply_torus_batch, displacement_field_batch, linear_part,
                    orbit_displacement_means, orbit_mean_with_tail,
-                   orbit_segment, reduce_batch, reduce_point)
+                   orbit_segment, reduce_batch, reduce_point, torus_grid)
 from .mcg import spectral_class
 
 __all__ = [
@@ -110,9 +110,7 @@ class EmpiricalMeasure:
         """Uniform weights on the k-by-k grid (i/k, j/k)."""
         if k < 1:
             raise ValueError("grid size must be >= 1")
-        i = np.arange(k) / k
-        pts = np.stack(np.meshgrid(i, i, indexing="ij"), axis=-1).reshape(-1, 2)
-        return cls(pts)
+        return cls(torus_grid(k))
 
     @property
     def atoms(self) -> List[Tuple[Tuple[float, float], float]]:
@@ -306,10 +304,7 @@ def irrotational_lift(w, seeds, n: int, tol: float) -> Optional[LiftedWord]:
     (seeds, n, tol) the element does not look irrotational.  Never a
     certificate, only a judgment at the stated resolution.
     """
-    base = _as_lift(w)
-    if not linear_part(base.word).is_identity():
-        raise NotIsotopicToIdentity(
-            "word %r has a nontrivial linear part" % (base.word,))
+    base = _require_identity(w)
     est = estimate_rotation_set(base, seeds, n)
     if est.diameter() >= tol:
         return None
@@ -330,10 +325,7 @@ def distortion_ratio(lw, n: int, pairs: Sequence) -> float:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    base = _as_lift(lw)
-    if not linear_part(base.word).is_identity():
-        raise NotIsotopicToIdentity(
-            "word %r has a nontrivial linear part" % (base.word,))
+    base = _require_identity(lw)
     flat = []
     for a, b in pairs:
         flat.append(a)

@@ -27,8 +27,8 @@ from .covers import check_sigma_commute, klein_symmetrize, rho_bar
 from .fixed_points import find_fixed_points, franks_certificate
 from .geometry import hausdorff_distance
 from .maps import (Generator, LiftedWord, MapGroup, compose_lift,
-                   constant_term, inverse_lift, orbit_displacement_means,
-                   trig_term)
+                   constant_term, inverse_lift, linear_part,
+                   orbit_displacement_means, torus_grid, trig_term)
 from .mcg import (H_LIST, MCGClass, check_condition_star_star,
                   classify_nilpotent, has_nontrivial_unity_root,
                   spectral_class, torsion_order)
@@ -262,7 +262,7 @@ def rotation_identities(n_measures: int = 100, seed: int = 7) -> CriterionResult
                 conj = compose_lift(clift,
                                     compose_lift(flift, inverse_lift(clift)))
                 lhs = rotation_vector(pushforward(c, mu), conj)
-                a = np.array(_linear(c).rows, dtype=float)
+                a = np.array(linear_part(c).rows, dtype=float)
                 gap = float(np.max(np.abs(lhs - a @ rho)))
                 worst_conj = max(worst_conj, gap)
         rho1 = rotation_vector(mu, LiftedWord(t1))
@@ -278,11 +278,6 @@ def rotation_identities(n_measures: int = 100, seed: int = 7) -> CriterionResult
     }
     return CriterionResult(3, "rotation_identities", passed, details,
                            time.perf_counter() - t0)
-
-
-def _linear(w):
-    from .maps import linear_part
-    return linear_part(w)
 
 
 # --- 4: the transport recurrence for powers of an automorphism
@@ -381,9 +376,7 @@ def odd_shear_example() -> CriterionResult:
     details["chain_columns"] = sorted(cols)
     details["chain_residual"] = _f(residual)
 
-    ax = np.arange(16) / 16
-    seeds = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
-    lift = irrotational_lift(h, seeds, n=2000, tol=1e-3)
+    lift = irrotational_lift(h, torus_grid(16), n=2000, tol=1e-3)
     checks["no_irrotational_lift"] = lift is None
 
     spec = GroupSpec(generators_G0=(),
@@ -409,18 +402,13 @@ def rotation_set_hulls(threads: int = 1) -> CriterionResult:
     t0 = time.perf_counter()
     g = build_catalog()
 
-    k = 64
-    ax = np.arange(k) / k
-    seeds = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
-    est = estimate_rotation_set(LiftedWord(g.by_name("dehn")), seeds, 1000,
-                                threads=threads)
+    est = estimate_rotation_set(LiftedWord(g.by_name("dehn")), torus_grid(64),
+                                1000, threads=threads)
     seg = np.array([[0.0, 0.0], [0.0, 1.0]])
     dh = hausdorff_distance(est.hull, seg)
 
-    ax4 = np.arange(4) / 4
-    seeds4 = np.stack(np.meshgrid(ax4, ax4, indexing="ij"), -1).reshape(-1, 2)
-    est2 = estimate_rotation_set(LiftedWord(g.by_name("irrskew")), seeds4,
-                                 100000, threads=threads)
+    est2 = estimate_rotation_set(LiftedWord(g.by_name("irrskew")),
+                                 torus_grid(4), 100000, threads=threads)
     dp = float(np.max(np.hypot(est2.hull[:, 0] - ALPHA,
                                est2.hull[:, 1] - 0.3)))
 
@@ -535,8 +523,7 @@ def thread_determinism(threads_pair: Tuple[int, int] = (1, 8)) -> CriterionResul
     text_b = json.dumps(rb.to_json_dict(), sort_keys=True)
 
     g = build_catalog()
-    seeds = np.stack(np.meshgrid(np.arange(32) / 32, np.arange(32) / 32,
-                                 indexing="ij"), -1).reshape(-1, 2)
+    seeds = torus_grid(32)
     means_a = orbit_displacement_means(LiftedWord(g.by_name("h")), seeds,
                                        500, threads=a)
     means_b = orbit_displacement_means(LiftedWord(g.by_name("h")), seeds,

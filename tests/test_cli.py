@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -218,7 +219,11 @@ def test_verify_subcommand(tmp_path, capsys):
 
 
 def test_console_script_runs():
-    proc = subprocess.run([sys.executable, "-m", "rotor.cli"],
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [os.path.abspath(src), env.get("PYTHONPATH")] if p)
+    proc = subprocess.run([sys.executable, "-m", "rotor.cli"], env=env,
                           capture_output=True, text=True)
     assert proc.returncode != 0
     assert "usage" in proc.stderr.lower()

@@ -95,6 +95,15 @@ def test_set_backend_rejects_unknown():
         _kernels.set_backend("gpu")
 
 
+def _subprocess_env(*paths):
+    # the child imports rotor from this checkout, plus any extra paths first
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [*paths, os.path.abspath(src), env.get("PYTHONPATH")] if p)
+    return env
+
+
 def test_env_flag_disables_numba():
     code = (
         "import rotor._kernels as k\n"
@@ -112,11 +121,67 @@ def test_env_flag_disables_numba():
         "assert abs(m[0, 0] - 0.25) < 1e-15, m\n"
         "print('ok')\n"
     )
-    env = dict(os.environ, ROTOR_NO_NUMBA="1")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in [os.path.abspath(src), env.get("PYTHONPATH")] if p)
+    env = dict(_subprocess_env(), ROTOR_NO_NUMBA="1")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+# A stand-in numba whose njit returns the function unchanged: the numba
+# kernels then run as plain Python, so they are covered without numba.
+_STUB_NUMBA = """\
+def njit(*args, **kwargs):
+    if args and callable(args[0]):
+        return args[0]
+    return lambda f: f
+"""
+
+_STUB_COMPARE = """\
+import math
+import numpy as np
+from rotor import _kernels
+from rotor.maps import (Generator, MapGroup, constant_term,
+                        orbit_displacement_means, orbit_mean_with_tail,
+                        orbit_segment, trig_term)
+from rotor.mcg import MCGClass
+
+assert _kernels._HAVE_NUMBA and _kernels.get_backend() == "numba"
+ID = MCGClass.identity()
+G = MapGroup([
+    Generator("skew", ID, disp_x=[constant_term(math.sqrt(2) - 1)],
+              disp_y=[constant_term(0.3), trig_term(0.05, 1, 0)]),
+    Generator("mix", ID, disp_x=[trig_term(0.04, 1, 1)],
+              disp_y=[trig_term(0.03, 0, 1, phase=1.0)]),
+    Generator("dehn", MCGClass(1, 0, 1, 1)),
+])
+seeds = np.random.default_rng(2).uniform(0, 1, size=(5, 2))
+n = 150
+runs = {}
+for backend in ("numba", "numpy"):
+    _kernels.set_backend(backend)
+    out = []
+    for word in ("skew mix", "skew mix'", "dehn skew"):
+        w = G.word(word)
+        for threads in (1, 2):
+            out.append(orbit_displacement_means(w, seeds, n, threads))
+        for s in seeds[:2]:
+            mean, spread = orbit_mean_with_tail(w, s, n)
+            out.append(np.array(mean + (spread,)))
+        out.append(orbit_segment(w, seeds[0], n, burn=7))
+    runs[backend] = out
+gaps = [float(np.abs(a - b).max()) for a, b in zip(*runs.values())]
+print(len(gaps), max(gaps))
+"""
+
+
+def test_stub_numba_kernels_match_numpy(tmp_path):
+    (tmp_path / "numba").mkdir()
+    (tmp_path / "numba" / "__init__.py").write_text(_STUB_NUMBA)
+    out = subprocess.run([sys.executable, "-c", _STUB_COMPARE],
+                         env=_subprocess_env(str(tmp_path)),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    count, gap = out.stdout.split()
+    assert int(count) == 3 * (2 + 2 + 1)
+    assert float(gap) < 1e-12

@@ -364,3 +364,37 @@ def test_failed_newton_mean_raises():
         orbit_displacement_means(w, seeds, 50)
     with pytest.raises(NewtonDivergence):
         orbit_displacement_means(w, seeds, 50, threads=2)
+
+
+def test_tail_mean_matches_batch_mean_bitwise():
+    # one mean loop per backend: both entry points return the same bits,
+    # also where a plane orbit overflows ("anosov", and "b", whose lift
+    # (x+y, x) turns inf into NaN through 0*inf without any Newton letter)
+    from rotor.catalog import build_catalog
+
+    cat = build_catalog()
+    words = [cat.by_name(g.name) for g in cat.generators]
+    words += [cat.word("h' skew"), cat.word("dehn h'"), cat.word("phi tr")]
+    words.append(MapGroup([Generator("b", MCGClass(1, 1, 1, 0))]).by_name("b"))
+    for w in words:
+        mean, _ = orbit_mean_with_tail(w, (0.3, 0.2), 2000)
+        ref = orbit_displacement_means(w, [(0.3, 0.2)], 2000)[0]
+        assert np.array_equal(np.array(mean), ref, equal_nan=True), w
+
+
+def test_tail_mean_fails_like_batch_mean():
+    g = Generator("bad", ID, disp_x=[trig_term(0.3, 1, 0)],
+                  disp_y=[trig_term(0.3, 0, 1)])
+    w = MapGroup([g]).word("bad'")
+    failed = 0
+    for seed in np.random.default_rng(0).random((8, 2)):
+        try:
+            ref = orbit_displacement_means(w, [seed], 50)[0]
+        except NewtonDivergence:
+            failed += 1
+            with pytest.raises(NewtonDivergence):
+                orbit_mean_with_tail(w, seed, 50)
+        else:
+            mean, _ = orbit_mean_with_tail(w, seed, 50)
+            assert np.array_equal(np.array(mean), ref)
+    assert 0 < failed < 8
