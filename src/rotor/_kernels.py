@@ -9,27 +9,32 @@ _apply_word_np evaluates a program on a batch of plane points, vectorized
 over the points.  It is the evaluator behind maps.apply_lift_batch on every
 backend, and the step of the numpy orbit kernels.
 
-The orbit kernels have two interchangeable backends: numba-compiled scalar
-loops (default), which release the GIL so seed chunks can run on threads, and
-the vectorized numpy path.  ROTOR_NO_NUMBA=1 in the environment selects numpy
-and skips importing numba entirely; set_backend() switches at runtime.  Both
-backends implement the same word-program semantics; the deliberately separate
-code paths double as cross-checks in the tests and the benchmark.
+The orbit kernels have two backends that run the same float operations in
+the same order: "c", the loops of _orbit.c run one seed at a time through
+ctypes, which releases the GIL so seed chunks can run on threads; and
+"numpy", the same loops vectorized over a batch of seeds.  Their results are
+bit-identical wherever numpy's sin and cos round like the C library's.  At import the C file is built with
+the system compiler (cc) into this package's __pycache__, once per source
+and flags, and loaded; "c" is then the default.  Without a compiler, or
+when the build or the load fails, the backend is "numpy" and
+C_UNAVAILABLE says why.  set_backend() switches at runtime.
 
-Each backend has one mean loop, _orbit_mean_nb (one seed) and _orbit_mean_np
-(a batch of seeds).  It holds the plane/torus split and the compensated
+Each backend has one mean loop, orbit_mean in C and _orbit_mean_np, over a
+batch of seeds.  It holds the plane/torus split and the compensated
 summation, and fills a tail array with the running means of the last steps;
 plain means pass an empty tail.  Plane mode iterates the unreduced lift and
 reads the mean off its travel; torus mode reduces every step and sums the
 per-step displacements.  The tail spread is computed once, in the
 orbit_mean_tail dispatch, for both backends.
 
-The seam snap and the Newton tolerance and step budget are defined here once
-and shared by maps.
+The seam snap and the Newton tolerance and step budget are defined here once,
+shared by maps and passed to the C build as macros.
 """
 
+import ctypes
 import math
 import os
+import zlib
 
 import numpy as np
 
@@ -40,17 +45,72 @@ _SNAP = 1e-15
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX = 60
 
-_DISABLED = bool(os.environ.get("ROTOR_NO_NUMBA"))
-_HAVE_NUMBA = False
-if not _DISABLED:
+# -ffp-contract=off keeps the compiler from fusing multiply-adds (the default
+# on some targets), which would change the last bits of the results.
+_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off",
+           "-DTWO_PI=%r" % _TWO_PI, "-DSNAP=%r" % _SNAP,
+           "-DNEWTON_TOL=%r" % _NEWTON_TOL, "-DNEWTON_MAX=%d" % _NEWTON_MAX]
+_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "_orbit.c")
+
+
+# the arrays of a word program, in compile_program order, with their dtypes
+_PROGRAM_ARRAYS = [("slot", np.int64), ("mode", np.int64), ("lin", float),
+                   ("lin_inv", float), ("tstart", np.int64),
+                   ("tend", np.int64), ("amps", float), ("fkx", float),
+                   ("fky", float), ("phase", float), ("row", np.int64)]
+
+
+class _Program(ctypes.Structure):
+    """The `program` struct of _orbit.c."""
+    _fields_ = ([("nletters", ctypes.c_int64)]
+                + [(name, ctypes.c_void_p) for name, _ in _PROGRAM_ARRAYS]
+                + [("vx", ctypes.c_double), ("vy", ctypes.c_double)])
+
+
+def _load_c():
+    """The built C orbit library and None, or None and why it is missing.
+
+    The library is cached next to the .pyc files, named by the CRC-32 of
+    the source and the flags; it is written under a temporary name and
+    renamed into place, so concurrent imports never see a partial file.
+    """
     try:
-        from numba import njit
+        with open(_C_SOURCE, "rb") as f:
+            key = zlib.crc32(f.read() + " ".join(_CFLAGS).encode())
+        cache = os.path.join(os.path.dirname(_C_SOURCE), "__pycache__")
+        path = os.path.join(cache, "_orbit.%08x.so" % key)
+        if not os.path.exists(path):
+            import subprocess
 
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
+            os.makedirs(cache, exist_ok=True)
+            tmp = "%s.%d.tmp" % (path, os.getpid())
+            try:
+                out = subprocess.run(
+                    ["cc", *_CFLAGS, "-o", tmp, _C_SOURCE, "-lm"],
+                    capture_output=True, text=True)
+                if out.returncode != 0:
+                    return None, "cc failed: %s" % out.stderr.strip()
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+        lib = ctypes.CDLL(path)
+    except OSError as exc:
+        return None, str(exc)
+    lib.orbit_mean.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(_Program),
+        ctypes.c_void_p]
+    lib.orbit_collect.argtypes = [
+        ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
+        ctypes.POINTER(_Program), ctypes.c_void_p]
+    lib.orbit_mean.restype = lib.orbit_collect.restype = None
+    return lib, None
 
-_BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+
+_LIB, C_UNAVAILABLE = _load_c()
+_BACKEND = "numpy" if _LIB is None else "c"
 
 
 def get_backend() -> str:
@@ -59,172 +119,46 @@ def get_backend() -> str:
 
 def set_backend(name: str):
     global _BACKEND
-    if name == "numpy":
-        _BACKEND = "numpy"
-    elif name == "numba":
-        if not _HAVE_NUMBA:
-            raise RotorError(
-                "numba backend unavailable"
-                + (" (disabled by ROTOR_NO_NUMBA)" if _DISABLED else ""))
-        _BACKEND = "numba"
-    else:
-        raise RotorError("backend must be 'numba' or 'numpy'")
+    if name == "c" and _LIB is None:
+        raise RotorError("C backend unavailable: %s" % C_UNAVAILABLE)
+    if name not in ("c", "numpy"):
+        raise RotorError("backend must be 'c' or 'numpy'")
+    _BACKEND = name
 
 
 # ---------------------------------------------------------------------------
-# numba backend
+# C backend
 
-if _HAVE_NUMBA:
 
-    @njit(cache=True, nogil=True)
-    def _apply_word_nb(px, py, slot, mode, lin, lin_inv, tstart, tend,
-                       amps, fkx, fky, phase, row, vx, vy):
-        for li in range(len(slot) - 1, -1, -1):
-            s = slot[li]
-            if mode[li] == 0:
-                ax = lin[s, 0, 0] * px + lin[s, 0, 1] * py
-                ay = lin[s, 1, 0] * px + lin[s, 1, 1] * py
-                rx = px - np.floor(px)
-                ry = py - np.floor(py)
-                dx = 0.0
-                dy = 0.0
-                for t in range(tstart[s], tend[s]):
-                    v = amps[t] * math.sin(_TWO_PI * (fkx[t] * rx + fky[t] * ry)
-                                           + phase[t])
-                    if row[t] == 0:
-                        dx += v
-                    else:
-                        dy += v
-                px = ax + dx
-                py = ay + dy
-            else:
-                qx = px
-                qy = py
-                px = lin_inv[s, 0, 0] * qx + lin_inv[s, 0, 1] * qy
-                py = lin_inv[s, 1, 0] * qx + lin_inv[s, 1, 1] * qy
-                ok = False
-                for _ in range(_NEWTON_MAX):
-                    rx = px - np.floor(px)
-                    ry = py - np.floor(py)
-                    dx = 0.0
-                    dy = 0.0
-                    j00 = 0.0
-                    j01 = 0.0
-                    j10 = 0.0
-                    j11 = 0.0
-                    for t in range(tstart[s], tend[s]):
-                        arg = _TWO_PI * (fkx[t] * rx + fky[t] * ry) + phase[t]
-                        sv = amps[t] * math.sin(arg)
-                        cv = amps[t] * math.cos(arg) * _TWO_PI
-                        if row[t] == 0:
-                            dx += sv
-                            j00 += cv * fkx[t]
-                            j01 += cv * fky[t]
-                        else:
-                            dy += sv
-                            j10 += cv * fkx[t]
-                            j11 += cv * fky[t]
-                    fx = lin[s, 0, 0] * px + lin[s, 0, 1] * py + dx - qx
-                    fy = lin[s, 1, 0] * px + lin[s, 1, 1] * py + dy - qy
-                    if abs(fx) < _NEWTON_TOL and abs(fy) < _NEWTON_TOL:
-                        ok = True
-                        break
-                    a00 = lin[s, 0, 0] + j00
-                    a01 = lin[s, 0, 1] + j01
-                    a10 = lin[s, 1, 0] + j10
-                    a11 = lin[s, 1, 1] + j11
-                    det = a00 * a11 - a01 * a10
-                    if det == 0.0:
-                        break
-                    px -= (a11 * fx - a01 * fy) / det
-                    py -= (-a10 * fx + a00 * fy) / det
-                if not ok:
-                    return np.nan, np.nan
-        return px + vx, py + vy
+def _c_program(prog):
+    """The _Program of a word program (its arrays, then vx, vy); it holds
+    the arrays it points to."""
+    arrays = [np.ascontiguousarray(a, dtype)
+              for a, (_, dtype) in zip(prog, _PROGRAM_ARRAYS)]
+    out = _Program(len(arrays[0]), *(a.ctypes.data for a in arrays),
+                   *prog[len(arrays):])
+    out.arrays = arrays
+    return out
 
-    @njit(cache=True, nogil=True)
-    def _reduce_nb(x):
-        r = x - np.floor(x)
-        if 1.0 - r < _SNAP:
-            r = 0.0
-        return r
 
-    @njit(cache=True, nogil=True)
-    def _orbit_mean_nb(sx, sy, n, plane_mode, tail, slot, mode, lin, lin_inv,
-                       tstart, tend, amps, fkx, fky, phase, row, vx, vy):
-        start = n - tail.shape[0]
-        if plane_mode:
-            px = sx
-            py = sy
-        else:
-            px = _reduce_nb(sx)
-            py = _reduce_nb(sy)
-        ax = 0.0
-        ay = 0.0
-        cx = 0.0
-        cy = 0.0
-        for k in range(1, n + 1):
-            qx, qy = _apply_word_nb(px, py, slot, mode, lin, lin_inv,
-                                    tstart, tend, amps, fkx, fky, phase, row,
-                                    vx, vy)
-            if plane_mode:
-                # the lift's own travel is the displacement sum; cx stays 0
-                px = qx
-                py = qy
-                ax = px - sx
-                ay = py - sy
-            else:
-                # compensated summation of the per-step displacement
-                t = (qx - px) - cx
-                s1 = ax + t
-                cx = (s1 - ax) - t
-                ax = s1
-                t = (qy - py) - cy
-                s2 = ay + t
-                cy = (s2 - ay) - t
-                ay = s2
-                px = _reduce_nb(qx)
-                py = _reduce_nb(qy)
-            if k > start:
-                tail[k - start - 1, 0] = (ax - cx) / k
-                tail[k - start - 1, 1] = (ay - cy) / k
-        # fold the compensation back in before dividing
-        return (ax - cx) / n, (ay - cy) / n
+def _orbit_mean_c(seeds, n, plane_mode, tail, *prog):
+    # same arguments and result as _orbit_mean_np; the checks bound every
+    # index the C loop touches
+    seeds = np.ascontiguousarray(seeds, dtype=float)
+    if (seeds.shape[1:] != (2,) or tail.shape[1:] != seeds.shape
+            or tail.dtype != float or not tail.flags.c_contiguous):
+        raise ValueError("seeds must be (m, 2) and tail (window, m, 2)")
+    out = np.empty_like(seeds)
+    _LIB.orbit_mean(seeds.ctypes.data, len(seeds), n, plane_mode,
+                    tail.ctypes.data, len(tail), _c_program(prog),
+                    out.ctypes.data)
+    return out
 
-    @njit(cache=True, nogil=True)
-    def _orbit_mean_seeds_nb(seeds, n, plane_mode, slot, mode, lin, lin_inv,
-                             tstart, tend, amps, fkx, fky, phase, row, vx, vy):
-        out = np.empty((seeds.shape[0], 2))
-        no_tail = np.empty((0, 2))
-        for i in range(seeds.shape[0]):
-            mx, my = _orbit_mean_nb(seeds[i, 0], seeds[i, 1], n, plane_mode,
-                                    no_tail, slot, mode, lin, lin_inv, tstart,
-                                    tend, amps, fkx, fky, phase, row, vx, vy)
-            out[i, 0] = mx
-            out[i, 1] = my
-        return out
 
-    @njit(cache=True, nogil=True)
-    def _orbit_collect_nb(sx, sy, burn, count, slot, mode, lin, lin_inv,
-                          tstart, tend, amps, fkx, fky, phase, row, vx, vy):
-        out = np.empty((count, 2))
-        px = _reduce_nb(sx)
-        py = _reduce_nb(sy)
-        for _ in range(burn):
-            qx, qy = _apply_word_nb(px, py, slot, mode, lin, lin_inv,
-                                    tstart, tend, amps, fkx, fky, phase, row,
-                                    vx, vy)
-            px = _reduce_nb(qx)
-            py = _reduce_nb(qy)
-        for k in range(count):
-            out[k, 0] = px
-            out[k, 1] = py
-            qx, qy = _apply_word_nb(px, py, slot, mode, lin, lin_inv,
-                                    tstart, tend, amps, fkx, fky, phase, row,
-                                    vx, vy)
-            px = _reduce_nb(qx)
-            py = _reduce_nb(qy)
-        return out
+def _orbit_collect_c(sx, sy, burn, count, *prog):
+    out = np.empty((count, 2))
+    _LIB.orbit_collect(sx, sy, burn, count, _c_program(prog), out.ctypes.data)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +258,7 @@ def _newton_np(qx, qy, s, lin, lin_inv, tstart, tend, amps, fkx, fky,
 
 
 def _orbit_mean_np(seeds, n, plane_mode, tail, *prog):
-    # _orbit_mean_nb vectorized over the seeds; tail has shape (window, m, 2)
+    # tail has shape (window, m, 2); _orbit.c's orbit_mean runs the same loop
     start = n - len(tail)
     with np.errstate(over="ignore", invalid="ignore"):
         p = seeds.copy() if plane_mode else reduce_batch(seeds)
@@ -363,30 +297,21 @@ def _orbit_collect_np(sx, sy, burn, count, *args):
 
 
 def orbit_mean_batch(seeds, n, plane_mode, *args):
-    if _BACKEND == "numba":
-        return _orbit_mean_seeds_nb(seeds, n, plane_mode, *args)
-    return _orbit_mean_np(seeds, n, plane_mode, np.empty((0, len(seeds), 2)),
-                          *args)
+    mean = _orbit_mean_c if _BACKEND == "c" else _orbit_mean_np
+    return mean(seeds, n, plane_mode, np.empty((0, len(seeds), 2)), *args)
 
 
 def orbit_mean_tail(sx, sy, n, plane_mode, *args):
     """The mean of one orbit and the largest distance from it of the running
     means over the last max(1, n//10) steps."""
-    window = max(1, n // 10)
-    if _BACKEND == "numba":
-        tail = np.empty((window, 2))
-        mx, my = _orbit_mean_nb(sx, sy, n, plane_mode, tail, *args)
-    else:
-        tail = np.empty((window, 1, 2))
-        mx, my = _orbit_mean_np(np.array([[sx, sy]]), n, plane_mode, tail,
-                                *args)[0]
-        tail = tail[:, 0]
+    mean = _orbit_mean_c if _BACKEND == "c" else _orbit_mean_np
+    tail = np.empty((max(1, n // 10), 1, 2))
+    mx, my = mean(np.array([[sx, sy]]), n, plane_mode, tail, *args)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        spread = np.hypot(tail[:, 0] - mx, tail[:, 1] - my).max()
+        spread = np.hypot(tail[:, 0, 0] - mx, tail[:, 0, 1] - my).max()
     return float(mx), float(my), float(spread)
 
 
 def orbit_collect(sx, sy, burn, count, *args):
-    if _BACKEND == "numba":
-        return _orbit_collect_nb(sx, sy, burn, count, *args)
-    return _orbit_collect_np(sx, sy, burn, count, *args)
+    collect = _orbit_collect_c if _BACKEND == "c" else _orbit_collect_np
+    return collect(sx, sy, burn, count, *args)

@@ -1,0 +1,164 @@
+/* Orbit loops of the "c" backend: a statement-for-statement port of the
+ * numpy loops in _kernels.py (_apply_word_np, _orbit_mean_np,
+ * _orbit_collect_np), one seed at a time.  _kernels builds this file with
+ * -ffp-contract=off and defines TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX
+ * from its own constants, so results match numpy bit for bit wherever
+ * numpy's sin and cos round like this C library's.
+ * Callers check all sizes; nothing here checks bounds. */
+
+#include <math.h>
+#include <stdint.h>
+
+/* A compiled word program; see maps._compile_letters for the layout. */
+typedef struct {
+    int64_t nletters;
+    const int64_t *slot, *mode;
+    const double *lin, *lin_inv;        /* (slots, 2, 2) */
+    const int64_t *tstart, *tend;
+    const double *amps, *fkx, *fky, *phase;
+    const int64_t *row;
+    double vx, vy;
+} program;
+
+/* One step of the lift; a failed Newton solve gives NaN coordinates. */
+static void apply_word(const program *w, double *x, double *y)
+{
+    double px = *x, py = *y;
+    for (int64_t li = w->nletters - 1; li >= 0; li--) {
+        int64_t s = w->slot[li];
+        const double *a = w->lin + 4 * s, *ai = w->lin_inv + 4 * s;
+        if (w->mode[li] == 0) {
+            double ax = a[0] * px + a[1] * py;
+            double ay = a[2] * px + a[3] * py;
+            double rx = px - floor(px), ry = py - floor(py);
+            double dx = 0.0, dy = 0.0;
+            for (int64_t t = w->tstart[s]; t < w->tend[s]; t++) {
+                double v = w->amps[t] * sin(TWO_PI * (w->fkx[t] * rx
+                                                      + w->fky[t] * ry)
+                                            + w->phase[t]);
+                if (w->row[t] == 0)
+                    dx += v;
+                else
+                    dy += v;
+            }
+            px = ax + dx;
+            py = ay + dy;
+        } else {
+            double qx = px, qy = py;
+            int ok = 0;
+            px = ai[0] * qx + ai[1] * qy;
+            py = ai[2] * qx + ai[3] * qy;
+            for (int it = 0; it < NEWTON_MAX; it++) {
+                double rx = px - floor(px), ry = py - floor(py);
+                double dx = 0.0, dy = 0.0;
+                double j00 = 0.0, j01 = 0.0, j10 = 0.0, j11 = 0.0;
+                for (int64_t t = w->tstart[s]; t < w->tend[s]; t++) {
+                    double arg = TWO_PI * (w->fkx[t] * rx + w->fky[t] * ry)
+                                 + w->phase[t];
+                    double sv = w->amps[t] * sin(arg);
+                    double cv = w->amps[t] * cos(arg) * TWO_PI;
+                    if (w->row[t] == 0) {
+                        dx += sv;
+                        j00 += cv * w->fkx[t];
+                        j01 += cv * w->fky[t];
+                    } else {
+                        dy += sv;
+                        j10 += cv * w->fkx[t];
+                        j11 += cv * w->fky[t];
+                    }
+                }
+                double fx = a[0] * px + a[1] * py + dx - qx;
+                double fy = a[2] * px + a[3] * py + dy - qy;
+                if (fabs(fx) < NEWTON_TOL && fabs(fy) < NEWTON_TOL) {
+                    ok = 1;
+                    break;
+                }
+                double a00 = a[0] + j00, a01 = a[1] + j01;
+                double a10 = a[2] + j10, a11 = a[3] + j11;
+                double det = a00 * a11 - a01 * a10;
+                if (det == 0.0)
+                    break;
+                px -= (a11 * fx - a01 * fy) / det;
+                py -= (-a10 * fx + a00 * fy) / det;
+            }
+            if (!ok) {
+                *x = *y = NAN;
+                return;
+            }
+        }
+    }
+    *x = px + w->vx;
+    *y = py + w->vy;
+}
+
+/* Torus representative in [0,1), with values a hair under 1 snapped to 0. */
+static double reduce(double x)
+{
+    double r = x - floor(x);
+    return 1.0 - r < SNAP ? 0.0 : r;
+}
+
+/* n-step displacement means of m seeds (m, 2) into out (m, 2), and the
+ * running means of the last `window` steps into tail (window, m, 2).
+ * Plane mode iterates the unreduced lift and reads the mean off its travel;
+ * torus mode reduces every step and sums the displacements compensated. */
+void orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
+                double *tail, int64_t window, const program *w, double *out)
+{
+    int64_t start = n - window;
+    for (int64_t i = 0; i < m; i++) {
+        double sx = seeds[2 * i], sy = seeds[2 * i + 1];
+        double px = plane_mode ? sx : reduce(sx);
+        double py = plane_mode ? sy : reduce(sy);
+        double ax = 0.0, ay = 0.0, cx = 0.0, cy = 0.0;
+        for (int64_t k = 1; k <= n; k++) {
+            double qx = px, qy = py;
+            apply_word(w, &qx, &qy);
+            if (plane_mode) {
+                px = qx;
+                py = qy;
+                ax = px - sx;
+                ay = py - sy;
+            } else {
+                double t = (qx - px) - cx, s = ax + t;
+                cx = (s - ax) - t;
+                ax = s;
+                t = (qy - py) - cy;
+                s = ay + t;
+                cy = (s - ay) - t;
+                ay = s;
+                px = reduce(qx);
+                py = reduce(qy);
+            }
+            if (k > start) {
+                double *cell = tail + 2 * ((k - start - 1) * m + i);
+                cell[0] = (ax - cx) / k;
+                cell[1] = (ay - cy) / k;
+            }
+        }
+        out[2 * i] = (ax - cx) / n;
+        out[2 * i + 1] = (ay - cy) / n;
+    }
+}
+
+/* One torus step: the lift, then the reduction. */
+static void step(const program *w, double *x, double *y)
+{
+    apply_word(w, x, y);
+    *x = reduce(*x);
+    *y = reduce(*y);
+}
+
+/* Torus orbit points w^burn(p), ..., w^(burn+count-1)(p) into out. */
+void orbit_collect(double sx, double sy, int64_t burn, int64_t count,
+                   const program *w, double *out)
+{
+    double px = reduce(sx), py = reduce(sy);
+    for (int64_t k = 0; k < burn; k++)
+        step(w, &px, &py);
+    for (int64_t k = 0; k < count; k++) {
+        out[2 * k] = px;
+        out[2 * k + 1] = py;
+        step(w, &px, &py);
+    }
+}

@@ -10,6 +10,7 @@ translation in front.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -408,11 +409,19 @@ def compile_program(lw) -> tuple:
     return prog + (float(v[0]), float(v[1]))
 
 
-def _orbit_program(w, n: int):
+def _check_seeds(seeds) -> None:
+    # checked before any kernel runs: the C kernel trusts its inputs, and a
+    # non-finite seed would otherwise fail as a Newton divergence
+    if not np.isfinite(seeds).all():
+        raise RotorError("orbit seeds must be finite")
+
+
+def _orbit_program(w, seeds, n: int):
     """(lift, plane_mode, kernel arguments) of an orbit of length n >= 1."""
     lw = _as_lift(w)
-    if n < 1:
-        raise RotorError("orbit length must be >= 1")
+    if not isinstance(n, Integral) or n < 1:
+        raise RotorError("orbit length must be an integer >= 1")
+    _check_seeds(seeds)
     return lw, not linear_part(lw.word).is_identity(), compile_program(lw)
 
 
@@ -432,17 +441,17 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     per-step displacement with compensated summation; a NaN mean there
     raises NewtonDivergence.  Other words iterate in plane coordinates,
     where overflow is reported as is.  threads splits the seeds over a
-    thread pool on the numba backend, whose kernels release the GIL; the
-    numpy backend runs all seeds in one vectorized call.  Results are the
-    same for every thread count.
+    thread pool on the C backend, whose kernels release the GIL; the numpy
+    backend runs all seeds in one vectorized call.  Results are the same
+    for every thread count.
     """
-    lw, plane_mode, args = _orbit_program(w, n)
     seeds = np.ascontiguousarray(np.asarray(seeds, dtype=float).reshape(-1, 2))
+    lw, plane_mode, args = _orbit_program(w, seeds, n)
 
     def run(chunk):
         return _kernels.orbit_mean_batch(chunk, n, plane_mode, *args)
 
-    if threads <= 1 or len(seeds) < 2 or _kernels.get_backend() != "numba":
+    if threads <= 1 or len(seeds) < 2 or _kernels.get_backend() != "c":
         means = run(seeds)
     else:
         from concurrent.futures import ThreadPoolExecutor
@@ -457,9 +466,9 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
 def orbit_mean_with_tail(w, seed, n: int):
     """Displacement mean plus the max deviation of the last n//10 partial
     means; the mean and its failures match orbit_displacement_means."""
-    lw, plane_mode, args = _orbit_program(w, n)
-    mx, my, spread = _kernels.orbit_mean_tail(
-        float(seed[0]), float(seed[1]), n, plane_mode, *args)
+    seed = (float(seed[0]), float(seed[1]))
+    lw, plane_mode, args = _orbit_program(w, seed, n)
+    mx, my, spread = _kernels.orbit_mean_tail(*seed, n, plane_mode, *args)
     _check_orbit(lw, (mx, my), plane_mode)
     return (mx, my), spread
 
@@ -467,7 +476,10 @@ def orbit_mean_with_tail(w, seed, n: int):
 def orbit_segment(w, seed, n: int, burn: int = 0) -> np.ndarray:
     """Torus orbit points w^burn(p), ..., w^{burn+n-1}(p), shape (n,2)."""
     lw = _as_lift(w)
-    out = _kernels.orbit_collect(float(seed[0]), float(seed[1]), burn, n,
-                                 *compile_program(lw))
+    seed = (float(seed[0]), float(seed[1]))
+    if not all(isinstance(k, Integral) and k >= 0 for k in (n, burn)):
+        raise RotorError("orbit length and burn-in must be integers >= 0")
+    _check_seeds(seed)
+    out = _kernels.orbit_collect(*seed, burn, n, *compile_program(lw))
     _check_orbit(lw, out, plane_mode=False)
     return out

@@ -1,12 +1,15 @@
 import math
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from rotor import _kernels
+from rotor.errors import RotorError
 from rotor.maps import (Generator, LiftedWord, MapGroup, constant_term,
                         orbit_displacement_means, orbit_mean_with_tail,
                         orbit_segment, trig_term)
@@ -29,8 +32,9 @@ def build_group():
 
 
 G = build_group()
-needs_numba = pytest.mark.skipif(not _kernels._HAVE_NUMBA,
-                                 reason="numba backend unavailable")
+# skipped only without a compiler, so a broken build fails these tests
+needs_c = pytest.mark.skipif(shutil.which("cc") is None,
+                             reason="no C compiler")
 
 
 @pytest.fixture
@@ -40,18 +44,17 @@ def restore_backend():
     _kernels.set_backend(before)
 
 
-@needs_numba
-def test_default_backend_is_numba():
-    assert _kernels.get_backend() == "numba"
+@needs_c
+def test_default_backend_is_c():
+    assert _kernels.get_backend() == "c"
 
 
-@needs_numba
+@needs_c
 def test_backends_agree_on_torus_orbit(restore_backend):
-    # includes a Newton inverse letter; agreement is to fp noise, not bitwise,
-    # because numba and numpy may round libm calls differently by 1 ulp
+    # includes a Newton inverse letter
     w = G.word([(0, 1), (1, -1)])
     seeds = np.random.default_rng(0).uniform(0, 1, size=(12, 2))
-    _kernels.set_backend("numba")
+    _kernels.set_backend("c")
     a = orbit_displacement_means(w, seeds, 400)
     b_seg = orbit_segment(w, (0.2, 0.7), 50)
     _kernels.set_backend("numpy")
@@ -61,26 +64,103 @@ def test_backends_agree_on_torus_orbit(restore_backend):
     assert np.abs(b_seg - d_seg).max() < 1e-10
 
 
-@needs_numba
+@needs_c
 def test_backends_agree_on_plane_orbit(restore_backend):
     w = G.word([(2, 1), (0, 1)])
     seeds = np.random.default_rng(1).uniform(0, 1, size=(8, 2))
-    _kernels.set_backend("numba")
+    _kernels.set_backend("c")
     a = orbit_displacement_means(w, seeds, 200)
     _kernels.set_backend("numpy")
     b = orbit_displacement_means(w, seeds, 200)
     assert np.abs(a - b).max() < 1e-9
 
 
-@needs_numba
+@needs_c
 def test_backends_agree_on_tail_spread(restore_backend):
     w = G.word([(0, 1)])
-    _kernels.set_backend("numba")
+    _kernels.set_backend("c")
     m1, s1 = orbit_mean_with_tail(w, (0.11, 0.22), 2000)
     _kernels.set_backend("numpy")
     m2, s2 = orbit_mean_with_tail(w, (0.11, 0.22), 2000)
     assert np.abs(np.array(m1) - np.array(m2)).max() < 1e-12
     assert abs(s1 - s2) < 1e-12
+
+
+def _kernel_outputs(seeds, n, threads_list):
+    # means per thread count, tails and a segment on a torus, a Newton and a
+    # plane word
+    out = []
+    for word in ("skew mix", "skew mix'", "dehn skew"):
+        w = G.word(word)
+        for threads in threads_list:
+            out.append(orbit_displacement_means(w, seeds, n, threads))
+        for s in seeds[:2]:
+            mean, spread = orbit_mean_with_tail(w, s, n)
+            out.append(np.array(mean + (spread,)))
+        out.append(orbit_segment(w, seeds[0], n, burn=7))
+    return out
+
+
+@needs_c
+def test_c_kernels_match_numpy(restore_backend):
+    seeds = np.random.default_rng(2).uniform(0, 1, size=(5, 2))
+    runs = []
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        runs.append(_kernel_outputs(seeds, 150, (1, 2)))
+    assert len(runs[0]) == 3 * (2 + 2 + 1)
+    gaps = [np.abs(a - b).max() for a, b in zip(*runs)]
+    assert max(gaps) < 1e-12
+    # the two loops run the same float operations in the same order, so
+    # they agree bit for bit wherever numpy's sin and cos round like the
+    # libm the C kernel calls
+    x = np.random.default_rng(4).uniform(-50.0, 50.0, 4096)
+    if (np.array_equal(np.sin(x), [math.sin(v) for v in x])
+            and np.array_equal(np.cos(x), [math.cos(v) for v in x])):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
+
+
+@needs_c
+def test_c_threads_are_bitwise_deterministic(restore_backend):
+    _kernels.set_backend("c")
+    seeds = np.random.default_rng(3).uniform(0, 1, size=(11, 2))
+    for word in ("skew mix", "skew mix'", "dehn skew"):
+        w = G.word(word)
+        one = orbit_displacement_means(w, seeds, 300, threads=1)
+        two = orbit_displacement_means(w, seeds, 300, threads=2)
+        assert one.tobytes() == two.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: orbit_displacement_means(w, [[0.1, 0.2], [math.nan, 0.2]], 5),
+    lambda w: orbit_displacement_means(w, [[math.inf, 0.2]], 5, threads=2),
+    lambda w: orbit_mean_with_tail(w, (math.nan, 0.2), 5),
+    lambda w: orbit_segment(w, (0.3, -math.inf), 5),
+    lambda w: orbit_segment(w, (0.3, 0.2), -3),
+    lambda w: orbit_segment(w, (0.3, 0.2), 3, burn=-3),
+    lambda w: orbit_segment(w, (0.3, 0.2), 3.0),
+    lambda w: orbit_mean_with_tail(w, (0.3, 0.2), 5.0),
+    lambda w: orbit_displacement_means(w, [[0.3, 0.2]], 5.0),
+])
+def test_bad_orbit_inputs_fail_alike_on_every_backend(call, restore_backend):
+    # no inverse letter: a NaN seed used to be blamed on Newton
+    w = MapGroup([Generator("bad", ID, disp_x=[trig_term(0.3, 1, 0)])]
+                 ).by_name("bad")
+    backends = ["numpy"] + ([] if _kernels.C_UNAVAILABLE else ["c"])
+    messages = []
+    for backend in backends:
+        _kernels.set_backend(backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RotorError) as err:
+                call(w)
+        assert type(err.value) is RotorError
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+
+
+def test_zero_length_segment_is_empty():
+    assert orbit_segment(G.word("skew"), (0.3, 0.2), 0).shape == (0, 2)
 
 
 def test_burn_consistency():
@@ -91,97 +171,64 @@ def test_burn_consistency():
 
 
 def test_set_backend_rejects_unknown():
-    with pytest.raises(Exception):
+    with pytest.raises(RotorError):
         _kernels.set_backend("gpu")
+    with pytest.raises(RotorError):
+        _kernels.set_backend("numba")
 
 
-def _subprocess_env(*paths):
-    # the child imports rotor from this checkout, plus any extra paths first
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in [*paths, os.path.abspath(src), env.get("PYTHONPATH")] if p)
-    return env
+_PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "rotor")
 
-
-def test_env_flag_disables_numba():
-    code = (
-        "import rotor._kernels as k\n"
-        "assert k.get_backend() == 'numpy'\n"
-        "assert not k._HAVE_NUMBA\n"
-        "import math, numpy as np\n"
-        "from rotor.maps import Generator, MapGroup, constant_term, "
-        "orbit_displacement_means\n"
-        "from rotor.mcg import MCGClass\n"
-        "g = Generator('t', MCGClass.identity(), "
-        "disp_x=[constant_term(0.25)])\n"
-        "G = MapGroup([g])\n"
-        "m = orbit_displacement_means(G.by_name('t'), "
-        "np.array([[0.0, 0.0]]), 8)\n"
-        "assert abs(m[0, 0] - 0.25) < 1e-15, m\n"
-        "print('ok')\n"
-    )
-    env = dict(_subprocess_env(), ROTOR_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
-
-
-# A stand-in numba whose njit returns the function unchanged: the numba
-# kernels then run as plain Python, so they are covered without numba.
-_STUB_NUMBA = """\
-def njit(*args, **kwargs):
-    if args and callable(args[0]):
-        return args[0]
-    return lambda f: f
-"""
-
-_STUB_COMPARE = """\
-import math
+_BACKEND_PROBE = """\
 import numpy as np
 from rotor import _kernels
+from rotor.errors import RotorError
 from rotor.maps import (Generator, MapGroup, constant_term,
-                        orbit_displacement_means, orbit_mean_with_tail,
-                        orbit_segment, trig_term)
+                        orbit_displacement_means)
 from rotor.mcg import MCGClass
-
-assert _kernels._HAVE_NUMBA and _kernels.get_backend() == "numba"
-ID = MCGClass.identity()
-G = MapGroup([
-    Generator("skew", ID, disp_x=[constant_term(math.sqrt(2) - 1)],
-              disp_y=[constant_term(0.3), trig_term(0.05, 1, 0)]),
-    Generator("mix", ID, disp_x=[trig_term(0.04, 1, 1)],
-              disp_y=[trig_term(0.03, 0, 1, phase=1.0)]),
-    Generator("dehn", MCGClass(1, 0, 1, 1)),
-])
-seeds = np.random.default_rng(2).uniform(0, 1, size=(5, 2))
-n = 150
-runs = {}
-for backend in ("numba", "numpy"):
-    _kernels.set_backend(backend)
-    out = []
-    for word in ("skew mix", "skew mix'", "dehn skew"):
-        w = G.word(word)
-        for threads in (1, 2):
-            out.append(orbit_displacement_means(w, seeds, n, threads))
-        for s in seeds[:2]:
-            mean, spread = orbit_mean_with_tail(w, s, n)
-            out.append(np.array(mean + (spread,)))
-        out.append(orbit_segment(w, seeds[0], n, burn=7))
-    runs[backend] = out
-gaps = [float(np.abs(a - b).max()) for a, b in zip(*runs.values())]
-print(len(gaps), max(gaps))
+print(_kernels.get_backend())
+g = Generator("t", MCGClass.identity(), disp_x=[constant_term(0.25)])
+m = orbit_displacement_means(MapGroup([g]).by_name("t"), [[0.0, 0.0]], 8)
+assert abs(m[0, 0] - 0.25) < 1e-15, m
+try:
+    _kernels.set_backend("c")
+except RotorError as exc:
+    print(exc)
 """
 
 
-def test_stub_numba_kernels_match_numpy(tmp_path):
-    (tmp_path / "numba").mkdir()
-    (tmp_path / "numba" / "__init__.py").write_text(_STUB_NUMBA)
-    out = subprocess.run([sys.executable, "-c", _STUB_COMPARE],
-                         env=_subprocess_env(str(tmp_path)),
-                         capture_output=True, text=True)
+def _probe_backend(root, path):
+    # runs the probe on the copy of rotor under root, with PATH set to path
+    env = dict(os.environ, PYTHONPATH=str(root), PATH=str(path))
+    out = subprocess.run([sys.executable, "-c", _BACKEND_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    count, gap = out.stdout.split()
-    assert int(count) == 3 * (2 + 2 + 1)
-    assert float(gap) < 1e-12
+    return out.stdout.splitlines()
+
+
+@needs_c
+def test_build_cache_and_fallback_without_compiler(tmp_path):
+    no_cc = tmp_path / "empty-bin"
+    no_cc.mkdir()
+    built, fresh = tmp_path / "built", tmp_path / "fresh"
+    for root in (built, fresh):
+        shutil.copytree(_PACKAGE, root / "rotor",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    # a cold import builds the library into the package's __pycache__
+    assert _probe_backend(built, os.environ["PATH"]) == ["c"]
+    assert any(f.endswith(".so") for f in os.listdir(built / "rotor"
+                                                     / "__pycache__"))
+    # the next import loads the cached library and needs no compiler
+    assert _probe_backend(built, no_cc) == ["c"]
+    # with no compiler and no cache the backend is numpy, and says why
+    backend, reason = _probe_backend(fresh, no_cc)
+    assert backend == "numpy"
+    assert reason.startswith("C backend unavailable") and "'cc'" in reason
+
+
+@needs_c
+def test_orbit_source_compiles_cleanly(tmp_path):
+    cmd = ["cc", *_kernels._CFLAGS, "-std=c99", "-Wall", "-Wextra", "-Werror",
+           "-o", str(tmp_path / "orbit.so"), _kernels._C_SOURCE, "-lm"]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
