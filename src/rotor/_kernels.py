@@ -74,6 +74,7 @@ def _load_c():
     The library is cached next to the .pyc files, named by the CRC-32 of
     the source and the flags; it is written under a temporary name and
     renamed into place, so concurrent imports never see a partial file.
+    A fresh build removes the libraries built from other sources.
     """
     try:
         with open(_C_SOURCE, "rb") as f:
@@ -92,6 +93,13 @@ def _load_c():
                 if out.returncode != 0:
                     return None, "cc failed: %s" % out.stderr.strip()
                 os.replace(tmp, path)
+                for name in os.listdir(cache):  # builds of older sources
+                    if (name.startswith("_orbit.") and name.endswith(".so")
+                            and name != os.path.basename(path)):
+                        try:
+                            os.remove(os.path.join(cache, name))
+                        except OSError:  # another import removed it first
+                            pass
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)

@@ -285,31 +285,30 @@ def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck
     """
     if not isinstance(g_class, MCGClass):
         g_class = MCGClass(*g_class)
-    rho0 = np.asarray(rho0, dtype=float)
-    w = np.asarray(w, dtype=float)
-    a = np.array(g_class.rows, dtype=float)
-    a_inv = np.array(g_class.inverse().rows, dtype=float)
-
-    bound = 10.0 * (1.0 + float(np.hypot(*rho0)) + float(np.hypot(*w)))
-    max_norm = float(np.hypot(*rho0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # forward: rho_{p+1} = A(rho_p + w)
-        r = rho0.copy()
-        for _ in range(P):
-            r = a @ (r + w)
-            n = float(np.hypot(*r))
-            if not math.isfinite(n):
-                max_norm = math.inf
+    x0, y0 = float(rho0[0]), float(rho0[1])
+    w1, w2 = float(w[0]), float(w[1])
+    bound = 10.0 * (1.0 + float(np.hypot(x0, y0)) + float(np.hypot(w1, w2)))
+    # plain-float steps; the scan stops at the first non-finite point
+    xs, ys = [x0], [y0]
+    step, finite = g_class.apply, math.isfinite
+    x, y = x0, y0
+    for _ in range(P):  # forward: rho_{p+1} = A(rho_p + w)
+        x, y = step((x + w1, y + w2))
+        if not (finite(x) and finite(y)):
+            break
+        xs.append(x)
+        ys.append(y)
+    else:
+        step, x, y = g_class.inverse().apply, x0, y0
+        for _ in range(P):  # backward: rho_{p-1} = A^-1 rho_p - w
+            x, y = step((x, y))
+            x, y = x - w1, y - w2
+            if not (finite(x) and finite(y)):
                 break
-            max_norm = max(max_norm, n)
-        # backward: rho_{p-1} = A^-1 rho_p - w
-        r = rho0.copy()
-        if math.isfinite(max_norm):
-            for _ in range(P):
-                r = a_inv @ r - w
-                n = float(np.hypot(*r))
-                if not math.isfinite(n):
-                    max_norm = math.inf
-                    break
-                max_norm = max(max_norm, n)
+            xs.append(x)
+            ys.append(y)
+    # a break leaves fewer than 2P + 1 points: the orbit overflowed
+    with np.errstate(over="ignore"):
+        max_norm = (math.inf if len(xs) < 2 * P + 1
+                    else float(np.hypot(xs, ys).max()))
     return OrbitCheck(bounded=max_norm <= bound, max_norm=max_norm)

@@ -63,9 +63,6 @@ class MCGClass:
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
 
-    def max_entry(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
     def is_identity(self) -> bool:
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
@@ -230,16 +227,15 @@ def torsion_order(A: MCGClass) -> Optional[int]:
     return None
 
 
-def closure(gens, entry_bound: int = 10**6, count_bound: int = 10**4):
+def closure(gens):
     """Breadth-first closure under products and inverses.
 
-    Returns the finite set of elements, or None when the group escapes the
-    bounds.  The flag is exact for unimodular groups: any element with an
-    eigenvalue off the unit circle has powers with unbounded entries, and a
-    group whose elements all stay on the unit circle is finite (order <= 12)
-    by the crystallographic restriction, far inside the default bounds.
+    Returns the set of elements of the generated group when it is finite,
+    else None.  Every finite subgroup of GL(2,Z) has at most 12 elements: it
+    is conjugate into the dihedral group of order 8 or 12 (crystallographic
+    restriction; Newman, Integral Matrices, 1972).  So the search stops with
+    None once it holds 13 elements, and that answer is exact.
     """
-    assert entry_bound >= 1 and count_bound >= 1
     step = []
     for g in gens:
         step.append(g)
@@ -251,27 +247,17 @@ def closure(gens, entry_bound: int = 10**6, count_bound: int = 10**4):
         for x in frontier:
             for s in step:
                 y = x * s
-                if y in seen:
-                    continue
-                if y.max_entry() > entry_bound:
-                    return None
-                seen.add(y)
-                nxt.append(y)
-                if len(seen) > count_bound:
-                    return None
+                if y not in seen:
+                    if len(seen) == 12:
+                        return None
+                    seen.add(y)
+                    nxt.append(y)
         frontier = nxt
     return seen
 
 
 def _sort_key(A: MCGClass):
     return (A.a, A.b, A.c, A.d)
-
-
-def _generated_within(elems):
-    # closure of a subset of a small finite group; bounds never bind here
-    out = closure(list(elems), entry_bound=10**9, count_bound=10**4)
-    assert out is not None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +276,7 @@ def _finite_form(G):
         for g in elems:
             if g.is_pm_identity():
                 continue
-            if _generated_within([g, -g]) == G:
+            if closure([g, -g]) == G:
                 return SubgroupForm("pair", generator=g, order=n)
     if n == 8:
         X = _conjugator_onto_H(G)
@@ -318,35 +304,30 @@ def _lcs_stall_chain(G):
         comms.discard(_ID)
         if not comms:
             return None
-        nxt = _generated_within(comms)
+        nxt = closure(comms)
         if nxt == gamma:
             break
         gamma = nxt
-    # stalled at a nontrivial subgroup: find a commutator cycle inside it
+    # stalled at gamma = [G, gamma]: in GL(2,Z) the order-3 subgroup of a
+    # dihedral group of order 6 or 12, which no reflection centralizes.  So
+    # every node has a nontrivial commutator, inside gamma (it is normal),
+    # and the walk along first commutators closes a cycle
     nodes = sorted(gamma - {_ID}, key=_sort_key)
     edges = {}
     for x in nodes:
         for a in elems:
             c = a.commutator(x)
-            if not c.is_identity() and c in gamma:
-                edges.setdefault(x, []).append((a, c))
-    for start in nodes:
-        path, seen_at = [], {}
-        x = start
-        while True:
-            if x in seen_at:
-                cyc = path[seen_at[x]:]
-                return tuple(cyc)
-            if x not in edges:
+            if not c.is_identity():
+                edges[x] = (a, c)
                 break
-            seen_at[x] = len(path)
-            a, c = edges[x][0]
-            path.append((a, x, c))
-            x = c
-    # stall with no cycle cannot happen for groups this small; be defensive
+    path, seen_at = [], {}
     x = nodes[0]
-    a, c = edges[x][0] if x in edges else (elems[0], elems[0].commutator(x))
-    return ((a, x, c),)
+    while x not in seen_at:
+        seen_at[x] = len(path)
+        a, c = edges[x]
+        path.append((a, x, c))
+        x = c
+    return tuple(path[seen_at[x]:])
 
 
 def _rational_nullspace(rows):
@@ -424,7 +405,7 @@ def _conjugator_onto_H(G):
     r = next((g for g in sorted(G, key=_sort_key) if torsion_order(g) == 4), None)
     if r is None:
         return None
-    r_gen = _generated_within([r])
+    r_gen = closure([r])
     s = next((g for g in sorted(G, key=_sort_key)
               if torsion_order(g) == 2 and g not in r_gen), None)
     if s is None:
@@ -616,15 +597,10 @@ def _infinite_form(gens):
                 return SubgroupForm("not_nilpotent", commutator_chain=chain)
     torsion = [g for g in gens if torsion_order(g) is not None]
     infinite = [g for g in gens if torsion_order(g) is None]
-    if not infinite:
-        return SubgroupForm("undecided")
-    for t in torsion:
-        if not t.is_pm_identity():
-            # a torsion class other than +-Id cannot commute with an
-            # infinite-order one; reaching here means the closure bound
-            # fired on unusual input, so decline to classify
-            return SubgroupForm("undecided")
-    extra_minus = any(t == _MINUS_ID for t in torsion)
+    # the generators commute and the closure is infinite, so some generator
+    # has infinite order; the only torsion classes commuting with it are
+    # +-Id, and Id was dropped above
+    extra_minus = bool(torsion)
 
     parabolic = [g for g in infinite if g.det == 1 and abs(g.trace) == 2]
     if parabolic and len(parabolic) != len(infinite):

@@ -303,3 +303,53 @@ def test_orbit_dehn_dichotomy():
         c = bounded_orbit_check(DEHN, rho0, w, 1000)
         want = (w[0] == 0.0) and (rho0[0] + w[1] == 0.0)
         assert c.bounded == want, (rho0, w, c)
+
+
+def _orbit_check_matmul(g_class, rho0, w, P):
+    # the 2x2 numpy-matmul scan that bounded_orbit_check must match bitwise
+    rho0, w = np.asarray(rho0, dtype=float), np.asarray(w, dtype=float)
+    a = np.array(g_class.rows, dtype=float)
+    a_inv = np.array(g_class.inverse().rows, dtype=float)
+    bound = 10.0 * (1.0 + float(np.hypot(*rho0)) + float(np.hypot(*w)))
+    max_norm = float(np.hypot(*rho0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = rho0.copy()
+        for _ in range(P):
+            r = a @ (r + w)
+            n = float(np.hypot(*r))
+            if not math.isfinite(n):
+                max_norm = math.inf
+                break
+            max_norm = max(max_norm, n)
+        r = rho0.copy()
+        if math.isfinite(max_norm):
+            for _ in range(P):
+                r = a_inv @ r - w
+                n = float(np.hypot(*r))
+                if not math.isfinite(n):
+                    max_norm = math.inf
+                    break
+                max_norm = max(max_norm, n)
+    return max_norm <= bound, max_norm
+
+
+def test_orbit_check_matches_matmul_reference():
+    rng = np.random.default_rng(20261018)
+    cases = [(DEHN, (v1, 0.3), (w1, w2), 1000) for v1 in (-1.0, 0.0, 0.5)
+             for w1 in (-0.5, 0.0) for w2 in (-0.5, 0.5)]
+    # a norm that overflows while both coordinates stay finite
+    cases.append((MCGClass(0, -1, 1, 0), (1.28e308, 0.0), (0.0, 1.28e308), 3))
+    while len(cases) < 300:
+        m = rng.integers(-2, 3, size=4)
+        if m[0] * m[3] - m[1] * m[2] in (1, -1):
+            cases.append((MCGClass(*m), tuple(rng.uniform(-1, 1, 2)),
+                          tuple(rng.uniform(-1, 1, 2)),
+                          int(rng.choice([10, 100, 1000]))))
+    overflowed = 0
+    for g_class, rho0, w, P in cases:
+        c = bounded_orbit_check(g_class, rho0, w, P)
+        bounded, max_norm = _orbit_check_matmul(g_class, rho0, w, P)
+        assert c.bounded == bounded, (g_class, rho0, w, P)
+        assert c.max_norm.hex() == max_norm.hex(), (g_class, rho0, w, P)
+        overflowed += max_norm == math.inf
+    assert overflowed >= 10

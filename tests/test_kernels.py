@@ -214,10 +214,14 @@ def test_build_cache_and_fallback_without_compiler(tmp_path):
     for root in (built, fresh):
         shutil.copytree(_PACKAGE, root / "rotor",
                         ignore=shutil.ignore_patterns("__pycache__"))
-    # a cold import builds the library into the package's __pycache__
+    # a cold import builds the library into the package's __pycache__ and
+    # removes the library of an older source
+    cache = built / "rotor" / "__pycache__"
+    cache.mkdir()
+    (cache / "_orbit.deadbeef.so").write_bytes(b"stale")
     assert _probe_backend(built, os.environ["PATH"]) == ["c"]
-    assert any(f.endswith(".so") for f in os.listdir(built / "rotor"
-                                                     / "__pycache__"))
+    libs = [f for f in os.listdir(cache) if f.endswith(".so")]
+    assert len(libs) == 1 and libs[0] != "_orbit.deadbeef.so"
     # the next import loads the cached library and needs no compiler
     assert _probe_backend(built, no_cc) == ["c"]
     # with no compiler and no cache the backend is numpy, and says why

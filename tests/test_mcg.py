@@ -1,5 +1,6 @@
 """Exact GL(2,Z) algebra: spectral tags, closures, subgroup classification."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -99,10 +100,32 @@ def test_closure_examples():
     assert closure([ANOSOV]) is None
 
 
-def test_closure_small_bounds():
-    # a generator already past the entry bound forces the infinite flag
-    assert closure([MCGClass(1, 0, 5, 1)], entry_bound=3) is None
-    assert closure([R4, FLIP], count_bound=5) is None
+def test_finite_group_with_large_entries():
+    # a conjugate of R4 whose entries pass 10^6: still cyclic of order 4
+    X = MCGClass(1, 2000, 0, 1)
+    g = X * R4 * X.inverse()
+    assert g == MCGClass(2000, -4000001, 1, -2000)
+    G = closure([g])
+    assert G == {ID, g, -ID, -g}
+    form = classify_nilpotent([g])
+    assert (form.tag, form.order) == ("cyclic", 4)
+    assert form.generator in (g, g.inverse())
+    rep = check_condition_star_star([g])
+    assert not rep.satisfied and rep.failure_form == "nontrivial_finite"
+    fi = finite_index_subgroup([g])
+    assert (fi.index, fi.quotient) == (4, "subset_of_D4")
+
+
+def test_every_small_pair_closes_or_is_infinite():
+    mats = [MCGClass(*m) for m in itertools.product(range(-2, 3), repeat=4)
+            if m[0] * m[3] - m[1] * m[2] in (1, -1)]
+    assert len(mats) == 104
+    for g, h in itertools.product(mats, repeat=2):
+        G = closure([g, h])
+        if G is not None:
+            assert len(G) <= 12 and {g, h} <= G
+            assert all(x * y in G and x.inverse() in G for x in G for y in G)
+        assert classify_nilpotent([g, h]).tag != "undecided"
 
 
 def test_classify_trivial_and_cyclic():
