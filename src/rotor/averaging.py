@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ._io import write_json
-from .errors import ConditionStarStarViolated, ConfigError, DefectExceeded
+from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
+                     RotorError)
 from .maps import (Word, _as_lift, _require_identity, apply_torus_batch,
                    commutator_lift, inverse as word_inverse, inverse_lift,
                    linear_part)
@@ -282,12 +283,20 @@ def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck
     The orbit is either constant or unbounded for the classes of interest;
     the bounded flag uses the threshold 10*(1 + |rho0| + |w|), far above
     any constant orbit and far below a linearly growing one at P=1000.
+    Raises RotorError when that threshold is not finite.
     """
     if not isinstance(g_class, MCGClass):
         g_class = MCGClass(*g_class)
     x0, y0 = float(rho0[0]), float(rho0[1])
     w1, w2 = float(w[0]), float(w[1])
-    bound = 10.0 * (1.0 + float(np.hypot(x0, y0)) + float(np.hypot(w1, w2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 10.0 * (1.0 + float(np.hypot(x0, y0))
+                        + float(np.hypot(w1, w2)))
+    # NaN or inf in rho0 or w, or an overflowing sum, leaves no threshold
+    # to tell a bounded orbit from an unbounded one
+    if not math.isfinite(bound):
+        raise RotorError("bounded_orbit_check needs finite rho0 and w with "
+                         "a finite threshold 10*(1 + |rho0| + |w|)")
     # plain-float steps; the scan stops at the first non-finite point
     xs, ys = [x0], [y0]
     step, finite = g_class.apply, math.isfinite

@@ -37,11 +37,11 @@ from .catalog import build_catalog
 from .covers import check_sigma_commute, klein_symmetrize, rho_bar
 from .errors import ConfigError, RotorError
 from .fixed_points import common_fixed_points, franks_certificate
-from .maps import LiftedWord, linear_part, torus_grid
+from .maps import LiftedWord, torus_grid
 from .mcg import (H_LIST, check_condition_star_star, classify_nilpotent,
                   has_nontrivial_unity_root, spectral_class, torsion_order)
 from .measures import estimate_rotation_set, invariance_defect
-from .scenario import (AnalysisRequest, Scenario, generator_section_text,
+from .scenario import (AnalysisRequest, generator_section_text,
                        parse_scenario, parse_scenario_text)
 from .verify import run_suite
 
@@ -80,7 +80,7 @@ def _hull_svg(vertices: np.ndarray) -> str:
 # --- per-analysis runners; each returns (payload, extra files written)
 
 
-def _run_classify(scn: Scenario, req: AnalysisRequest, outdir: str,
+def _run_classify(req: AnalysisRequest, outdir: str,
                   threads: int) -> Tuple[dict, List[str]]:
     gens = req.params["generators"]
     per = {}
@@ -113,7 +113,7 @@ def _run_classify(scn: Scenario, req: AnalysisRequest, outdir: str,
     return payload, []
 
 
-def _run_rotation_set(scn: Scenario, req: AnalysisRequest, outdir: str,
+def _run_rotation_set(req: AnalysisRequest, outdir: str,
                       threads: int) -> Tuple[dict, List[str]]:
     p = req.params
     lw = LiftedWord(p["word"], p["deck"])
@@ -142,7 +142,7 @@ def _run_rotation_set(scn: Scenario, req: AnalysisRequest, outdir: str,
     return payload, files
 
 
-def _run_invariant_measure(scn: Scenario, req: AnalysisRequest, outdir: str,
+def _run_invariant_measure(req: AnalysisRequest, outdir: str,
                            threads: int) -> Tuple[dict, List[str]]:
     p = req.params
     trace = construct_invariant(p["spec"], LiftedWord(p["phi"]), p["seed"],
@@ -162,7 +162,7 @@ def _run_invariant_measure(scn: Scenario, req: AnalysisRequest, outdir: str,
     return payload, [csv_path]
 
 
-def _run_fixed_points(scn: Scenario, req: AnalysisRequest, outdir: str,
+def _run_fixed_points(req: AnalysisRequest, outdir: str,
                       threads: int) -> Tuple[dict, List[str]]:
     p = req.params
     if p["measure"] is not None:
@@ -194,7 +194,7 @@ def _run_fixed_points(scn: Scenario, req: AnalysisRequest, outdir: str,
     return payload, files
 
 
-def _run_rotev(scn: Scenario, req: AnalysisRequest, outdir: str,
+def _run_rotev(req: AnalysisRequest, outdir: str,
                threads: int) -> Tuple[dict, List[str]]:
     p = req.params
     rows = []
@@ -219,7 +219,7 @@ def _run_rotev(scn: Scenario, req: AnalysisRequest, outdir: str,
     return payload, []
 
 
-def _run_klein(scn: Scenario, req: AnalysisRequest, outdir: str,
+def _run_klein(req: AnalysisRequest, outdir: str,
                threads: int) -> Tuple[dict, List[str]]:
     p = req.params
     defect = check_sigma_commute(p["word"])
@@ -471,7 +471,7 @@ def _cmd_analysis(sub: str, path: str, outdir: str, threads: int) -> int:
     for req in requests:
         json_path = os.path.join(outdir, req.slug + ".json")
         try:
-            payload, files = _RUNNERS[kind](scn, req, outdir, threads)
+            payload, files = _RUNNERS[kind](req, outdir, threads)
         except ConfigError:
             raise
         except (RotorError, ValueError) as exc:
@@ -534,12 +534,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "examples":
             return _cmd_examples(args.out)
-        if args.command == "verify":
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            return _cmd_verify(args.out, args.threads)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        if args.command == "verify":
+            return _cmd_verify(args.out, args.threads)
         return _cmd_analysis(args.command, args.scenario, args.out,
                              args.threads)
     except ConfigError as exc:

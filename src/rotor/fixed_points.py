@@ -174,20 +174,17 @@ def _refine(lifts, seeds: np.ndarray, tol: float) -> List[Tuple[Tuple[float, flo
             # (or a non-finite one) only says the Jacobian is singular
             if not math.hypot(step[0], step[1]) <= 1.0:
                 break
-            cand = p + step
-            fc = _flat_residual(lifts, cand)
-            rc = math.sqrt(float(fc @ fc))
-            halved = 0
-            while rc >= best and halved < 30:
-                step = step * 0.5
+            for _ in range(31):  # the full step, then up to 30 halvings
                 cand = p + step
                 fc = _flat_residual(lifts, cand)
                 rc = math.sqrt(float(fc @ fc))
-                halved += 1
-            if rc >= best:
+                if rc < best:
+                    break
+                step = step * 0.5
+            else:
                 break
             p, f, best = cand, fc, rc
-        per_word = _residual_fields(lifts, p[None, :])[:, 0, :]
+        per_word = f.reshape(len(lifts), 2)
         worst = float(np.sqrt((per_word * per_word).sum(axis=1)).max())
         if worst < tol:
             kept.append((reduce_point((float(p[0]), float(p[1]))), worst))

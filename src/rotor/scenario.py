@@ -31,7 +31,9 @@ trig(amp, kx, ky[, phase]) for amp*sin(2*pi*(kx*x + ky*y) + phase).
 A word value is either the name of a [word] section or an inline string
 of generator names, apostrophe for inverse: "dehn tr'".
 
-Every validation failure raises ConfigError carrying the line number.
+Counts are integers >= 1, tolerances are > 0 and coordinates are finite.
+Every validation failure raises ConfigError carrying a line number: the
+offending key's, or the section's when a required key is missing.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .averaging import GroupSpec
 from .errors import ConfigError, RotorError
-from .maps import (Generator, MapGroup, Word, linear_part, trig_term)
+from .maps import (Generator, MapGroup, Word, constant_term, linear_part,
+                   orbit_segment, torus_grid, trig_term)
 from .mcg import MCGClass
-from .measures import EmpiricalMeasure, krylov_bogolyubov
+from .measures import EmpiricalMeasure
 
 __all__ = [
     "AnalysisRequest",
@@ -113,13 +116,14 @@ class Scenario:
 
 
 class _RawSection:
-    __slots__ = ("kind", "name", "line", "pairs")
+    __slots__ = ("kind", "name", "line", "pairs", "title")
 
     def __init__(self, kind, name, line):
         self.kind = kind
         self.name = name
         self.line = line
         self.pairs: List[Tuple[int, str, str]] = []
+        self.title = kind if name is None else kind + " " + name
 
 
 def _split_sections(text: str) -> List[_RawSection]:
@@ -160,111 +164,129 @@ def _split_sections(text: str) -> List[_RawSection]:
     return sections
 
 
-# --- typed key extraction
+# --- typed key extraction: a parser maps (key, text) to a value or raises
+# ValueError with the message, which _Keys.get turns into a ConfigError
+
+
+def _text(key, text):
+    return text
+
+
+def _finite(key, text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError("%s: expected a finite number, got %r" % (key, text))
+    return value
+
+
+def _positive(key, text):
+    value = _finite(key, text)
+    if not value > 0.0:
+        raise ValueError("%s must be positive, got %r" % (key, text))
+    return value
+
+
+def _integer(key, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s: expected an integer, got %r" % (key, text))
+
+
+def _count(key, text):
+    value = _integer(key, text)
+    if value < 1:
+        raise ValueError("expected %s >= 1, got %r" % (key, text))
+    return value
+
+
+def _bool(key, text):
+    if text not in ("true", "false"):
+        raise ValueError("%s: expected true or false, got %r" % (key, text))
+    return text == "true"
+
+
+def _names(key, text):
+    names = text.split()
+    if not names:
+        raise ValueError("%s: expected at least one name" % key)
+    return names
+
+
+def _pair(parse):
+    def pair(key, text):
+        parts = text.split()
+        if len(parts) != 2:
+            raise ValueError("%s: expected two values, got %r" % (key, text))
+        return tuple(parse(key, part) for part in parts)
+    return pair
+
+
+def _matrix(key, text):
+    parts = text.split()
+    if len(parts) != 4:
+        raise ValueError("%s: expected 4 integers a b c d" % key)
+    return [_integer(key, part) for part in parts]
 
 
 class _Keys:
-    """One section's key=value pairs with typed, line-aware accessors."""
+    """One section's key = value pairs, read through the value parsers."""
 
     def __init__(self, section: _RawSection):
         self.section = section
         self.seen = set()
-        self.single: Dict[str, Tuple[int, str]] = {}
-        self.multi: Dict[str, List[Tuple[int, str]]] = {}
+        self.values: Dict[str, List[Tuple[int, str]]] = {}
         for lineno, key, value in section.pairs:
-            self.multi.setdefault(key, []).append((lineno, value))
-            if key in self.single:
-                self.single[key] = (lineno, None)  # flag duplicates lazily
-            else:
-                self.single[key] = (lineno, value)
+            self.values.setdefault(key, []).append((lineno, value))
 
-    def _fetch(self, key):
-        self.seen.add(key)
-        if key not in self.single:
-            return None
-        lineno, value = self.single[key]
-        if value is None:
-            raise _err(lineno, "duplicate key %r in [%s]" % (key,
-                                                             self.section.kind))
-        return lineno, value
-
-    def string(self, key, default=None, required=False):
-        got = self._fetch(key)
-        if got is None:
-            if required:
-                raise _err(self.section.line,
-                           "[%s%s] needs %s ="
-                           % (self.section.kind,
-                              " " + self.section.name if self.section.name else "",
-                              key))
-            return default
-        return got[1]
-
-    def floatval(self, key, default=None, required=False):
-        got = self._fetch(key)
-        if got is None:
+    def get(self, key, parse=_text, default=None, required=False):
+        """The parsed value of a key that appears at most once; a repeated
+        key or a value parse rejects fails on the key's own line."""
+        found = self.repeated(key)
+        if not found:
             if required:
                 raise _err(self.section.line, "[%s] needs %s ="
-                           % (self.section.kind, key))
+                           % (self.section.title, key))
             return default
-        lineno, value = got
+        lineno, text = found[-1]
+        if len(found) > 1:
+            raise _err(lineno, "duplicate key %r in [%s]"
+                       % (key, self.section.kind))
         try:
-            return float(value)
-        except ValueError:
-            raise _err(lineno, "%s: expected a number, got %r" % (key, value))
+            return parse(key, text)
+        except ValueError as exc:
+            raise _err(lineno, str(exc))
 
-    def intval(self, key, default=None, required=False):
-        got = self._fetch(key)
-        if got is None:
-            if required:
-                raise _err(self.section.line, "[%s] needs %s ="
-                           % (self.section.kind, key))
-            return default
-        lineno, value = got
-        try:
-            return int(value)
-        except ValueError:
-            raise _err(lineno, "%s: expected an integer, got %r" % (key, value))
-
-    def boolval(self, key, default=False):
-        got = self._fetch(key)
-        if got is None:
-            return default
-        lineno, value = got
-        if value not in ("true", "false"):
-            raise _err(lineno, "%s: expected true or false, got %r"
-                       % (key, value))
-        return value == "true"
-
-    def pair(self, key, caster, default=None):
-        got = self._fetch(key)
-        if got is None:
-            return default
-        lineno, value = got
-        parts = value.split()
-        if len(parts) != 2:
-            raise _err(lineno, "%s: expected two values, got %r" % (key, value))
-        try:
-            return (caster(parts[0]), caster(parts[1]))
-        except ValueError:
-            raise _err(lineno, "%s: expected numbers, got %r" % (key, value))
-
-    def names(self, key, required=False):
-        got = self._fetch(key)
-        if got is None:
-            if required:
-                raise _err(self.section.line, "[%s] needs %s ="
-                           % (self.section.kind, key))
-            return None
-        lineno, value = got
-        parts = value.split()
-        if not parts:
-            raise _err(lineno, "%s: expected at least one name" % key)
-        return lineno, parts
+    def line(self, key) -> int:
+        return self.values[key][0][0]
 
     def repeated(self, key):
         self.seen.add(key)
-        return self.multi.get(key, [])
+        return self.values.get(key, [])
+
+    def word(self, scn: Scenario, key, required=True):
+        """(word, text) of a word-valued key; (None, None) when absent."""
+        text = self.get(key, required=required)
+        if text is None:
+            return None, None
+        return scn.resolve_word(text, self.line(key)), text
+
+    def words(self, scn: Scenario, key):
+        """(words, names) of a list of words; ([], None) when absent."""
+        names = self.get(key, _names)
+        if names is None:
+            return [], None
+        return [scn.resolve_word(nm, self.line(key)) for nm in names], names
+
+    def measure(self, scn: Scenario, key, required=True):
+        """(measure, name) of a measure-valued key; (None, None) when absent."""
+        name = self.get(key, required=required)
+        if name is None:
+            return None, None
+        return scn.resolve_measure(name, self.line(key)), name
 
     def reject_unknown(self):
         for lineno, key, _ in self.section.pairs:
@@ -284,13 +306,13 @@ def _parse_term(lineno: int, text: str):
     fn, body = m.groups()
     parts = [p.strip() for p in body.split(",")] if body.strip() else []
     try:
-        args = [float(p) for p in parts]
+        args = [_finite(fn, p) for p in parts]
     except ValueError:
         raise _err(lineno, "bad number in term %r" % text)
     if fn == "const":
         if len(args) != 1:
             raise _err(lineno, "const takes one value, got %d" % len(args))
-        return (args[0], 0, 0, math.pi / 2)
+        return constant_term(args[0])
     if len(args) not in (3, 4):
         raise _err(lineno, "trig takes amp, kx, ky and an optional phase")
     try:
@@ -301,22 +323,13 @@ def _parse_term(lineno: int, text: str):
 
 def _build_generator(section: _RawSection) -> Generator:
     keys = _Keys(section)
-    mat = keys.string("matrix")
-    if mat is None:
-        linear = MCGClass.identity()
-    else:
-        lineno = keys.single["matrix"][0]
-        parts = mat.split()
-        if len(parts) != 4:
-            raise _err(lineno, "matrix: expected 4 integers a b c d")
-        try:
-            entries = [int(p) for p in parts]
-        except ValueError:
-            raise _err(lineno, "matrix: expected integers, got %r" % mat)
-        try:
-            linear = MCGClass(*entries)
-        except RotorError as exc:
-            raise _err(lineno, "generator %r: %s" % (section.name, exc))
+    entries = keys.get("matrix", _matrix)
+    try:
+        linear = (MCGClass.identity() if entries is None
+                  else MCGClass(*entries))
+    except RotorError as exc:
+        raise _err(keys.line("matrix"), "generator %r: %s"
+                   % (section.name, exc))
     disp_x = [_parse_term(lineno, v) for lineno, v in keys.repeated("x")]
     disp_y = [_parse_term(lineno, v) for lineno, v in keys.repeated("y")]
     keys.reject_unknown()
@@ -334,49 +347,32 @@ def _build_generator(section: _RawSection) -> Generator:
 
 def _build_measure(scn: Scenario, section: _RawSection) -> EmpiricalMeasure:
     keys = _Keys(section)
-    kind = keys.string("kind", required=True)
+    kind = keys.get("kind", required=True)
     if kind == "circle":
-        x0 = keys.floatval("x0", required=True)
-        atoms = keys.intval("atoms", 16)
-        keys.reject_unknown()
-        return EmpiricalMeasure([(x0, j / atoms) for j in range(atoms)])
-    if kind == "hcircle":
-        y0 = keys.floatval("y0", required=True)
-        atoms = keys.intval("atoms", 16)
-        keys.reject_unknown()
-        return EmpiricalMeasure([(j / atoms, y0) for j in range(atoms)])
-    if kind == "grid":
-        k = keys.intval("k", required=True)
-        keys.reject_unknown()
-        if k < 1:
-            raise _err(section.line, "grid needs k >= 1")
-        return EmpiricalMeasure.uniform_grid(k)
-    if kind == "dirac":
-        at = keys.pair("at", float)
-        if at is None:
-            raise _err(section.line, "[measure] of kind dirac needs at = x y")
-        keys.reject_unknown()
-        return EmpiricalMeasure.dirac(at)
-    if kind == "orbit":
-        wtext = keys.string("word", required=True)
-        wline = keys.single["word"][0]
-        seed = keys.pair("seed", float, (0.0, 0.0))
-        n = keys.intval("n", 2048)
-        keys.reject_unknown()
-        if n < 1:
-            raise _err(section.line, "orbit needs n >= 1")
-        w = scn.resolve_word(wtext, wline)
-        return krylov_bogolyubov(w, seed, n, n)
-    raise _err(keys.single["kind"][0],
-               "unknown measure kind %r; want circle, hcircle, grid, "
-               "dirac or orbit" % kind)
+        x0 = keys.get("x0", _finite, required=True)
+        atoms = keys.get("atoms", _count, 16)
+        points = [(x0, j / atoms) for j in range(atoms)]
+    elif kind == "hcircle":
+        y0 = keys.get("y0", _finite, required=True)
+        atoms = keys.get("atoms", _count, 16)
+        points = [(j / atoms, y0) for j in range(atoms)]
+    elif kind == "grid":
+        points = torus_grid(keys.get("k", _count, required=True))
+    elif kind == "dirac":
+        points = [keys.get("at", _pair(_finite), required=True)]
+    elif kind == "orbit":
+        w, _ = keys.word(scn, "word")
+        seed = keys.get("seed", _pair(_finite), (0.0, 0.0))
+        points = orbit_segment(w, seed, keys.get("n", _count, 2048))
+    else:
+        raise _err(keys.line("kind"),
+                   "unknown measure kind %r; want circle, hcircle, grid, "
+                   "dirac or orbit" % kind)
+    keys.reject_unknown()
+    return EmpiricalMeasure(points)
 
 
 # --- analysis builders
-
-
-def _deck(keys: _Keys):
-    return keys.pair("deck", int, (0, 0))
 
 
 def _build_analysis(scn: Scenario, section: _RawSection) -> AnalysisRequest:
@@ -385,47 +381,27 @@ def _build_analysis(scn: Scenario, section: _RawSection) -> AnalysisRequest:
     params: dict = {}
 
     if kind == "classify":
-        lineno, names = keys.names("generators", required=True)
         gens = []
-        for nm in names:
+        for nm in keys.get("generators", _names, required=True):
             try:
                 w = scn.group.by_name(nm)
             except KeyError:
-                raise _err(lineno, "unknown generator %r" % nm)
+                raise _err(keys.line("generators"),
+                           "unknown generator %r" % nm)
             gens.append((nm, scn.group.generators[w.letters[0][0]].linear))
         params["generators"] = gens
 
     elif kind == "rotation_set":
-        wtext = keys.string("word", required=True)
-        wline = keys.single["word"][0]
-        params["word"] = scn.resolve_word(wtext, wline)
-        params["word_text"] = wtext
-        params["n"] = keys.intval("n", 1000)
-        params["seeds"] = keys.intval("seeds", 64)
-        params["deck"] = _deck(keys)
-        if params["n"] < 1 or params["seeds"] < 1:
-            raise _err(section.line, "rotation_set needs n >= 1, seeds >= 1")
+        params["word"], params["word_text"] = keys.word(scn, "word")
+        params["n"] = keys.get("n", _count, 1000)
+        params["seeds"] = keys.get("seeds", _count, 64)
+        params["deck"] = keys.get("deck", _pair(_integer), (0, 0))
 
     elif kind == "invariant_measure":
-        mname = keys.string("seed", required=True)
-        mline = keys.single["seed"][0]
-        params["seed_name"] = mname
-        params["seed"] = scn.resolve_measure(mname, mline)
-        ptext = keys.string("phi", required=True)
-        pline = keys.single["phi"][0]
-        params["phi"] = scn.resolve_word(ptext, pline)
-        params["phi_text"] = ptext
-        g0 = keys.names("g0")
-        params["g0"] = []
-        if g0 is not None:
-            lineno, names = g0
-            params["g0"] = [scn.resolve_word(nm, lineno) for nm in names]
-        ext = keys.names("extension")
-        params["extension"] = []
-        if ext is not None:
-            lineno, names = ext
-            params["extension"] = [scn.resolve_word(nm, lineno)
-                                   for nm in names]
+        params["seed"], params["seed_name"] = keys.measure(scn, "seed")
+        params["phi"], params["phi_text"] = keys.word(scn, "phi")
+        params["g0"], _ = keys.words(scn, "g0")
+        params["extension"], _ = keys.words(scn, "extension")
         # group data misdeclarations are scenario validation failures,
         # caught here with a line number rather than mid-run
         try:
@@ -435,69 +411,46 @@ def _build_analysis(scn: Scenario, section: _RawSection) -> AnalysisRequest:
                                      for w in params["extension"]))
         except ConfigError as exc:
             raise _err(section.line, str(exc))
-        params["L"] = keys.intval("L", 256)
-        params["tol"] = keys.floatval("tol", 1e-9)
-        params["force"] = keys.boolval("force")
+        params["L"] = keys.get("L", _count, 256)
+        params["tol"] = keys.get("tol", _positive, 1e-9)
+        params["force"] = keys.get("force", _bool, False)
 
     elif kind == "fixed_points":
-        wtext = keys.string("word")
-        wlist = keys.names("words")
-        if (wtext is None) == (wlist is None):
+        word, wtext = keys.word(scn, "word", required=False)
+        params["words"], params["word_texts"] = keys.words(scn, "words")
+        if (wtext is None) == (params["word_texts"] is None):
             raise _err(section.line,
                        "[fixed_points] needs exactly one of word =, words =")
         if wtext is not None:
-            wline = keys.single["word"][0]
-            params["words"] = [scn.resolve_word(wtext, wline)]
-            params["word_texts"] = [wtext]
-        else:
-            lineno, names = wlist
-            params["words"] = [scn.resolve_word(nm, lineno) for nm in names]
-            params["word_texts"] = list(names)
-        params["grid"] = keys.intval("grid", 64)
-        mname = keys.string("measure")
-        params["measure_name"] = mname
-        params["measure"] = None
-        if mname is not None:
-            mline = keys.single["measure"][0]
-            if len(params["words"]) != 1:
-                raise _err(mline, "a Franks certificate needs a single word")
-            params["measure"] = scn.resolve_measure(mname, mline)
+            params["words"], params["word_texts"] = [word], [wtext]
+        params["grid"] = keys.get("grid", _count, 64)
+        params["measure"], params["measure_name"] = keys.measure(
+            scn, "measure", required=False)
+        if params["measure"] is not None and len(params["words"]) != 1:
+            raise _err(keys.line("measure"),
+                       "a Franks certificate needs a single word")
         # a Franks run bounds the measure's invariance defect, a plain scan
         # bounds the pointwise residual; the defaults differ accordingly
-        fallback = (scn.tolerances["invariance"] if mname is not None
-                    else scn.tolerances["fixed"])
-        params["tol"] = keys.floatval("tol", fallback)
+        fallback = scn.tolerances["fixed" if params["measure"] is None
+                                  else "invariance"]
+        params["tol"] = keys.get("tol", _positive, fallback)
 
     elif kind == "rotev":
-        gtext = keys.string("g", required=True)
-        params["g"] = scn.resolve_word(gtext, keys.single["g"][0])
-        params["g_text"] = gtext
-        htext = keys.string("h", required=True)
-        params["h"] = scn.resolve_word(htext, keys.single["h"][0])
-        params["h_text"] = htext
-        mname = keys.string("measure", required=True)
-        params["measure_name"] = mname
-        params["measure"] = scn.resolve_measure(mname, keys.single["measure"][0])
-        params["pmax"] = keys.intval("pmax", 5)
-        if params["pmax"] < 1:
-            raise _err(section.line, "rotev needs pmax >= 1")
+        params["g"], params["g_text"] = keys.word(scn, "g")
+        params["h"], params["h_text"] = keys.word(scn, "h")
+        params["measure"], params["measure_name"] = keys.measure(scn,
+                                                                 "measure")
+        params["pmax"] = keys.get("pmax", _count, 5)
 
     elif kind == "klein":
-        wtext = keys.string("word", required=True)
-        wline = keys.single["word"][0]
-        params["word"] = scn.resolve_word(wtext, wline)
-        params["word_text"] = wtext
-        params["deck"] = _deck(keys)
-        params["sigma_tol"] = keys.floatval("sigma_tol",
-                                            scn.tolerances["sigma"])
-        mname = keys.string("measure")
-        params["measure_name"] = mname
-        params["measure"] = None
-        if mname is not None:
-            mline = keys.single["measure"][0]
-            params["measure"] = scn.resolve_measure(mname, mline)
-        params["symmetrize"] = keys.boolval("symmetrize",
-                                            params["measure"] is not None)
+        params["word"], params["word_text"] = keys.word(scn, "word")
+        params["deck"] = keys.get("deck", _pair(_integer), (0, 0))
+        params["sigma_tol"] = keys.get("sigma_tol", _positive,
+                                       scn.tolerances["sigma"])
+        params["measure"], params["measure_name"] = keys.measure(
+            scn, "measure", required=False)
+        params["symmetrize"] = keys.get("symmetrize", _bool,
+                                        params["measure"] is not None)
 
     keys.reject_unknown()
     return AnalysisRequest(kind, section.name, params, section.line)
@@ -535,13 +488,9 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
                        % seen_tol)
         seen_tol = s.line
         keys = _Keys(s)
-        for key in list(_TOLERANCE_KEYS):
-            v = keys.floatval(key, None)
-            if v is not None:
-                if not v > 0.0:
-                    raise _err(keys.single[key][0],
-                               "%s must be positive" % key)
-                scn.tolerances[key] = v
+        for key in _TOLERANCE_KEYS:
+            scn.tolerances[key] = keys.get(key, _positive,
+                                           scn.tolerances[key])
         keys.reject_unknown()
 
     for s in sections:
@@ -552,13 +501,12 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
                        % (s.name, seen_names[s.name]))
         seen_names[s.name] = s.line
         keys = _Keys(s)
-        letters = keys.string("letters", required=True)
-        lineno = keys.single["letters"][0]
+        letters = keys.get("letters", required=True)
         keys.reject_unknown()
         try:
             scn.words[s.name] = group.word(letters)
         except RotorError as exc:
-            raise _err(lineno, str(exc))
+            raise _err(keys.line("letters"), str(exc))
 
     for s in sections:
         if s.kind != "measure":
@@ -573,10 +521,9 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
             continue
         req = _build_analysis(scn, s)
         if req.slug in slugs:
-            raise _err(s.line, "analysis [%s%s] already declared on line %d; "
+            raise _err(s.line, "analysis [%s] already declared on line %d; "
                                "give one of them a name"
-                       % (s.kind, " " + s.name if s.name else "",
-                          slugs[req.slug]))
+                       % (s.title, slugs[req.slug]))
         slugs[req.slug] = s.line
         scn.analyses.append(req)
 

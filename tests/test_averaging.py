@@ -8,7 +8,7 @@ from rotor.averaging import (ConstructionTrace, GroupSpec, OrbitCheck,
                              _cesaro_stage, bounded_orbit_check,
                              construct_invariant, rotev_residual)
 from rotor.errors import (ConditionStarStarViolated, ConfigError,
-                          DefectExceeded, NotIsotopicToIdentity)
+                          DefectExceeded, NotIsotopicToIdentity, RotorError)
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_torus_batch,
                         constant_term, trig_term)
 from rotor.mcg import MCGClass, classify_nilpotent
@@ -305,6 +305,19 @@ def test_orbit_dehn_dichotomy():
         assert c.bounded == want, (rho0, w, c)
 
 
+@pytest.mark.parametrize("g_class,rho0,w", [
+    # the threshold overflows: these once came back bounded=True
+    (MCGClass(0, -1, 1, 0), (1.28e308, 0.0), (0.0, 1.28e308)),
+    (DEHN, (1e308, 1e308), (0.0, 0.0)),
+    # non-finite input: this once came back bounded=False
+    (DEHN, (math.nan, 0.0), (0.0, 0.0)),
+    (DEHN, (0.0, 0.0), (0.0, -math.inf)),
+], ids=["rotation_overflow", "dehn_overflow", "nan_rho0", "inf_w"])
+def test_orbit_check_rejects_nonfinite_threshold(g_class, rho0, w):
+    with pytest.raises(RotorError, match="finite"):
+        bounded_orbit_check(g_class, rho0, w, 3)
+
+
 def _orbit_check_matmul(g_class, rho0, w, P):
     # the 2x2 numpy-matmul scan that bounded_orbit_check must match bitwise
     rho0, w = np.asarray(rho0, dtype=float), np.asarray(w, dtype=float)
@@ -337,8 +350,9 @@ def test_orbit_check_matches_matmul_reference():
     rng = np.random.default_rng(20261018)
     cases = [(DEHN, (v1, 0.3), (w1, w2), 1000) for v1 in (-1.0, 0.0, 0.5)
              for w1 in (-0.5, 0.0) for w2 in (-0.5, 0.5)]
-    # a norm that overflows while both coordinates stay finite
-    cases.append((MCGClass(0, -1, 1, 0), (1.28e308, 0.0), (0.0, 1.28e308), 3))
+    # a norm that overflows while both coordinates stay finite (the
+    # threshold must stay finite too, see test_orbit_check_rejects_*)
+    cases.append((MCGClass(2, 1, 1, 1), (1.25e307, 0.0), (0.0, 0.0), 3))
     while len(cases) < 300:
         m = rng.integers(-2, 3, size=4)
         if m[0] * m[3] - m[1] * m[2] in (1, -1):

@@ -128,6 +128,15 @@ def test_validation_error_exit_2(tmp_path, capsys):
     assert "det" in err
 
 
+def test_bad_measure_value_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("[generator g]\nx = const(0.1)\n\n"
+                   "[measure circ]\nkind = circle\nx0 = 0.25\natoms = 0\n\n"
+                   "[classify]\ngenerators = g\n")
+    assert main(["classify", str(bad), "--out", str(tmp_path)]) == 2
+    assert "error: line 7: " in capsys.readouterr().err
+
+
 def test_missing_section_exit_2(tmp_path, capsys):
     scn = tmp_path / "s.scn"
     scn.write_text("[generator g]\nx = const(0.1)\n\n"

@@ -290,6 +290,37 @@ def test_section_level_errors(tail, frag):
         parse(text)
 
 
+BAD_VALUES = [
+    ("[measure q]\nkind = circle\nx0 = nan\n", "x0 = nan"),
+    ("[measure q]\nkind = hcircle\ny0 = 0.5\natoms = 0\n", "atoms = 0"),
+    ("[measure q]\nkind = dirac\nat = inf 0.3\n", "at = inf 0.3"),
+    ("[measure q]\nkind = orbit\nword = g\nseed = nan 0\n", "seed = nan 0"),
+    ("[measure q]\nkind = orbit\nword = g\nn = 0\n", "n = 0"),
+    ("[measure q]\nkind = grid\nk = 0\n", "k = 0"),
+    ("[measure q]\nkind = grid\nk = junk\n", "k = junk"),
+    ("[invariant_measure]\nseed = m\nphi = g\nL = 0\n", "L = 0"),
+    ("[invariant_measure]\nseed = m\nphi = g\ntol = nan\n", "tol = nan"),
+    ("[fixed_points]\nword = g\ntol = -1\n", "tol = -1"),
+    ("[fixed_points]\nword = g\ngrid = 0\n", "grid = 0"),
+    ("[klein]\nword = g\nsigma_tol = 0\n", "sigma_tol = 0"),
+    ("[rotation_set]\nword = g\nseeds = 0\n", "seeds = 0"),
+    ("[rotev]\ng = g\nh = g\nmeasure = m\npmax = 0\n", "pmax = 0"),
+    ("[tolerances]\nsigma = inf\n", "sigma = inf"),
+]
+
+
+@pytest.mark.parametrize("tail,bad", BAD_VALUES,
+                         ids=[bad.replace(" = ", "=").replace(" ", "_")
+                              for _, bad in BAD_VALUES])
+def test_bad_values_fail_on_their_own_line(tail, bad):
+    # counts are integers >= 1, tolerances finite and > 0, coordinates
+    # finite; the error names the line of the offending key
+    text = GOOD_PREFIX + "[measure m]\nkind = grid\nk = 2\n\n" + tail
+    lineno = text.splitlines().index(bad) + 1
+    with pytest.raises(ConfigError, match="^line %d: " % lineno):
+        parse(text)
+
+
 def test_no_generators_rejected():
     with pytest.raises(ConfigError, match="no \\[generator\\]"):
         parse("[classify]\ngenerators = g\n")
