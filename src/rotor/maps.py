@@ -83,6 +83,9 @@ class Generator:
     def __init__(self, name: str, linear: MCGClass, disp_x=(), disp_y=(),
                  inverse: Optional["Generator"] = None, _derive: bool = True):
         self.name = str(name)
+        if max(map(abs, (linear.a, linear.b, linear.c, linear.d))) > 2 ** 53:
+            # the float linear parts hold integers exactly only up to 2**53
+            raise RotorError("linear part has an entry above 2**53")
         self.linear = linear
         self.disp_x = tuple(trig_term(*t) for t in disp_x)
         self.disp_y = tuple(trig_term(*t) for t in disp_y)

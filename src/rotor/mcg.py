@@ -1,8 +1,7 @@
 """Exact algebra on GL(2,Z): spectral classes, closures, nilpotent subgroup forms.
 
-All decisions are made in integer or rational arithmetic.  Floating point shows
-up only to estimate exponents during the infinite cyclic reduction, and every
-estimate is confirmed by an exact matrix identity before it is used.
+All decisions are made in integer or rational arithmetic.  Floating point
+shows up only in the eigenvalues that spectral_class attaches to its exact tag.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NotNilpotent, NotUnimodular
+from .errors import NotNilpotent, NotUnimodular, RotorError
 
 __all__ = [
     "MCGClass",
@@ -143,11 +142,12 @@ class SubgroupForm:
     """Shape of the subgroup generated by a finite set of classes.
 
     tag is one of trivial / cyclic / pair / dihedral_H_conjugate /
-    not_nilpotent / undecided.  generator carries N for the cyclic and
-    pair forms, conjugator the integer matrix X with X G X^-1 equal to
-    the H pattern, commutator_chain a list of (a, x, [a,x]) triples
-    certifying a non-vanishing iterated commutator.  order is the group
-    size when the closure is finite, None when infinite.
+    not_nilpotent / undecided; undecided comes only from a finite closure
+    that matches none of the finite shapes.  generator carries N for the
+    cyclic and pair forms, conjugator the integer matrix X with X G X^-1
+    equal to the H pattern, commutator_chain a list of (a, x, [a,x])
+    triples certifying a non-vanishing iterated commutator.  order is the
+    group size when the closure is finite, None when infinite.
     """
 
     tag: str
@@ -173,15 +173,18 @@ class FiniteIndexReport:
 
 
 def spectral_class(A: MCGClass) -> SpectralClass:
-    """Classify A by the exact (trace, det) dichotomy, with eigenvalues attached."""
+    """Exact (trace, det) tag plus float eigenvalues; RotorError on overflow."""
     t, d = A.trace, A.det
     disc = t * t - 4 * d
-    if disc >= 0:
-        s = math.sqrt(disc)
-        eig = (complex((t + s) / 2.0), complex((t - s) / 2.0))
-    else:
-        s = math.sqrt(-disc)
-        eig = (complex(t / 2.0, s / 2.0), complex(t / 2.0, -s / 2.0))
+    try:
+        if disc >= 0:
+            s = math.sqrt(disc)
+            eig = (complex((t + s) / 2.0), complex((t - s) / 2.0))
+        else:
+            s = math.sqrt(-disc)
+            eig = (complex(t / 2.0, s / 2.0), complex(t / 2.0, -s / 2.0))
+    except OverflowError:
+        raise RotorError("eigenvalues of %r overflow a float" % (A,))
     if d == 1:
         if A.is_identity():
             return SpectralClass("identity", eig)
@@ -469,122 +472,11 @@ def _conjugated_set(G, vec, det):
 # infinite branch
 
 
-def _spectral_radius(A: MCGClass) -> float:
-    t, d = A.trace, A.det
-    disc = t * t - 4 * d
-    if disc < 0:
-        return 1.0
-    return (abs(t) + math.sqrt(disc)) / 2.0
-
-
-def _unipotent_part(A: MCGClass):
-    """For A = +-(Id + k M0) with M0 primitive nilpotent, return (sigma, k, M0)."""
-    if A.det != 1 or A.trace not in (2, -2):
-        return None
-    sigma = 0 if A.trace == 2 else 1
-    U = A if sigma == 0 else -A
-    m = (U.a - 1, U.b, U.c, U.d - 1)
-    if m == (0, 0, 0, 0):
-        return (sigma, 0, None)
-    g = 0
-    for v in m:
-        g = math.gcd(g, v)
-    m0 = tuple(v // g for v in m)
-    for v in m0:
-        if v != 0:
-            if v < 0:
-                m0 = tuple(-w for w in m0)
-                g = -g
-            break
-    return (sigma, g, m0)
-
-
-def _cyclic_combine(a: MCGClass, b: MCGClass):
-    """For commuting a, b inside a common {+-t^k} family, return a spanning t.
-
-    Euclid on the exponents; the exponent magnitudes are read off spectral
-    radii and each candidate step is carried out exactly, keeping whichever
-    quotient shrinks the radius most.  Returns None if progress stalls.
-    """
-    for _ in range(256):
-        if b.is_pm_identity():
-            return a
-        if a.is_pm_identity():
-            a, b = b, a
-            continue
-        if _spectral_radius(a) > _spectral_radius(b):
-            a, b = b, a
-        la = math.log(_spectral_radius(a))
-        lb = math.log(_spectral_radius(b))
-        q0 = int(round(lb / la))
-        best = None
-        for q in {q0 - 1, q0, q0 + 1, -q0 - 1, -q0, -q0 + 1}:
-            cand = b * a ** (-q)
-            r = _spectral_radius(cand)
-            if best is None or r < best[0]:
-                best = (r, cand)
-        if best[0] >= _spectral_radius(b) and not best[1].is_pm_identity():
-            return None
-        b = best[1]
-    return None
-
-
-def _express_in_cyclic(g: MCGClass, t: MCGClass):
-    """Exact (sigma, k) with g = (-Id)^sigma t^k, or None."""
-    rt = math.log(_spectral_radius(t))
-    rg = _spectral_radius(g)
-    k0 = 0 if rg <= 1.0 else int(round(math.log(rg) / rt))
-    for k in (k0 - 1, k0, k0 + 1):
-        p = t ** k
-        if g == p:
-            return (0, k)
-        if g == -p:
-            return (1, k)
-        pm = t ** (-k)
-        if g == pm:
-            return (0, -k)
-        if g == -pm:
-            return (1, -k)
-    return None
-
-
-def _extended_gcd(x: int, y: int):
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _fold_sign_exponents(pairs, extra_minus: bool):
-    """Subgroup of {+-1} x Z generated by (sigma_i, k_i), plus (-1, 0) if asked.
-
-    Returns (minus_in_group, sigma, d): the subgroup is generated by
-    (sigma, d) together with (-1, 0) when minus_in_group is set.
-    """
-    minus = extra_minus
-    sig, dd = 0, 0
-    for s, k in pairs:
-        if k == 0:
-            minus = minus or bool(s)
-            continue
-        if dd == 0:
-            sig, dd = s % 2, k
-            continue
-        g, x, y = _extended_gcd(dd, k)
-        s_new = (x * sig + y * s) % 2
-        if (sig - (dd // g) * s_new) % 2 or (s - (k // g) * s_new) % 2:
-            minus = True
-        sig, dd = s_new, g
-    if dd < 0:
-        dd = -dd
-    return minus, sig, dd
+def _size(A: MCGClass):
+    """Grows strictly with |k| along a family +-e^k of infinite order:
+    |trace| = r^k +- r^-k with r >= golden ratio for hyperbolic e; trace +-2
+    and the largest entry growing linearly for parabolic e."""
+    return (abs(A.trace), max(abs(A.a), abs(A.b), abs(A.c), abs(A.d)))
 
 
 def _infinite_form(gens):
@@ -595,72 +487,29 @@ def _infinite_form(gens):
             if not c.is_identity():
                 chain = ((gens[i], gens[j], c),)
                 return SubgroupForm("not_nilpotent", commutator_chain=chain)
-    torsion = [g for g in gens if torsion_order(g) is not None]
-    infinite = [g for g in gens if torsion_order(g) is None]
-    # the generators commute and the closure is infinite, so some generator
-    # has infinite order; the only torsion classes commuting with it are
-    # +-Id, and Id was dropped above
-    extra_minus = bool(torsion)
-
-    parabolic = [g for g in infinite if g.det == 1 and abs(g.trace) == 2]
-    if parabolic and len(parabolic) != len(infinite):
-        return SubgroupForm("undecided")
-    if parabolic:
-        datas = [_unipotent_part(g) for g in infinite]
-        m0 = datas[0][2]
-        if any(d is None or d[2] != m0 for d in datas):
-            return SubgroupForm("undecided")
-        base = MCGClass(1 + m0[0], m0[1], m0[2], 1 + m0[3])
-        pairs = [(s, k) for s, k, _ in datas]
-    else:
-        base = infinite[0]
-        for g in infinite[1:]:
-            base = _cyclic_combine(base, g)
-            if base is None:
-                return SubgroupForm("undecided")
-        pairs = []
-        for g in infinite:
-            sk = _express_in_cyclic(g, base)
-            if sk is None:
-                return SubgroupForm("undecided")
-            pairs.append(sk)
-    minus, sig, dd = _fold_sign_exponents(pairs, extra_minus)
-    assert dd > 0
-    N = base ** dd if sig == 0 else -(base ** dd)
-    # exact confirmation that every generator lives in <N> (or <N, -Id>)
-    for g in infinite + torsion:
-        sk = _express_in_cyclic(g, N) if _spectral_radius(N) > 1 else None
-        if _spectral_radius(N) <= 1:
-            sk = _express_parabolic(g, N)
-        if sk is None:
-            return SubgroupForm("undecided")
-        if sk[0] and not minus:
-            return SubgroupForm("undecided")
-    if minus:
-        return SubgroupForm("pair", generator=N)
-    return SubgroupForm("cyclic", generator=N)
-
-
-def _express_parabolic(g: MCGClass, t: MCGClass):
-    """(sigma, k) with g = (-Id)^sigma t^k for parabolic-family t."""
-    dt = _unipotent_part(t)
-    dg = _unipotent_part(g)
-    if dt is None or dg is None or dt[2] is None:
-        if g.is_pm_identity():
-            return (0 if g.is_identity() else 1, 0)
-        return None
-    if dg[2] is not None and dg[2] != dt[2]:
-        return None
-    kg = dg[1] if dg[2] is not None else 0
-    if kg % dt[1]:
-        return None
-    k = kg // dt[1]
-    p = t ** k
-    if g == p:
-        return (0, k)
-    if g == -p:
-        return (1, k)
-    return None
+    # the generators commute and the closure is infinite, so they lie in one
+    # family +-e^k (the centralizer of an infinite-order class) where only
+    # -Id has finite order.  Euclid on the exponents, run on the matrices:
+    # fold each g into the running generator N by Nielsen moves
+    # g -> g N^(+-2^i), which keep the group and halve the exponent of g
+    N = next(g for g in gens if not g.is_pm_identity())
+    minus = False
+    for g in gens:
+        while not g.is_pm_identity():
+            if _size(g) < _size(N):
+                g, N = N, g
+            P, Q = N, N * N
+            while _size(Q) <= _size(g):
+                P, Q = Q, Q * Q
+            g = min(g * P.inverse(), g * P,
+                    key=lambda h: (not h.is_pm_identity(), _size(h)))
+        minus = minus or g == _MINUS_ID
+    # the normal form that classify_nilpotent states
+    N = max((N, N.inverse()),
+            key=lambda M: _sort_key(M if M.trace > 0 else -M))
+    if minus and N.trace < 0:
+        N = -N
+    return SubgroupForm("pair" if minus else "cyclic", generator=N)
 
 
 def classify_nilpotent(gens) -> SubgroupForm:
@@ -670,17 +519,19 @@ def classify_nilpotent(gens) -> SubgroupForm:
     8-element dihedral pattern up to GL(2,Q) conjugacy) with the lower
     central series as the non-nilpotency test.  Infinite groups are decided
     structurally: the only infinite nilpotent subgroups are <N> and <N,-N>,
-    so a non-commuting generator pair already certifies not_nilpotent.
+    so a non-commuting generator pair already certifies not_nilpotent, and
+    an exact Euclid on the matrices finds N otherwise.
+
+    The generator of an infinite form depends only on the group.  For
+    cyclic <N> it is whichever of N and N^-1 has the lexicographically
+    larger entries once multiplied by the sign of its trace; for the pair
+    <N, -Id> it is the larger of the trace-positive versions of N and N^-1.
     """
     gens = list(gens)
     G = closure(gens)
     if G is not None:
         return _finite_form(G)
     return _infinite_form(gens)
-
-
-_FINITE_TAGS = {"identity", "minus_identity", "complex_order4", "complex_order6",
-                "complex_order3", "reflection_det_minus1_tr0"}
 
 
 def check_condition_star_star(gens) -> StarStarReport:
@@ -698,22 +549,18 @@ def check_condition_star_star(gens) -> StarStarReport:
         raise NotNilpotent("could not certify the generated group as nilpotent")
     if form.tag == "trivial":
         return StarStarReport(True, (), None)
-    if form.tag == "dihedral_H_conjugate":
+    if form.order is not None:
         return StarStarReport(False, None, "nontrivial_finite")
+    # infinite: N has no modulus-1 eigenvalue unless it is +-(a Dehn twist)
     N = form.generator
-    tag = spectral_class(N).tag
+    parabolic = N.det == 1 and abs(N.trace) == 2
     if form.tag == "cyclic":
-        if tag == "dehn_twist" or tag in ("hyperbolic", "other_real_split"):
-            return StarStarReport(True, (N,), None)
-        if tag == "eigen_minus1_parabolic":
+        if parabolic and N.trace == -2:
             return StarStarReport(False, None, "minus_dehn")
-        return StarStarReport(False, None, "nontrivial_finite")
-    # pair <N, -N>
-    if tag in ("hyperbolic", "other_real_split"):
-        return StarStarReport(True, (N, -N), None)
-    if tag in ("dehn_twist", "eigen_minus1_parabolic"):
+        return StarStarReport(True, (N,), None)
+    if parabolic:
         return StarStarReport(False, None, "dehn_with_minus_id")
-    return StarStarReport(False, None, "nontrivial_finite")
+    return StarStarReport(True, (N, -N), None)
 
 
 def finite_index_subgroup(gens) -> FiniteIndexReport:
@@ -736,9 +583,8 @@ def finite_index_subgroup(gens) -> FiniteIndexReport:
         return FiniteIndexReport((N * N,), 2, "subset_of_C6",
                                  "classes generated by the squared twist")
     if rep.failure_form == "dehn_with_minus_id":
-        N = form.generator
-        D = N if N.trace == 2 else -N
-        return FiniteIndexReport((D,), 2, "subset_of_C6",
+        # the pair's generator is trace-positive: the twist itself
+        return FiniteIndexReport((form.generator,), 2, "subset_of_C6",
                                  "twist classes, dropping -Id")
     # nontrivial finite class group: only finite closures fail this way,
     # and their forms carry the group order

@@ -203,6 +203,12 @@ def _count(key, text):
     return value
 
 
+def _nonempty(key, text):
+    if not text:
+        raise ValueError("%s: expected a word, got an empty value" % key)
+    return text
+
+
 def _bool(key, text):
     if text not in ("true", "false"):
         raise ValueError("%s: expected true or false, got %r" % (key, text))
@@ -269,7 +275,7 @@ class _Keys:
 
     def word(self, scn: Scenario, key, required=True):
         """(word, text) of a word-valued key; (None, None) when absent."""
-        text = self.get(key, required=required)
+        text = self.get(key, _nonempty, required=required)
         if text is None:
             return None, None
         return scn.resolve_word(text, self.line(key)), text
@@ -501,7 +507,7 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
                        % (s.name, seen_names[s.name]))
         seen_names[s.name] = s.line
         keys = _Keys(s)
-        letters = keys.get("letters", required=True)
+        letters = keys.get("letters", _nonempty, required=True)
         keys.reject_unknown()
         try:
             scn.words[s.name] = group.word(letters)

@@ -137,6 +137,14 @@ def test_bad_measure_value_exit_2(tmp_path, capsys):
     assert "error: line 7: " in capsys.readouterr().err
 
 
+def test_huge_matrix_entry_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("[generator g]\nmatrix = 1 %d 0 1\n\n"
+                   "[classify]\ngenerators = g\n" % 10 ** 400)
+    assert main(["classify", str(bad), "--out", str(tmp_path)]) == 2
+    assert "error: line 1: generator 'g'" in capsys.readouterr().err
+
+
 def test_missing_section_exit_2(tmp_path, capsys):
     scn = tmp_path / "s.scn"
     scn.write_text("[generator g]\nx = const(0.1)\n\n"

@@ -264,6 +264,14 @@ def test_contraction_margin_certifies():
     assert g.certified
 
 
+def test_linear_entries_bounded_by_float_precision():
+    Generator("g", MCGClass(1, 2 ** 53, 0, 1))
+    with pytest.raises(RotorError, match="2\\*\\*53"):
+        Generator("g", MCGClass(1, -(2 ** 53 + 1), 0, 1))
+    with pytest.raises(RotorError):
+        Generator("g", MCGClass(1, 10 ** 400, 0, 1))
+
+
 def test_uncertified_generator_is_flagged():
     g = Generator("big", ID, disp_y=[trig_term(0.5, 1, 1)])
     assert not g.certified

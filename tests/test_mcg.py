@@ -5,9 +5,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rotor.errors import NotNilpotent, NotUnimodular
+from rotor.errors import NotNilpotent, NotUnimodular, RotorError
 from rotor.mcg import (
     H_LIST,
     MCGClass,
@@ -246,6 +246,25 @@ def test_classify_anosov_with_minus_id():
     assert form.generator in (ANOSOV, ANOSOV.inverse())
 
 
+def test_classify_large_powers_exactly():
+    big = ANOSOV ** 400
+    form = classify_nilpotent([big])
+    assert (form.tag, form.generator) == ("cyclic", big)
+    form = classify_nilpotent([ANOSOV ** 144, ANOSOV ** 233])
+    assert (form.tag, form.generator) == ("cyclic", ANOSOV)
+    assert finite_index_subgroup([big]).index == 1
+    # exponents near 2**53 fold in a few hundred moves, not 2**53
+    form = classify_nilpotent([DEHN ** (2 ** 53 - 1), -(DEHN ** 3)])
+    assert (form.tag, form.generator) == ("pair", DEHN)
+
+
+def test_spectral_class_overflow_is_rotor_error():
+    with pytest.raises(RotorError):
+        spectral_class(ANOSOV ** 400)
+    # a huge twist still has the eigenvalues 1, 1
+    assert spectral_class(DEHN ** (10 ** 400)).tag == "dehn_twist"
+
+
 def test_star_star_examples():
     rep = check_condition_star_star([ID])
     assert rep.satisfied and rep.witness_S == ()
@@ -445,3 +464,48 @@ def test_single_generator_closure_matches_torsion(letters):
         assert g is None
     else:
         assert g is not None and len(g) == k
+
+
+_INFINITE = [m for m in _unimodular_range(3) if torsion_order(m) is None]
+_CONJUGATORS = list(_unimodular_range(2))
+
+
+def _signed_entries(m):
+    s = 1 if m.trace > 0 else -1
+    return (s * m.a, s * m.b, s * m.c, s * m.d)
+
+
+def _documented_generator(n, pair):
+    # the normal form stated in classify_nilpotent
+    cands = [n, n.inverse()]
+    if pair:
+        cands = [m if m.trace > 0 else -m for m in cands]
+    return max(cands, key=_signed_entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_INFINITE), st.sampled_from(_CONJUGATORS),
+       st.lists(st.tuples(st.integers(-12, 12), st.booleans()),
+                min_size=1, max_size=4).filter(lambda p: any(e for e, _ in p)),
+       st.booleans(), st.randoms())
+def test_infinite_family_forms(b, x, powers, with_minus_id, rnd):
+    xi = x.inverse()
+    gens = [x * (-(b ** e) if neg else b ** e) * xi for e, neg in powers]
+    if with_minus_id:
+        gens.append(-ID)
+    # inside {+-b^k} the group is <+-b^g>, g = gcd of the exponents; it
+    # misses -Id exactly when one sign s fits every generator: neg_i equals
+    # s * (e_i / g) mod 2
+    g = math.gcd(*(e for e, _ in powers))
+    fits = [s for s in (0, 1)
+            if all(neg == bool(s * (e // g) % 2) for e, neg in powers)]
+    pair = with_minus_id or not fits
+    n = -(b ** g) if not pair and fits[0] else b ** g
+    form = classify_nilpotent(gens)
+    assert form.tag == ("pair" if pair else "cyclic")
+    assert form.order is None
+    assert form.generator == _documented_generator(x * n * xi, pair)
+    shuffled = gens + [rnd.choice(gens)]
+    rnd.shuffle(shuffled)
+    again = classify_nilpotent(shuffled)
+    assert (again.tag, again.generator) == (form.tag, form.generator)

@@ -256,6 +256,7 @@ seeds = 1
     ("[generator g]\nx = const(0.1)\n\n[generator g]\n", 4,
      "already declared"),
     ("[generator g]\nx = trig(0.9, 3, 0)\n", 1, "not certified"),
+    ("[generator g]\nmatrix = 1 %d 0 1\n" % (2 ** 53 + 1), 1, "2**53"),
 ])
 def test_validation_errors_have_line_numbers(text, lineno, frag):
     with pytest.raises(ConfigError) as exc:
@@ -306,6 +307,8 @@ BAD_VALUES = [
     ("[rotation_set]\nword = g\nseeds = 0\n", "seeds = 0"),
     ("[rotev]\ng = g\nh = g\nmeasure = m\npmax = 0\n", "pmax = 0"),
     ("[tolerances]\nsigma = inf\n", "sigma = inf"),
+    ("[rotation_set]\nword =\n", "word ="),
+    ("[word w]\nletters =\n", "letters ="),
 ]
 
 
