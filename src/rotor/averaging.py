@@ -50,6 +50,8 @@ _MERGE_CELLS = 10 ** 10
 # Hard cap on atoms per stage; beyond it mass is re-binned on a coarse grid.
 _ATOM_CAP = 10 ** 6
 _COARSE = 4096
+# Times a stage may double L before its defect must be within 10*tol.
+_MAX_DOUBLINGS = 2
 
 
 @dataclass(frozen=True)
@@ -162,15 +164,14 @@ def _defect_table(words: Dict[str, Word], mu: EmpiricalMeasure) -> Dict[str, flo
 
 def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
                         L: int = 256, tol: float = 1e-9,
-                        force: bool = False,
-                        max_doublings: int = 2) -> ConstructionTrace:
+                        force: bool = False) -> ConstructionTrace:
     """Run the staged averaging and record measures, defects and the
     rotation vector of the tracked lift phi at every stage.
 
     Refuses to run when the extension classes fail the no-unit-eigenvalue
     condition (the mechanism that preserves rotation vectors); force=True
     runs anyway so the failure is observable in the trace.  A stage whose
-    defect stays above 10*tol after doubling L max_doublings times raises
+    defect stays above 10*tol after doubling L _MAX_DOUBLINGS times raises
     DefectExceeded.
     """
     phi = _require_identity(phi, "tracked word")
@@ -205,11 +206,11 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
         label = "g%d" % (j + 1)
         checked[label] = gword
         L_cur = L
-        for attempt in range(max_doublings + 1):
+        for attempt in range(_MAX_DOUBLINGS + 1):
             nxt = _cesaro_stage(gword, mu, L_cur)
             defects = _defect_table(checked, nxt)
             worst = max(defects.values())
-            if worst <= 10.0 * tol or attempt == max_doublings:
+            if worst <= 10.0 * tol or attempt == _MAX_DOUBLINGS:
                 break
             L_cur *= 2
         if worst > 10.0 * tol:

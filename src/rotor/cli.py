@@ -38,8 +38,8 @@ from .covers import check_sigma_commute, klein_symmetrize, rho_bar
 from .errors import ConfigError, RotorError
 from .fixed_points import common_fixed_points, franks_certificate
 from .maps import LiftedWord, torus_grid
-from .mcg import (H_LIST, check_condition_star_star, classify_nilpotent,
-                  has_nontrivial_unity_root, spectral_class, torsion_order)
+from .mcg import (H_LIST, check_condition_star_star, has_nontrivial_unity_root,
+                  spectral_class, torsion_order)
 from .measures import estimate_rotation_set, invariance_defect
 from .scenario import (AnalysisRequest, generator_section_text,
                        parse_scenario, parse_scenario_text)
@@ -93,8 +93,8 @@ def _run_classify(req: AnalysisRequest, outdir: str,
             "torsion_order": torsion_order(cls),
         }
     classes = [cls for _, cls in gens]
-    form = classify_nilpotent(classes)
     verdict = check_condition_star_star(classes)
+    form = verdict.form
     payload = {
         "analysis": "classify",
         "generators": per,

@@ -23,9 +23,9 @@ import numpy as np
 
 from ._io import write_json
 from .errors import AmbiguousWinding, DefectExceeded, NonIsolated
-from .maps import (LiftedWord, Word, _as_lift, apply_lift_batch,
-                   displacement_field_batch, orbit_displacement_means,
-                   reduce_point, torus_grid)
+from .maps import (LiftedWord, Word, _as_lift, _require_identity,
+                   apply_lift_batch, displacement_field_batch,
+                   orbit_displacement_means, reduce_point, torus_grid)
 from .measures import EmpiricalMeasure, invariance_defect, rotation_vector
 
 __all__ = [
@@ -312,10 +312,7 @@ def find_fixed_points(w: Word, grid_n: int = 64, tol: float = 1e-9) -> FixedPoin
     sampled chains (curves of fixed points); everything else is Newton
     refined and deduplicated within 10*tol.
     """
-    lw = _as_lift(w)
-    # force the isotopy check up front with a well-defined error
-    displacement_field_batch(lw, np.zeros((1, 2)))
-    return _scan([lw], grid_n, tol)
+    return _scan([_require_identity(w)], grid_n, tol)
 
 
 def common_fixed_points(ws, grid_n: int = 64, tol: float = 1e-9) -> FixedPointReport:

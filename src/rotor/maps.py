@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from numbers import Integral
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ def constant_term(value: float):
 class Generator:
     """One torus homeomorphism, given exactly.
 
-    disp_x / disp_y are tuples of trig terms (see trig_term).  An explicit
-    inverse generator may be supplied and is verified by round trips; with a
+    disp_x / disp_y are tuples of trig terms (see trig_term).  With a
     constant-only displacement the inverse is derived in closed form.
     Otherwise inverse evaluation runs Newton iteration, certified by the
     contraction bound  ||A^-1||_inf * max-row-sum of the displacement
@@ -81,7 +80,7 @@ class Generator:
     """
 
     def __init__(self, name: str, linear: MCGClass, disp_x=(), disp_y=(),
-                 inverse: Optional["Generator"] = None, _derive: bool = True):
+                 _derive: bool = True):
         self.name = str(name)
         if max(map(abs, (linear.a, linear.b, linear.c, linear.d))) > 2 ** 53:
             # the float linear parts hold integers exactly only up to 2**53
@@ -101,11 +100,8 @@ class Generator:
         self.contraction_margin = 1.0 - self.linear_inf_inv * self.displacement_lipschitz
 
         self.inverse_gen = None
-        if inverse is not None:
-            self._check_round_trip(inverse)
-            self.inverse_gen = inverse
-        elif _derive and all(t[1] == 0 and t[2] == 0
-                             for t in self.disp_x + self.disp_y):
+        if _derive and all(t[1] == 0 and t[2] == 0
+                           for t in self.disp_x + self.disp_y):
             self.inverse_gen = self._constant_inverse()
         self.certified = self.inverse_gen is not None or self.contraction_margin > 0.0
 
@@ -117,16 +113,6 @@ class Generator:
         return Generator(self.name + "^-1", inv,
                          disp_x=(constant_term(mx),), disp_y=(constant_term(my),),
                          _derive=False)
-
-    def _check_round_trip(self, other: "Generator"):
-        g = np.linspace(0.05, 0.95, 7)
-        pts = np.array([(x, y) for x in g for y in g])
-        fwd = _run_letters([(other, 1), (self, 1)], pts)
-        back = _run_letters([(self, 1), (other, 1)], pts)
-        err = max(np.abs(fwd - pts).max(), np.abs(back - pts).max())
-        if err > 1e-10:
-            raise RotorError(
-                "supplied inverse for %r fails round trip (err %.3g)" % (self.name, err))
 
     def __repr__(self):
         return "Generator(%r, linear=%r, %d+%d terms)" % (

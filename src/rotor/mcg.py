@@ -1,14 +1,13 @@
 """Exact algebra on GL(2,Z): spectral classes, closures, nilpotent subgroup forms.
 
-All decisions are made in integer or rational arithmetic.  Floating point
-shows up only in the eigenvalues that spectral_class attaches to its exact tag.
+All decisions are made in integer arithmetic.  Floating point shows up only
+in the eigenvalues that spectral_class attaches to its exact tag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import NotNilpotent, NotUnimodular, RotorError
@@ -142,12 +141,11 @@ class SubgroupForm:
     """Shape of the subgroup generated by a finite set of classes.
 
     tag is one of trivial / cyclic / pair / dihedral_H_conjugate /
-    not_nilpotent / undecided; undecided comes only from a finite closure
-    that matches none of the finite shapes.  generator carries N for the
-    cyclic and pair forms, conjugator the integer matrix X with X G X^-1
-    equal to the H pattern, commutator_chain a list of (a, x, [a,x])
-    triples certifying a non-vanishing iterated commutator.  order is the
-    group size when the closure is finite, None when infinite.
+    not_nilpotent.  generator carries N for the cyclic and pair forms,
+    conjugator the rows of the unimodular matrix X with X G X^-1 equal to
+    the H pattern, commutator_chain a list of (a, x, [a,x]) triples
+    certifying a non-vanishing iterated commutator.  order is the group
+    size when the closure is finite, None when infinite.
     """
 
     tag: str
@@ -159,9 +157,12 @@ class SubgroupForm:
 
 @dataclass(frozen=True)
 class StarStarReport:
+    """The averaging-witness decision and the SubgroupForm it came from."""
+
     satisfied: bool
     witness_S: Optional[tuple]
     failure_form: Optional[str]
+    form: SubgroupForm
 
 
 @dataclass(frozen=True)
@@ -268,6 +269,11 @@ def _sort_key(A: MCGClass):
 
 
 def _finite_form(G):
+    # The finite subgroups of GL(2,Z) (Newman, Integral Matrices, 1972) are,
+    # up to isomorphism: the cyclic C1, C2, C3, C4, C6; the Klein four-group,
+    # which is {+-Id, +-s} for a reflection s; and the dihedral D3, D4, D6 of
+    # orders 6, 8 and 12.  The tests below take them in that order, so only
+    # D3 and D6 reach the last line, and neither is nilpotent.
     n = len(G)
     elems = sorted(G, key=_sort_key)
     if n == 1:
@@ -282,40 +288,23 @@ def _finite_form(G):
             if closure([g, -g]) == G:
                 return SubgroupForm("pair", generator=g, order=n)
     if n == 8:
-        X = _conjugator_onto_H(G)
-        if X is not None:
-            return SubgroupForm("dihedral_H_conjugate", conjugator=X, order=n)
-        return SubgroupForm("undecided", order=n)
-    chain = _lcs_stall_chain(G)
-    if chain is not None:
-        return SubgroupForm("not_nilpotent", commutator_chain=chain, order=n)
-    return SubgroupForm("undecided", order=n)
+        return SubgroupForm("dihedral_H_conjugate",
+                            conjugator=_conjugator_onto_H(elems), order=n)
+    return SubgroupForm("not_nilpotent", commutator_chain=_commutator_cycle(elems),
+                        order=n)
 
 
-def _lcs_stall_chain(G):
-    """Run the lower central series on a small finite group.
+def _commutator_cycle(elems):
+    """Cycle of (a, x, [a,x]) triples in a dihedral group of order 6 or 12.
 
-    Returns None when the series reaches {Id} (nilpotent), else a tuple of
-    (a, x, [a,x]) triples forming a cycle: each commutator is the x of the
-    next triple and none is the identity, so iterated commutators of every
-    weight stay nontrivial.
+    The lower central series of such a group stalls at its order-3 rotation
+    subgroup, which no reflection centralizes.  So every order-3 node has a
+    nontrivial commutator, again of order 3 (the subgroup is normal), and the
+    walk along first commutators closes a cycle: each commutator is the x of
+    the next triple and none is the identity, so iterated commutators of
+    every weight stay nontrivial.
     """
-    elems = sorted(G, key=_sort_key)
-    gamma = set(G)
-    while True:
-        comms = {a.commutator(x) for a in elems for x in gamma}
-        comms.discard(_ID)
-        if not comms:
-            return None
-        nxt = closure(comms)
-        if nxt == gamma:
-            break
-        gamma = nxt
-    # stalled at gamma = [G, gamma]: in GL(2,Z) the order-3 subgroup of a
-    # dihedral group of order 6 or 12, which no reflection centralizes.  So
-    # every node has a nontrivial commutator, inside gamma (it is normal),
-    # and the walk along first commutators closes a cycle
-    nodes = sorted(gamma - {_ID}, key=_sort_key)
+    nodes = [g for g in elems if torsion_order(g) == 3]
     edges = {}
     for x in nodes:
         for a in elems:
@@ -333,139 +322,33 @@ def _lcs_stall_chain(G):
     return tuple(path[seen_at[x]:])
 
 
-def _rational_nullspace(rows):
-    """Basis of the nullspace of a matrix with 4 columns, over Fractions."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    ncols = 4
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -m[i][f]
-        basis.append(v)
-    return basis
+def _conjugator_onto_H(elems):
+    """Unimodular X, as rows, with X G X^-1 equal (as a set) to H_LIST.
 
-
-def _intertwiner_rows(g, target):
-    # linear conditions on X = (x1 x2; x3 x4) for X g = target X
-    (g11, g12), (g21, g22) = g.rows
-    (t11, t12), (t21, t22) = target.rows
-    return [
-        [g11 - t11, g21, -t12, 0],
-        [g12, g22 - t11, 0, -t12],
-        [-t21, 0, g11 - t22, g21],
-        [0, -t21, g12, g22 - t22],
-    ]
-
-
-def _primitive_int_matrix(vec):
-    denoms = [f.denominator for f in vec]
-    scale = denoms[0]
-    for d in denoms[1:]:
-        scale = scale * d // math.gcd(scale, d)
-    ints = [int(f * scale) for f in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
-
-
-def _conjugator_onto_H(G):
-    """Integer matrix X with X G X^-1 equal (as a set) to H_LIST, or None.
-
-    The standard 2-dimensional representation of the 8-element pattern is
-    irreducible over Q, so for each generator assignment the intertwiner
-    space has dimension at most 1 and any nonzero solution is invertible.
+    G is dihedral of order 8, so it holds an order-4 class r = (a b; c d)
+    with r^2 = -Id.  det[v, rv] is the definite form c x^2 + (d-a) xy - b y^2
+    of discriminant -4; Lagrange reduction, tracked by a unimodular basis M,
+    ends at a form with |x^2 coefficient| = 1, so v = M e1 has
+    det[v, rv] = +-1.  Then Y = [v | rv] is unimodular with Y^-1 r Y =
+    R = (0 -1; 1 0), and X = Y^-1 maps G into the normalizer of <R> in
+    GL(2,Z), which is H.  The orders agree, so X G X^-1 = H.
     """
-    r = next((g for g in sorted(G, key=_sort_key) if torsion_order(g) == 4), None)
-    if r is None:
-        return None
-    r_gen = closure([r])
-    s = next((g for g in sorted(G, key=_sort_key)
-              if torsion_order(g) == 2 and g not in r_gen), None)
-    if s is None:
-        return None
-    R = MCGClass(0, -1, 1, 0)
-    reflections = [MCGClass(1, 0, 0, -1), MCGClass(-1, 0, 0, 1),
-                   MCGClass(0, 1, 1, 0), MCGClass(0, -1, -1, 0)]
-    h_set = set(H_LIST)
-    for Rt in (R, R.inverse()):
-        for St in reflections:
-            rows = _intertwiner_rows(r, Rt) + _intertwiner_rows(s, St)
-            for vec in _candidate_solutions(_rational_nullspace(rows)):
-                x1, x2, x3, x4 = vec
-                det = x1 * x4 - x2 * x3
-                if det == 0:
-                    continue
-                if _conjugated_set(G, vec, det) == h_set:
-                    return ((x1, x2), (x3, x4))
-    return None
-
-
-def _candidate_solutions(basis):
-    if not basis:
-        return
-    if len(basis) == 1:
-        yield tuple(_primitive_int_matrix(basis[0]))
-        return
-    span = range(-2, 3)
-    for c0 in span:
-        for c1 in span:
-            if c0 == 0 and c1 == 0:
-                continue
-            vec = [c0 * a + c1 * b for a, b in zip(basis[0], basis[1])]
-            if any(v != 0 for v in vec):
-                yield tuple(_primitive_int_matrix(vec))
-
-
-def _conjugated_set(G, vec, det):
-    x1, x2, x3, x4 = (Fraction(v) for v in vec)
-    inv = ((x4 / det, -x2 / det), (-x3 / det, x1 / det))
-    out = set()
-    for g in G:
-        (g11, g12), (g21, g22) = g.rows
-        # X g
-        p11 = x1 * g11 + x2 * g21
-        p12 = x1 * g12 + x2 * g22
-        p21 = x3 * g11 + x4 * g21
-        p22 = x3 * g12 + x4 * g22
-        # (X g) X^-1
-        q11 = p11 * inv[0][0] + p12 * inv[1][0]
-        q12 = p11 * inv[0][1] + p12 * inv[1][1]
-        q21 = p21 * inv[0][0] + p22 * inv[1][0]
-        q22 = p21 * inv[0][1] + p22 * inv[1][1]
-        if any(q.denominator != 1 for q in (q11, q12, q21, q22)):
-            return None
-        out.add((int(q11), int(q12), int(q21), int(q22)))
-    return {MCGClass(*t) for t in out}
+    r = next(g for g in elems if torsion_order(g) == 4)
+    A, B, C = r.c, r.d - r.a, -r.b
+    M = _ID
+    while True:
+        # x -> x - k y: the second basis vector becomes m2 - k m1, |B| <= |A|
+        k = (B + A) // (2 * A)
+        B, C = B - 2 * k * A, A * k * k - B * k + C
+        M = M * MCGClass(1, -k, 0, 1)
+        if abs(A) <= abs(C):
+            break
+        # (m1, m2) -> (m2, -m1)
+        A, B, C = C, -B, A
+        M = M * MCGClass(0, -1, 1, 0)
+    v = (M.a, M.c)
+    rv = r.apply(v)
+    return MCGClass(v[0], rv[0], v[1], rv[1]).inverse().rows
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +399,9 @@ def classify_nilpotent(gens) -> SubgroupForm:
     """Match the generated subgroup against the classified nilpotent shapes.
 
     Finite closures are matched directly (trivial, cyclic, pair, the
-    8-element dihedral pattern up to GL(2,Q) conjugacy) with the lower
-    central series as the non-nilpotency test.  Infinite groups are decided
+    8-element dihedral pattern up to GL(2,Z) conjugacy); the dihedral groups
+    of order 6 and 12 are left, and a commutator cycle certifies that they
+    are not nilpotent.  Infinite groups are decided
     structurally: the only infinite nilpotent subgroups are <N> and <N,-N>,
     so a non-commuting generator pair already certifies not_nilpotent, and
     an exact Euclid on the matrices finds N otherwise.
@@ -545,22 +429,20 @@ def check_condition_star_star(gens) -> StarStarReport:
     form = classify_nilpotent(gens)
     if form.tag == "not_nilpotent":
         raise NotNilpotent("generated group is not nilpotent")
-    if form.tag == "undecided":
-        raise NotNilpotent("could not certify the generated group as nilpotent")
     if form.tag == "trivial":
-        return StarStarReport(True, (), None)
+        return StarStarReport(True, (), None, form)
     if form.order is not None:
-        return StarStarReport(False, None, "nontrivial_finite")
+        return StarStarReport(False, None, "nontrivial_finite", form)
     # infinite: N has no modulus-1 eigenvalue unless it is +-(a Dehn twist)
     N = form.generator
     parabolic = N.det == 1 and abs(N.trace) == 2
     if form.tag == "cyclic":
         if parabolic and N.trace == -2:
-            return StarStarReport(False, None, "minus_dehn")
-        return StarStarReport(True, (N,), None)
+            return StarStarReport(False, None, "minus_dehn", form)
+        return StarStarReport(True, (N,), None, form)
     if parabolic:
-        return StarStarReport(False, None, "dehn_with_minus_id")
-    return StarStarReport(True, (N, -N), None)
+        return StarStarReport(False, None, "dehn_with_minus_id", form)
+    return StarStarReport(True, (N, -N), None, form)
 
 
 def finite_index_subgroup(gens) -> FiniteIndexReport:
@@ -571,10 +453,8 @@ def finite_index_subgroup(gens) -> FiniteIndexReport:
     finite class group the subgroup is the identity class and the index is
     the group order.  The quotient embeds in C6 or in D4.
     """
-    form = classify_nilpotent(gens)
-    if form.tag in ("not_nilpotent", "undecided"):
-        raise NotNilpotent("generated group is not classified nilpotent")
     rep = check_condition_star_star(gens)
+    form = rep.form
     if rep.satisfied:
         gens_out = tuple(rep.witness_S)
         return FiniteIndexReport(gens_out, 1, "subset_of_C6", "the whole group")

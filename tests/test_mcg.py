@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rotor.errors import NotNilpotent, NotUnimodular, RotorError
 from rotor.mcg import (
@@ -125,7 +125,11 @@ def test_every_small_pair_closes_or_is_infinite():
         if G is not None:
             assert len(G) <= 12 and {g, h} <= G
             assert all(x * y in G and x.inverse() in G for x in G for y in G)
-        assert classify_nilpotent([g, h]).tag != "undecided"
+        form = classify_nilpotent([g, h])
+        assert form.tag != "undecided"
+        if form.tag == "dihedral_H_conjugate":
+            X = MCGClass(*form.conjugator[0], *form.conjugator[1])
+            assert {X * x * X.inverse() for x in G} == set(H_LIST)
 
 
 def test_classify_trivial_and_cyclic():
@@ -302,6 +306,12 @@ def test_star_star_raises_on_non_nilpotent():
         check_condition_star_star([R3, SWAP])
     with pytest.raises(NotNilpotent):
         check_condition_star_star([MCGClass(1, 1, 0, 1), DEHN])
+
+
+def test_star_star_carries_its_form():
+    for gens in ([ID], [-ID], [R4, SWAP], [DEHN], [-DEHN], [DEHN, -ID],
+                 [ANOSOV, -ID], [ANOSOV ** 3, ANOSOV ** 5]):
+        assert check_condition_star_star(gens).form == classify_nilpotent(gens)
 
 
 def test_finite_index_examples():
@@ -509,3 +519,51 @@ def test_infinite_family_forms(b, x, powers, with_minus_id, rnd):
     rnd.shuffle(shuffled)
     again = classify_nilpotent(shuffled)
     assert (again.tag, again.generator) == (form.tag, form.generator)
+
+
+# (generators, tag, order): C2 twice, C3, C4, C6, the Klein four-group twice,
+# D3 twice, D4 and D6, covering every finite shape of GL(2,Z)
+_FINITE_SHAPES = [
+    ([-ID], "cyclic", 2), ([FLIP], "cyclic", 2), ([R3], "cyclic", 3),
+    ([R4], "cyclic", 4), ([R6], "cyclic", 6),
+    ([FLIP, -FLIP], "pair", 4), ([SWAP, -SWAP], "pair", 4),
+    ([R3, SWAP], "not_nilpotent", 6), ([R3, -SWAP], "not_nilpotent", 6),
+    ([R4, SWAP], "dihedral_H_conjugate", 8), ([R6, SWAP], "not_nilpotent", 12),
+]
+
+
+def _elementary_product(steps):
+    # each step (lower, k): a shear by k in the lower or upper corner, or,
+    # for k = 0, the sign flip diag(1, -1)
+    X = ID
+    for lower, k in steps:
+        if k == 0:
+            X = X * FLIP
+        else:
+            X = X * (MCGClass(1, 0, k, 1) if lower else MCGClass(1, k, 0, 1))
+    return X
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FINITE_SHAPES),
+       # a uniform length, so most products have entries past 10**20
+       st.integers(0, 200).flatmap(lambda n: st.lists(
+           st.tuples(st.booleans(), st.integers(-9, 9)), min_size=n, max_size=n)))
+@example(_FINITE_SHAPES[9], [(i % 2 == 0, 9) for i in range(200)])
+@example(_FINITE_SHAPES[10], [(i % 2 == 0, -7) for i in range(120)])
+def test_finite_shapes_survive_large_conjugation(shape, steps):
+    base, tag, order = shape
+    X = _elementary_product(steps)
+    xi = X.inverse()
+    gens = [X * g * xi for g in base]
+    form = classify_nilpotent(gens)
+    assert (form.tag, form.order) == (tag, order)
+    if tag == "dihedral_H_conjugate":
+        Y = MCGClass(*form.conjugator[0], *form.conjugator[1])  # unimodular
+        assert {Y * g * Y.inverse() for g in closure(gens)} == set(H_LIST)
+    if tag == "not_nilpotent":
+        chain = form.commutator_chain
+        for i, (a, x, c) in enumerate(chain):
+            assert a.commutator(x) == c and not c.is_identity()
+            assert chain[(i + 1) % len(chain)][1] == c
+
