@@ -1,19 +1,19 @@
 """Word-program kernels: the one map evaluator and the long-orbit loops.
 
-A word program is the flattened form built in maps.compile_program: per-letter
-(slot, mode) plus per-slot linear matrices and trig-term ranges.  mode 0
-applies the slot's map forward, mode 1 solves it backward by Newton iteration;
-a Newton failure surfaces as NaN coordinates and the callers raise.
+A word program is the tuple built in maps.compile_program: per-letter
+(slot, mode) plus per-slot linear matrices and trig-term ranges, the
+_Program struct that points the C loops at those arrays, and the deck
+translation (vx, vy).  mode 0 applies the slot's map forward, mode 1 solves
+it backward by Newton iteration; a Newton failure surfaces as NaN
+coordinates and the callers raise.
 
-_apply_word_np evaluates a program on a batch of plane points, vectorized
-over the points.  It is the evaluator behind maps.apply_lift_batch on every
-backend, and the step of the numpy orbit kernels.
-
-The orbit kernels have two backends that run the same float operations in
-the same order: "c", the loops of _orbit.c run one seed at a time through
+Every kernel has two backends that run the same float operations in the
+same order: "c", the loops of _orbit.c run one point at a time through
 ctypes, which releases the GIL so seed chunks can run on threads; and
-"numpy", the same loops vectorized over a batch of seeds.  Their results are
-bit-identical wherever numpy's sin and cos round like the C library's.  At import the C file is built with
+"numpy", the same loops vectorized over a batch of points.  Their results
+are bit-identical wherever numpy's sin and cos round like the C library's.
+apply_word evaluates a program on a batch of plane points; it is the
+evaluator behind maps.apply_lift_batch.  At import the C file is built with
 the system compiler (cc) into this package's __pycache__, once per source
 and flags, and loaded; "c" is then the default.  Without a compiler, or
 when the build or the load fails, the backend is "numpy" and
@@ -64,8 +64,18 @@ _PROGRAM_ARRAYS = [("slot", np.int64), ("mode", np.int64), ("lin", float),
 class _Program(ctypes.Structure):
     """The `program` struct of _orbit.c."""
     _fields_ = ([("nletters", ctypes.c_int64)]
-                + [(name, ctypes.c_void_p) for name, _ in _PROGRAM_ARRAYS]
-                + [("vx", ctypes.c_double), ("vy", ctypes.c_double)])
+                + [(name, ctypes.c_void_p) for name, _ in _PROGRAM_ARRAYS])
+
+
+def c_program(arrays) -> _Program:
+    """The _Program of a word program's arrays; it holds the arrays it
+    points to.  Built once per compiled letter sequence and never written
+    afterwards, so lifts and pool threads can share it."""
+    arrays = [np.ascontiguousarray(a, dtype)
+              for a, (_, dtype) in zip(arrays, _PROGRAM_ARRAYS)]
+    out = _Program(len(arrays[0]), *(a.ctypes.data for a in arrays))
+    out.arrays = arrays
+    return out
 
 
 def _load_c():
@@ -106,13 +116,17 @@ def _load_c():
         lib = ctypes.CDLL(path)
     except OSError as exc:
         return None, str(exc)
+    # every entry point ends with (program, vx, vy, out)
+    tail = [ctypes.POINTER(_Program), ctypes.c_double, ctypes.c_double,
+            ctypes.c_void_p]
+    lib.apply_batch.argtypes = [ctypes.c_void_p, ctypes.c_int64, *tail]
     lib.orbit_mean.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
-        ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(_Program),
-        ctypes.c_void_p]
+        ctypes.c_void_p, ctypes.c_int64, *tail]
     lib.orbit_collect.argtypes = [
         ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
-        ctypes.POINTER(_Program), ctypes.c_void_p]
+        *tail]
+    lib.apply_batch.restype = None
     lib.orbit_mean.restype = lib.orbit_collect.restype = None
     return lib, None
 
@@ -138,14 +152,9 @@ def set_backend(name: str):
 # C backend
 
 
-def _c_program(prog):
-    """The _Program of a word program (its arrays, then vx, vy); it holds
-    the arrays it points to."""
-    arrays = [np.ascontiguousarray(a, dtype)
-              for a, (_, dtype) in zip(prog, _PROGRAM_ARRAYS)]
-    out = _Program(len(arrays[0]), *(a.ctypes.data for a in arrays),
-                   *prog[len(arrays):])
-    out.arrays = arrays
+def _apply_word_c(pts, *prog):
+    out = np.empty_like(pts)
+    _LIB.apply_batch(pts.ctypes.data, len(pts), *prog[-3:], out.ctypes.data)
     return out
 
 
@@ -158,14 +167,14 @@ def _orbit_mean_c(seeds, n, plane_mode, tail, *prog):
         raise ValueError("seeds must be (m, 2) and tail (window, m, 2)")
     out = np.empty_like(seeds)
     _LIB.orbit_mean(seeds.ctypes.data, len(seeds), n, plane_mode,
-                    tail.ctypes.data, len(tail), _c_program(prog),
+                    tail.ctypes.data, len(tail), *prog[-3:],
                     out.ctypes.data)
     return out
 
 
 def _orbit_collect_c(sx, sy, burn, count, *prog):
     out = np.empty((count, 2))
-    _LIB.orbit_collect(sx, sy, burn, count, _c_program(prog), out.ctypes.data)
+    _LIB.orbit_collect(sx, sy, burn, count, *prog[-3:], out.ctypes.data)
     return out
 
 
@@ -182,7 +191,8 @@ def reduce_batch(pts):
 
 
 def _apply_word_np(pts, slot, mode, lin, lin_inv, tstart, tend,
-                   amps, fkx, fky, phase, row, vx, vy):
+                   amps, fkx, fky, phase, row, c_prog, vx, vy):
+    # c_prog, the same program for the C loops, is not read here
     x = pts[:, 0]
     y = pts[:, 1]
     for li in range(len(slot) - 1, -1, -1):
@@ -251,6 +261,9 @@ def _newton_np(qx, qy, s, lin, lin_inv, tstart, tend, amps, fkx, fky,
         ok = np.maximum(np.abs(fx), np.abs(fy)) < _NEWTON_TOL
         if ok.all():
             return px, py
+        # a point whose residual is NaN can only end NaN
+        if (ok | np.isnan(fx) | np.isnan(fy)).all():
+            break
         a00 = lin[s, 0, 0] + j00
         a01 = lin[s, 0, 1] + j01
         a10 = lin[s, 1, 0] + j10
@@ -302,6 +315,15 @@ def _orbit_collect_np(sx, sy, burn, count, *args):
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+def apply_word(pts, *prog):
+    """The lift of a word program at plane points pts (m, 2)."""
+    pts = np.ascontiguousarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must have shape (m, 2)")
+    apply = _apply_word_c if _BACKEND == "c" else _apply_word_np
+    return apply(pts, *prog)
 
 
 def orbit_mean_batch(seeds, n, plane_mode, *args):

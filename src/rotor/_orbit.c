@@ -1,6 +1,6 @@
-/* Orbit loops of the "c" backend: a statement-for-statement port of the
- * numpy loops in _kernels.py (_apply_word_np, _orbit_mean_np,
- * _orbit_collect_np), one seed at a time.  _kernels builds this file with
+/* Word step and orbit loops of the "c" backend: a statement-for-statement
+ * port of the numpy loops in _kernels.py (_apply_word_np, _orbit_mean_np,
+ * _orbit_collect_np), one point at a time.  _kernels builds this file with
  * -ffp-contract=off and defines TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX
  * from its own constants, so results match numpy bit for bit wherever
  * numpy's sin and cos round like this C library's.
@@ -9,7 +9,9 @@
 #include <math.h>
 #include <stdint.h>
 
-/* A compiled word program; see maps._compile_letters for the layout. */
+/* A compiled word program; see maps._compile_letters for the layout.
+ * One program is shared by every lift of its word and by pool threads, so
+ * it is never written: the deck translation (vx, vy) is an argument. */
 typedef struct {
     int64_t nletters;
     const int64_t *slot, *mode;
@@ -17,11 +19,11 @@ typedef struct {
     const int64_t *tstart, *tend;
     const double *amps, *fkx, *fky, *phase;
     const int64_t *row;
-    double vx, vy;
 } program;
 
 /* One step of the lift; a failed Newton solve gives NaN coordinates. */
-static void apply_word(const program *w, double *x, double *y)
+static void apply_word(const program *w, double vx, double vy,
+                       double *x, double *y)
 {
     double px = *x, py = *y;
     for (int64_t li = w->nletters - 1; li >= 0; li--) {
@@ -73,6 +75,8 @@ static void apply_word(const program *w, double *x, double *y)
                     ok = 1;
                     break;
                 }
+                if (isnan(fx) || isnan(fy))     /* px can only end NaN */
+                    break;
                 double a00 = a[0] + j00, a01 = a[1] + j01;
                 double a10 = a[2] + j10, a11 = a[3] + j11;
                 double det = a00 * a11 - a01 * a10;
@@ -87,8 +91,20 @@ static void apply_word(const program *w, double *x, double *y)
             }
         }
     }
-    *x = px + w->vx;
-    *y = py + w->vy;
+    *x = px + vx;
+    *y = py + vy;
+}
+
+/* The lift at m plane points (m, 2) into out (m, 2). */
+void apply_batch(const double *pts, int64_t m, const program *w, double vx,
+                 double vy, double *out)
+{
+    for (int64_t i = 0; i < m; i++) {
+        double x = pts[2 * i], y = pts[2 * i + 1];
+        apply_word(w, vx, vy, &x, &y);
+        out[2 * i] = x;
+        out[2 * i + 1] = y;
+    }
 }
 
 /* Torus representative in [0,1), with values a hair under 1 snapped to 0. */
@@ -103,7 +119,8 @@ static double reduce(double x)
  * Plane mode iterates the unreduced lift and reads the mean off its travel;
  * torus mode reduces every step and sums the displacements compensated. */
 void orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
-                double *tail, int64_t window, const program *w, double *out)
+                double *tail, int64_t window, const program *w, double vx,
+                double vy, double *out)
 {
     int64_t start = n - window;
     for (int64_t i = 0; i < m; i++) {
@@ -113,7 +130,7 @@ void orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
         double ax = 0.0, ay = 0.0, cx = 0.0, cy = 0.0;
         for (int64_t k = 1; k <= n; k++) {
             double qx = px, qy = py;
-            apply_word(w, &qx, &qy);
+            apply_word(w, vx, vy, &qx, &qy);
             if (plane_mode) {
                 px = qx;
                 py = qy;
@@ -142,23 +159,24 @@ void orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
 }
 
 /* One torus step: the lift, then the reduction. */
-static void step(const program *w, double *x, double *y)
+static void step(const program *w, double vx, double vy, double *x,
+                 double *y)
 {
-    apply_word(w, x, y);
+    apply_word(w, vx, vy, x, y);
     *x = reduce(*x);
     *y = reduce(*y);
 }
 
 /* Torus orbit points w^burn(p), ..., w^(burn+count-1)(p) into out. */
 void orbit_collect(double sx, double sy, int64_t burn, int64_t count,
-                   const program *w, double *out)
+                   const program *w, double vx, double vy, double *out)
 {
     double px = reduce(sx), py = reduce(sy);
     for (int64_t k = 0; k < burn; k++)
-        step(w, &px, &py);
+        step(w, vx, vy, &px, &py);
     for (int64_t k = 0; k < count; k++) {
         out[2 * k] = px;
         out[2 * k + 1] = py;
-        step(w, &px, &py);
+        step(w, vx, vy, &px, &py);
     }
 }

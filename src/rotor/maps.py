@@ -127,7 +127,7 @@ class MapGroup:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise RotorError("generator names must be distinct")
-        self._programs = {}     # reduced letters -> compiled kernel arrays
+        self._programs = {}     # reduced letters -> compiled word program
 
     def word(self, letters) -> "Word":
         """Build a word from (index, sign) pairs or from a string.
@@ -275,13 +275,13 @@ def _as_lift(w) -> LiftedWord:
 def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     """Evaluate the lift on plane points, shape (n,2).
 
-    Runs the word's compiled program through the vectorized numpy word
-    kernel on every backend; an inverse letter whose Newton solve fails
-    raises NewtonDivergence.
+    Runs the word's compiled program through the word kernel of the current
+    backend (_kernels.apply_word); an inverse letter whose Newton solve
+    fails raises NewtonDivergence.
     """
     lw = _as_lift(lw)
     args = compile_program(lw)
-    out = _kernels._apply_word_np(np.asarray(pts, dtype=float), *args)
+    out = _kernels.apply_word(pts, *args)
     # args[1] holds the letter modes; only Newton letters (mode 1) emit NaN
     if args[1].any() and np.isnan(out).any():
         raise _divergence(lw)
@@ -335,9 +335,9 @@ def _divergence(lw) -> NewtonDivergence:
 
 
 def _compile_letters(letters) -> tuple:
-    """Flatten (Generator, sign) letters into the array form the kernels
-    consume: (slot, mode, lin, lin_inv, tstart, tend, amps, fkx, fky, phase,
-    row).  The last letter acts first.
+    """Flatten (Generator, sign) letters into the form the kernels consume:
+    the arrays (slot, mode, lin, lin_inv, tstart, tend, amps, fkx, fky,
+    phase, row), then the C struct over them.  The last letter acts first.
 
     Inverse letters of generators carrying an explicit inverse are rewritten
     as forward letters (mode 0) of that inverse; the remaining inverse
@@ -371,13 +371,14 @@ def _compile_letters(letters) -> tuple:
             row.extend([r] * len(disp))
         tend[i] = len(terms)
     amps, fkx, fky, phase = np.array(terms, dtype=float).reshape(-1, 4).T.copy()
-    return (np.array(slot, dtype=np.int64), np.array(mode, dtype=np.int64),
-            lin, lin_inv, tstart, tend, amps, fkx, fky, phase,
-            np.array(row, dtype=np.int64))
+    arrays = (np.array(slot, dtype=np.int64), np.array(mode, dtype=np.int64),
+              lin, lin_inv, tstart, tend, amps, fkx, fky, phase,
+              np.array(row, dtype=np.int64))
+    return arrays + (_kernels.c_program(arrays),)
 
 
 def _run_letters(letters, pts: np.ndarray) -> np.ndarray:
-    return _kernels._apply_word_np(pts, *_compile_letters(letters), 0.0, 0.0)
+    return _kernels.apply_word(pts, *_compile_letters(letters), 0.0, 0.0)
 
 
 def compile_program(lw) -> tuple:
@@ -385,7 +386,10 @@ def compile_program(lw) -> tuple:
     _compile_letters) followed by the deck translation (vx, vy).
 
     The letters are compiled once per group and reduced letter sequence;
-    words built afresh on every call (commutators, transports) reuse them.
+    words built afresh on every call (commutators, transports) reuse them,
+    C struct included.  The struct is never written after it is built, so
+    lifts of one word that differ by their deck translation, and pool
+    threads, share it safely.
     """
     lw = _as_lift(lw)
     programs = lw.word.group._programs

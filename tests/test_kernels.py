@@ -4,15 +4,18 @@ import shutil
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from rotor import _kernels
-from rotor.errors import RotorError
-from rotor.maps import (Generator, LiftedWord, MapGroup, constant_term,
+from rotor.catalog import build_catalog
+from rotor.errors import NewtonDivergence, RotorError
+from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift_batch,
+                        compile_program, constant_term,
                         orbit_displacement_means, orbit_mean_with_tail,
-                        orbit_segment, trig_term)
+                        orbit_segment, torus_grid, trig_term)
 from rotor.mcg import MCGClass
 
 ID = MCGClass.identity()
@@ -35,6 +38,22 @@ G = build_group()
 # skipped only without a compiler, so a broken build fails these tests
 needs_c = pytest.mark.skipif(shutil.which("cc") is None,
                              reason="no C compiler")
+
+
+def _numpy_trig_is_libm():
+    # the two backends agree bit for bit wherever numpy's sin and cos round
+    # like the libm the C kernel calls
+    x = np.random.default_rng(4).uniform(-50.0, 50.0, 4096)
+    return (np.array_equal(np.sin(x), [math.sin(v) for v in x])
+            and np.array_equal(np.cos(x), [math.cos(v) for v in x]))
+
+
+def _bad_inverse():
+    # not a homeomorphism: the Newton solves of its inverse fail at some
+    # points and converge at others
+    g = Generator("bad", ID, disp_x=[trig_term(0.3, 1, 0)],
+                  disp_y=[trig_term(0.3, 0, 1)])
+    return MapGroup([g]).word("bad'")
 
 
 @pytest.fixture
@@ -111,13 +130,123 @@ def test_c_kernels_match_numpy(restore_backend):
     assert len(runs[0]) == 3 * (2 + 2 + 1)
     gaps = [np.abs(a - b).max() for a, b in zip(*runs)]
     assert max(gaps) < 1e-12
-    # the two loops run the same float operations in the same order, so
-    # they agree bit for bit wherever numpy's sin and cos round like the
-    # libm the C kernel calls
-    x = np.random.default_rng(4).uniform(-50.0, 50.0, 4096)
-    if (np.array_equal(np.sin(x), [math.sin(v) for v in x])
-            and np.array_equal(np.cos(x), [math.cos(v) for v in x])):
+    # the two loops run the same float operations in the same order
+    if _numpy_trig_is_libm():
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
+
+
+def _struct(w):
+    # a compiled program is its 11 arrays, their C struct, then vx, vy
+    return compile_program(w)[11]
+
+
+def _catalog_lifts():
+    cat = build_catalog()
+    words = [cat.by_name(g.name) for g in cat.generators]
+    words += [cat.word(s) for s in ("h' irrskew", "h' tr", "skew twist'",
+                                    "h skew h'")]
+    return [LiftedWord(w, v) for w in words for v in ((0, 0), (3, -2))]
+
+
+@needs_c
+def test_apply_lift_batch_c_matches_numpy(restore_backend):
+    rng = np.random.default_rng(5)
+    batches = [rng.uniform(-2.0, 3.0, (1, 2)), rng.uniform(-2.0, 3.0, (4, 2)),
+               torus_grid(256)]
+    runs = []
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        runs.append([apply_lift_batch(lw, pts) for lw in _catalog_lifts()
+                     for pts in batches])
+    assert len(runs[0]) == 2 * 13 * 3
+    assert max(np.abs(a - b).max() for a, b in zip(*runs)) < 1e-12
+    if _numpy_trig_is_libm():
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
+
+
+@needs_c
+def test_newton_failure_raises_on_both_backends(restore_backend):
+    wild = MapGroup([Generator("wild", ID, disp_y=[trig_term(1.0e8, 0, 1)])]
+                    ).word("wild'")
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        with pytest.raises(NewtonDivergence):
+            apply_lift_batch(wild, np.array([[0.3, 0.3]]))
+        with pytest.raises(NewtonDivergence):
+            apply_lift_batch(_bad_inverse(), torus_grid(16))
+
+
+@needs_c
+def test_failed_orbits_are_nan_in_the_same_cells(restore_backend):
+    # a seed stops iterating Newton at its first NaN residual; the means and
+    # every tail cell must still come out exactly as a full run gives them
+    w = _bad_inverse()
+    seeds = np.random.default_rng(0).random((16, 2))
+    n = 60
+    runs = []
+    for backend, mean in (("c", _kernels._orbit_mean_c),
+                          ("numpy", _kernels._orbit_mean_np)):
+        _kernels.set_backend(backend)
+        tail = np.empty((n // 10, len(seeds), 2))
+        runs.append((mean(seeds, n, False, tail, *compile_program(w)), tail))
+        with pytest.raises(NewtonDivergence):
+            orbit_displacement_means(w, seeds, n)
+        failed = np.isnan(runs[-1][0]).any(axis=1)
+        with pytest.raises(NewtonDivergence):
+            orbit_mean_with_tail(w, seeds[failed][0], n)
+        orbit_mean_with_tail(w, seeds[~failed][0], n)
+    (mean_c, tail_c), (mean_np, tail_np) = runs
+    assert 0 < np.isnan(mean_c).any(axis=1).sum() < len(seeds)
+    assert np.isnan(tail_c).any()
+    for a, b in ((mean_c, mean_np), (tail_c, tail_np)):
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.abs(np.nan_to_num(a - b)).max() < 1e-12
+        if _numpy_trig_is_libm():
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+@needs_c
+def test_lifts_sharing_a_program_keep_their_translations(restore_backend):
+    # both lifts run on the one cached program struct, also concurrently:
+    # more threads than cores, switching as often as the interpreter allows
+    _kernels.set_backend("c")
+    w = build_catalog().word("h' irrskew")
+    v = (5, -7)
+    pts = torus_grid(64)
+    base = apply_lift_batch(LiftedWord(w), pts)
+    moved = base + v
+    assert _struct(w) is _struct(w.lift(v))
+    lifts = [LiftedWord(w), LiftedWord(w, v)] * 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            outs = list(ex.map(lambda lw: apply_lift_batch(lw, pts), lifts,
+                               timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for lw, out in zip(lifts, outs):
+        want = moved if lw.extra_translation == v else base
+        assert out.tobytes() == want.tobytes()
+
+
+@needs_c
+def test_groups_do_not_share_program_structs(restore_backend):
+    # same letters, different maps: each group compiles its own program
+    def group(amp):
+        return MapGroup([Generator("g", ID, disp_x=[trig_term(amp, 1, 1)])])
+
+    w1, w2 = group(0.02).word("g' g'"), group(0.05).word("g' g'")
+    assert w1.letters == w2.letters
+    assert _struct(w1) is not _struct(w2)
+    pts = torus_grid(8)
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        a, b = apply_lift_batch(w1, pts), apply_lift_batch(w2, pts)
+        assert np.abs(a - b).max() > 1e-3
+        for w, out in ((w1, a), (w2, b)):
+            oracle = _kernels._apply_word_np(pts, *compile_program(w))
+            assert np.abs(out - oracle).max() < 1e-12
 
 
 @needs_c
