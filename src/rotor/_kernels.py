@@ -13,7 +13,8 @@ ctypes, which releases the GIL so seed chunks can run on threads; and
 "numpy", the same loops vectorized over a batch of points.  Their results
 are bit-identical wherever numpy's sin and cos round like the C library's.
 apply_word evaluates a program on a batch of plane points; it is the
-evaluator behind maps.apply_lift_batch.  At import the C file is built with
+evaluator behind maps.apply_lift_batch, and rejects points that are not
+finite before it evaluates any.  At import the C file is built with
 the system compiler (cc) into this package's __pycache__, once per source
 and flags, and loaded; "c" is then the default.  Without a compiler, or
 when the build or the load fails, the backend is "numpy" and
@@ -44,6 +45,7 @@ _TWO_PI = 2.0 * math.pi
 _SNAP = 1e-15
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX = 60
+_NOT_FINITE = "points must be finite"
 
 # -ffp-contract=off keeps the compiler from fusing multiply-adds (the default
 # on some targets), which would change the last bits of the results.
@@ -126,7 +128,7 @@ def _load_c():
     lib.orbit_collect.argtypes = [
         ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
         *tail]
-    lib.apply_batch.restype = None
+    lib.apply_batch.restype = ctypes.c_int
     lib.orbit_mean.restype = lib.orbit_collect.restype = None
     return lib, None
 
@@ -154,7 +156,10 @@ def set_backend(name: str):
 
 def _apply_word_c(pts, *prog):
     out = np.empty_like(pts)
-    _LIB.apply_batch(pts.ctypes.data, len(pts), *prog[-3:], out.ctypes.data)
+    # apply_batch checks every point before it evaluates any
+    if _LIB.apply_batch(pts.ctypes.data, len(pts), *prog[-3:],
+                        out.ctypes.data):
+        raise RotorError(_NOT_FINITE)
     return out
 
 
@@ -318,12 +323,16 @@ def _orbit_collect_np(sx, sy, burn, count, *args):
 
 
 def apply_word(pts, *prog):
-    """The lift of a word program at plane points pts (m, 2)."""
+    """The lift of a word program at plane points pts (m, 2).  A point that
+    is not finite raises RotorError before any point is evaluated."""
     pts = np.ascontiguousarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
-    apply = _apply_word_c if _BACKEND == "c" else _apply_word_np
-    return apply(pts, *prog)
+    if _BACKEND == "c":
+        return _apply_word_c(pts, *prog)
+    if not np.isfinite(pts).all():
+        raise RotorError(_NOT_FINITE)
+    return _apply_word_np(pts, *prog)
 
 
 def orbit_mean_batch(seeds, n, plane_mode, *args):

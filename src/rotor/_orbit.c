@@ -95,16 +95,21 @@ static void apply_word(const program *w, double vx, double vy,
     *y = py + vy;
 }
 
-/* The lift at m plane points (m, 2) into out (m, 2). */
-void apply_batch(const double *pts, int64_t m, const program *w, double vx,
-                 double vy, double *out)
+/* The lift at m plane points (m, 2) into out (m, 2).  Returns 1, and
+   evaluates nothing, when a coordinate is not finite. */
+int apply_batch(const double *pts, int64_t m, const program *w, double vx,
+                double vy, double *out)
 {
+    for (int64_t i = 0; i < 2 * m; i++)
+        if (!isfinite(pts[i]))
+            return 1;
     for (int64_t i = 0; i < m; i++) {
         double x = pts[2 * i], y = pts[2 * i + 1];
         apply_word(w, vx, vy, &x, &y);
         out[2 * i] = x;
         out[2 * i + 1] = y;
     }
+    return 0;
 }
 
 /* Torus representative in [0,1), with values a hair under 1 snapped to 0. */

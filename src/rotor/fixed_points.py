@@ -1,15 +1,20 @@
-"""Fixed point detection and index certification on the torus.
+"""Fixed point detection on the torus.
 
 A point is fixed for the torus map of a word exactly when the canonical
 lift moves it by a deck vector, so every residual here is the distance
 from the lift displacement to the nearest lattice point.  Zero sets are
-located by a grid scan followed by damped Newton refinement; curves of
-fixed points (the interesting examples fix whole circles) are detected
-as connected runs of near-zero grid cells and reported as sampled
-chains rather than collapsed to spurious isolated points.
+located by a grid scan followed by damped Newton refinement, which
+advances all seeds together, one evaluator call per word for each
+Newton round and each step halving.  Curves of fixed points (the
+interesting examples fix whole circles) are detected as connected runs
+of near-zero grid cells and reported as sampled chains rather than
+collapsed to spurious isolated points.
 
-Nothing here is a rigorous existence proof.  Every report carries the
-grid resolution and tolerance it was computed at.
+Nothing here is a rigorous existence proof, and no index is certified:
+the index field of an isolated point is left empty.  fixed_point_index
+gives the float winding number of the displacement field around a
+point.  Every report carries the grid resolution and tolerance it was
+computed at.
 """
 
 from __future__ import annotations
@@ -135,60 +140,81 @@ def _combined_norm(lifts, pts: np.ndarray) -> np.ndarray:
     return np.sqrt((res * res).sum(axis=2)).max(axis=0)
 
 
-def _flat_residual(lifts, p: np.ndarray) -> np.ndarray:
-    return _residual_fields(lifts, p[None, :]).reshape(-1)
+def _flat_residuals(lifts, pts: np.ndarray) -> np.ndarray:
+    """One row (word 0 x, word 0 y, word 1 x, ...) per point, shape (n, 2m)."""
+    return _residual_fields(lifts, pts).transpose(1, 0, 2).reshape(len(pts), -1)
 
 
-def _fd_jacobian(lifts, p: np.ndarray) -> np.ndarray:
-    """Central differences, step 1e-6; rounding is locally constant so the
-    raw lift displacement has the same Jacobian as the lattice residual."""
+def _fd_jacobians(lifts, pts: np.ndarray) -> np.ndarray:
+    """Central differences, step 1e-6, shape (n, 2m, 2); rounding is locally
+    constant so the raw lift displacement has the same Jacobian as the
+    lattice residual.  All 4n probes go to the evaluator in one call per
+    word."""
     h = _FD_STEP
-    probes = np.array([[p[0] + h, p[1]], [p[0] - h, p[1]],
-                       [p[0], p[1] + h], [p[0], p[1] - h]])
-    rows = []
-    for lw in lifts:
-        d = apply_lift_batch(lw, probes) - probes
-        jx = (d[0] - d[1]) / (2.0 * h)
-        jy = (d[2] - d[3]) / (2.0 * h)
-        rows.append(np.stack([jx, jy], axis=1))
-    return np.vstack(rows)
+    probes = np.repeat(pts, 4, axis=0)
+    probes[0::4, 0] += h
+    probes[1::4, 0] -= h
+    probes[2::4, 1] += h
+    probes[3::4, 1] -= h
+    jac = np.empty((len(pts), 2 * len(lifts), 2))
+    for k, lw in enumerate(lifts):
+        d = (apply_lift_batch(lw, probes) - probes).reshape(-1, 4, 2)
+        jac[:, 2 * k:2 * k + 2, 0] = (d[:, 0] - d[:, 1]) / (2.0 * h)
+        jac[:, 2 * k:2 * k + 2, 1] = (d[:, 2] - d[:, 3]) / (2.0 * h)
+    return jac
 
 
 def _refine(lifts, seeds: np.ndarray, tol: float) -> List[Tuple[Tuple[float, float], float]]:
     """Damped Newton on the stacked residual system from each seed.
 
     Returns reduced points with their worst per-word residual, keeping
-    only seeds that converged below tol.
+    only seeds that converged below tol.  All seeds advance together: a
+    Newton round evaluates the probes of every active seed in one call
+    per word, then the candidate steps of every seed still halving in one
+    call per word and halving round.  The evaluator is pointwise and the
+    per-seed arithmetic (least squares, step test, halving, acceptance)
+    is that of a loop over single seeds, so every seed ends on the same
+    bits as it would alone.
     """
-    kept = []
-    for p0 in seeds:
-        p = np.array(p0, dtype=float)
-        f = _flat_residual(lifts, p)
-        best = math.sqrt(float(f @ f))
-        for _ in range(_REFINE_MAX):
-            if best < 1e-14:
-                break
-            jac = _fd_jacobian(lifts, p)
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+    p = np.array(seeds, dtype=float)
+    f = _flat_residuals(lifts, p)
+    best = [math.sqrt(float(r @ r)) for r in f]
+    active = [i for i in range(len(p)) if not best[i] < 1e-14]
+    for _ in range(_REFINE_MAX):
+        if not active:
+            break
+        jac = _fd_jacobians(lifts, p[active])
+        halving, steps = [], []
+        for i, jac_i in zip(active, jac):
+            step, *_ = np.linalg.lstsq(jac_i, -f[i], rcond=None)
             # the residual is Z^2-periodic, so a step longer than one period
             # (or a non-finite one) only says the Jacobian is singular
-            if not math.hypot(step[0], step[1]) <= 1.0:
+            if math.hypot(step[0], step[1]) <= 1.0:
+                halving.append(i)
+                steps.append(step)
+        active = []
+        steps = np.array(steps).reshape(-1, 2)
+        for _ in range(31):  # the full step, then up to 30 halvings
+            if not halving:
                 break
-            for _ in range(31):  # the full step, then up to 30 halvings
-                cand = p + step
-                fc = _flat_residual(lifts, cand)
-                rc = math.sqrt(float(fc @ fc))
-                if rc < best:
-                    break
-                step = step * 0.5
-            else:
-                break
-            p, f, best = cand, fc, rc
-        per_word = f.reshape(len(lifts), 2)
-        worst = float(np.sqrt((per_word * per_word).sum(axis=1)).max())
-        if worst < tol:
-            kept.append((reduce_point((float(p[0]), float(p[1]))), worst))
-    return kept
+            cand = p[halving] + steps
+            fc = _flat_residuals(lifts, cand)
+            left = []
+            for k, i in enumerate(halving):
+                rc = math.sqrt(float(fc[k] @ fc[k]))
+                if rc < best[i]:
+                    p[i], f[i], best[i] = cand[k], fc[k], rc
+                    if not rc < 1e-14:
+                        active.append(i)
+                else:
+                    left.append(k)
+            halving = [halving[k] for k in left]
+            steps = steps[left] * 0.5
+        active.sort()
+    per_word = f.reshape(len(p), len(lifts), 2)
+    worst = np.sqrt((per_word * per_word).sum(axis=2)).max(axis=1)
+    return [(reduce_point((float(q[0]), float(q[1]))), float(r))
+            for q, r in zip(p, worst) if r < tol]
 
 
 def _torus_dist(a, b) -> float:
@@ -197,6 +223,25 @@ def _torus_dist(a, b) -> float:
     dx = min(dx, 1.0 - dx)
     dy = min(dy, 1.0 - dy)
     return math.hypot(dx, dy)
+
+
+def _min_torus_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """min of _torus_dist over all pairs of rows of a (n, 2) and b (k, 2),
+    to the bit.  Squared distances in numpy shortlist the pairs within a
+    relative 1e-9 of the smallest one (plus an absolute 1e-300 for the
+    subnormal range), and math.hypot runs on that shortlist only:
+    np.hypot may differ from math.hypot in the last place.  Rows of a go
+    in blocks of about 2**20 pairs to bound memory."""
+    best = math.inf
+    rows = max(1, (1 << 20) // len(b))
+    for k in range(0, len(a), rows):
+        d = np.abs(a[k:k + rows, None, :] - b[None, :, :])
+        d = np.minimum(d, 1.0 - d)
+        d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        near = np.argwhere(d2 <= d2.min() * (1.0 + 1e-9) + 1e-300)
+        best = min(best, *(math.hypot(d[i, j, 0], d[i, j, 1])
+                           for i, j in near))
+    return best
 
 
 def _dedup(found, merge_radius: float) -> List[Tuple[Tuple[float, float], float]]:
@@ -212,31 +257,33 @@ def _dedup(found, merge_radius: float) -> List[Tuple[Tuple[float, float], float]
 
 
 def _grid_components(mask: np.ndarray) -> List[List[Tuple[int, int]]]:
-    """8-connected components of a boolean torus grid, deterministic order."""
+    """8-connected components of a boolean torus grid, each sorted, in the
+    order of their first cell.  The walk visits masked cells only: seeds
+    come in row-major order, so each component is found from its first
+    cell and the components come out already in order."""
     n = mask.shape[0]
-    seen = np.zeros_like(mask)
+    masked = [tuple(c) for c in np.argwhere(mask).tolist()]
+    unseen = set(masked)
     comps = []
-    for i in range(n):
-        for j in range(n):
-            if not mask[i, j] or seen[i, j]:
-                continue
-            stack = [(i, j)]
-            seen[i, j] = True
-            cells = []
-            while stack:
-                a, b = stack.pop()
-                cells.append((a, b))
-                for da in (-1, 0, 1):
-                    for db in (-1, 0, 1):
-                        if da == 0 and db == 0:
-                            continue
-                        na, nb = (a + da) % n, (b + db) % n
-                        if mask[na, nb] and not seen[na, nb]:
-                            seen[na, nb] = True
-                            stack.append((na, nb))
-            cells.sort()
-            comps.append(cells)
-    comps.sort(key=lambda c: c[0])
+    for start in masked:
+        if start not in unseen:
+            continue
+        unseen.discard(start)
+        stack = [start]
+        cells = []
+        while stack:
+            a, b = stack.pop()
+            cells.append((a, b))
+            for da in (-1, 0, 1):
+                for db in (-1, 0, 1):
+                    if da == 0 and db == 0:
+                        continue
+                    nb = ((a + da) % n, (b + db) % n)
+                    if nb in unseen:
+                        unseen.discard(nb)
+                        stack.append(nb)
+        cells.sort()
+        comps.append(cells)
     return comps
 
 
@@ -293,13 +340,11 @@ def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
         # keep chain cells out of the isolated list: a Newton run started
         # next to a fixed curve lands on the curve, not on a new point
         cell = 1.0 / grid_n
-        clear = []
-        for pt, res in found:
-            near_chain = any(
-                min(_torus_dist(pt, q) for q in c.points) < 1.5 * cell
-                for c in report.chains)
-            if not near_chain:
-                clear.append((pt, res))
+        clear = found
+        if report.chains:
+            chain_pts = np.array([q for c in report.chains for q in c.points])
+            clear = [(pt, res) for pt, res in found if not
+                     _min_torus_dist(np.array([pt]), chain_pts) < 1.5 * cell]
         for pt, res in _dedup(clear, 10.0 * tol):
             report.points.append(FixedPointEntry(point=pt, residual=res))
     return report
@@ -439,9 +484,7 @@ def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
     if fp.all_points_fixed:
         support_distance = 0.0
     elif samples:
-        support_distance = min(
-            _torus_dist(s, (float(a[0]), float(a[1])))
-            for s in samples for a in mu.points)
+        support_distance = _min_torus_dist(np.array(samples), mu.points)
 
     if hypothesis_met and found:
         certificate = "consistent with Franks"

@@ -276,8 +276,9 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     """Evaluate the lift on plane points, shape (n,2).
 
     Runs the word's compiled program through the word kernel of the current
-    backend (_kernels.apply_word); an inverse letter whose Newton solve
-    fails raises NewtonDivergence.
+    backend (_kernels.apply_word).  A point that is not finite raises
+    RotorError before any point is evaluated; an inverse letter whose
+    Newton solve fails raises NewtonDivergence.
     """
     lw = _as_lift(lw)
     args = compile_program(lw)

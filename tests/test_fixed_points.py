@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from rotor.errors import (AmbiguousWinding, DefectExceeded, NonIsolated,
-                          NotIsotopicToIdentity)
-from rotor.fixed_points import (common_fixed_points, find_fixed_points,
+from rotor import fixed_points
+from rotor.catalog import build_catalog
+from rotor.errors import (AmbiguousWinding, DefectExceeded, NewtonDivergence,
+                          NonIsolated, NotIsotopicToIdentity)
+from rotor.fixed_points import (_grid_components, _min_torus_dist, _refine,
+                                _residual_fields, _torus_dist,
+                                common_fixed_points, find_fixed_points,
                                 fixed_point_index, franks_certificate)
-from rotor.maps import (Generator, MapGroup, displacement_field_batch,
-                        trig_term, constant_term)
+from rotor.maps import (Generator, MapGroup, apply_lift_batch,
+                        displacement_field_batch, reduce_point, trig_term,
+                        constant_term)
 from rotor.measures import EmpiricalMeasure, irrotational_lift
 from rotor.mcg import MCGClass
 
@@ -310,3 +315,235 @@ def test_franks_json_round_trip(tmp_path):
     assert data["certificate"] == "consistent with Franks"
     assert data["nearest_lattice"] == [0, 0]
     assert data["fixed_points"]["grid_n"] == 32
+
+
+# --- batched refinement, components and distances against per-item loops
+
+
+def _refine_one_seed_at_a_time(lifts, seeds, tol):
+    """The refinement as a loop over seeds, one evaluator call per residual,
+    per Jacobian and per step halving: the oracle for _refine."""
+    def flat(p):
+        return _residual_fields(lifts, p[None, :]).reshape(-1)
+
+    def jacobian(p):
+        h = 1e-6
+        probes = np.array([[p[0] + h, p[1]], [p[0] - h, p[1]],
+                           [p[0], p[1] + h], [p[0], p[1] - h]])
+        rows = []
+        for lw in lifts:
+            d = apply_lift_batch(lw, probes) - probes
+            jx = (d[0] - d[1]) / (2.0 * h)
+            jy = (d[2] - d[3]) / (2.0 * h)
+            rows.append(np.stack([jx, jy], axis=1))
+        return np.vstack(rows)
+
+    kept = []
+    for p0 in seeds:
+        p = np.array(p0, dtype=float)
+        f = flat(p)
+        best = math.sqrt(float(f @ f))
+        for _ in range(50):
+            if best < 1e-14:
+                break
+            step, *_ = np.linalg.lstsq(jacobian(p), -f, rcond=None)
+            if not math.hypot(step[0], step[1]) <= 1.0:
+                break
+            for _ in range(31):
+                cand = p + step
+                fc = flat(cand)
+                rc = math.sqrt(float(fc @ fc))
+                if rc < best:
+                    break
+                step = step * 0.5
+            else:
+                break
+            p, f, best = cand, fc, rc
+        per_word = f.reshape(len(lifts), 2)
+        worst = float(np.sqrt((per_word * per_word).sum(axis=1)).max())
+        if worst < tol:
+            kept.append((reduce_point((float(p[0]), float(p[1]))), worst))
+    return kept
+
+
+CAT = build_catalog()
+IDENTITY_CLASS = [g.name for g in CAT.generators if g.linear.is_identity()] + [
+    "skew twist'", "twist' skew", "h skew h'", "h' irrskew", "h' tr"]
+
+
+@pytest.mark.parametrize("word", IDENTITY_CLASS)
+@pytest.mark.parametrize("grid_n", [8, 16, 32])
+def test_batched_refine_matches_seed_loop(word, grid_n, monkeypatch):
+    w = CAT.word(word)
+    batched = find_fixed_points(w, grid_n, 1e-9).to_json_dict()
+    monkeypatch.setattr(fixed_points, "_refine", _refine_one_seed_at_a_time)
+    assert find_fixed_points(w, grid_n, 1e-9).to_json_dict() == batched
+
+
+def test_batched_refine_matches_seed_loop_for_two_words(monkeypatch):
+    ws = [CAT.word("h"), CAT.word("phi")]
+    batched = common_fixed_points(ws, 32, 1e-9).to_json_dict()
+    assert batched["points"]
+    monkeypatch.setattr(fixed_points, "_refine", _refine_one_seed_at_a_time)
+    assert common_fixed_points(ws, 32, 1e-9).to_json_dict() == batched
+
+
+def test_batched_refine_matches_seed_loop_from_random_seeds():
+    # off-grid seeds need step halvings, which grid seeds rarely do
+    rng = np.random.default_rng(2)
+    for w in [CAT.word(x) for x in IDENTITY_CLASS] + [PRODOFF]:
+        lifts = [fixed_points._as_lift(w)]
+        seeds = rng.random((20, 2))
+        assert _refine(lifts, seeds, 1e-9) == _refine_one_seed_at_a_time(
+            lifts, seeds, 1e-9)
+
+
+def _bad_inverse():
+    # not a homeomorphism: Newton solves of its inverse fail at some points
+    g = Generator("bad", ID, disp_x=[trig_term(0.3, 1, 0)],
+                  disp_y=[trig_term(0.3, 0, 1)])
+    return MapGroup([g]).word("bad'")
+
+
+def test_batched_refine_diverges_when_the_seed_loop_does():
+    lifts = [fixed_points._as_lift(_bad_inverse())]
+    seeds = np.random.default_rng(1).random((80, 2))
+    ok, diverged = [], 0
+    for seed in seeds:
+        try:
+            apply_lift_batch(lifts[0], seed[None, :])
+        except NewtonDivergence:
+            continue            # fails before any refinement
+        try:
+            want = _refine_one_seed_at_a_time(lifts, seed[None, :], 1e-9)
+        except NewtonDivergence:
+            diverged += 1
+            with pytest.raises(NewtonDivergence):
+                _refine(lifts, seed[None, :], 1e-9)
+            continue
+        assert _refine(lifts, seed[None, :], 1e-9) == want
+        ok.append(seed)
+    assert diverged and len(ok) > 10
+    ok = np.array(ok)
+    assert _refine(lifts, ok, 1e-9) == _refine_one_seed_at_a_time(lifts, ok,
+                                                                   1e-9)
+
+
+def test_refine_calls_do_not_grow_with_the_seeds(monkeypatch):
+    calls = []
+
+    def spy(lw, pts):
+        calls.append(len(pts))
+        return apply_lift_batch(lw, pts)
+
+    monkeypatch.setattr(fixed_points, "apply_lift_batch", spy)
+    lifts = [fixed_points._as_lift(PRODOFF)]
+    seed = np.array([[0.28, 0.17]])
+    one = _refine(lifts, seed, 1e-9)
+    n_one = len(calls)
+    calls.clear()
+    many = _refine(lifts, np.repeat(seed, 20, axis=0), 1e-9)
+    assert n_one > 3          # the seed needs several Newton rounds
+    assert len(calls) == n_one
+    assert len(one) == 1 and many == one * 20
+
+
+def _components_all_cells(mask):
+    """The component walk started from every grid cell in turn."""
+    n = mask.shape[0]
+    seen = np.zeros_like(mask)
+    comps = []
+    for i in range(n):
+        for j in range(n):
+            if not mask[i, j] or seen[i, j]:
+                continue
+            stack = [(i, j)]
+            seen[i, j] = True
+            cells = []
+            while stack:
+                a, b = stack.pop()
+                cells.append((a, b))
+                for da in (-1, 0, 1):
+                    for db in (-1, 0, 1):
+                        if da == 0 and db == 0:
+                            continue
+                        na, nb = (a + da) % n, (b + db) % n
+                        if mask[na, nb] and not seen[na, nb]:
+                            seen[na, nb] = True
+                            stack.append((na, nb))
+            cells.sort()
+            comps.append(cells)
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
+def _wrapping_mask(n):
+    mask = np.zeros((n, n), dtype=bool)
+    mask[0, 3] = mask[n - 1, 4] = True            # across the row seam
+    mask[5, 0] = mask[6, n - 1] = True            # across the column seam
+    mask[0, 0] = mask[n - 1, n - 1] = True        # the corner diagonal
+    mask[n - 1, 0] = True
+    mask[3, 5:n - 1] = True                       # a long run
+    return mask
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256])
+def test_grid_components_match_all_cells_walk(n):
+    rng = np.random.default_rng(n)
+    masks = [np.ones((n, n), dtype=bool), np.zeros((n, n), dtype=bool),
+             _wrapping_mask(n)]
+    masks += [rng.random((n, n)) < p for p in (0.02, 0.2, 0.45)]
+    for mask in masks:
+        assert _grid_components(mask) == _components_all_cells(mask)
+
+
+def test_grid_components_join_across_the_seams():
+    comps = _grid_components(_wrapping_mask(16))
+    assert [(0, 0), (15, 0), (15, 15)] in comps
+    assert [(0, 3), (15, 4)] in comps
+    assert [(5, 0), (6, 15)] in comps
+
+
+def _pairwise_min(a, b):
+    return min(_torus_dist(s, (float(t[0]), float(t[1]))) for s in a
+               for t in b)
+
+
+def test_min_torus_dist_matches_pairwise_loop():
+    rng = np.random.default_rng(7)
+    seam = [(1 - 1e-13, -1e-13), (-1e-13, 0.5), (0.5, 1 - 1e-13),
+            (0.0, 0.0), (0.25, 0.75)]
+    cases = [
+        (seam, np.array(seam[::-1])),
+        (rng.random((40, 2)).tolist(), np.array(seam)),
+        (rng.random((50, 2)).tolist(), rng.random((70, 2))),
+        ([(1e-200, 0.5)], np.array([[0.0, 0.5], [3e-200, 0.5]])),
+    ]
+    # atoms on a circle around a sample: all pairs tie to within rounding,
+    # and the smallest squared distance is often not the smallest hypot
+    misordered = 0
+    for _ in range(300):
+        c = rng.random(2)
+        theta = rng.random(64) * 2.0 * math.pi
+        ring = (c + rng.uniform(1e-3, 0.3) * np.column_stack(
+            [np.cos(theta), np.sin(theta)])) % 1.0
+        cases.append(([tuple(c.tolist())], ring))
+        dist = [_torus_dist(tuple(c), tuple(t)) for t in ring.tolist()]
+        d = np.abs(c - ring)
+        d = np.minimum(d, 1.0 - d)
+        misordered += dist[int(np.argmin((d * d).sum(axis=1)))] != min(dist)
+    assert misordered > 0
+    for a, b in cases:
+        assert _min_torus_dist(np.array(a), b) == _pairwise_min(a, b)
+
+
+def test_support_distance_matches_pairwise_loop():
+    atoms = [(0.125, j / 32) for j in range(32)]
+    atoms += [(0.875, j / 32) for j in range(32)]
+    atoms += [(1 - 1e-13, 0.3), (0.5, 1 - 1e-13)]
+    mu = EmpiricalMeasure(atoms)
+    rep = franks_certificate(SKEW, mu, tol=1e-8, grid_n=32)
+    samples = [e.point for e in rep.fixed_points.points]
+    for c in rep.fixed_points.chains:
+        samples.extend(c.points)
+    assert rep.support_distance == _pairwise_min(samples, mu.points)

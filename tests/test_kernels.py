@@ -288,6 +288,22 @@ def test_bad_orbit_inputs_fail_alike_on_every_backend(call, restore_backend):
     assert len(set(messages)) == 1
 
 
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_c)])
+@pytest.mark.parametrize("word", ["h'", "skew"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_apply_lift_batch_rejects_nonfinite_points(backend, word, value,
+                                                   restore_backend):
+    # h' has an inverse letter, which blamed Newton for the input; skew has
+    # none, and its C step returned NaN without a word
+    _kernels.set_backend(backend)
+    pts = np.array([[0.3, 0.2], [value, 0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RotorError, match="points must be finite") as err:
+            apply_lift_batch(build_catalog().word(word), pts)
+    assert type(err.value) is RotorError
+
+
 def test_zero_length_segment_is_empty():
     assert orbit_segment(G.word("skew"), (0.3, 0.2), 0).shape == (0, 2)
 
