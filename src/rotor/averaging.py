@@ -28,8 +28,7 @@ from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
 from .maps import (Word, _as_lift, _require_identity, apply_torus_batch,
                    commutator_lift, inverse as word_inverse, inverse_lift,
                    linear_part)
-from .mcg import MCGClass, SubgroupForm, check_condition_star_star, \
-    classify_nilpotent
+from .mcg import MCGClass, check_condition_star_star
 from .measures import (EmpiricalMeasure, _grid_merge, invariance_defect,
                        pushforward, rotation_vector)
 
@@ -61,7 +60,6 @@ class GroupSpec:
 
     generators_G0: Tuple[Word, ...]
     extension_gens: Tuple[Tuple[Word, MCGClass], ...] = ()
-    declared_structure: Optional[SubgroupForm] = None
 
     def __post_init__(self):
         object.__setattr__(self, "generators_G0", tuple(self.generators_G0))
@@ -76,12 +74,6 @@ class GroupSpec:
                 raise ConfigError(
                     "declared class %r does not match linear part of %r"
                     % (cls, w))
-        if self.declared_structure is not None and self.extension_gens:
-            got = classify_nilpotent(tuple(c for _, c in self.extension_gens))
-            if got.tag != self.declared_structure.tag:
-                raise ConfigError(
-                    "declared structure %s but classes classify as %s"
-                    % (self.declared_structure.tag, got.tag))
 
     def extension_classes(self) -> Tuple[MCGClass, ...]:
         return tuple(c for _, c in self.extension_gens)

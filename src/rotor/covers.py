@@ -17,7 +17,6 @@ exactly; the vertical displacement b is validated but not doubled.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -30,18 +29,14 @@ from .measures import EmpiricalMeasure, rotation_vector
 
 __all__ = [
     "AnnulusMapSpec",
-    "KleinMapSpec",
     "annulus_term",
-    "apply_annulus_batch",
     "check_sigma_commute",
-    "compose_annulus",
     "double_annulus",
     "double_annulus_family",
     "doubled_displacement_terms",
     "klein_symmetrize",
     "rho_bar",
     "sigma_apply",
-    "sigma_pushforward",
 ]
 
 
@@ -68,25 +63,6 @@ def check_sigma_commute(w: Word, grid_n: int = 64) -> float:
     return float(_torus_gap(left, right).max())
 
 
-class KleinMapSpec:
-    """A torus word certified to commute with sigma within tol."""
-
-    def __init__(self, torus_word: Word, grid_n: int = 64, tol: float = 1e-9):
-        defect = check_sigma_commute(torus_word, grid_n)
-        if not defect < tol:
-            raise NotSigmaEquivariant(
-                "word %r has sigma defect %.3e at grid %d, tol %.3e"
-                % (torus_word, defect, grid_n, tol))
-        self.torus_word = torus_word
-        self.equivariance_defect = defect
-        self.grid_n = grid_n
-        self.tol = tol
-
-    def __repr__(self):
-        return "KleinMapSpec(%r, defect=%.3e)" % (
-            self.torus_word, self.equivariance_defect)
-
-
 def rho_bar(mu: EmpiricalMeasure, lw, grid_n: int = 64,
             sigma_tol: float = 1e-9) -> Tuple[float, float]:
     """The Klein rotation invariant (a mod 1, |b|) of a lifted word.
@@ -104,10 +80,6 @@ def rho_bar(mu: EmpiricalMeasure, lw, grid_n: int = 64,
     a = float(rho0[0]) % 1.0
     b = float(rho0[1]) + base.extra_translation[1]
     return (a, abs(b))
-
-
-def sigma_pushforward(mu: EmpiricalMeasure) -> EmpiricalMeasure:
-    return EmpiricalMeasure(sigma_apply(mu.points), mu.weights)
 
 
 def klein_symmetrize(mu: EmpiricalMeasure) -> EmpiricalMeasure:
@@ -131,10 +103,6 @@ def annulus_term(amplitude: float, k: int = 0, phase: float = 0.0,
     if k != int(k) or ypow != int(ypow) or ypow < 0:
         raise RotorError("frequency must be integral and ypow >= 0")
     return (float(amplitude), int(k), float(phase), int(ypow))
-
-
-def constant_rotation(alpha: float):
-    return annulus_term(alpha, 0, math.pi / 2.0, 0)
 
 
 class AnnulusMapSpec:
@@ -163,22 +131,6 @@ class AnnulusMapSpec:
 
     def is_fiber_preserving(self) -> bool:
         return all(amp == 0.0 for amp, _, _, _ in self.b_terms)
-
-
-def _eval_annulus_terms(terms, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    for amp, k, phase, p in terms:
-        out += amp * np.sin(2.0 * math.pi * k * x + phase) * t ** p
-    return out
-
-
-def apply_annulus_batch(spec: AnnulusMapSpec, pts: np.ndarray) -> np.ndarray:
-    """Images of (x, t) points; x wraps mod 1, t is the [0,1] coordinate."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    x, t = pts[:, 0], pts[:, 1]
-    nx = (x + _eval_annulus_terms(spec.a_terms, x, t)) % 1.0
-    nt = t + _eval_annulus_terms(spec.b_terms, x, t)
-    return np.column_stack([nx, nt])
 
 
 def _t_power_cosine_coeffs(p: int) -> List[float]:
@@ -248,26 +200,3 @@ def double_annulus(spec: AnnulusMapSpec, name: str = "doubled") -> Word:
     """
     group = double_annulus_family([(name, spec)])
     return group.by_name(name)
-
-
-def compose_annulus(f: AnnulusMapSpec, g: AnnulusMapSpec) -> AnnulusMapSpec:
-    """The composite f after g, when it stays in the displacement class.
-
-    Supported: both maps x-independent (displacements add), or g a rigid
-    rotation (f's trig profiles pick up a phase shift).
-    """
-    if not (f.is_fiber_preserving() and g.is_fiber_preserving()):
-        raise RotorError("composition is implemented for fiber-preserving maps")
-    g_x_indep = all(k == 0 for _, k, _, _ in g.a_terms)
-    f_x_indep = all(k == 0 for _, k, _, _ in f.a_terms)
-    if g_x_indep and f_x_indep:
-        return AnnulusMapSpec(a_terms=f.a_terms + g.a_terms)
-    g_rigid = g_x_indep and all(p == 0 for _, _, _, p in g.a_terms)
-    if g_rigid:
-        c = sum(amp * math.sin(phase) for amp, _, phase, _ in g.a_terms)
-        shifted = [(amp, k, phase + 2.0 * math.pi * k * c, p)
-                   for amp, k, phase, p in f.a_terms]
-        return AnnulusMapSpec(a_terms=tuple(shifted) + g.a_terms)
-    raise RotorError(
-        "composite displacement leaves the trig-polynomial class; "
-        "only x-independent pairs or a rigid inner rotation compose")

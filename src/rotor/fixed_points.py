@@ -10,11 +10,10 @@ interesting examples fix whole circles) are detected as connected runs
 of near-zero grid cells and reported as sampled chains rather than
 collapsed to spurious isolated points.
 
-Nothing here is a rigorous existence proof, and no index is certified:
-the index field of an isolated point is left empty.  fixed_point_index
-gives the float winding number of the displacement field around a
-point.  Every report carries the grid resolution and tolerance it was
-computed at.
+Nothing here is a rigorous existence proof, and no index is certified.
+fixed_point_index gives the float winding number of the displacement
+field around a point.  Every report carries the grid resolution and
+tolerance it was computed at.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ _MAX_TURN = 2.7
 class FixedPointEntry:
     point: Tuple[float, float]
     residual: float
-    index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,7 @@ class FixedPointReport:
             "all_points_fixed": self.all_points_fixed,
             "points": [
                 {"x": repr(p.point[0]), "y": repr(p.point[1]),
-                 "residual": repr(p.residual),
-                 "index": p.index}
+                 "residual": repr(p.residual)}
                 for p in self.points
             ],
             "chains": [

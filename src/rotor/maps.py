@@ -27,19 +27,15 @@ __all__ = [
     "LiftedWord",
     "reduce_point",
     "reduce_batch",
-    "apply_lift",
-    "apply_torus",
     "apply_torus_batch",
     "compose",
     "inverse",
     "commutator",
     "linear_part",
-    "displacement_field",
     "torus_grid",
     "compose_lift",
     "inverse_lift",
     "commutator_lift",
-    "translate_lift",
     "trig_term",
     "constant_term",
 ]
@@ -142,12 +138,7 @@ class MapGroup:
                 sign = 1
                 if tok.endswith("'"):
                     sign, tok = -1, tok[:-1]
-                for i, g in enumerate(self.generators):
-                    if g.name == tok:
-                        pairs.append((i, sign))
-                        break
-                else:
-                    raise RotorError("unknown generator %r in word" % tok)
+                pairs.append((self._index(tok), sign))
             letters = pairs
         return Word(self, letters)
 
@@ -155,10 +146,13 @@ class MapGroup:
         return Word(self, [(index, sign)])
 
     def by_name(self, name: str) -> "Word":
+        return self.gen(self._index(name))
+
+    def _index(self, name: str) -> int:
         for i, g in enumerate(self.generators):
             if g.name == name:
-                return self.gen(i)
-        raise KeyError(name)
+                return i
+        raise RotorError("unknown generator %r in word" % name)
 
     def identity(self) -> "Word":
         return Word(self, [])
@@ -188,9 +182,6 @@ class Word:
             if sign not in (1, -1):
                 raise RotorError("letter sign must be +1 or -1")
         self.letters = _free_reduce(letters)
-
-    def is_identity_word(self) -> bool:
-        return not self.letters
 
     def lift(self, extra_translation=(0, 0)) -> "LiftedWord":
         return LiftedWord(self, extra_translation)
@@ -262,12 +253,6 @@ def commutator_lift(l1: LiftedWord, l2: LiftedWord) -> LiftedWord:
                         compose_lift(inverse_lift(l1), inverse_lift(l2)))
 
 
-def translate_lift(lw: LiftedWord, v) -> LiftedWord:
-    """The lift T_v composed with lw; v integral."""
-    u = lw.extra_translation
-    return LiftedWord(lw.word, (u[0] + v[0], u[1] + v[1]))
-
-
 def _as_lift(w) -> LiftedWord:
     return w if isinstance(w, LiftedWord) else LiftedWord(w)
 
@@ -289,19 +274,9 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_lift(lw, p) -> Tuple[float, float]:
-    q = apply_lift_batch(lw, np.array([p], dtype=float))[0]
-    return (float(q[0]), float(q[1]))
-
-
 def apply_torus_batch(w, pts: np.ndarray) -> np.ndarray:
     lw = _as_lift(w)
     return reduce_batch(apply_lift_batch(lw, reduce_batch(np.asarray(pts, dtype=float))))
-
-
-def apply_torus(w, p) -> Tuple[float, float]:
-    q = apply_torus_batch(w, np.array([p], dtype=float))[0]
-    return (float(q[0]), float(q[1]))
 
 
 def _require_identity(lw, what: str = "word") -> LiftedWord:
@@ -313,13 +288,8 @@ def _require_identity(lw, what: str = "word") -> LiftedWord:
     return lw
 
 
-def displacement_field(lw, p) -> Tuple[float, float]:
-    """The vector apply_lift(p~) - p~, independent of the chosen lift of p."""
-    d = displacement_field_batch(lw, np.array([p], dtype=float))[0]
-    return (float(d[0]), float(d[1]))
-
-
 def displacement_field_batch(lw, pts: np.ndarray) -> np.ndarray:
+    """The vectors lift(p~) - p~, independent of the chosen lift of each p."""
     lw = _require_identity(lw)
     red = reduce_batch(np.asarray(pts, dtype=float))
     return apply_lift_batch(lw, red) - red

@@ -4,8 +4,8 @@ A measure is a finite weighted atom set; every integral we need is a finite
 sum, so this is exact rather than an approximation scheme.  On top of the
 measure type live the dynamical averages: pushforward, rotation vectors,
 Birkhoff means with tail diagnostics, rotation-set estimates (convex hulls of
-displacement means), Cesaro orbit averages, detection of the deck translation
-that makes a lift irrotational, and the pairwise distortion diagnostic.
+displacement means), Cesaro orbit averages, and detection of the deck
+translation that makes a lift irrotational.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import RotorError
-from .geometry import (convex_hull, hull_centroid, hull_diameter,
-                       point_to_hull_distance)
+from .geometry import convex_hull, hull_centroid, hull_diameter
 from .maps import (LiftedWord, Word, _as_lift, _require_identity,
                    apply_torus_batch, displacement_field_batch, linear_part,
                    orbit_displacement_means, orbit_mean_with_tail,
@@ -37,7 +36,6 @@ __all__ = [
     "estimate_rotation_set",
     "krylov_bogolyubov",
     "irrotational_lift",
-    "distortion_ratio",
 ]
 
 # Atoms closer than this (per coordinate, cyclically) merge to one grid
@@ -120,10 +118,6 @@ class EmpiricalMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Sum of weights times per-atom values."""
-        return float(self.weights @ np.asarray(values, dtype=float))
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
@@ -161,9 +155,6 @@ class RotationSetEstimate:
 
     def centroid(self) -> np.ndarray:
         return hull_centroid(self.hull)
-
-    def distance_to(self, p) -> float:
-        return point_to_hull_distance(p, self.hull)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -314,24 +305,3 @@ def irrotational_lift(w, seeds, n: int, tol: float) -> Optional[LiftedWord]:
         return None
     u = base.extra_translation
     return LiftedWord(base.word, (u[0] - v[0], u[1] - v[1]))
-
-
-def distortion_ratio(lw, n: int, pairs: Sequence) -> float:
-    """Largest difference of n-step displacement means across point pairs.
-
-    Computes max over pairs of |(lift^n(x) - x) - (lift^n(y) - y)| / n.
-    Sublinear displacement growth shows up as a small ratio; the ratio
-    itself makes no judgment.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    base = _require_identity(lw)
-    flat = []
-    for a, b in pairs:
-        flat.append(a)
-        flat.append(b)
-    if not flat:
-        return 0.0
-    means = orbit_displacement_means(base, np.asarray(flat, dtype=float), n)
-    diff = means[0::2] - means[1::2]
-    return float(np.hypot(diff[:, 0], diff[:, 1]).max())

@@ -391,7 +391,7 @@ def _build_analysis(scn: Scenario, section: _RawSection) -> AnalysisRequest:
         for nm in keys.get("generators", _names, required=True):
             try:
                 w = scn.group.by_name(nm)
-            except KeyError:
+            except RotorError:
                 raise _err(keys.line("generators"),
                            "unknown generator %r" % nm)
             gens.append((nm, scn.group.generators[w.letters[0][0]].linear))

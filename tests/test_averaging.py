@@ -11,7 +11,7 @@ from rotor.errors import (ConditionStarStarViolated, ConfigError,
                           DefectExceeded, NotIsotopicToIdentity, RotorError)
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_torus_batch,
                         constant_term, trig_term)
-from rotor.mcg import MCGClass, classify_nilpotent
+from rotor.mcg import MCGClass
 from rotor.measures import EmpiricalMeasure, invariance_defect
 
 ID = MCGClass.identity()
@@ -52,17 +52,6 @@ def test_spec_rejects_nonisotopic_g0():
 def test_spec_rejects_mismatched_class():
     with pytest.raises(ConfigError):
         GroupSpec(generators_G0=(), extension_gens=((W_DEHN, -ID),))
-
-
-def test_spec_checks_declared_structure():
-    form = classify_nilpotent((DEHN,))
-    assert form.tag == "cyclic"
-    GroupSpec(generators_G0=(), extension_gens=((W_DEHN, DEHN),),
-              declared_structure=form)
-    wrong = classify_nilpotent((ID,))
-    with pytest.raises(ConfigError):
-        GroupSpec(generators_G0=(), extension_gens=((W_DEHN, DEHN),),
-                  declared_structure=wrong)
 
 
 # --- construct_invariant

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from rotor.errors import NewtonDivergence, NotIsotopicToIdentity, RotorError
-from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift,
-                        apply_lift_batch, apply_torus, apply_torus_batch,
-                        commutator, compose, compose_lift, constant_term,
-                        displacement_field, displacement_field_batch, inverse,
+from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift_batch,
+                        apply_torus_batch, commutator, compose, compose_lift,
+                        constant_term, displacement_field_batch, inverse,
                         inverse_lift, linear_part, orbit_displacement_means,
                         orbit_mean_with_tail, orbit_segment, reduce_batch,
-                        reduce_point, translate_lift, trig_term)
+                        reduce_point, trig_term)
 from rotor.mcg import MCGClass
 
 ID = MCGClass.identity()
@@ -69,35 +68,39 @@ def test_reduce_idempotent():
 
 
 def test_apply_lift_identity():
-    assert apply_lift(LiftedWord(G.identity()), (0.3, 0.7)) == (0.3, 0.7)
+    q = apply_lift_batch(LiftedWord(G.identity()), [(0.3, 0.7)])[0]
+    assert tuple(q) == (0.3, 0.7)
 
 
 def test_apply_lift_skew():
     # displacement 0.1*sin(2*pi*x) in y at x=1/4: sin(pi/2)=1
-    q = apply_lift(LiftedWord(G.by_name("skew")), (0.25, 0.0))
+    q = apply_lift_batch(LiftedWord(G.by_name("skew")), [(0.25, 0.0)])[0]
     assert q[0] == 0.25
     assert abs(q[1] - 0.1) < 1e-15
 
 
 def test_apply_lift_dehn_with_deck():
-    q = apply_lift(LiftedWord(G.by_name("dehn"), (1, 0)), (0.5, 0.5))
-    assert q == (1.5, 1.0)
+    lw = LiftedWord(G.by_name("dehn"), (1, 0))
+    q = apply_lift_batch(lw, [(0.5, 0.5)])[0]
+    assert tuple(q) == (1.5, 1.0)
 
 
 # --- apply_torus examples
 
 
 def test_apply_torus_identity():
-    assert apply_torus(G.identity(), (0.9, 0.9)) == (0.9, 0.9)
+    q = apply_torus_batch(G.identity(), [(0.9, 0.9)])[0]
+    assert tuple(q) == (0.9, 0.9)
 
 
 def test_apply_torus_wraps():
-    q = apply_torus(G.by_name("quarter"), (0.9, 0.1))
+    q = apply_torus_batch(G.by_name("quarter"), [(0.9, 0.1)])[0]
     assert abs(q[0] - 0.15) < 1e-15 and q[1] == 0.1
 
 
 def test_apply_torus_anosov():
-    assert apply_torus(G.by_name("anosov"), (0.5, 0.5)) == (0.5, 0.0)
+    q = apply_torus_batch(G.by_name("anosov"), [(0.5, 0.5)])[0]
+    assert tuple(q) == (0.5, 0.0)
 
 
 # --- word algebra examples
@@ -105,7 +108,7 @@ def test_apply_torus_anosov():
 
 def test_commutator_with_self_is_identity():
     a = G.by_name("skew")
-    assert commutator(a, a).is_identity_word()
+    assert commutator(a, a).letters == ()
 
 
 def test_inverse_reverses_and_flips():
@@ -126,12 +129,23 @@ def test_word_from_string():
 
 
 def test_word_from_string_reduces():
-    assert G.word("skew skew'").is_identity_word()
+    assert G.word("skew skew'").letters == ()
 
 
 def test_word_from_string_unknown_name():
     with pytest.raises(RotorError):
         G.word("skew nosuch")
+
+
+def test_unknown_generator_fails_alike_in_word_and_by_name():
+    for name in ("nosuch", "Skew", "skew2", "ske"):
+        with pytest.raises(RotorError) as by_name:
+            G.by_name(name)
+        with pytest.raises(RotorError) as word:
+            G.word(name)
+        assert type(by_name.value) is type(word.value) is RotorError
+        assert str(by_name.value) == str(word.value)
+        assert str(word.value) == "unknown generator %r in word" % name
 
 
 # --- linear_part examples
@@ -166,26 +180,28 @@ def test_linear_part_is_morphism():
 
 
 def test_displacement_identity():
-    assert displacement_field(LiftedWord(G.identity()), (0.4, 0.8)) == (0.0, 0.0)
+    d = displacement_field_batch(LiftedWord(G.identity()), [(0.4, 0.8)])[0]
+    assert tuple(d) == (0.0, 0.0)
 
 
 def test_displacement_translation_constant():
     lw = LiftedWord(G.by_name("irr"))
     for p in [(0.0, 0.0), (0.77, 0.13), (0.5, 0.99)]:
-        d = displacement_field(lw, p)
+        d = displacement_field_batch(lw, [p])[0]
         assert abs(d[0] - ALPHA) < 1e-15 and abs(d[1] - 0.3) < 1e-15
 
 
 def test_displacement_on_vertical_circle():
     # (x + 0.05 sin4pix, y + 0.1 sin2pix) at x=1/4: sin(pi)=0, sin(pi/2)=1
-    d = displacement_field(LiftedWord(G.by_name("hmap")), (0.25, 0.0))
+    lw = LiftedWord(G.by_name("hmap"))
+    d = displacement_field_batch(lw, [(0.25, 0.0)])[0]
     assert abs(d[0]) < 1e-12
     assert abs(d[1] - 0.1) < 1e-12
 
 
 def test_displacement_rejects_nontrivial_linear_part():
     with pytest.raises(NotIsotopicToIdentity):
-        displacement_field(LiftedWord(G.by_name("dehn")), (0.0, 0.0))
+        displacement_field_batch(LiftedWord(G.by_name("dehn")), [(0.0, 0.0)])
     with pytest.raises(NotIsotopicToIdentity):
         displacement_field_batch(LiftedWord(G.by_name("anosov")),
                                  np.zeros((3, 2)))
@@ -222,7 +238,7 @@ def test_lift_independence():
     for w in words_under_test():
         want = apply_torus_batch(w, pts)
         for v in [(1, 0), (-2, 3), (5, 5)]:
-            lifted = apply_lift_batch(translate_lift(LiftedWord(w), v), pts)
+            lifted = apply_lift_batch(LiftedWord(w, v), pts)
             got = reduce_batch(lifted)
             # compare on the torus: wrap the coordinate-wise difference
             diff = np.abs(want - got)
@@ -321,7 +337,7 @@ def test_orbit_segment_matches_pointwise_iteration():
     p = (0.2, 0.6)
     for k in range(8):
         assert np.abs(np.array(p) - seg[k]).max() < 1e-12
-        p = apply_torus(w, p)
+        p = apply_torus_batch(w, [p])[0]
 
 
 def test_orbit_segment_burn_is_a_shift():

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotor.errors import NotIsotopicToIdentity, RotorError
-from rotor.geometry import hausdorff_distance
+from rotor.geometry import hausdorff_distance, point_to_hull_distance
 from rotor.maps import (Generator, LiftedWord, MapGroup, compose,
                         constant_term, inverse, linear_part,
-                        orbit_mean_with_tail, reduce_batch, translate_lift,
-                        trig_term)
+                        orbit_mean_with_tail, reduce_batch, trig_term)
 from rotor.mcg import MCGClass
-from rotor.measures import (BirkhoffRecord, EmpiricalMeasure,
-                            birkhoff_mean, distortion_ratio,
+from rotor.measures import (BirkhoffRecord, EmpiricalMeasure, birkhoff_mean,
                             estimate_rotation_set, invariance_defect,
                             irrotational_lift, krylov_bogolyubov,
                             pushforward, rotation_vector)
@@ -264,7 +262,7 @@ def test_lift_shift_is_exact():
     base = LiftedWord(G.by_name("irr"))
     rv0 = rotation_vector(m, base)
     for v in [(3, -2), (1, 0), (-5, 7)]:
-        rv = rotation_vector(m, translate_lift(base, v))
+        rv = rotation_vector(m, LiftedWord(base.word, v))
         assert np.array_equal(rv, rv0 + np.array(v, dtype=float))
 
 
@@ -379,8 +377,8 @@ def test_rotation_set_of_dehn_twist_is_a_segment():
 def test_rotation_set_of_circle_skew_contains_both_extremes():
     est = estimate_rotation_set(LiftedWord(G.by_name("circ")),
                                 grid_seeds(16), 1000)
-    assert est.distance_to((0.0, 0.0)) < 2e-2
-    assert est.distance_to((0.0, 0.1)) < 2e-2
+    assert point_to_hull_distance((0.0, 0.0), est.hull) < 2e-2
+    assert point_to_hull_distance((0.0, 0.1), est.hull) < 2e-2
 
 
 def test_hull_vertices_are_samples():
@@ -397,7 +395,7 @@ def test_adding_seeds_never_shrinks_the_hull():
     more = estimate_rotation_set(lw, np.vstack([grid_seeds(4), grid_seeds(6)]),
                                  200)
     for v in few.hull:
-        assert more.distance_to(v) <= 1e-12
+        assert point_to_hull_distance(v, more.hull) <= 1e-12
 
 
 def test_rotation_set_csv(tmp_path):
@@ -462,26 +460,3 @@ def test_irrotational_lift_spread_rotation_set_gives_none():
 def test_irrotational_lift_requires_identity_linear_part():
     with pytest.raises(NotIsotopicToIdentity):
         irrotational_lift(G.by_name("dehn"), [(0.0, 0.0)], 10, 1e-6)
-
-
-# --- distortion
-
-
-def test_distortion_identity_and_translation_vanish():
-    assert distortion_ratio(LiftedWord(G.identity()), 100,
-                            [((0.0, 0.0), (0.3, 0.4))]) == 0.0
-    assert distortion_ratio(LiftedWord(G.by_name("irr")), 100,
-                            [((0.0, 0.0), (0.3, 0.4))]) == 0.0
-
-
-def test_distortion_of_skew_is_the_amplitude():
-    # displacement (0, 0.05 sin 2 pi x); x=0 vs x=1/4 differ by 0.05 each step
-    r = distortion_ratio(LiftedWord(G.by_name("skew0")), 1000,
-                         [((0.0, 0.0), (0.25, 0.0))])
-    assert abs(r - 0.05) < 1e-12
-
-
-def test_distortion_requires_identity_linear_part():
-    with pytest.raises(NotIsotopicToIdentity):
-        distortion_ratio(LiftedWord(G.by_name("dehn")), 10,
-                         [((0.0, 0.0), (0.5, 0.5))])

@@ -230,7 +230,7 @@ seeds = 1
     scn = parse(text)
     first, second = scn.analyses
     assert first.params["word"] is scn.words["a_twice"]
-    assert second.params["word"].is_identity_word()
+    assert second.params["word"].letters == ()
 
 
 # --- diagnostics carry line numbers
