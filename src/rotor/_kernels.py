@@ -14,9 +14,12 @@ ctypes, which releases the GIL so seed chunks can run on threads; and
 are bit-identical wherever numpy's sin and cos round like the C library's.
 apply_word evaluates a program on a batch of plane points; it is the
 evaluator behind maps.apply_lift_batch, and rejects points that are not
-finite before it evaluates any.  At import the C file is built with
-the system compiler (cc) into this package's __pycache__, once per source
-and flags, and loaded; "c" is then the default.  Without a compiler, or
+finite before it evaluates any.  grid_merge, the one atom merge of the
+measures, reduces atoms to the torus and sums their weights per grid cell;
+its backends agree bit for bit everywhere, since it calls no trig.  At
+import the C file is built with the system compiler (cc) into this
+package's __pycache__, once per source and flags, and loaded; "c" is then
+the default.  Without a compiler, or
 when the build or the load fails, the backend is "numpy" and
 C_UNAVAILABLE says why.  set_backend() switches at runtime.
 
@@ -128,7 +131,12 @@ def _load_c():
     lib.orbit_collect.argtypes = [
         ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
         *tail]
+    lib.grid_merge.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
+                               ctypes.c_int64, ctypes.c_double,
+                               ctypes.c_int64, ctypes.c_void_p,
+                               ctypes.c_void_p]
     lib.apply_batch.restype = ctypes.c_int
+    lib.grid_merge.restype = ctypes.c_int64
     lib.orbit_mean.restype = lib.orbit_collect.restype = None
     return lib, None
 
@@ -183,6 +191,19 @@ def _orbit_collect_c(sx, sy, burn, count, *prog):
     return out
 
 
+def _grid_merge_c(pts, w, scale, cells):
+    out_pts = np.empty_like(pts)
+    out_w = np.empty_like(w)
+    m = _LIB.grid_merge(pts.ctypes.data, w.ctypes.data, len(w), scale, cells,
+                        out_pts.ctypes.data, out_w.ctypes.data)
+    if m < 0:
+        raise MemoryError("grid_merge could not allocate its scratch")
+    if m == len(w):
+        return out_pts, out_w
+    # copies, so no measure pins the n-sized buffers
+    return out_pts[:m].copy(), out_w[:m].copy()
+
+
 # ---------------------------------------------------------------------------
 # numpy backend (vectorized across seeds)
 
@@ -193,6 +214,18 @@ def reduce_batch(pts):
     out = pts - np.floor(pts)
     out[1.0 - out < _SNAP] = 0.0
     return out
+
+
+def _grid_merge_np(pts, w, scale, cells):
+    # np.lexsort is stable and bincount adds in input order from 0.0
+    keys = np.round(reduce_batch(pts) * scale).astype(np.int64) % cells
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    cell = np.empty(len(ordered), dtype=np.intp)
+    cell[order] = np.cumsum(first) - 1
+    return ordered[first] / scale, np.bincount(cell, weights=w)
 
 
 def _apply_word_np(pts, slot, mode, lin, lin_inv, tstart, tend,
@@ -333,6 +366,23 @@ def apply_word(pts, *prog):
     if not np.isfinite(pts).all():
         raise RotorError(_NOT_FINITE)
     return _apply_word_np(pts, *prog)
+
+
+def grid_merge(points, weights, scale: float, cells: int):
+    """Merge finite atoms (n, 2) with weights (n,) by grid cell.
+
+    Each coordinate is reduced to [0,1) and keyed round(r * scale) mod
+    cells, rounding half to even.  Returns the cells in key order, as
+    key / scale, and each cell's weight summed in input order from 0.0.
+    Reducing is idempotent, so merged cells merge again into themselves;
+    with cells = scale a point just below 1 lands in cell 0.
+    """
+    pts = np.ascontiguousarray(points, dtype=float)
+    w = np.ascontiguousarray(weights, dtype=float)
+    if pts.shape != (len(w), 2):
+        raise ValueError("points must be (n, 2) and weights (n,)")
+    merge = _grid_merge_c if _BACKEND == "c" else _grid_merge_np
+    return merge(pts, w, float(scale), int(cells))
 
 
 def orbit_mean_batch(seeds, n, plane_mode, *args):

@@ -1,13 +1,16 @@
-/* Word step and orbit loops of the "c" backend: a statement-for-statement
- * port of the numpy loops in _kernels.py (_apply_word_np, _orbit_mean_np,
- * _orbit_collect_np), one point at a time.  _kernels builds this file with
- * -ffp-contract=off and defines TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX
- * from its own constants, so results match numpy bit for bit wherever
- * numpy's sin and cos round like this C library's.
+/* Word step, orbit loops and grid merge of the "c" backend: a
+ * statement-for-statement port of the numpy code in _kernels.py
+ * (_apply_word_np, _orbit_mean_np, _orbit_collect_np, _grid_merge_np), one
+ * point at a time.  _kernels builds this file with -ffp-contract=off and
+ * defines TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX from its own constants,
+ * so results match numpy bit for bit wherever numpy's sin and cos round
+ * like this C library's.
  * Callers check all sizes; nothing here checks bounds. */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* A compiled word program; see maps._compile_letters for the layout.
  * One program is shared by every lift of its word and by pool threads, so
@@ -184,4 +187,80 @@ void orbit_collect(double sx, double sy, int64_t burn, int64_t count,
         out[2 * k + 1] = py;
         step(w, vx, vy, &px, &py);
     }
+}
+
+/* A grid cell key and the input row it came from. */
+typedef struct {
+    int64_t k0, k1, row;
+} keyed;
+
+static int key_less(const keyed *a, const keyed *b)
+{
+    return a->k0 < b->k0 || (a->k0 == b->k0 && a->k1 < b->k1);
+}
+
+/* Stable merge sort of a[0..n) by key, with tmp[0..n) as scratch. */
+static void sort_keys(keyed *a, keyed *tmp, int64_t n)
+{
+    if (n <= 16) {                      /* insertion sort, stable */
+        for (int64_t i = 1; i < n; i++) {
+            keyed v = a[i];
+            int64_t j = i;
+            for (; j > 0 && key_less(&v, &a[j - 1]); j--)
+                a[j] = a[j - 1];
+            a[j] = v;
+        }
+        return;
+    }
+    int64_t h = n / 2;
+    sort_keys(a, tmp, h);
+    sort_keys(a + h, tmp, n - h);
+    if (!key_less(&a[h], &a[h - 1]))    /* the halves are already in order */
+        return;
+    memcpy(tmp, a, h * sizeof(keyed));
+    int64_t i = 0, j = h, k = 0;
+    while (i < h && j < n)              /* ties take the left half first */
+        a[k++] = key_less(&a[j], &tmp[i]) ? a[j++] : tmp[i++];
+    while (i < h)
+        a[k++] = tmp[i++];
+}
+
+/* Merge n points (n, 2) with weights w by grid cell: each coordinate is
+ * reduced, keyed nearbyint(r * scale) floor-mod cells (nearbyint rounds
+ * half to even, like np.round), and the cells are written in key order as
+ * key / scale into out_pts, with each cell's weight summed in input order
+ * from 0.0 into out_w, as np.bincount adds.  Both outputs need room for n
+ * cells.  Returns the number of cells, or -1 when the scratch memory
+ * cannot be allocated. */
+int64_t grid_merge(const double *pts, const double *w, int64_t n,
+                   double scale, int64_t cells, double *out_pts,
+                   double *out_w)
+{
+    if (n == 0)
+        return 0;
+    keyed *items = malloc(2 * n * sizeof(keyed));
+    if (items == NULL)
+        return -1;
+    keyed *tmp = items + n;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t k0 = (int64_t)nearbyint(reduce(pts[2 * i]) * scale) % cells;
+        int64_t k1 = (int64_t)nearbyint(reduce(pts[2 * i + 1]) * scale)
+                     % cells;
+        items[i].k0 = k0 < 0 ? k0 + cells : k0;
+        items[i].k1 = k1 < 0 ? k1 + cells : k1;
+        items[i].row = i;
+    }
+    sort_keys(items, tmp, n);
+    int64_t m = 0;
+    for (int64_t j = 0; j < n; j++) {
+        if (j == 0 || key_less(&items[j - 1], &items[j])) {
+            out_pts[2 * m] = (double)items[j].k0 / scale;
+            out_pts[2 * m + 1] = (double)items[j].k1 / scale;
+            out_w[m++] = 0.0;
+        }
+        /* the sort is stable, so a cell's rows come in input order */
+        out_w[m - 1] += w[items[j].row];
+    }
+    free(items);
+    return m;
 }

@@ -23,13 +23,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ._io import write_json
+from ._kernels import grid_merge
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
                      RotorError)
 from .maps import (Word, _as_lift, _require_identity, apply_torus_batch,
                    commutator_lift, inverse as word_inverse, inverse_lift,
                    linear_part)
 from .mcg import MCGClass, check_condition_star_star
-from .measures import (EmpiricalMeasure, _grid_merge, invariance_defect,
+from .measures import (EmpiricalMeasure, _trig_moments, invariance_defect,
                        pushforward, rotation_vector)
 
 __all__ = [
@@ -141,17 +142,19 @@ def _cesaro_stage(word: Word, mu: EmpiricalMeasure, L: int) -> EmpiricalMeasure:
             pts = apply_torus_batch(word, pts)
         held.append(pts)
         if len(held) * len(w) > len(sums) or p == L - 1:
-            cells, sums = _grid_merge(np.concatenate([cells] + held),
-                                      np.concatenate([sums] + [w] * len(held)),
-                                      1.0 / _MERGE_GRID, _MERGE_CELLS)
+            cells, sums = grid_merge(np.concatenate([cells] + held),
+                                     np.concatenate([sums] + [w] * len(held)),
+                                     1.0 / _MERGE_GRID, _MERGE_CELLS)
             held = []
     if len(sums) > _ATOM_CAP:
-        cells, sums = _grid_merge(cells, sums, float(_COARSE), _COARSE)
+        cells, sums = grid_merge(cells, sums, float(_COARSE), _COARSE)
     return EmpiricalMeasure(cells, sums)
 
 
 def _defect_table(words: Dict[str, Word], mu: EmpiricalMeasure) -> Dict[str, float]:
-    return {label: invariance_defect(w, mu) for label, w in words.items()}
+    moments = _trig_moments(mu.points, mu.weights)
+    return {label: invariance_defect(w, mu, moments)
+            for label, w in words.items()}
 
 
 def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
@@ -173,8 +176,8 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     base_words: Dict[str, Word] = {"phi": phi.word}
     for i, g in enumerate(spec.generators_G0):
         base_words["G0[%d]" % i] = g
-    for label, w in base_words.items():
-        d = invariance_defect(w, mu0)
+    defects0 = _defect_table(base_words, mu0)
+    for label, d in defects0.items():
         if d >= tol:
             raise ValueError(
                 "mu0 is not invariant enough for %s (defect %.3g, tol %.3g)"
@@ -190,7 +193,7 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     checked = dict(base_words)
     stages = [StageRecord(
         index=0, generator=None, L_used=0, measure=mu0,
-        defects=_defect_table(checked, mu0),
+        defects=defects0,
         rho=tuple(float(v) for v in rotation_vector(mu0, phi)))]
 
     mu = mu0
@@ -290,21 +293,25 @@ def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck
     if not math.isfinite(bound):
         raise RotorError("bounded_orbit_check needs finite rho0 and w with "
                          "a finite threshold 10*(1 + |rho0| + |w|)")
-    # plain-float steps; the scan stops at the first non-finite point
+    # plain-float steps in the order of MCGClass.apply; the scan stops at
+    # the first non-finite point
     xs, ys = [x0], [y0]
-    step, finite = g_class.apply, math.isfinite
+    finite = math.isfinite
+    a, b, c, d = g_class.a, g_class.b, g_class.c, g_class.d
     x, y = x0, y0
     for _ in range(P):  # forward: rho_{p+1} = A(rho_p + w)
-        x, y = step((x + w1, y + w2))
+        u, v = x + w1, y + w2
+        x, y = a * u + b * v, c * u + d * v
         if not (finite(x) and finite(y)):
             break
         xs.append(x)
         ys.append(y)
     else:
-        step, x, y = g_class.inverse().apply, x0, y0
+        inv = g_class.inverse()
+        a, b, c, d = inv.a, inv.b, inv.c, inv.d
+        x, y = x0, y0
         for _ in range(P):  # backward: rho_{p-1} = A^-1 rho_p - w
-            x, y = step((x, y))
-            x, y = x - w1, y - w2
+            x, y = a * x + b * y - w1, c * x + d * y - w2
             if not (finite(x) and finite(y)):
                 break
             xs.append(x)

@@ -10,7 +10,7 @@ annulus twist.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

@@ -124,6 +124,7 @@ class MapGroup:
         if len(set(names)) != len(names):
             raise RotorError("generator names must be distinct")
         self._programs = {}     # reduced letters -> compiled word program
+        self._linear_parts = {}  # reduced letters -> MCGClass
 
     def word(self, letters) -> "Word":
         """Build a word from (index, sign) pairs or from a string.
@@ -226,10 +227,17 @@ def commutator(w1: Word, w2: Word) -> Word:
 
 
 def linear_part(w: Word) -> MCGClass:
-    out = MCGClass.identity()
-    for idx, sign in w.letters:
-        a = w.group.generators[idx].linear
-        out = out * (a if sign > 0 else a.inverse())
+    """The product of the letters' classes, once per group and reduced
+    letter sequence; integer products are exact, so the cache changes no
+    result."""
+    cache = w.group._linear_parts
+    out = cache.get(w.letters)
+    if out is None:
+        out = MCGClass.identity()
+        for idx, sign in w.letters:
+            a = w.group.generators[idx].linear
+            out = out * (a if sign > 0 else a.inverse())
+        cache[w.letters] = out
     return out
 
 
@@ -274,9 +282,18 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite(pts) -> np.ndarray:
+    # checked before the reduction, which would turn inf into NaN with a
+    # RuntimeWarning
+    pts = np.asarray(pts, dtype=float)
+    if not np.isfinite(pts).all():
+        raise RotorError(_kernels._NOT_FINITE)
+    return pts
+
+
 def apply_torus_batch(w, pts: np.ndarray) -> np.ndarray:
     lw = _as_lift(w)
-    return reduce_batch(apply_lift_batch(lw, reduce_batch(np.asarray(pts, dtype=float))))
+    return reduce_batch(apply_lift_batch(lw, reduce_batch(_finite(pts))))
 
 
 def _require_identity(lw, what: str = "word") -> LiftedWord:
@@ -291,7 +308,7 @@ def _require_identity(lw, what: str = "word") -> LiftedWord:
 def displacement_field_batch(lw, pts: np.ndarray) -> np.ndarray:
     """The vectors lift(p~) - p~, independent of the chosen lift of each p."""
     lw = _require_identity(lw)
-    red = reduce_batch(np.asarray(pts, dtype=float))
+    red = reduce_batch(_finite(pts))
     return apply_lift_batch(lw, red) - red
 
 

@@ -17,12 +17,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._kernels import grid_merge
 from .errors import RotorError
 from .geometry import convex_hull, hull_centroid, hull_diameter
 from .maps import (LiftedWord, Word, _as_lift, _require_identity,
-                   apply_torus_batch, displacement_field_batch, linear_part,
+                   apply_lift_batch, apply_torus_batch, linear_part,
                    orbit_displacement_means, orbit_mean_with_tail,
-                   orbit_segment, reduce_batch, reduce_point, torus_grid)
+                   orbit_segment, reduce_point, torus_grid)
 from .mcg import spectral_class
 
 __all__ = [
@@ -43,21 +44,6 @@ __all__ = [
 _GRID = 10 ** 12
 
 
-def _grid_merge(points: np.ndarray, weights: np.ndarray, scale: float,
-                cells: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge atoms by grid cell key round(p * scale) mod cells: returns the
-    sorted cells as key/scale and each cell's weight, summed in input order
-    from 0.0.  With cells = scale a point just below 1 lands in cell 0."""
-    keys = np.round(points * scale).astype(np.int64) % cells
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    ordered = keys[order]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    cell = np.empty(len(ordered), dtype=np.intp)
-    cell[order] = np.cumsum(first) - 1
-    return ordered[first] / scale, np.bincount(cell, weights=weights)
-
-
 def _canonical(points, weights) -> Tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.isfinite(pts).all():
@@ -70,7 +56,7 @@ def _canonical(points, weights) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError("a measure needs at least one atom")
     if (w < 0).any() or not np.isfinite(w).all():
         raise ValueError("weights must be finite and nonnegative")
-    out_pts, out_w = _grid_merge(reduce_batch(pts), w, float(_GRID), _GRID)
+    out_pts, out_w = grid_merge(pts, w, float(_GRID), _GRID)
     total = out_w.sum()
     if total <= 0.0:
         raise ValueError("total mass must be positive")
@@ -186,9 +172,12 @@ class BirkhoffRecord:
 
 
 def pushforward(w: Word, mu: EmpiricalMeasure) -> EmpiricalMeasure:
-    """Image measure: atoms moved by the torus map, weights carried along."""
-    image = apply_torus_batch(w, mu.points)
-    return EmpiricalMeasure(image, mu.weights)
+    """Image measure: atoms moved by the torus map, weights carried along.
+
+    The atoms are canonical, so they are lifted as they are; the measure
+    reduces the image.
+    """
+    return EmpiricalMeasure(apply_lift_batch(w, mu.points), mu.weights)
 
 
 def rotation_vector(mu: EmpiricalMeasure, lw) -> np.ndarray:
@@ -199,8 +188,9 @@ def rotation_vector(mu: EmpiricalMeasure, lw) -> np.ndarray:
     translation is added once at the end, so shifting the lift by an
     integer vector shifts the result by exactly that vector.
     """
-    base = _as_lift(lw)
-    disp = displacement_field_batch(LiftedWord(base.word), mu.points)
+    base = _require_identity(lw)
+    # canonical atoms are their own torus representatives
+    disp = apply_lift_batch(LiftedWord(base.word), mu.points) - mu.points
     u = base.extra_translation
     return np.array([mu.weights @ disp[:, 0] + u[0],
                      mu.weights @ disp[:, 1] + u[1]])
@@ -219,14 +209,18 @@ def _trig_moments(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.concatenate([weights @ np.cos(ang), weights @ np.sin(ang)])
 
 
-def invariance_defect(w: Word, mu: EmpiricalMeasure) -> float:
+def invariance_defect(w: Word, mu: EmpiricalMeasure,
+                      moments: Optional[np.ndarray] = None) -> float:
     """Largest change of a trig test-function integral under the map.
 
     Zero for exactly invariant measures; below about 1e-9 counts as exact
     in the rest of the suite, and orbit averages typically sit below 1e-2.
+    moments, when given, are mu's own test integrals (_trig_moments), so a
+    table of defects of one measure computes them once.
     """
     image = apply_torus_batch(w, mu.points)
-    before = _trig_moments(mu.points, mu.weights)
+    before = (_trig_moments(mu.points, mu.weights) if moments is None
+              else moments)
     after = _trig_moments(image, mu.weights)
     return float(np.abs(before - after).max())
 

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rotor import averaging
-from rotor.averaging import (ConstructionTrace, GroupSpec, OrbitCheck,
-                             _cesaro_stage, bounded_orbit_check,
+from rotor import _kernels, averaging
+from rotor.averaging import (GroupSpec, _cesaro_stage, bounded_orbit_check,
                              construct_invariant, rotev_residual)
 from rotor.errors import (ConditionStarStarViolated, ConfigError,
                           DefectExceeded, NotIsotopicToIdentity, RotorError)
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_torus_batch,
                         constant_term, trig_term)
 from rotor.mcg import MCGClass
-from rotor.measures import EmpiricalMeasure, invariance_defect
+from rotor.measures import EmpiricalMeasure
 
 ID = MCGClass.identity()
 DEHN = MCGClass(1, 0, 1, 1)
@@ -177,14 +176,15 @@ def dict_stage(word, mu, L, cap=10 ** 6):
 
 
 def counted_merges(monkeypatch):
+    """Records the size of every grid merge of a stage, on any backend."""
     calls = []
-    real = averaging._grid_merge
+    real = averaging.grid_merge
 
     def spy(points, weights, scale, cells):
         calls.append(len(weights))
         return real(points, weights, scale, cells)
 
-    monkeypatch.setattr(averaging, "_grid_merge", spy)
+    monkeypatch.setattr(averaging, "grid_merge", spy)
     return calls
 
 
@@ -193,16 +193,20 @@ def assert_same_measure(a, b):
     assert np.array_equal(a.weights, b.weights)
 
 
-def test_stage_on_distinct_atoms_matches_dict_reference(monkeypatch):
+def test_stage_on_distinct_atoms_matches_dict_reference(monkeypatch,
+                                                        backends):
     mu = EmpiricalMeasure(np.random.default_rng(2).random((64, 2)))
     calls = counted_merges(monkeypatch)
-    got = _cesaro_stage(W_DEHN, mu, 40)
-    assert len(calls) >= 5
-    assert len(got) == 64 * 40
-    assert_same_measure(got, dict_stage(W_DEHN, mu, 40))
+    for backend in backends:
+        _kernels.set_backend(backend)
+        calls.clear()
+        got = _cesaro_stage(W_DEHN, mu, 40)
+        assert len(calls) >= 5
+        assert len(got) == 64 * 40
+        assert_same_measure(got, dict_stage(W_DEHN, mu, 40))
 
 
-def test_heavily_merging_stage_matches_dict_reference(monkeypatch):
+def test_heavily_merging_stage_matches_dict_reference(monkeypatch, backends):
     # the Dehn twist permutes the 16x16 grid, so every image merges back;
     # weights over 16 decades make each cell sum depend on the order
     rng = np.random.default_rng(3)
@@ -210,22 +214,27 @@ def test_heavily_merging_stage_matches_dict_reference(monkeypatch):
     mu = EmpiricalMeasure(grid.points,
                           rng.random(256) * 10.0 ** rng.uniform(-8, 8, 256))
     calls = counted_merges(monkeypatch)
-    got = _cesaro_stage(W_DEHN, mu, 33)
-    assert len(calls) > 10
-    assert len(got) == 256
-    assert_same_measure(got, dict_stage(W_DEHN, mu, 33))
+    for backend in backends:
+        _kernels.set_backend(backend)
+        calls.clear()
+        got = _cesaro_stage(W_DEHN, mu, 33)
+        assert len(calls) > 10
+        assert len(got) == 256
+        assert_same_measure(got, dict_stage(W_DEHN, mu, 33))
 
 
-def test_coarse_rebin_matches_dict_reference(monkeypatch):
+def test_coarse_rebin_matches_dict_reference(monkeypatch, backends):
     rng = np.random.default_rng(4)
     mu = EmpiricalMeasure(rng.random((64, 2)), rng.random(64))
     monkeypatch.setattr(averaging, "_ATOM_CAP", 100)
-    got = _cesaro_stage(W_DEHN, mu, 40)
-    ref = dict_stage(W_DEHN, mu, 40, cap=100)
-    assert_same_measure(got, ref)
-    # the re-bin ran: every atom sits on the 1/4096 grid
-    keys = got.points * 4096
-    assert np.array_equal(keys, np.round(keys))
+    for backend in backends:
+        _kernels.set_backend(backend)
+        got = _cesaro_stage(W_DEHN, mu, 40)
+        ref = dict_stage(W_DEHN, mu, 40, cap=100)
+        assert_same_measure(got, ref)
+        # the re-bin ran: every atom sits on the 1/4096 grid
+        keys = got.points * 4096
+        assert np.array_equal(keys, np.round(keys))
 
 
 # --- rotation transport recurrences

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from rotor import _kernels
+from rotor.averaging import _MERGE_CELLS, _MERGE_GRID
 from rotor.catalog import build_catalog
 from rotor.errors import NewtonDivergence, RotorError
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift_batch,
-                        compile_program, constant_term,
-                        orbit_displacement_means, orbit_mean_with_tail,
-                        orbit_segment, torus_grid, trig_term)
+                        apply_torus_batch, compile_program, constant_term,
+                        displacement_field_batch, orbit_displacement_means,
+                        orbit_mean_with_tail, orbit_segment, torus_grid,
+                        trig_term)
 from rotor.mcg import MCGClass
 
 ID = MCGClass.identity()
@@ -302,6 +304,70 @@ def test_apply_lift_batch_rejects_nonfinite_points(backend, word, value,
         with pytest.raises(RotorError, match="points must be finite") as err:
             apply_lift_batch(build_catalog().word(word), pts)
     assert type(err.value) is RotorError
+
+
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_c)])
+@pytest.mark.parametrize("evaluate", [apply_torus_batch,
+                                      displacement_field_batch])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_torus_evaluators_reject_nonfinite_points(backend, evaluate, value,
+                                                  restore_backend):
+    # checked before the reduction, which turned inf into NaN with a
+    # RuntimeWarning
+    _kernels.set_backend(backend)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RotorError, match="points must be finite") as err:
+            evaluate(build_catalog().word("skew"), [[0.3, 0.2], [value, 0.2]])
+    assert type(err.value) is RotorError
+
+
+# the grids the measures merge on: the 1e-12 atom grid, the 1e-10 stage
+# grid and the 1/4096 coarse re-bin
+MERGE_GRIDS = [(1e12, 10 ** 12), (1.0 / _MERGE_GRID, _MERGE_CELLS),
+               (4096.0, 4096)]
+
+
+def _merge_inputs(rng):
+    """Point sets: random, 8x8-gridded with ties, near the grid points, at
+    and across the seam, negative and above 1, from single atoms up."""
+    seam = [1 - 1e-16, -1e-17, 0.0, 1.0, 1 - 1e-13, -1e-13, 0.5, 2.0]
+    for n in (1, 2, 17, 40, 1000):
+        yield rng.random((n, 2))
+        yield rng.integers(0, 8, (n, 2)) / 8.0
+        yield (rng.integers(0, 8, (n, 2)) / 8.0
+               + rng.uniform(-4e-13, 4e-13, (n, 2)))
+        yield rng.choice(seam, (n, 2))
+        yield rng.random((n, 2)) * 10.0 - 5.0
+        yield -rng.random((n, 2))
+        yield 1.0 + rng.random((n, 2))
+    # one cell hit many times, half a key step apart (ties round to even)
+    yield np.full((33, 2), 0.5 / 4096) * np.arange(33)[:, None]
+
+
+@needs_c
+@pytest.mark.parametrize("scale, cells", MERGE_GRIDS)
+def test_c_grid_merge_matches_numpy_bitwise(scale, cells):
+    rng = np.random.default_rng(11)
+    for points in _merge_inputs(rng):
+        # weights over 16 decades, so each cell sum depends on the order
+        weights = rng.random(len(points)) * 10.0 ** rng.uniform(
+            -8, 8, len(points))
+        c_pts, c_w = _kernels._grid_merge_c(points, weights, scale, cells)
+        np_pts, np_w = _kernels._grid_merge_np(points, weights, scale, cells)
+        assert c_pts.shape == np_pts.shape and c_w.shape == np_w.shape
+        assert c_pts.tobytes() == np_pts.tobytes()
+        assert c_w.tobytes() == np_w.tobytes()
+        assert ((0.0 <= c_pts) & (c_pts < 1.0)).all()
+
+
+@needs_c
+def test_c_grid_merge_owns_its_cells():
+    # merged atoms are copied out of the n-sized buffers
+    pts = np.zeros((1000, 2))
+    cells, sums = _kernels._grid_merge_c(pts, np.ones(1000), 1e12, 10 ** 12)
+    assert cells.shape == (1, 2) and sums.tolist() == [1000.0]
+    assert cells.base is None and sums.base is None
 
 
 def test_zero_length_segment_is_empty():

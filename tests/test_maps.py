@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from rotor.catalog import build_catalog
 from rotor.errors import NewtonDivergence, NotIsotopicToIdentity, RotorError
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift_batch,
                         apply_torus_batch, commutator, compose, compose_lift,
@@ -174,6 +175,27 @@ def test_linear_part_is_morphism():
             w2 = G.word([(int(a), int(s)) for a, s in zip(i2, s2)])
             assert (linear_part(compose(w1, w2))
                     == linear_part(w1) * linear_part(w2))
+
+
+def _uncached_linear_part(w):
+    out = MCGClass.identity()
+    for idx, sign in w.letters:
+        a = w.group.generators[idx].linear
+        out = out * (a if sign > 0 else a.inverse())
+    return out
+
+
+def test_memoised_linear_part_matches_the_product():
+    cat = build_catalog()
+    gens = [cat.gen(i) for i in range(len(cat.generators))]
+    words = (gens + [inverse(g) for g in gens]
+             + [commutator(a, b) for a in gens for b in gens])
+    for w in words:
+        assert linear_part(w) == _uncached_linear_part(w)
+        # a word built afresh from the same letters reads the cache
+        again = cat.word(list(w.letters))
+        assert again is not w
+        assert linear_part(again) is linear_part(w)
 
 
 # --- displacement field examples

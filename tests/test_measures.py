@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotor import _kernels
 from rotor.errors import NotIsotopicToIdentity, RotorError
 from rotor.geometry import hausdorff_distance, point_to_hull_distance
 from rotor.maps import (Generator, LiftedWord, MapGroup, compose,
                         constant_term, inverse, linear_part,
                         orbit_mean_with_tail, reduce_batch, trig_term)
 from rotor.mcg import MCGClass
-from rotor.measures import (BirkhoffRecord, EmpiricalMeasure, birkhoff_mean,
+from rotor.measures import (EmpiricalMeasure, birkhoff_mean,
                             estimate_rotation_set, invariance_defect,
                             irrotational_lift, krylov_bogolyubov,
                             pushforward, rotation_vector)
@@ -160,38 +161,45 @@ def spread_weights(rng, n):
     return rng.random(n) * 10.0 ** rng.uniform(-8, 8, n)
 
 
-def test_heavy_merging_matches_dict_reference():
+def test_heavy_merging_matches_dict_reference(backends):
     rng = np.random.default_rng(7)
     n = 20000
     centers = rng.integers(0, 16, size=(n, 2)) / 16
     points = centers + rng.uniform(-4e-13, 4e-13, size=(n, 2))
     weights = spread_weights(rng, n)
-    m = assert_matches_dict_reference(points, weights)
-    assert len(m) == 256
+    for backend in backends:
+        _kernels.set_backend(backend)
+        m = assert_matches_dict_reference(points, weights)
+        assert len(m) == 256
     # the reference is order sensitive: adding in reverse differs
     _, rev = dict_merge(reduce_batch(points)[::-1], weights[::-1],
                         1e12, 10 ** 12)
     assert not np.array_equal(m.weights, rev / rev.sum())
 
 
-def test_distinct_and_seam_atoms_match_dict_reference():
+def test_distinct_and_seam_atoms_match_dict_reference(backends):
     rng = np.random.default_rng(8)
     seam = [(1 - 1e-13, 0.5), (0.0, 0.5), (0.5, 1 - 1e-13), (-1e-13, 0.5),
             (1 - 1e-13, 1 - 1e-13), (0.0, 0.0), (1 - 6e-13, 0.25),
             (2.5, -0.5), (0.5, 0.5)]
     points = np.vstack([seam, rng.random((4000, 2)) * 6 - 3])
-    m = assert_matches_dict_reference(points, spread_weights(rng, len(points)))
-    assert m.points[0].tolist() == [0.0, 0.0]
-    assert m.points.max() < 1.0
-    seam_only = assert_matches_dict_reference(seam, np.ones(len(seam)))
-    assert len(seam_only) == 5
+    weights = spread_weights(rng, len(points))
+    for backend in backends:
+        _kernels.set_backend(backend)
+        m = assert_matches_dict_reference(points, weights)
+        assert m.points[0].tolist() == [0.0, 0.0]
+        assert m.points.max() < 1.0
+        seam_only = assert_matches_dict_reference(seam, np.ones(len(seam)))
+        assert len(seam_only) == 5
 
 
-def test_tiny_measure_matches_dict_reference():
+def test_tiny_measure_matches_dict_reference(backends):
     rng = np.random.default_rng(9)
-    for n in (1, 2, 40):
-        assert_matches_dict_reference(rng.random((n, 2)),
-                                      spread_weights(rng, n))
+    cases = [(rng.random((n, 2)), spread_weights(rng, n)) for n in (1, 2, 40)]
+    for backend in backends:
+        _kernels.set_backend(backend)
+        for points, weights in cases:
+            assert_matches_dict_reference(points, weights)
 
 
 # --- pushforward

@@ -1,4 +1,5 @@
-"""Every public name of a rotor module is reached from outside the tests.
+"""Every public name of a rotor module is reached from outside the tests,
+and every imported name is used.
 
 A name in the __all__ of a rotor submodule passes when one of these holds:
 it is re-exported in rotor.__all__; it appears as a word in README.md;
@@ -6,6 +7,9 @@ another rotor module or a perfbench script refers to it (imports it by
 name, reads it as an attribute x.name, or loads it as a bare name); or
 its own module loads it outside its own definition.  A name that only
 tests reach is either deleted or moved into the test that uses it.
+
+A name that a rotor module or a test file imports passes when the file
+loads it or lists it in its __all__.
 """
 
 import ast
@@ -70,3 +74,43 @@ def test_every_public_name_is_reached():
                     or _loaded_outside(tree, name)):
                 unreached.append("%s.%s" % (stem, name))
     assert not unreached, "reached only from tests: " + ", ".join(unreached)
+
+
+def _imported(tree: ast.Module) -> dict:
+    """The names a module binds by import, with the line of each; the
+    compiler directives of __future__ bind nothing."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _exported(tree: ast.Module) -> set:
+    """The strings of a module-level __all__ list or tuple."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_imported_name_is_used():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = _parse(path)
+        used = _exported(tree) | {node.id for node in ast.walk(tree)
+                                  if isinstance(node, ast.Name)
+                                  and isinstance(node.ctx, ast.Load)}
+        for name, line in sorted(_imported(tree).items()):
+            if name not in used:
+                unused.append("%s:%d %s" % (path.relative_to(ROOT), line,
+                                            name))
+    assert not unused, "imported and never used: " + ", ".join(unused)

@@ -1,7 +1,5 @@
 """Scenario file parsing: grammar, validation diagnostics, round-trips."""
 
-import math
-
 import pytest
 
 from rotor.catalog import build_catalog
