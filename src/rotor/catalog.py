@@ -36,10 +36,10 @@ ALPHA = math.sqrt(2.0) - 1.0
 _ID = MCGClass.identity()
 
 
-def annulus_twist_spec(beta: float = 0.4) -> AnnulusMapSpec:
-    """The boundary-fixing twist (x + beta*t*(1-t), t)."""
-    return AnnulusMapSpec(a_terms=[annulus_term(beta, 0, math.pi / 2, 1),
-                                   annulus_term(-beta, 0, math.pi / 2, 2)])
+def annulus_twist_spec() -> AnnulusMapSpec:
+    """The boundary-fixing twist (x + 0.4*t*(1-t), t)."""
+    return AnnulusMapSpec(a_terms=[annulus_term(0.4, 0, math.pi / 2, 1),
+                                   annulus_term(-0.4, 0, math.pi / 2, 2)])
 
 
 def build_catalog() -> MapGroup:

@@ -508,8 +508,9 @@ def _cmd_verify(outdir: str, threads: int) -> int:
     }
     write_json(os.path.join(outdir, "run_meta.json"), meta)
     for r in report.results:
-        print("%2d %-32s %s" % (r.index, r.name,
-                                "PASS" if r.passed else "FAIL"))
+        print("%2d %-32s %s %8.3f s" % (r.index, r.name,
+                                        "PASS" if r.passed else "FAIL",
+                                        r.elapsed_s))
     print(path)
     return 0 if report.all_passed else 1
 

@@ -12,7 +12,7 @@ parametrization is t = sin^2(pi*y), which is mirror symmetric and turns
 polynomials in t into trig polynomials in y, so doubled maps are honest
 generators of this package's algebra and every downstream tool applies
 to them.  The price is that only fiber-preserving annulus maps double
-exactly; the vertical displacement b is validated but not doubled.
+exactly, so an annulus map carries a horizontal displacement only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (BoundaryViolation, NotSigmaEquivariant, RotorError)
+from .errors import NotSigmaEquivariant, RotorError
 from .maps import (Generator, LiftedWord, MapGroup, Word, _as_lift,
                    apply_torus_batch, reduce_batch, torus_grid, trig_term)
 from .mcg import MCGClass
@@ -53,17 +53,16 @@ def _torus_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(d[:, 0], d[:, 1])
 
 
-def check_sigma_commute(w: Word, grid_n: int = 64) -> float:
-    """Max torus distance between f(sigma(p)) and sigma(f(p)) on a grid."""
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    pts = torus_grid(grid_n)
+def check_sigma_commute(w: Word) -> float:
+    """Max torus distance between f(sigma(p)) and sigma(f(p)) on the
+    64 x 64 grid."""
+    pts = torus_grid(64)
     left = apply_torus_batch(w, sigma_apply(pts))
     right = sigma_apply(apply_torus_batch(w, pts))
     return float(_torus_gap(left, right).max())
 
 
-def rho_bar(mu: EmpiricalMeasure, lw, grid_n: int = 64,
+def rho_bar(mu: EmpiricalMeasure, lw,
             sigma_tol: float = 1e-9) -> Tuple[float, float]:
     """The Klein rotation invariant (a mod 1, |b|) of a lifted word.
 
@@ -72,7 +71,7 @@ def rho_bar(mu: EmpiricalMeasure, lw, grid_n: int = 64,
     unchanged; the y component shifts b before the absolute value.
     """
     base = _as_lift(lw)
-    defect = check_sigma_commute(base.word, grid_n)
+    defect = check_sigma_commute(base.word)
     if not defect < sigma_tol:
         raise NotSigmaEquivariant(
             "rho_bar needs a sigma-commuting word; defect %.3e" % defect)
@@ -106,31 +105,11 @@ def annulus_term(amplitude: float, k: int = 0, phase: float = 0.0,
 
 
 class AnnulusMapSpec:
-    """Displacements (a, b) on S^1 x [0,1], trig in x, polynomial in t.
+    """A fiber-preserving map (x + a(x, t), t) of S^1 x [0,1], with a trig
+    in x and polynomial in t."""
 
-    b must vanish on both boundary circles.  Grouping b terms by their x
-    profile, each group's t-polynomial needs zero constant term (t=0)
-    and zero coefficient sum (t=1); the check is exact on coefficients.
-    """
-
-    def __init__(self, a_terms: Sequence = (), b_terms: Sequence = ()):
+    def __init__(self, a_terms: Sequence = ()):
         self.a_terms = tuple(annulus_term(*t) for t in a_terms)
-        self.b_terms = tuple(annulus_term(*t) for t in b_terms)
-        groups = {}
-        for amp, k, phase, p in self.b_terms:
-            key = (k, phase)
-            at_zero, total = groups.get(key, (0.0, 0.0))
-            if p == 0:
-                at_zero += amp
-            groups[key] = (at_zero, total + amp)
-        for (k, phase), (at_zero, total) in sorted(groups.items()):
-            if at_zero != 0.0 or total != 0.0:
-                raise BoundaryViolation(
-                    "b profile (k=%d, phase=%g) takes value %g at t=0 "
-                    "and %g at t=1; both must vanish" % (k, phase, at_zero, total))
-
-    def is_fiber_preserving(self) -> bool:
-        return all(amp == 0.0 for amp, _, _, _ in self.b_terms)
 
 
 def _t_power_cosine_coeffs(p: int) -> List[float]:
@@ -153,13 +132,6 @@ def _t_power_cosine_coeffs(p: int) -> List[float]:
 def doubled_displacement_terms(spec: "AnnulusMapSpec") -> List[tuple]:
     """The trig terms of the doubled map's x displacement, ready to drop
     into a Generator; the caller picks the group."""
-    if not spec.is_fiber_preserving():
-        raise RotorError("only fiber-preserving annulus maps (b = 0) "
-                         "stay inside the trig algebra")
-    return _doubled_terms(spec.a_terms)
-
-
-def _doubled_terms(a_terms) -> List[tuple]:
     acc = {}
 
     def add(amp, kx, ky, phase):
@@ -168,7 +140,7 @@ def _doubled_terms(a_terms) -> List[tuple]:
         key = (kx, ky, phase)
         acc[key] = acc.get(key, 0.0) + amp
 
-    for amp, k, phase, p in a_terms:
+    for amp, k, phase, p in spec.a_terms:
         coeffs = _t_power_cosine_coeffs(p)
         add(amp * coeffs[0], k, 0, phase)
         for m in range(1, len(coeffs)):

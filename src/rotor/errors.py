@@ -33,10 +33,6 @@ class NotSigmaEquivariant(RotorError):
     """Map fails to commute with the deck involution of the Klein cover."""
 
 
-class BoundaryViolation(RotorError):
-    """Annulus displacement does not fix the boundary circles."""
-
-
 class ConfigError(RotorError):
     """Malformed scenario file; message carries line/field diagnostics."""
 

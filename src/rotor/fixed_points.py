@@ -315,22 +315,18 @@ def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
         return report
 
     below = norms < tol
-    consumed = np.zeros_like(below)
     seed_cells: List[Tuple[int, int]] = []
     for comp in _grid_components(below):
         if len(comp) >= _CHAIN_MIN_CELLS:
             chain_pts = tuple((float(axis[i]), float(axis[j])) for i, j in comp)
             worst = float(max(norms[i, j] for i, j in comp))
             report.chains.append(FixedChain(points=chain_pts, max_residual=worst))
-            for i, j in comp:
-                consumed[i, j] = True
         else:
             best = min(comp, key=lambda c: (norms[c[0], c[1]], c))
             seed_cells.append(best)
-            for i, j in comp:
-                consumed[i, j] = True
 
-    seed_cells.extend(_local_min_seeds(norms, consumed))
+    # every cell below tol belongs to a chain or seeds its component
+    seed_cells.extend(_local_min_seeds(norms, below))
     seeds = np.array([(axis[i], axis[j]) for i, j in seed_cells], dtype=float)
     if len(seeds):
         found = _refine(lifts, seeds, tol)
@@ -441,7 +437,7 @@ class FranksReport:
 
 
 def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
-                       grid_n: int = 64, orbit_n: int = 512) -> FranksReport:
+                       grid_n: int = 64) -> FranksReport:
     """Empirical check of the zero-rotation-vector fixed point criterion.
 
     The certificate can only ever say "consistent": a nonzero rotation
@@ -465,7 +461,7 @@ def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
     pick = np.unique(np.linspace(0, len(mu.points) - 1,
                                  min(len(mu.points), 8)).round().astype(int))
     seeds = mu.points[pick]
-    means = orbit_displacement_means(lw, seeds, orbit_n)
+    means = orbit_displacement_means(lw, seeds, 512)
     spread = 0.0
     for i in range(len(means)):
         for j in range(i + 1, len(means)):

@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import _NEWTON_MAX, _NEWTON_TOL, reduce_batch
 from .errors import NewtonDivergence, NotIsotopicToIdentity, RotorError
-from .mcg import MCGClass
+from .mcg import MCGClass, spectral_class
 
 __all__ = [
     "Generator",
@@ -398,19 +398,28 @@ def _check_seeds(seeds) -> None:
 
 
 def _orbit_program(w, seeds, n: int):
-    """(lift, plane_mode, kernel arguments) of an orbit of length n >= 1."""
+    """(lift, plane_mode, kernel arguments) of an orbit mean of length n >= 1.
+
+    An expanding linear part makes the plane orbit overflow, so its word
+    is refused rather than returning inf or NaN means.
+    """
     lw = _as_lift(w)
+    a = linear_part(lw.word)
+    tag = spectral_class(a).tag
+    if tag in ("hyperbolic", "other_real_split"):
+        raise RotorError("rotation set undefined for %s linear part: "
+                         "displacement means diverge" % tag)
     if not isinstance(n, Integral) or n < 1:
         raise RotorError("orbit length must be an integer >= 1")
     _check_seeds(seeds)
-    return lw, not linear_part(lw.word).is_identity(), compile_program(lw)
+    return lw, not a.is_identity(), compile_program(lw)
 
 
-def _check_orbit(lw, values, plane_mode: bool) -> None:
-    # A torus orbit stays in [0,1)^2, so a NaN there can only come from a
-    # failed Newton inverse; plane-mode overflow (inf, or NaN from 0 * inf)
-    # is reported as is.
-    if not plane_mode and np.isnan(values).any():
+def _check_orbit(lw, values) -> None:
+    # A torus orbit stays in [0,1)^2 and a plane orbit of a non-expanding
+    # class grows at most linearly, so a NaN can only come from a failed
+    # Newton inverse.
+    if np.isnan(values).any():
         raise _divergence(lw)
 
 
@@ -419,9 +428,9 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     """n-step displacement means (lift^n(p) - p)/n for each seed, shape (m,2).
 
     Words with identity linear part iterate on the torus and accumulate the
-    per-step displacement with compensated summation; a NaN mean there
-    raises NewtonDivergence.  Other words iterate in plane coordinates,
-    where overflow is reported as is.  threads splits the seeds over a
+    per-step displacement with compensated summation; other words iterate
+    in plane coordinates, and an expanding linear part raises RotorError.
+    A NaN mean raises NewtonDivergence.  threads splits the seeds over a
     thread pool on the C backend, whose kernels release the GIL; the numpy
     backend runs all seeds in one vectorized call.  Results are the same
     for every thread count.
@@ -440,7 +449,7 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
         chunks = np.array_split(seeds, min(threads * 4, len(seeds)))
         with ThreadPoolExecutor(max_workers=threads) as ex:
             means = np.concatenate(list(ex.map(run, chunks)), axis=0)
-    _check_orbit(lw, means, plane_mode)
+    _check_orbit(lw, means)
     return means
 
 
@@ -450,7 +459,7 @@ def orbit_mean_with_tail(w, seed, n: int):
     seed = (float(seed[0]), float(seed[1]))
     lw, plane_mode, args = _orbit_program(w, seed, n)
     mx, my, spread = _kernels.orbit_mean_tail(*seed, n, plane_mode, *args)
-    _check_orbit(lw, (mx, my), plane_mode)
+    _check_orbit(lw, (mx, my))
     return (mx, my), spread
 
 
@@ -462,5 +471,5 @@ def orbit_segment(w, seed, n: int, burn: int = 0) -> np.ndarray:
         raise RotorError("orbit length and burn-in must be integers >= 0")
     _check_seeds(seed)
     out = _kernels.orbit_collect(*seed, burn, n, *compile_program(lw))
-    _check_orbit(lw, out, plane_mode=False)
+    _check_orbit(lw, out)
     return out

@@ -18,13 +18,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ._kernels import grid_merge
-from .errors import RotorError
 from .geometry import convex_hull, hull_centroid, hull_diameter
-from .maps import (LiftedWord, Word, _as_lift, _require_identity,
-                   apply_lift_batch, apply_torus_batch, linear_part,
-                   orbit_displacement_means, orbit_mean_with_tail,
-                   orbit_segment, reduce_point, torus_grid)
-from .mcg import spectral_class
+from .maps import (LiftedWord, Word, _require_identity, apply_lift_batch,
+                   apply_torus_batch, orbit_displacement_means,
+                   orbit_mean_with_tail, orbit_segment, reduce_point,
+                   torus_grid)
 
 __all__ = [
     "EmpiricalMeasure",
@@ -225,13 +223,6 @@ def invariance_defect(w: Word, mu: EmpiricalMeasure,
     return float(np.abs(before - after).max())
 
 
-def _require_bounded_means(lw) -> None:
-    tag = spectral_class(linear_part(_as_lift(lw).word)).tag
-    if tag in ("hyperbolic", "other_real_split"):
-        raise RotorError("rotation set undefined for %s linear part: "
-                         "displacement means diverge" % tag)
-
-
 def birkhoff_mean(lw, seed, n: int) -> BirkhoffRecord:
     """n-step displacement mean (lift^n(seed) - seed)/n along one orbit.
 
@@ -242,7 +233,6 @@ def birkhoff_mean(lw, seed, n: int) -> BirkhoffRecord:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    _require_bounded_means(lw)
     mean, spread = orbit_mean_with_tail(lw, seed, n)
     return BirkhoffRecord(seed=reduce_point(seed), n=n, mean=mean,
                           tail_spread=spread)
@@ -262,7 +252,6 @@ def estimate_rotation_set(lw, seeds, n: int,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    _require_bounded_means(lw)
     arr = np.asarray(seeds, dtype=float).reshape(-1, 2)
     samples = orbit_displacement_means(lw, arr, n, threads)
     return RotationSetEstimate(samples=samples, hull=convex_hull(samples), n=n)

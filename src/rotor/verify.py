@@ -123,8 +123,8 @@ _UNIT_TAGS = ("identity", "minus_identity", "complex_order4",
               "eigen_minus1_parabolic", "reflection_det_minus1_tr0")
 
 
-def mcg_exhaustive_consistency(bound: int = 10) -> CriterionResult:
-    t0 = time.perf_counter()
+def mcg_exhaustive_consistency() -> Tuple[bool, dict]:
+    bound = 10
     mats = _unimodular_matrices(bound)
     failures = 0
     max_gap = 0.0
@@ -176,15 +176,13 @@ def mcg_exhaustive_consistency(bound: int = 10) -> CriterionResult:
         "max_eigenvalue_gap": _f(max_gap),
         "finite_orders_seen": sorted(orders),
     }
-    return CriterionResult(1, "mcg_exhaustive_consistency", passed, details,
-                           time.perf_counter() - t0)
+    return passed, details
 
 
 # --- 2: the subgroup classification table and the averaging precondition
 
 
-def subgroup_classification_table() -> CriterionResult:
-    t0 = time.perf_counter()
+def subgroup_classification_table() -> Tuple[bool, dict]:
     checks: Dict[str, bool] = {}
 
     form = classify_nilpotent(H_LIST)
@@ -215,8 +213,7 @@ def subgroup_classification_table() -> CriterionResult:
         [_ANOSOV, -_ID]).satisfied
 
     passed = all(checks.values())
-    return CriterionResult(2, "subgroup_classification_table", passed,
-                           {"checks": checks}, time.perf_counter() - t0)
+    return passed, {"checks": checks}
 
 
 # --- 3: conjugation and additivity of the rotation vector
@@ -243,13 +240,13 @@ def _random_measures(count: int, atoms: int, seed: int):
     return out
 
 
-def rotation_identities(n_measures: int = 100, seed: int = 7) -> CriterionResult:
-    t0 = time.perf_counter()
+def rotation_identities() -> Tuple[bool, dict]:
+    n_measures = 100
     g = _identity_family_group()
     t1, t2 = g.by_name("t1"), g.by_name("t2")
     conjugators = [g.by_name("dehn"), g.by_name("phi"),
                    g.word("dehn phi"), t1]
-    measures = _random_measures(n_measures, 40, seed)
+    measures = _random_measures(n_measures, 40, seed=7)
 
     worst_conj = 0.0
     worst_add = 0.0
@@ -276,15 +273,13 @@ def rotation_identities(n_measures: int = 100, seed: int = 7) -> CriterionResult
         "max_conjugation_residual": _f(worst_conj),
         "max_additivity_residual": _f(worst_add),
     }
-    return CriterionResult(3, "rotation_identities", passed, details,
-                           time.perf_counter() - t0)
+    return passed, details
 
 
 # --- 4: the transport recurrence for powers of an automorphism
 
 
-def transport_recurrence() -> CriterionResult:
-    t0 = time.perf_counter()
+def transport_recurrence() -> Tuple[bool, dict]:
     g = _identity_family_group()
     worst = 0.0
     measures = _random_measures(20, 30, seed=11)
@@ -301,15 +296,13 @@ def transport_recurrence() -> CriterionResult:
         "powers": powers,
         "max_residual": _f(worst),
     }
-    return CriterionResult(4, "transport_recurrence", passed, details,
-                           time.perf_counter() - t0)
+    return passed, details
 
 
 # --- 5: the bounded-orbit dichotomy for the twist case
 
 
-def orbit_dichotomy() -> CriterionResult:
-    t0 = time.perf_counter()
+def orbit_dichotomy() -> Tuple[bool, dict]:
     vals = (-1.0, -0.5, 0.0, 0.5, 1.0)
     cases = 0
     wrong = 0
@@ -324,15 +317,13 @@ def orbit_dichotomy() -> CriterionResult:
                     wrong += 1
     passed = wrong == 0
     details = {"cases": cases, "mismatches": wrong}
-    return CriterionResult(5, "orbit_dichotomy", passed, details,
-                           time.perf_counter() - t0)
+    return passed, details
 
 
 # --- 6: staged averaging preserves the tracked rotation vector
 
 
-def averaging_preserves_rotation() -> CriterionResult:
-    t0 = time.perf_counter()
+def averaging_preserves_rotation() -> Tuple[bool, dict]:
     g = build_catalog()
     tr = g.by_name("tr")
     spec = GroupSpec(generators_G0=(tr,),
@@ -348,15 +339,13 @@ def averaging_preserves_rotation() -> CriterionResult:
         "max_rho_drift": _f(drift),
         "final_defect": _f(max(trace.stages[-1].defects.values())),
     }
-    return CriterionResult(6, "averaging_preserves_rotation", passed, details,
-                           time.perf_counter() - t0)
+    return passed, details
 
 
 # --- 7: the odd shear example, quantitatively
 
 
-def odd_shear_example() -> CriterionResult:
-    t0 = time.perf_counter()
+def odd_shear_example() -> Tuple[bool, dict]:
     g = build_catalog()
     h = g.by_name("h")
     checks: Dict[str, bool] = {}
@@ -391,15 +380,13 @@ def odd_shear_example() -> CriterionResult:
     details["rho_final_norm"] = _f(kill)
 
     details["checks"] = checks
-    return CriterionResult(7, "odd_shear_example", all(checks.values()),
-                           details, time.perf_counter() - t0)
+    return all(checks.values()), details
 
 
 # --- 8: rotation set hulls against their closed-form limits
 
 
-def rotation_set_hulls(threads: int = 1) -> CriterionResult:
-    t0 = time.perf_counter()
+def rotation_set_hulls(threads: int) -> Tuple[bool, dict]:
     g = build_catalog()
 
     est = estimate_rotation_set(LiftedWord(g.by_name("dehn")), torus_grid(64),
@@ -419,15 +406,13 @@ def rotation_set_hulls(threads: int = 1) -> CriterionResult:
         "irrational_skew_distance_to_point": _f(dp),
         "irrational_skew_vertices": int(len(est2.hull)),
     }
-    return CriterionResult(8, "rotation_set_hulls", passed, details,
-                           time.perf_counter() - t0)
+    return passed, details
 
 
 # --- 9: fixed-point consistency sweep over the catalog
 
 
-def fixed_point_consistency_sweep() -> CriterionResult:
-    t0 = time.perf_counter()
+def fixed_point_consistency_sweep() -> Tuple[bool, dict]:
     rows = []
     counterexamples = 0
     met = 0
@@ -454,15 +439,13 @@ def fixed_point_consistency_sweep() -> CriterionResult:
         "counterexamples": counterexamples,
         "spread_limit": _f(BIRKHOFF_SPREAD_LIMIT),
     }
-    return CriterionResult(9, "fixed_point_consistency_sweep", passed,
-                           details, time.perf_counter() - t0)
+    return passed, details
 
 
 # --- 10: double cover closed forms
 
 
-def klein_closed_forms() -> CriterionResult:
-    t0 = time.perf_counter()
+def klein_closed_forms() -> Tuple[bool, dict]:
     g = MapGroup([
         Generator("quarter", _ID, disp_x=[constant_term(0.25)]),
         Generator("halfy", _ID, disp_y=[constant_term(0.5)]),
@@ -507,20 +490,17 @@ def klein_closed_forms() -> CriterionResult:
 
     passed = all(checks.values())
     details["checks"] = checks
-    return CriterionResult(10, "klein_closed_forms", passed, details,
-                           time.perf_counter() - t0)
+    return passed, details
 
 
 # --- 11: thread count must be invisible in results
 
 
-def thread_determinism(threads_pair: Tuple[int, int] = (1, 8)) -> CriterionResult:
-    t0 = time.perf_counter()
-    a, b = threads_pair
-    ra = rotation_set_hulls(threads=a)
-    rb = rotation_set_hulls(threads=b)
-    text_a = json.dumps(ra.to_json_dict(), sort_keys=True)
-    text_b = json.dumps(rb.to_json_dict(), sort_keys=True)
+def thread_determinism() -> Tuple[bool, dict]:
+    a, b = 1, 8
+    text_a, text_b = (
+        json.dumps(run_suite(t, only=[8]).results[0].to_json_dict(),
+                   sort_keys=True) for t in (a, b))
 
     g = build_catalog()
     seeds = torus_grid(32)
@@ -537,25 +517,24 @@ def thread_determinism(threads_pair: Tuple[int, int] = (1, 8)) -> CriterionResul
         "reports_identical": text_a == text_b,
         "orbit_means_bitwise_equal": bitwise,
     }
-    return CriterionResult(11, "thread_determinism", passed, details,
-                           time.perf_counter() - t0)
+    return passed, details
 
 
 # --- suite driver
 
 
-_CRITERIA: List[Tuple[int, Callable[..., CriterionResult], bool]] = [
-    (1, mcg_exhaustive_consistency, False),
-    (2, subgroup_classification_table, False),
-    (3, rotation_identities, False),
-    (4, transport_recurrence, False),
-    (5, orbit_dichotomy, False),
-    (6, averaging_preserves_rotation, False),
-    (7, odd_shear_example, False),
-    (8, rotation_set_hulls, True),
-    (9, fixed_point_consistency_sweep, False),
-    (10, klein_closed_forms, False),
-    (11, thread_determinism, False),
+_CRITERIA: List[Callable[..., Tuple[bool, dict]]] = [
+    mcg_exhaustive_consistency,
+    subgroup_classification_table,
+    rotation_identities,
+    transport_recurrence,
+    orbit_dichotomy,
+    averaging_preserves_rotation,
+    odd_shear_example,
+    rotation_set_hulls,
+    fixed_point_consistency_sweep,
+    klein_closed_forms,
+    thread_determinism,
 ]
 
 
@@ -563,13 +542,19 @@ def run_suite(threads: int = 1,
               only: Optional[List[int]] = None) -> SuiteReport:
     """Run the verification criteria and collect a deterministic report.
 
-    threads is forwarded to the criteria that exercise parallel kernels;
-    every result is identical for any value.  only restricts to a subset
-    of criterion indices.
+    A criterion's index is its position in the suite and its name is its
+    function's name.  threads is forwarded to rotation_set_hulls, the
+    criterion that exercises the parallel orbit kernel; every result is
+    identical for any value.  only restricts to a subset of criterion
+    indices.
     """
     results = []
-    for index, fn, takes_threads in _CRITERIA:
+    for index, fn in enumerate(_CRITERIA, start=1):
         if only is not None and index not in only:
             continue
-        results.append(fn(threads=threads) if takes_threads else fn())
+        t0 = time.perf_counter()
+        passed, details = (fn(threads) if fn is rotation_set_hulls
+                           else fn())
+        results.append(CriterionResult(index, fn.__name__, passed, details,
+                                       time.perf_counter() - t0))
     return SuiteReport(results)

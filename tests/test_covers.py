@@ -6,8 +6,7 @@ import pytest
 from rotor.covers import (AnnulusMapSpec, annulus_term, check_sigma_commute,
                           double_annulus, double_annulus_family,
                           klein_symmetrize, rho_bar, sigma_apply)
-from rotor.errors import (BoundaryViolation, NotIsotopicToIdentity,
-                          NotSigmaEquivariant, RotorError)
+from rotor.errors import NotIsotopicToIdentity, NotSigmaEquivariant
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_torus_batch,
                         compose, constant_term, trig_term)
 from rotor.measures import (EmpiricalMeasure, estimate_rotation_set,
@@ -63,7 +62,7 @@ def test_frequency_one_skew_commutes():
 def test_frequency_two_skew_defect_is_2eps():
     # sin(4 pi x) survives the half shift unchanged, so only the y flip
     # acts and the grid sees the full 2*epsilon at |sin| = 1
-    d = check_sigma_commute(G.by_name("skew2"), 64)
+    d = check_sigma_commute(G.by_name("skew2"))
     assert abs(d - 0.2) < 1e-14
 
 
@@ -162,8 +161,7 @@ def apply_annulus_batch(spec: AnnulusMapSpec, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     x, t = pts[:, 0], pts[:, 1]
     nx = (x + _eval_annulus_terms(spec.a_terms, x, t)) % 1.0
-    nt = t + _eval_annulus_terms(spec.b_terms, x, t)
-    return np.column_stack([nx, nt])
+    return np.column_stack([nx, t])
 
 
 def twist_spec(beta):
@@ -173,25 +171,6 @@ def twist_spec(beta):
 
 def rotation_spec(alpha):
     return AnnulusMapSpec(a_terms=[annulus_term(alpha, 0, math.pi / 2, 0)])
-
-
-def test_boundary_validation():
-    with pytest.raises(BoundaryViolation):
-        AnnulusMapSpec(b_terms=[annulus_term(0.1, 0, math.pi / 2, 0)])
-    with pytest.raises(BoundaryViolation):
-        AnnulusMapSpec(b_terms=[annulus_term(0.1, 0, math.pi / 2, 1)])
-    with pytest.raises(BoundaryViolation):
-        AnnulusMapSpec(b_terms=[annulus_term(0.1, 1, 0.0, 1)])
-    ok = AnnulusMapSpec(b_terms=[annulus_term(0.1, 0, math.pi / 2, 1),
-                                 annulus_term(-0.1, 0, math.pi / 2, 2)])
-    assert not ok.is_fiber_preserving()
-
-
-def test_doubling_rejects_vertical_displacement():
-    spec = AnnulusMapSpec(b_terms=[annulus_term(0.1, 0, math.pi / 2, 1),
-                                   annulus_term(-0.1, 0, math.pi / 2, 2)])
-    with pytest.raises(RotorError):
-        double_annulus(spec)
 
 
 def test_double_identity_and_rigid_rotation():

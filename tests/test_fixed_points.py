@@ -257,8 +257,7 @@ def orbit_measure(n):
 
 
 def test_franks_translation_hypothesis_not_met():
-    rep = franks_certificate(TR, orbit_measure(2048), tol=2e-3,
-                             grid_n=32, orbit_n=256)
+    rep = franks_certificate(TR, orbit_measure(2048), tol=2e-3, grid_n=32)
     assert rep.certificate == "hypothesis not met"
     assert not rep.hypothesis_met
     assert rep.fixed_points.is_empty()

@@ -1,9 +1,11 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 
+from rotor import _kernels
 from rotor.catalog import build_catalog
 from rotor.errors import NewtonDivergence, NotIsotopicToIdentity, RotorError
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift_batch,
@@ -401,31 +403,49 @@ def test_newton_divergence_surfaces():
 
 def test_failed_newton_mean_raises():
     # not a homeomorphism: some orbits of the inverse hit a Newton failure,
-    # which must surface as an error rather than as NaN means
-    g = Generator("bad", ID, disp_x=[trig_term(0.3, 1, 0)],
-                  disp_y=[trig_term(0.3, 0, 1)])
-    w = MapGroup([g]).word("bad'")
+    # which must surface as an error rather than as NaN means, on the torus
+    # and, composed with a Dehn twist, in the plane
     seeds = np.random.default_rng(0).random((64, 2))
-    with pytest.raises(NewtonDivergence):
-        orbit_displacement_means(w, seeds, 50)
-    with pytest.raises(NewtonDivergence):
-        orbit_displacement_means(w, seeds, 50, threads=2)
+    for cls in (ID, MCGClass(1, 0, 1, 1)):
+        g = Generator("bad", cls, disp_x=[trig_term(0.3, 1, 0)],
+                      disp_y=[trig_term(0.3, 0, 1)])
+        w = MapGroup([g]).word("bad'")
+        with pytest.raises(NewtonDivergence):
+            orbit_displacement_means(w, seeds, 50)
+        with pytest.raises(NewtonDivergence):
+            orbit_displacement_means(w, seeds, 50, threads=2)
 
 
 def test_tail_mean_matches_batch_mean_bitwise():
-    # one mean loop per backend: both entry points return the same bits,
-    # also where a plane orbit overflows ("anosov", and "b", whose lift
-    # (x+y, x) turns inf into NaN through 0*inf without any Newton letter)
+    # one mean loop per backend: both entry points return the same bits;
+    # "anosov" is left out, both refuse it (see the test below)
     from rotor.catalog import build_catalog
 
     cat = build_catalog()
-    words = [cat.by_name(g.name) for g in cat.generators]
+    words = [cat.by_name(g.name) for g in cat.generators
+             if g.name != "anosov"]
     words += [cat.word("h' skew"), cat.word("dehn h'"), cat.word("phi tr")]
-    words.append(MapGroup([Generator("b", MCGClass(1, 1, 1, 0))]).by_name("b"))
     for w in words:
         mean, _ = orbit_mean_with_tail(w, (0.3, 0.2), 2000)
         ref = orbit_displacement_means(w, [(0.3, 0.2)], 2000)[0]
         assert np.array_equal(np.array(mean), ref, equal_nan=True), w
+
+
+@pytest.mark.parametrize("cls", [MCGClass(2, 1, 1, 1), MCGClass(1, 1, 1, 0)])
+def test_plane_orbit_of_expanding_class_is_refused(cls, backends):
+    # the plane orbit overflows: inf for the Anosov map, and NaN through
+    # 0*inf for (x+y, x); neither may come back as a mean or a warning
+    w = MapGroup([Generator("a", cls)]).by_name("a")
+    seeds = [(0.3, 0.2), (0.7, 0.1)]
+    for backend in backends:
+        _kernels.set_backend(backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for threads in (1, 2):
+                with pytest.raises(RotorError, match="means diverge"):
+                    orbit_displacement_means(w, seeds, 2000, threads)
+            with pytest.raises(RotorError, match="means diverge"):
+                orbit_mean_with_tail(w, seeds[0], 2000)
 
 
 def test_tail_mean_fails_like_batch_mean():

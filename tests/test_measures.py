@@ -353,12 +353,12 @@ def test_birkhoff_rejects_expanding_linear_part(cls):
             estimate_rotation_set(g, [(0.3, 0.2)], 2000)
 
 
-def test_hyperbolic_tail_overflows_without_warning():
+def test_hyperbolic_tail_mean_is_refused_without_warning():
     g = MapGroup([Generator("a", MCGClass(2, 1, 1, 1))]).by_name("a")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean, spread = orbit_mean_with_tail(g, (0.3, 0.2), 2000)
-    assert mean == (math.inf, math.inf) and math.isnan(spread)
+        with pytest.raises(RotorError, match="means diverge"):
+            orbit_mean_with_tail(g, (0.3, 0.2), 2000)
 
 
 def test_birkhoff_rejects_bad_n():

@@ -32,3 +32,23 @@ def test_json_text_is_stable():
 
 def test_spread_limit_constant():
     assert 0.0 < BIRKHOFF_SPREAD_LIMIT < 1.0
+
+
+def test_suite_order_and_thread_report_size():
+    rep = run_suite()
+    assert [(r.index, r.name) for r in rep.results] == [
+        (1, "mcg_exhaustive_consistency"),
+        (2, "subgroup_classification_table"),
+        (3, "rotation_identities"),
+        (4, "transport_recurrence"),
+        (5, "orbit_dichotomy"),
+        (6, "averaging_preserves_rotation"),
+        (7, "odd_shear_example"),
+        (8, "rotation_set_hulls"),
+        (9, "fixed_point_consistency_sweep"),
+        (10, "klein_closed_forms"),
+        (11, "thread_determinism"),
+    ]
+    # criterion 11 compares the whole criterion-8 entry, not its bare details
+    hulls = json.dumps(rep.results[7].to_json_dict(), sort_keys=True)
+    assert rep.results[10].details["report_bytes"] == len(hulls) == 237
