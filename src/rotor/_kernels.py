@@ -12,6 +12,11 @@ same order: "c", the loops of _orbit.c run one point at a time through
 ctypes, which releases the GIL so seed chunks can run on threads; and
 "numpy", the same loops vectorized over a batch of points.  Their results
 are bit-identical wherever numpy's sin and cos round like the C library's.
+The C word step also keeps, per letter position and trig term, the bits of
+the term's last argument and its sin and cos values, and reuses them when
+the next argument has the same bits; this changes no result, since sin and
+cos are functions of those bits.  Each C call allocates its own memo, and
+a failed allocation raises MemoryError.
 apply_word evaluates a program on a batch of plane points; it is the
 evaluator behind maps.apply_lift_batch, and rejects points that are not
 finite before it evaluates any.  grid_merge, the one atom merge of the
@@ -135,9 +140,9 @@ def _load_c():
                                ctypes.c_int64, ctypes.c_double,
                                ctypes.c_int64, ctypes.c_void_p,
                                ctypes.c_void_p]
-    lib.apply_batch.restype = ctypes.c_int
+    lib.apply_batch.restype = lib.orbit_mean.restype = ctypes.c_int
+    lib.orbit_collect.restype = ctypes.c_int
     lib.grid_merge.restype = ctypes.c_int64
-    lib.orbit_mean.restype = lib.orbit_collect.restype = None
     return lib, None
 
 
@@ -162,11 +167,19 @@ def set_backend(name: str):
 # C backend
 
 
+def _no_memo(status):
+    # the word-step entry points return -1 when their memo cannot be
+    # allocated
+    if status < 0:
+        raise MemoryError("the word step could not allocate its memo")
+    return status
+
+
 def _apply_word_c(pts, *prog):
     out = np.empty_like(pts)
     # apply_batch checks every point before it evaluates any
-    if _LIB.apply_batch(pts.ctypes.data, len(pts), *prog[-3:],
-                        out.ctypes.data):
+    if _no_memo(_LIB.apply_batch(pts.ctypes.data, len(pts), *prog[-3:],
+                                 out.ctypes.data)):
         raise RotorError(_NOT_FINITE)
     return out
 
@@ -179,15 +192,16 @@ def _orbit_mean_c(seeds, n, plane_mode, tail, *prog):
             or tail.dtype != float or not tail.flags.c_contiguous):
         raise ValueError("seeds must be (m, 2) and tail (window, m, 2)")
     out = np.empty_like(seeds)
-    _LIB.orbit_mean(seeds.ctypes.data, len(seeds), n, plane_mode,
-                    tail.ctypes.data, len(tail), *prog[-3:],
-                    out.ctypes.data)
+    _no_memo(_LIB.orbit_mean(seeds.ctypes.data, len(seeds), n, plane_mode,
+                             tail.ctypes.data, len(tail), *prog[-3:],
+                             out.ctypes.data))
     return out
 
 
 def _orbit_collect_c(sx, sy, burn, count, *prog):
     out = np.empty((count, 2))
-    _LIB.orbit_collect(sx, sy, burn, count, *prog[-3:], out.ctypes.data)
+    _no_memo(_LIB.orbit_collect(sx, sy, burn, count, *prog[-3:],
+                                out.ctypes.data))
     return out
 
 

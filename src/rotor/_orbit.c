@@ -1,10 +1,20 @@
 /* Word step, orbit loops and grid merge of the "c" backend: a
  * statement-for-statement port of the numpy code in _kernels.py
  * (_apply_word_np, _orbit_mean_np, _orbit_collect_np, _grid_merge_np), one
- * point at a time.  _kernels builds this file with -ffp-contract=off and
- * defines TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX from its own constants,
- * so results match numpy bit for bit wherever numpy's sin and cos round
- * like this C library's.
+ * point at a time, except for the memo of the word step.  _kernels builds
+ * this file with -ffp-contract=off and defines TWO_PI, SNAP, NEWTON_TOL and
+ * NEWTON_MAX from its own constants, so results match numpy bit for bit
+ * wherever numpy's sin and cos round like this C library's.
+ *
+ * The memo keeps, per letter position and trig term of a program, the bits
+ * of the term's last argument and the values computed from it.  Many
+ * arguments repeat from step to step: a shear never moves the coordinate
+ * its terms read, a constant term's argument is always its phase, and a
+ * Newton solve often keeps one coordinate.  sin and cos are functions of
+ * their argument's bits, the argument is computed as before and the sums
+ * take the values in the same order, so the memo changes no bit of any
+ * result.  Each call of apply_batch, orbit_mean and orbit_collect owns its
+ * memo, so pool threads share nothing they write.
  * Callers check all sizes; nothing here checks bounds. */
 
 #include <math.h>
@@ -24,27 +34,70 @@ typedef struct {
     const int64_t *row;
 } program;
 
-/* One step of the lift; a failed Newton solve gives NaN coordinates. */
-static void apply_word(const program *w, double vx, double vy,
-                       double *x, double *y)
+/* The memo entry of one trig term at one letter position: the bits of the
+ * last argument, amps * sin(arg), and for an inverse letter also
+ * amps * cos(arg) * TWO_PI. */
+typedef struct {
+    uint64_t key;
+    double sv, cv;
+} memo_entry;
+
+/* A signalling NaN: arithmetic never gives one, so no argument matches it. */
+#define UNSET UINT64_C(0x7ff0000000000001)
+
+/* A memo for w, one entry per letter position and term, every key unset;
+ * NULL when it cannot be allocated.  The caller frees it. */
+static memo_entry *memo_new(const program *w)
+{
+    int64_t n = 0;
+    for (int64_t li = 0; li < w->nletters; li++)
+        n += w->tend[w->slot[li]] - w->tstart[w->slot[li]];
+    memo_entry *memo = malloc((n > 0 ? n : 1) * sizeof(memo_entry));
+    if (memo != NULL)
+        for (int64_t i = 0; i < n; i++)
+            memo[i].key = UNSET;
+    return memo;
+}
+
+/* The argument of term t at (rx, ry), and whether entry e already holds
+ * its values; a miss stores the argument's bits as e's key. */
+static int memo_hit(const program *w, int64_t t, double rx, double ry,
+                    memo_entry *e, double *arg)
+{
+    uint64_t bits;
+    *arg = TWO_PI * (w->fkx[t] * rx + w->fky[t] * ry) + w->phase[t];
+    memcpy(&bits, arg, sizeof bits);
+    if (bits == e->key)
+        return 1;
+    e->key = bits;
+    return 0;
+}
+
+/* One step of the lift; a failed Newton solve gives NaN coordinates.  The
+ * letters run last to first, and their memo entries in that order. */
+static void apply_word(const program *w, memo_entry *memo, double vx,
+                       double vy, double *x, double *y)
 {
     double px = *x, py = *y;
     for (int64_t li = w->nletters - 1; li >= 0; li--) {
         int64_t s = w->slot[li];
         const double *a = w->lin + 4 * s, *ai = w->lin_inv + 4 * s;
+        memo_entry *lm = memo;          /* this letter's entries */
+        memo += w->tend[s] - w->tstart[s];
         if (w->mode[li] == 0) {
             double ax = a[0] * px + a[1] * py;
             double ay = a[2] * px + a[3] * py;
             double rx = px - floor(px), ry = py - floor(py);
             double dx = 0.0, dy = 0.0;
-            for (int64_t t = w->tstart[s]; t < w->tend[s]; t++) {
-                double v = w->amps[t] * sin(TWO_PI * (w->fkx[t] * rx
-                                                      + w->fky[t] * ry)
-                                            + w->phase[t]);
+            memo_entry *e = lm;
+            for (int64_t t = w->tstart[s]; t < w->tend[s]; t++, e++) {
+                double arg;
+                if (!memo_hit(w, t, rx, ry, e, &arg))
+                    e->sv = w->amps[t] * sin(arg);
                 if (w->row[t] == 0)
-                    dx += v;
+                    dx += e->sv;
                 else
-                    dy += v;
+                    dy += e->sv;
             }
             px = ax + dx;
             py = ay + dy;
@@ -57,11 +110,14 @@ static void apply_word(const program *w, double vx, double vy,
                 double rx = px - floor(px), ry = py - floor(py);
                 double dx = 0.0, dy = 0.0;
                 double j00 = 0.0, j01 = 0.0, j10 = 0.0, j11 = 0.0;
-                for (int64_t t = w->tstart[s]; t < w->tend[s]; t++) {
-                    double arg = TWO_PI * (w->fkx[t] * rx + w->fky[t] * ry)
-                                 + w->phase[t];
-                    double sv = w->amps[t] * sin(arg);
-                    double cv = w->amps[t] * cos(arg) * TWO_PI;
+                memo_entry *e = lm;
+                for (int64_t t = w->tstart[s]; t < w->tend[s]; t++, e++) {
+                    double arg;
+                    if (!memo_hit(w, t, rx, ry, e, &arg)) {
+                        e->sv = w->amps[t] * sin(arg);
+                        e->cv = w->amps[t] * cos(arg) * TWO_PI;
+                    }
+                    double sv = e->sv, cv = e->cv;
                     if (w->row[t] == 0) {
                         dx += sv;
                         j00 += cv * w->fkx[t];
@@ -98,20 +154,25 @@ static void apply_word(const program *w, double vx, double vy,
     *y = py + vy;
 }
 
-/* The lift at m plane points (m, 2) into out (m, 2).  Returns 1, and
-   evaluates nothing, when a coordinate is not finite. */
+/* The lift at m plane points (m, 2) into out (m, 2).  Returns 0; 1, and
+ * evaluates nothing, when a coordinate is not finite; -1 when the memo
+ * cannot be allocated. */
 int apply_batch(const double *pts, int64_t m, const program *w, double vx,
                 double vy, double *out)
 {
     for (int64_t i = 0; i < 2 * m; i++)
         if (!isfinite(pts[i]))
             return 1;
+    memo_entry *memo = memo_new(w);
+    if (memo == NULL)
+        return -1;
     for (int64_t i = 0; i < m; i++) {
         double x = pts[2 * i], y = pts[2 * i + 1];
-        apply_word(w, vx, vy, &x, &y);
+        apply_word(w, memo, vx, vy, &x, &y);
         out[2 * i] = x;
         out[2 * i + 1] = y;
     }
+    free(memo);
     return 0;
 }
 
@@ -125,12 +186,16 @@ static double reduce(double x)
 /* n-step displacement means of m seeds (m, 2) into out (m, 2), and the
  * running means of the last `window` steps into tail (window, m, 2).
  * Plane mode iterates the unreduced lift and reads the mean off its travel;
- * torus mode reduces every step and sums the displacements compensated. */
-void orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
-                double *tail, int64_t window, const program *w, double vx,
-                double vy, double *out)
+ * torus mode reduces every step and sums the displacements compensated.
+ * Returns 0, or -1 when the memo cannot be allocated. */
+int orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
+               double *tail, int64_t window, const program *w, double vx,
+               double vy, double *out)
 {
     int64_t start = n - window;
+    memo_entry *memo = memo_new(w);
+    if (memo == NULL)
+        return -1;
     for (int64_t i = 0; i < m; i++) {
         double sx = seeds[2 * i], sy = seeds[2 * i + 1];
         double px = plane_mode ? sx : reduce(sx);
@@ -138,7 +203,7 @@ void orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
         double ax = 0.0, ay = 0.0, cx = 0.0, cy = 0.0;
         for (int64_t k = 1; k <= n; k++) {
             double qx = px, qy = py;
-            apply_word(w, vx, vy, &qx, &qy);
+            apply_word(w, memo, vx, vy, &qx, &qy);
             if (plane_mode) {
                 px = qx;
                 py = qy;
@@ -164,29 +229,37 @@ void orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
         out[2 * i] = (ax - cx) / n;
         out[2 * i + 1] = (ay - cy) / n;
     }
+    free(memo);
+    return 0;
 }
 
 /* One torus step: the lift, then the reduction. */
-static void step(const program *w, double vx, double vy, double *x,
-                 double *y)
+static void step(const program *w, memo_entry *memo, double vx, double vy,
+                 double *x, double *y)
 {
-    apply_word(w, vx, vy, x, y);
+    apply_word(w, memo, vx, vy, x, y);
     *x = reduce(*x);
     *y = reduce(*y);
 }
 
-/* Torus orbit points w^burn(p), ..., w^(burn+count-1)(p) into out. */
-void orbit_collect(double sx, double sy, int64_t burn, int64_t count,
-                   const program *w, double vx, double vy, double *out)
+/* Torus orbit points w^burn(p), ..., w^(burn+count-1)(p) into out.
+ * Returns 0, or -1 when the memo cannot be allocated. */
+int orbit_collect(double sx, double sy, int64_t burn, int64_t count,
+                  const program *w, double vx, double vy, double *out)
 {
     double px = reduce(sx), py = reduce(sy);
+    memo_entry *memo = memo_new(w);
+    if (memo == NULL)
+        return -1;
     for (int64_t k = 0; k < burn; k++)
-        step(w, vx, vy, &px, &py);
+        step(w, memo, vx, vy, &px, &py);
     for (int64_t k = 0; k < count; k++) {
         out[2 * k] = px;
         out[2 * k + 1] = py;
-        step(w, vx, vy, &px, &py);
+        step(w, memo, vx, vy, &px, &py);
     }
+    free(memo);
+    return 0;
 }
 
 /* A grid cell key and the input row it came from. */

@@ -10,6 +10,7 @@ translation in front.
 from __future__ import annotations
 
 import math
+import os
 from numbers import Integral
 from typing import Sequence, Tuple
 
@@ -423,6 +424,14 @@ def _check_orbit(lw, values) -> None:
         raise _divergence(lw)
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on; not every platform can tell
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
                              ) -> np.ndarray:
     """n-step displacement means (lift^n(p) - p)/n for each seed, shape (m,2).
@@ -432,8 +441,10 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     in plane coordinates, and an expanding linear part raises RotorError.
     A NaN mean raises NewtonDivergence.  threads splits the seeds over a
     thread pool on the C backend, whose kernels release the GIL; the numpy
-    backend runs all seeds in one vectorized call.  Results are the same
-    for every thread count.
+    backend runs all seeds in one vectorized call.  The pool has at most
+    one thread per CPU this process may run on, whatever threads asks for,
+    and four chunks of seeds per thread.  Results are the same for every
+    thread count.
     """
     seeds = np.ascontiguousarray(np.asarray(seeds, dtype=float).reshape(-1, 2))
     lw, plane_mode, args = _orbit_program(w, seeds, n)
@@ -441,13 +452,14 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     def run(chunk):
         return _kernels.orbit_mean_batch(chunk, n, plane_mode, *args)
 
-    if threads <= 1 or len(seeds) < 2 or _kernels.get_backend() != "c":
+    workers = min(threads, _usable_cpus())
+    if workers <= 1 or len(seeds) < 2 or _kernels.get_backend() != "c":
         means = run(seeds)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        chunks = np.array_split(seeds, min(threads * 4, len(seeds)))
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        chunks = np.array_split(seeds, min(workers * 4, len(seeds)))
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             means = np.concatenate(list(ex.map(run, chunks)), axis=0)
     _check_orbit(lw, means)
     return means

@@ -262,6 +262,99 @@ def test_c_threads_are_bitwise_deterministic(restore_backend):
         assert one.tobytes() == two.tobytes()
 
 
+def _memo_outputs():
+    # cases where the C word step reuses most of its sin and cos values:
+    # consecutive torus_grid points share x, which is all the terms of h and
+    # skew read; twist never moves y; Newton for skew' keeps x; the slot of
+    # twist sits at two letter positions of "twist h twist"
+    cat = build_catalog()
+    grid = torus_grid(256)
+    seeds = np.random.default_rng(6).uniform(0, 1, size=(9, 2))
+    out = [apply_lift_batch(cat.word(name), grid)
+           for name in ("h", "skew", "skew'", "h skew'", "twist h twist")]
+    for seed in seeds[:2]:
+        mean, spread = orbit_mean_with_tail(cat.word("twist"), seed, 500)
+        out.append(np.array(mean + (spread,)))
+    for name in ("twist", "skew'", "h skew'", "twist h twist"):
+        w = cat.word(name)
+        for threads in (1, 2):
+            out.append(orbit_displacement_means(w, seeds, 300, threads))
+        out.append(orbit_segment(w, seeds[0], 100, burn=50))
+    return out
+
+
+@needs_c
+def test_c_memo_hits_match_numpy(restore_backend):
+    runs = []
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        runs.append(_memo_outputs())
+    assert len(runs[0]) == 5 + 2 + 4 * 3
+    assert max(np.abs(a - b).max() for a, b in zip(*runs)) < 1e-12
+    if _numpy_trig_is_libm():
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
+
+
+@needs_c
+def test_c_memo_allocation_failure_is_a_memory_error(monkeypatch):
+    # each word-step entry point returns -1 when its memo cannot be
+    # allocated; that is never "points must be finite"
+    class NoMemory:
+        def __getattr__(self, name):
+            return lambda *args: -1
+
+    prog = compile_program(G.word("skew mix'"))
+    monkeypatch.setattr(_kernels, "_LIB", NoMemory())
+    calls = [
+        lambda: _kernels._apply_word_c(np.zeros((2, 2)), *prog),
+        lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False,
+                                       np.empty((0, 2, 2)), *prog),
+        lambda: _kernels._orbit_collect_c(0.1, 0.2, 3, 4, *prog),
+    ]
+    for call in calls:
+        with pytest.raises(MemoryError):
+            call()
+
+
+@needs_c
+def test_orbit_pool_is_capped_at_the_usable_cpus(monkeypatch,
+                                                 restore_backend):
+    # a stub pool records its size and runs the chunks inline, so no
+    # thread is started whatever the request
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.chunks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            self.chunks = len(chunks)
+            return map(fn, chunks)
+
+    _kernels.set_backend("c")
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    w = G.word("skew mix'")
+    seeds = torus_grid(16)
+    one = orbit_displacement_means(w, seeds, 20)
+    assert pools == []
+    many = orbit_displacement_means(w, seeds, 20, threads=100000)
+    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 12)]
+    assert many.tobytes() == one.tobytes()
+
+
 @pytest.mark.parametrize("call", [
     lambda w: orbit_displacement_means(w, [[0.1, 0.2], [math.nan, 0.2]], 5),
     lambda w: orbit_displacement_means(w, [[math.inf, 0.2]], 5, threads=2),
