@@ -11,13 +11,16 @@ deterministic stand-in, so every stage reports its invariance defects and
 the rotation vector of a tracked lift.  The module also checks the exact
 rotation-transport recurrences behind the construction (rotev_residual)
 and the affine orbit dichotomy used to prove rotation preservation
-(bounded_orbit_check).
+(bounded_orbit_check).  rotev_residual takes one power or a sequence of
+them; a sequence pushes mu once per step and shares its rotation vectors.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -152,9 +155,17 @@ def _cesaro_stage(word: Word, mu: EmpiricalMeasure, L: int) -> EmpiricalMeasure:
 
 
 def _defect_table(words: Dict[str, Word], mu: EmpiricalMeasure) -> Dict[str, float]:
+    # one defect per distinct word: labels of one word (phi is often a G0
+    # generator) share its float
     moments = _trig_moments(mu.points, mu.weights)
-    return {label: invariance_defect(w, mu, moments)
-            for label, w in words.items()}
+    by_word: Dict[tuple, float] = {}
+    table = {}
+    for label, w in words.items():
+        key = (w.group, w.letters)
+        if key not in by_word:
+            by_word[key] = invariance_defect(w, mu, moments)
+        table[label] = by_word[key]
+    return table
 
 
 def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
@@ -220,42 +231,81 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     return ConstructionTrace(stages)
 
 
-def _mat_pow_apply(a: MCGClass, p: int, v) -> np.ndarray:
-    m = a ** p
+def _mat_apply(m: MCGClass, v) -> np.ndarray:
     return np.array([m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1]],
                     dtype=float)
 
 
-def rotev_residual(g, h, mu: EmpiricalMeasure, p: int) -> np.ndarray:
+def _powers(p) -> Tuple[bool, List[int]]:
+    # (whether p is a single power, the powers as ints)
+    single = isinstance(p, (int, Integral)) or not isinstance(p, Iterable)
+    powers = [p] if single else list(p)
+    for q in powers:
+        if not isinstance(q, (int, Integral)):
+            raise RotorError("powers must be integers")
+    return single, [int(q) for q in powers]
+
+
+def rotev_residual(g, h, mu: EmpiricalMeasure, p) -> np.ndarray:
     """Difference between the measured and the predicted rotation vector
     of h under the p-th pushforward of mu by g.
 
     The prediction is the exact transport recurrence (one sum for p >= 1,
     the sign-adjusted one for p <= -1); the measurement pushes mu forward
     atom by atom.  Both sides are computed independently.
+
+    p is an integer, giving shape (2,), or a sequence of integers, giving
+    one row per power, shape (k, 2).  A range of powers shares the work:
+    mu is pushed step by step along each sign, and each rotation vector
+    and each [g]^k c is computed once, so every row has the bits of the
+    single-power call.  A power that is not an integer raises RotorError
+    before any pushforward.
     """
     g = _as_lift(g)
     h = _require_identity(h)
+    single, powers = _powers(p)
     a = linear_part(g.word)
 
-    mu_p = mu
-    step = g.word if p >= 0 else word_inverse(g.word)
-    for _ in range(abs(p)):
-        mu_p = pushforward(step, mu_p)
-    lhs = rotation_vector(mu_p, h)
-
     rho_h = rotation_vector(mu, h)
-    comm = commutator_lift(inverse_lift(g), h)
-    c = rotation_vector(mu, comm)
+    c = rotation_vector(mu, commutator_lift(inverse_lift(g), h))
 
-    rhs = _mat_pow_apply(a, p, rho_h)
-    if p >= 1:
-        for k in range(1, p + 1):
-            rhs = rhs + _mat_pow_apply(a, k, c)
-    elif p <= -1:
-        for k in range(1, -p + 1):
-            rhs = rhs - _mat_pow_apply(a, -(k - 1), c)
-    return lhs - rhs
+    # measured side: one pushed measure per sign alive at a time
+    lo, hi = min([0] + powers), max([0] + powers)
+    wanted = set(powers)
+    lhs = {0: rho_h}
+    for sign, top in ((1, hi), (-1, -lo)):
+        if not top:
+            continue
+        step = g.word if sign > 0 else word_inverse(g.word)
+        mu_k = mu
+        for k in range(1, top + 1):
+            mu_k = pushforward(step, mu_k)
+            if sign * k in wanted:
+                lhs[sign * k] = rotation_vector(mu_k, h)
+
+    # predicted side: [g]^k for lo <= k <= hi by successive products,
+    # equal to a ** k since integer products are exact; [g]^k c once for
+    # each k a sum uses, added in the single-power order
+    mats = {0: MCGClass.identity()}
+    for k in range(1, hi + 1):
+        mats[k] = mats[k - 1] * a
+    inv = a.inverse()
+    for k in range(-1, lo - 1, -1):
+        mats[k] = mats[k + 1] * inv
+    terms = {k: _mat_apply(mats[k], c) for k in range(lo + 1, hi + 1)}
+    rows = {}
+    for q in wanted:
+        rhs = _mat_apply(mats[q], rho_h)
+        if q >= 1:
+            for k in range(1, q + 1):
+                rhs = rhs + terms[k]
+        elif q <= -1:
+            for k in range(1, -q + 1):
+                rhs = rhs - terms[-(k - 1)]
+        rows[q] = lhs[q] - rhs
+    if single:
+        return rows[powers[0]]
+    return np.array([rows[q] for q in powers]).reshape(-1, 2)
 
 
 class OrbitCheck:

@@ -197,13 +197,12 @@ def _run_fixed_points(req: AnalysisRequest, outdir: str,
 def _run_rotev(req: AnalysisRequest, outdir: str,
                threads: int) -> Tuple[dict, List[str]]:
     p = req.params
+    powers = [q for q in range(-p["pmax"], p["pmax"] + 1) if q != 0]
+    residuals = rotev_residual(LiftedWord(p["g"]), LiftedWord(p["h"]),
+                               p["measure"], powers)
     rows = []
     worst = 0.0
-    for q in range(-p["pmax"], p["pmax"] + 1):
-        if q == 0:
-            continue
-        res = rotev_residual(LiftedWord(p["g"]), LiftedWord(p["h"]),
-                             p["measure"], q)
+    for q, res in zip(powers, residuals):
         norm = float(np.hypot(res[0], res[1]))
         worst = max(worst, norm)
         rows.append({"p": q, "residual": [_f(res[0]), _f(res[1])],

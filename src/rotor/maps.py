@@ -160,9 +160,23 @@ class MapGroup:
         return Word(self, [])
 
 
-def _free_reduce(letters):
+def _free_reduce(letters, size: int) -> tuple:
+    """The letters checked and freely reduced in one pass; RotorError
+    unless each is an (index, sign) pair with an integer index in
+    [0, size) and a sign of +1 or -1."""
     out = []
-    for idx, sign in letters:
+    for letter in letters:
+        try:
+            idx, sign = letter
+        except (TypeError, ValueError):
+            raise RotorError("a letter must be an (index, sign) pair, not %r"
+                             % (letter,)) from None
+        # int first: the Integral check alone costs far more per letter
+        if not (isinstance(idx, (int, Integral)) and 0 <= idx < size):
+            raise RotorError("generator index %r is not an integer in [0, %d)"
+                             % (idx, size))
+        if sign not in (1, -1):
+            raise RotorError("letter sign must be +1 or -1")
         if out and out[-1][0] == idx and out[-1][1] == -sign:
             out.pop()
         else:
@@ -178,12 +192,7 @@ class Word:
 
     def __init__(self, group: MapGroup, letters):
         self.group = group
-        for idx, sign in letters:
-            if not (0 <= idx < len(group.generators)):
-                raise RotorError("generator index %d out of range" % idx)
-            if sign not in (1, -1):
-                raise RotorError("letter sign must be +1 or -1")
-        self.letters = _free_reduce(letters)
+        self.letters = _free_reduce(letters, len(group.generators))
 
     def lift(self, extra_translation=(0, 0)) -> "LiftedWord":
         return LiftedWord(self, extra_translation)

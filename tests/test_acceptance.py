@@ -8,17 +8,14 @@ workload at 1 and 8 threads and byte-compares the reports.
 
 import pytest
 
-from rotor.verify import run_suite
-
 # seconds allowed per criterion; None = no budget stated
 BUDGETS = {1: 10.0, 2: 1.0, 3: 5.0, 4: 5.0, 5: 5.0, 6: 30.0, 7: 60.0,
            8: 120.0, 9: 120.0, 10: 10.0, 11: None}
 
 
 @pytest.fixture(scope="module")
-def suite():
-    rep = run_suite(threads=1)
-    by_index = {r.index: r for r in rep.results}
+def suite(suite_report):
+    by_index = {r.index: r for r in suite_report.results}
     assert sorted(by_index) == list(range(1, 12))
     return by_index
 

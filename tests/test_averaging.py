@@ -8,10 +8,12 @@ from rotor.averaging import (GroupSpec, _cesaro_stage, bounded_orbit_check,
                              construct_invariant, rotev_residual)
 from rotor.errors import (ConditionStarStarViolated, ConfigError,
                           DefectExceeded, NotIsotopicToIdentity, RotorError)
-from rotor.maps import (Generator, LiftedWord, MapGroup, apply_torus_batch,
-                        constant_term, trig_term)
+from rotor.maps import (Generator, LiftedWord, MapGroup, _as_lift,
+                        _require_identity, apply_torus_batch, commutator_lift,
+                        constant_term, inverse, inverse_lift, linear_part,
+                        trig_term)
 from rotor.mcg import MCGClass
-from rotor.measures import EmpiricalMeasure
+from rotor.measures import EmpiricalMeasure, pushforward, rotation_vector
 
 ID = MCGClass.identity()
 DEHN = MCGClass(1, 0, 1, 1)
@@ -254,6 +256,110 @@ def test_rotev_closed_form_family():
     for p in range(-5, 6):
         r = rotev_residual(LiftedWord(W_DEHN), LiftedWord(W_TR), grid, p)
         assert np.abs(r).max() < 1e-8, (p, r)
+
+
+def rotev_oracle(g, h, mu, p):
+    """Reference single-power transport residual: every pushforward,
+    rotation vector and matrix power computed afresh for p alone."""
+    g = _as_lift(g)
+    h = _require_identity(h)
+    a = linear_part(g.word)
+
+    mu_p = mu
+    step = g.word if p >= 0 else inverse(g.word)
+    for _ in range(abs(p)):
+        mu_p = pushforward(step, mu_p)
+    lhs = rotation_vector(mu_p, h)
+
+    rho_h = rotation_vector(mu, h)
+    comm = commutator_lift(inverse_lift(g), h)
+    c = rotation_vector(mu, comm)
+
+    def mat_pow_apply(p, v):
+        m = a ** p
+        return np.array([m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1]],
+                        dtype=float)
+
+    rhs = mat_pow_apply(p, rho_h)
+    if p >= 1:
+        for k in range(1, p + 1):
+            rhs = rhs + mat_pow_apply(k, c)
+    elif p <= -1:
+        for k in range(1, -p + 1):
+            rhs = rhs - mat_pow_apply(-(k - 1), c)
+    return lhs - rhs
+
+
+def transport_group():
+    return MapGroup([
+        Generator("t1", ID, disp_x=[constant_term(0.37)],
+                  disp_y=[constant_term(0.21)]),
+        Generator("skew", ID, disp_y=[trig_term(0.1, 1, 0)]),
+        Generator("dehn", DEHN),
+        Generator("anosov", MCGClass(2, 1, 1, 1)),
+    ])
+
+
+def test_rotev_power_sequence_matches_single_power_oracle_bitwise():
+    tg = transport_group()
+    rng = np.random.default_rng(2024)
+    powers = [3, -2, 0, 5, -5, 3, 1, -1, 0, 2, -2]
+    for _ in range(4):
+        atoms = int(rng.integers(1, 50))
+        mu = EmpiricalMeasure(rng.uniform(0.0, 1.0, size=(atoms, 2)),
+                              rng.uniform(0.1, 1.0, size=atoms))
+        for g in (tg.word("dehn"), tg.word("dehn'"), tg.word("anosov")):
+            for h in (tg.word("t1"), tg.word("t1 skew")):
+                got = rotev_residual(LiftedWord(g), LiftedWord(h), mu, powers)
+                assert got.shape == (len(powers), 2)
+                for q, row in zip(powers, got):
+                    want = rotev_oracle(LiftedWord(g), LiftedWord(h), mu, q)
+                    assert row.tobytes() == want.tobytes(), (atoms, g, h, q)
+                    single = rotev_residual(LiftedWord(g), LiftedWord(h),
+                                            mu, q)
+                    assert single.shape == (2,)
+                    assert single.tobytes() == row.tobytes()
+
+
+def test_rotev_zero_and_empty_powers():
+    grid = EmpiricalMeasure.uniform_grid(8)
+    g, h = LiftedWord(W_DEHN), LiftedWord(W_TR)
+    assert rotev_residual(g, h, grid, 0).tolist() == [0.0, 0.0]
+    assert rotev_residual(g, h, grid, [0]).tolist() == [[0.0, 0.0]]
+    empty = rotev_residual(g, h, grid, [])
+    assert empty.shape == (0, 2) and empty.dtype == float
+
+
+@pytest.mark.parametrize("p", [1.5, "2", np.float64(2.0), [1, 1.5], ["2"],
+                               [2, None]])
+def test_rotev_non_integer_power_is_refused_before_any_pushforward(
+        monkeypatch, p):
+    pushed = []
+    monkeypatch.setattr(averaging, "pushforward",
+                        lambda *args: pushed.append(args))
+    with pytest.raises(RotorError, match="powers must be integers"):
+        rotev_residual(LiftedWord(W_DEHN), LiftedWord(W_TR),
+                       EmpiricalMeasure.uniform_grid(8), p)
+    assert pushed == []
+
+
+def test_defect_table_evaluates_each_distinct_word_once(monkeypatch):
+    seen = []
+    real = averaging.invariance_defect
+
+    def spy(w, mu, moments=None):
+        seen.append(w.letters)
+        return real(w, mu, moments)
+
+    monkeypatch.setattr(averaging, "invariance_defect", spy)
+    mu = circle_measure()
+    # phi and G0[0] are separately built words with the same letters
+    table = averaging._defect_table(
+        {"phi": G.by_name("h"), "G0[0]": G.by_name("h"),
+         "g1": G.by_name("tr")}, mu)
+    assert seen == [W_H.letters, W_TR.letters]
+    assert table["phi"] == table["G0[0]"] == real(W_H, mu)
+    assert table["g1"] == real(W_TR, mu)
 
 
 def test_rotev_requires_isotopic_h():

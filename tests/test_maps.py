@@ -140,6 +140,18 @@ def test_word_from_string_unknown_name():
         G.word("skew nosuch")
 
 
+@pytest.mark.parametrize("letters", [
+    [(0.5, 1)],      # float index
+    [("skew",)],     # one-element letter
+    [(0, 1, 2)],     # three-element letter
+    [("skew", 1)],   # name where an index belongs
+    [None],          # not a pair at all
+])
+def test_malformed_letter_is_a_rotor_error(letters):
+    with pytest.raises(RotorError):
+        G.word(letters)
+
+
 def test_unknown_generator_fails_alike_in_word_and_by_name():
     for name in ("nosuch", "Skew", "skew2", "ske"):
         with pytest.raises(RotorError) as by_name:

@@ -34,8 +34,8 @@ def test_spread_limit_constant():
     assert 0.0 < BIRKHOFF_SPREAD_LIMIT < 1.0
 
 
-def test_suite_order_and_thread_report_size():
-    rep = run_suite()
+def test_suite_order_and_thread_report_size(suite_report):
+    rep = suite_report
     assert [(r.index, r.name) for r in rep.results] == [
         (1, "mcg_exhaustive_consistency"),
         (2, "subgroup_classification_table"),
