@@ -16,7 +16,10 @@ The C word step also keeps, per letter position and trig term, the bits of
 the term's last argument and its sin and cos values, and reuses them when
 the next argument has the same bits; this changes no result, since sin and
 cos are functions of those bits.  Each C call allocates its own memo, and
-a failed allocation raises MemoryError.
+a failed allocation raises MemoryError.  The C step also takes x - floor(x)
+as x + 0.0 on [+0, 1), where floor(x) is +0, and skips it for a letter
+without terms; both give the same bits, -0.0 included, since x + 0.0 and
+-0.0 - floor(-0.0) are both +0.0.
 apply_word evaluates a program on a batch of plane points; it is the
 evaluator behind maps.apply_lift_batch, and rejects points that are not
 finite before it evaluates any.  grid_merge, the one atom merge of the
@@ -47,7 +50,7 @@ import zlib
 
 import numpy as np
 
-from .errors import RotorError
+from .errors import InvalidArgument, RotorError
 
 _TWO_PI = 2.0 * math.pi
 _SNAP = 1e-15
@@ -190,7 +193,8 @@ def _orbit_mean_c(seeds, n, plane_mode, tail, *prog):
     seeds = np.ascontiguousarray(seeds, dtype=float)
     if (seeds.shape[1:] != (2,) or tail.shape[1:] != seeds.shape
             or tail.dtype != float or not tail.flags.c_contiguous):
-        raise ValueError("seeds must be (m, 2) and tail (window, m, 2)")
+        raise InvalidArgument(
+            "seeds must be (m, 2) and tail (window, m, 2)")
     out = np.empty_like(seeds)
     _no_memo(_LIB.orbit_mean(seeds.ctypes.data, len(seeds), n, plane_mode,
                              tail.ctypes.data, len(tail), *prog[-3:],
@@ -374,7 +378,7 @@ def apply_word(pts, *prog):
     is not finite raises RotorError before any point is evaluated."""
     pts = np.ascontiguousarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must have shape (m, 2)")
+        raise InvalidArgument("points must have shape (m, 2)")
     if _BACKEND == "c":
         return _apply_word_c(pts, *prog)
     if not np.isfinite(pts).all():
@@ -394,7 +398,7 @@ def grid_merge(points, weights, scale: float, cells: int):
     pts = np.ascontiguousarray(points, dtype=float)
     w = np.ascontiguousarray(weights, dtype=float)
     if pts.shape != (len(w), 2):
-        raise ValueError("points must be (n, 2) and weights (n,)")
+        raise InvalidArgument("points must be (n, 2) and weights (n,)")
     merge = _grid_merge_c if _BACKEND == "c" else _grid_merge_np
     return merge(pts, w, float(scale), int(cells))
 

@@ -1,20 +1,24 @@
 /* Word step, orbit loops and grid merge of the "c" backend: a
  * statement-for-statement port of the numpy code in _kernels.py
  * (_apply_word_np, _orbit_mean_np, _orbit_collect_np, _grid_merge_np), one
- * point at a time, except for the memo of the word step.  _kernels builds
- * this file with -ffp-contract=off and defines TWO_PI, SNAP, NEWTON_TOL and
- * NEWTON_MAX from its own constants, so results match numpy bit for bit
- * wherever numpy's sin and cos round like this C library's.
+ * point at a time, except for three shortcuts of the word step that change
+ * no bit.  _kernels builds this file with -ffp-contract=off and defines
+ * TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX from its own constants, so results
+ * match numpy bit for bit wherever numpy's sin and cos round like this C
+ * library's.
  *
- * The memo keeps, per letter position and trig term of a program, the bits
- * of the term's last argument and the values computed from it.  Many
- * arguments repeat from step to step: a shear never moves the coordinate
- * its terms read, a constant term's argument is always its phase, and a
- * Newton solve often keeps one coordinate.  sin and cos are functions of
- * their argument's bits, the argument is computed as before and the sums
- * take the values in the same order, so the memo changes no bit of any
- * result.  Each call of apply_batch, orbit_mean and orbit_collect owns its
- * memo, so pool threads share nothing they write.
+ * The shortcuts: frac() takes x - floor(x) without the floor on [+0, 1),
+ * where it equals x + 0.0 (see frac); a letter without trig terms takes no
+ * fractional part, since nothing reads it; and the memo.  The memo keeps,
+ * per letter position and trig term of a program, the bits of the term's
+ * last argument and the values computed from it.  Many arguments repeat
+ * from step to step: a shear never moves the coordinate its terms read, a
+ * constant term's argument is always its phase, and a Newton solve often
+ * keeps one coordinate.  sin and cos are functions of their argument's
+ * bits, the argument is computed as before and the sums take the values in
+ * the same order, so the memo changes no bit of any result.  Each call of
+ * apply_batch, orbit_mean and orbit_collect owns its memo, so pool threads
+ * share nothing they write.
  * Callers check all sizes; nothing here checks bounds. */
 
 #include <math.h>
@@ -73,21 +77,38 @@ static int memo_hit(const program *w, int64_t t, double rx, double ry,
     return 0;
 }
 
+/* x - floor(x), bit for bit, without the floor on [+0, 1): there floor(x)
+ * is +0 and x - 0.0 is x, and for x = -0 (which passes x >= 0.0) both
+ * x - floor(x) and x + 0.0 are +0.  NaN, inf and every other value take the
+ * full expression.  Without -ffast-math the compiler may not fold x + 0.0
+ * to x, since that would keep the sign of -0. */
+static inline double frac(double x)
+{
+    return (x >= 0.0 && x < 1.0) ? x + 0.0 : x - floor(x);
+}
+
 /* One step of the lift; a failed Newton solve gives NaN coordinates.  The
- * letters run last to first, and their memo entries in that order. */
-static void apply_word(const program *w, memo_entry *memo, double vx,
-                       double vy, double *x, double *y)
+ * letters run last to first, and their memo entries in that order.  Forced
+ * inline, so the point stays in registers in the orbit loops. */
+static inline __attribute__((always_inline)) void
+apply_word(const program *w, memo_entry *memo, double vx, double vy,
+           double *x, double *y)
 {
     double px = *x, py = *y;
     for (int64_t li = w->nletters - 1; li >= 0; li--) {
         int64_t s = w->slot[li];
         const double *a = w->lin + 4 * s, *ai = w->lin_inv + 4 * s;
+        int64_t nterms = w->tend[s] - w->tstart[s];
         memo_entry *lm = memo;          /* this letter's entries */
-        memo += w->tend[s] - w->tstart[s];
+        memo += nterms;
         if (w->mode[li] == 0) {
             double ax = a[0] * px + a[1] * py;
             double ay = a[2] * px + a[3] * py;
-            double rx = px - floor(px), ry = py - floor(py);
+            double rx = 0.0, ry = 0.0;
+            if (nterms > 0) {           /* dehn, phi, anosov have none */
+                rx = frac(px);
+                ry = frac(py);
+            }
             double dx = 0.0, dy = 0.0;
             memo_entry *e = lm;
             for (int64_t t = w->tstart[s]; t < w->tend[s]; t++, e++) {
@@ -107,7 +128,11 @@ static void apply_word(const program *w, memo_entry *memo, double vx,
             px = ai[0] * qx + ai[1] * qy;
             py = ai[2] * qx + ai[3] * qy;
             for (int it = 0; it < NEWTON_MAX; it++) {
-                double rx = px - floor(px), ry = py - floor(py);
+                double rx = 0.0, ry = 0.0;
+                if (nterms > 0) {
+                    rx = frac(px);
+                    ry = frac(py);
+                }
                 double dx = 0.0, dy = 0.0;
                 double j00 = 0.0, j01 = 0.0, j10 = 0.0, j11 = 0.0;
                 memo_entry *e = lm;
@@ -179,7 +204,7 @@ int apply_batch(const double *pts, int64_t m, const program *w, double vx,
 /* Torus representative in [0,1), with values a hair under 1 snapped to 0. */
 static double reduce(double x)
 {
-    double r = x - floor(x);
+    double r = frac(x);
     return 1.0 - r < SNAP ? 0.0 : r;
 }
 

@@ -5,6 +5,11 @@ class RotorError(Exception):
     """Base class for all package-specific failures."""
 
 
+class InvalidArgument(RotorError, ValueError):
+    """Argument of the wrong shape or type; also a ValueError, so callers
+    that catch ValueError still catch it."""
+
+
 class NotUnimodular(RotorError):
     """Integer matrix with determinant other than +1 or -1."""
 

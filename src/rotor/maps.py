@@ -18,7 +18,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _NEWTON_MAX, _NEWTON_TOL, reduce_batch
-from .errors import NewtonDivergence, NotIsotopicToIdentity, RotorError
+from .errors import (InvalidArgument, NewtonDivergence,
+                     NotIsotopicToIdentity, RotorError)
 from .mcg import MCGClass, spectral_class
 
 __all__ = [
@@ -400,6 +401,21 @@ def compile_program(lw) -> tuple:
     return prog + (float(v[0]), float(v[1]))
 
 
+def _as_points(values, what: str) -> np.ndarray:
+    """values as float points (m, 2), a lone pair (2,) as one point; any
+    other shape raises InvalidArgument instead of being reshaped."""
+    try:
+        pts = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument("%s: %s" % (what, exc)) from None
+    if pts.shape == (2,):
+        return pts.reshape(1, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise InvalidArgument("%s must have shape (m, 2) or (2,), got %s"
+                              % (what, pts.shape))
+    return pts
+
+
 def _check_seeds(seeds) -> None:
     # checked before any kernel runs: the C kernel trusts its inputs, and a
     # non-finite seed would otherwise fail as a Newton divergence
@@ -455,7 +471,7 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     and four chunks of seeds per thread.  Results are the same for every
     thread count.
     """
-    seeds = np.ascontiguousarray(np.asarray(seeds, dtype=float).reshape(-1, 2))
+    seeds = np.ascontiguousarray(_as_points(seeds, "seeds"))
     lw, plane_mode, args = _orbit_program(w, seeds, n)
 
     def run(chunk):

@@ -19,10 +19,10 @@ import numpy as np
 
 from ._kernels import grid_merge
 from .geometry import convex_hull, hull_centroid, hull_diameter
-from .maps import (LiftedWord, Word, _require_identity, apply_lift_batch,
-                   apply_torus_batch, orbit_displacement_means,
-                   orbit_mean_with_tail, orbit_segment, reduce_point,
-                   torus_grid)
+from .maps import (LiftedWord, Word, _as_points, _require_identity,
+                   apply_lift_batch, apply_torus_batch,
+                   orbit_displacement_means, orbit_mean_with_tail,
+                   orbit_segment, reduce_point, torus_grid)
 
 __all__ = [
     "EmpiricalMeasure",
@@ -43,7 +43,7 @@ _GRID = 10 ** 12
 
 
 def _canonical(points, weights) -> Tuple[np.ndarray, np.ndarray]:
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = _as_points(points, "atoms")
     if not np.isfinite(pts).all():
         raise ValueError("atom coordinates must be finite")
     w = (np.full(len(pts), 1.0 / max(len(pts), 1)) if weights is None
@@ -252,8 +252,7 @@ def estimate_rotation_set(lw, seeds, n: int,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    arr = np.asarray(seeds, dtype=float).reshape(-1, 2)
-    samples = orbit_displacement_means(lw, arr, n, threads)
+    samples = orbit_displacement_means(lw, seeds, n, threads)
     return RotationSetEstimate(samples=samples, hull=convex_hull(samples), n=n)
 
 

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import shutil
@@ -9,10 +10,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from rotor import _kernels
+from rotor import _kernels, maps
 from rotor.averaging import _MERGE_CELLS, _MERGE_GRID
 from rotor.catalog import build_catalog
-from rotor.errors import NewtonDivergence, RotorError
+from rotor.errors import InvalidArgument, NewtonDivergence, RotorError
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift_batch,
                         apply_torus_batch, compile_program, constant_term,
                         displacement_field_batch, orbit_displacement_means,
@@ -463,6 +464,117 @@ def test_c_grid_merge_owns_its_cells():
     assert cells.base is None and sums.base is None
 
 
+# where x - floor(x) is easy to get wrong: zeros of both signs, negatives
+# so small that their fraction rounds to 1, the double below 1, integers,
+# the last half-integer and the first integers past 2**52, and magnitudes
+# where every double is an integer
+EDGES = [-0.0, -5e-324, -1e-300, 1.0 - 2.0 ** -53, 1.0, -1.0,
+         2.0 ** 52 - 0.5, 2.0 ** 52 + 1.0, 2.0 ** 53, 1e300, -1e300]
+
+
+def _edge_outputs(word, plane_mode, apply, mean, collect, merge):
+    # every ordered pair of edge values through one backend's kernels
+    edges = np.array(EDGES)
+    pts = np.stack(np.meshgrid(edges, edges, indexing="ij"), -1).reshape(-1, 2)
+    prog = compile_program(build_catalog().word(word))
+    tail = np.empty((3, len(pts), 2))
+    out = [apply(pts, *prog), mean(pts, 3, plane_mode, tail, *prog), tail]
+    out += [collect(x, y, 0, 3, *prog) for x, y in pts]
+    out += merge(pts, np.ones(len(pts)), 1e12, 10 ** 12)
+    return out
+
+
+@needs_c
+@pytest.mark.parametrize("word, plane_mode", [
+    ("dehn", True), ("phi", True), ("skew", False), ("h'", False)])
+def test_edge_values_match_numpy_bitwise(word, plane_mode):
+    # the C word step and reduce take x - floor(x) by a shortcut on [+0, 1);
+    # -0.0 must still come out +0.0, as numpy's subtraction gives it
+    runs = [_edge_outputs(word, plane_mode, _kernels._apply_word_c,
+                          _kernels._orbit_mean_c, _kernels._orbit_collect_c,
+                          _kernels._grid_merge_c),
+            _edge_outputs(word, plane_mode, _kernels._apply_word_np,
+                          _kernels._orbit_mean_np, _kernels._orbit_collect_np,
+                          _kernels._grid_merge_np)]
+    assert len(runs[0]) == 3 + len(EDGES) ** 2 + 2
+    collected = np.concatenate(runs[0][3:-2])
+    assert collected.tobytes() == np.abs(collected).tobytes()   # no -0.0
+    for a, b in zip(*runs):
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.abs(np.nan_to_num(a - b)).max() < 1e-12
+    # dehn and phi call no trig
+    if word in ("dehn", "phi") or _numpy_trig_is_libm():
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
+
+
+def _build_orbit_library(tmp_path, opt):
+    # _orbit.c built with the package's flags but another optimisation level,
+    # its entry points typed like the loaded library's
+    flags = [f for f in _kernels._CFLAGS if not f.startswith("-O")]
+    path = tmp_path / ("orbit%s.so" % opt)
+    out = subprocess.run(["cc", opt, *flags, "-o", str(path),
+                          _kernels._C_SOURCE, "-lm"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lib = ctypes.CDLL(str(path))
+    for name in ("apply_batch", "orbit_mean", "orbit_collect", "grid_merge"):
+        fn, typed = getattr(lib, name), getattr(_kernels._LIB, name)
+        fn.argtypes, fn.restype = typed.argtypes, typed.restype
+    return lib
+
+
+def _c_outputs(lib, monkeypatch):
+    # orbit means and plane evaluations, edge values included, run on lib
+    monkeypatch.setattr(_kernels, "_LIB", lib)
+    cat = build_catalog()
+    edges = np.array(EDGES)
+    pts = np.vstack([torus_grid(8), np.random.default_rng(8).uniform(
+        -3.0, 4.0, (32, 2)), np.column_stack([edges, edges[::-1]])])
+    out = []
+    for word in ("twist", "dehn", "h skew'", "irrskew"):
+        w = cat.word(word)
+        _, plane_mode, prog = maps._orbit_program(w, pts, 40)
+        out.append(_kernels._orbit_mean_c(pts, 40, plane_mode,
+                                          np.empty((4, len(pts), 2)), *prog))
+        out.append(_kernels._apply_word_c(pts, *prog))
+    return out
+
+
+@pytest.mark.skipif(_kernels.C_UNAVAILABLE is not None,
+                    reason="C backend unavailable: %s" % _kernels.C_UNAVAILABLE)
+def test_optimisation_level_changes_no_bit(tmp_path, monkeypatch):
+    # frac's x + 0.0 turns -0.0 into +0.0; an optimiser that folded it to x
+    # (as -ffast-math allows) would change bits, so -O0 and -O3 builds must
+    # agree with the loaded -O2 library
+    want = _c_outputs(_kernels._LIB, monkeypatch)
+    for opt in ("-O0", "-O3"):
+        got = _c_outputs(_build_orbit_library(tmp_path, opt), monkeypatch)
+        assert len(got) == len(want) == 8
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), opt
+
+
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_c)])
+def test_kernel_shape_checks_raise_invalid_argument(backend, restore_backend):
+    _kernels.set_backend(backend)
+    prog = compile_program(G.word("skew mix'"))
+    calls = [
+        lambda: _kernels.apply_word(np.zeros((3, 3)), *prog),
+        lambda: _kernels.apply_word(np.zeros(4), *prog),
+        lambda: _kernels.grid_merge(np.zeros((3, 2)), np.ones(2), 8.0, 8),
+        lambda: _kernels.grid_merge(np.zeros(4), np.ones(2), 8.0, 8),
+    ]
+    if backend == "c":      # the C mean loop trusts these shapes
+        calls += [
+            lambda: _kernels._orbit_mean_c(np.zeros((2, 3)), 5, False,
+                                           np.empty((0, 2, 2)), *prog),
+            lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False,
+                                           np.empty((1, 3, 2)), *prog),
+        ]
+    for call in calls:
+        with pytest.raises(InvalidArgument):
+            call()
+
+
 def test_zero_length_segment_is_empty():
     assert orbit_segment(G.word("skew"), (0.3, 0.2), 0).shape == (0, 2)
 
@@ -485,7 +597,7 @@ _PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "rotor")
 
 _BACKEND_PROBE = """\
 import numpy as np
-from rotor import _kernels
+from rotor import _kernels, maps
 from rotor.errors import RotorError
 from rotor.maps import (Generator, MapGroup, constant_term,
                         orbit_displacement_means)

@@ -7,7 +7,8 @@ import pytest
 
 from rotor import _kernels
 from rotor.catalog import build_catalog
-from rotor.errors import NewtonDivergence, NotIsotopicToIdentity, RotorError
+from rotor.errors import (InvalidArgument, NewtonDivergence,
+                          NotIsotopicToIdentity, RotorError)
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift_batch,
                         apply_torus_batch, commutator, compose, compose_lift,
                         constant_term, displacement_field_batch, inverse,
@@ -389,6 +390,31 @@ def test_orbit_means_thread_count_is_invisible():
     one = orbit_displacement_means(w, seeds, 500, 1)
     many = orbit_displacement_means(w, seeds, 500, 8)
     assert np.array_equal(one, many)
+
+
+# wrong shapes that a reshape to (-1, 2) used to turn into other seeds
+BAD_SEEDS = [[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [0.1, 0.2, 0.3, 0.4],
+             [[[0.1, 0.2]]], [], [[0.1, 0.2], [0.3]], 0.5, [["a", "b"]]]
+
+
+@pytest.mark.parametrize("seeds", BAD_SEEDS)
+def test_orbit_means_refuse_seeds_of_the_wrong_shape(seeds):
+    w = G.word([(0, 1), (6, 1)])
+    with pytest.raises(InvalidArgument):
+        orbit_displacement_means(w, seeds, 10)
+
+
+def test_orbit_means_take_a_lone_seed_pair():
+    w = G.word([(0, 1), (6, 1)])
+    one = orbit_displacement_means(w, (0.3, 0.7), 50)
+    assert one.shape == (1, 2)
+    assert one.tobytes() == orbit_displacement_means(w, [[0.3, 0.7]],
+                                                     50).tobytes()
+
+
+def test_invalid_argument_is_a_rotor_error_and_a_value_error():
+    assert issubclass(InvalidArgument, RotorError)
+    assert issubclass(InvalidArgument, ValueError)
 
 
 def test_orbit_mean_tail_constant_translation():

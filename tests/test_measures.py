@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotor import _kernels
-from rotor.errors import NotIsotopicToIdentity, RotorError
+from rotor.errors import InvalidArgument, NotIsotopicToIdentity, RotorError
 from rotor.geometry import hausdorff_distance, point_to_hull_distance
 from rotor.maps import (Generator, LiftedWord, MapGroup, compose,
                         constant_term, inverse, linear_part,
@@ -78,6 +78,25 @@ def test_weights_normalized_and_sorted():
     assert [a for a, _ in m.atoms] == [(0.2, 0.9), (0.7, 0.1)]
     assert m.weights.sum() == 1.0
     assert m.atoms[0][1] == 0.25
+
+
+@pytest.mark.parametrize("points", [
+    [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [0.1, 0.2, 0.3, 0.4], [[[0.1, 0.2]]],
+    [], [[0.1, 0.2], [0.3]]])
+def test_atoms_and_seeds_of_the_wrong_shape_are_refused(points):
+    # once reshaped to (-1, 2): (2, 3) became 3 atoms or 3 seeds
+    with pytest.raises(InvalidArgument):
+        EmpiricalMeasure(points)
+    with pytest.raises(InvalidArgument):
+        estimate_rotation_set(LiftedWord(G.by_name("irr")), points, 10)
+
+
+def test_a_lone_pair_is_one_atom_and_one_seed():
+    assert EmpiricalMeasure((1.25, -0.5)).atoms == [((0.25, 0.5), 1.0)]
+    lw = LiftedWord(G.by_name("irr"))
+    est = estimate_rotation_set(lw, (0.1, 0.2), 10)
+    assert est.samples.tobytes() == estimate_rotation_set(
+        lw, [(0.1, 0.2)], 10).samples.tobytes()
 
 
 def test_bad_inputs_rejected():
