@@ -14,12 +14,14 @@ ctypes, which releases the GIL so seed chunks can run on threads; and
 are bit-identical wherever numpy's sin and cos round like the C library's.
 The C word step also keeps, per letter position and trig term, the bits of
 the term's last argument and its sin and cos values, and reuses them when
-the next argument has the same bits; this changes no result, since sin and
-cos are functions of those bits.  Each C call allocates its own memo, and
-a failed allocation raises MemoryError.  The C step also takes x - floor(x)
-as x + 0.0 on [+0, 1), where floor(x) is +0, and skips it for a letter
-without terms; both give the same bits, -0.0 included, since x + 0.0 and
--0.0 - floor(-0.0) are both +0.0.
+the next argument has the same bits, or copies them from the same term at
+the letter's twin: the position of the same slot and mode that ran most
+recently before it, wrapping across word steps.  This changes no result,
+since sin and cos are functions of those bits.  Each C call allocates its
+own memo, and a failed allocation raises MemoryError.  The C step also
+takes x - floor(x) as x + 0.0 on [+0, 1), where floor(x) is +0, and skips
+it for a letter without terms; both give the same bits, -0.0 included,
+since x + 0.0 and -0.0 - floor(-0.0) are both +0.0.
 apply_word evaluates a program on a batch of plane points; it is the
 evaluator behind maps.apply_lift_batch, and rejects points that are not
 finite before it evaluates any.  grid_merge, the one atom merge of the

@@ -14,11 +14,14 @@
  * last argument and the values computed from it.  Many arguments repeat
  * from step to step: a shear never moves the coordinate its terms read, a
  * constant term's argument is always its phase, and a Newton solve often
- * keeps one coordinate.  sin and cos are functions of their argument's
- * bits, the argument is computed as before and the sums take the values in
- * the same order, so the memo changes no bit of any result.  Each call of
- * apply_batch, orbit_mean and orbit_collect owns its memo, so pool threads
- * share nothing they write.
+ * keeps one coordinate.  A term that misses its own entry also looks at
+ * the same term of the letter's twin, the position of the same slot and
+ * mode that ran most recently before it: in "twist h twist" the last twist
+ * of one step hands its y unchanged to the first twist of the next.  sin
+ * and cos are functions of their argument's bits, the argument is computed
+ * as before and the sums take the values in the same order, so the memo
+ * changes no bit of any result.  Each call of apply_batch, orbit_mean and
+ * orbit_collect owns its memo, so pool threads share nothing they write.
  * Callers check all sizes; nothing here checks bounds. */
 
 #include <math.h>
@@ -39,40 +42,80 @@ typedef struct {
 } program;
 
 /* The memo entry of one trig term at one letter position: the bits of the
- * last argument, amps * sin(arg), and for an inverse letter also
- * amps * cos(arg) * TWO_PI. */
+ * last argument, amps * sin(arg), for an inverse letter also
+ * amps * cos(arg) * TWO_PI, and the offset to the same term's entry at the
+ * letter's twin. */
 typedef struct {
     uint64_t key;
     double sv, cv;
+    int64_t twin;
 } memo_entry;
 
 /* A signalling NaN: arithmetic never gives one, so no argument matches it. */
 #define UNSET UINT64_C(0x7ff0000000000001)
 
-/* A memo for w, one entry per letter position and term, every key unset;
- * NULL when it cannot be allocated.  The caller frees it. */
+/* A memo for w, one entry per letter position and term in the order the
+ * letters run, every key unset; NULL when it cannot be allocated.  The
+ * caller frees it.  The twin of a letter is the letter of the same slot and
+ * mode that ran most recently before it: the letters run last to first and
+ * wrap from one step to the next, so for letter li it is the first of
+ * li+1, ..., L-1, 0, ..., li-1 with li's slot and mode.  A forward entry
+ * holds no cv, so forward and Newton letters are never twins.  A letter
+ * without a twin is its own, at offset 0. */
 static memo_entry *memo_new(const program *w)
 {
-    int64_t n = 0;
-    for (int64_t li = 0; li < w->nletters; li++)
+    int64_t n = 0, slots = 0;
+    for (int64_t li = 0; li < w->nletters; li++) {
         n += w->tend[w->slot[li]] - w->tstart[w->slot[li]];
-    memo_entry *memo = malloc((n > 0 ? n : 1) * sizeof(memo_entry));
-    if (memo != NULL)
-        for (int64_t i = 0; i < n; i++)
-            memo[i].key = UNSET;
+        if (w->slot[li] >= slots)
+            slots = w->slot[li] + 1;
+    }
+    /* the entries, then per slot and mode the first entry of the letter of
+     * that slot and mode that ran last */
+    size_t size = n * sizeof(memo_entry) + 2 * slots * sizeof(int64_t);
+    memo_entry *memo = malloc(size > 0 ? size : 1);
+    if (memo == NULL)
+        return NULL;
+    int64_t *last = (int64_t *)(memo + n);
+    /* two steps in running order: the first sees every letter, so in the
+     * second each letter finds its twin */
+    for (int round = 0; round < 2; round++) {
+        int64_t off = 0;
+        for (int64_t li = w->nletters - 1; li >= 0; li--) {
+            int64_t s = w->slot[li], nterms = w->tend[s] - w->tstart[s];
+            int64_t *seen = last + 2 * s + w->mode[li];
+            if (round == 1)
+                for (int64_t i = off; i < off + nterms; i++)
+                    memo[i] = (memo_entry){UNSET, 0.0, 0.0, *seen - off};
+            *seen = off;
+            off += nterms;
+        }
+    }
     return memo;
 }
 
-/* The argument of term t at (rx, ry), and whether entry e already holds
- * its values; a miss stores the argument's bits as e's key. */
-static int memo_hit(const program *w, int64_t t, double rx, double ry,
-                    memo_entry *e, double *arg)
+/* The argument of term t at (rx, ry), and whether entry e now holds its
+ * values: already, or copied from the same term's entry at the letter's
+ * twin.  A miss stores the argument's bits as e's key.  The twin is asked
+ * before e's key changes, so a letter that is its own twin never copies.
+ * Forced inline: with the twin check gcc -O2 no longer inlines it, and the
+ * call costs every term. */
+static inline __attribute__((always_inline)) int
+memo_hit(const program *w, int64_t t, double rx, double ry, memo_entry *e,
+         double *arg)
 {
     uint64_t bits;
     *arg = TWO_PI * (w->fkx[t] * rx + w->fky[t] * ry) + w->phase[t];
     memcpy(&bits, arg, sizeof bits);
     if (bits == e->key)
         return 1;
+    const memo_entry *tw = e + e->twin;
+    if (bits == tw->key) {
+        e->sv = tw->sv;
+        e->cv = tw->cv;
+        e->key = bits;
+        return 1;
+    }
     e->key = bits;
     return 0;
 }

@@ -28,7 +28,7 @@ import numpy as np
 from ._io import write_json
 from ._kernels import grid_merge
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
-                     RotorError)
+                     InvalidArgument, RotorError)
 from .maps import (Word, _as_lift, _require_identity, apply_torus_batch,
                    commutator_lift, inverse as word_inverse, inverse_lift,
                    linear_part)
@@ -182,7 +182,7 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     """
     phi = _require_identity(phi, "tracked word")
     if L < 1:
-        raise ValueError("need L >= 1")
+        raise InvalidArgument("need L >= 1")
 
     base_words: Dict[str, Word] = {"phi": phi.word}
     for i, g in enumerate(spec.generators_G0):
@@ -190,7 +190,7 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     defects0 = _defect_table(base_words, mu0)
     for label, d in defects0.items():
         if d >= tol:
-            raise ValueError(
+            raise InvalidArgument(
                 "mu0 is not invariant enough for %s (defect %.3g, tol %.3g)"
                 % (label, d, tol))
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import NotSigmaEquivariant, RotorError
 from .maps import (Generator, LiftedWord, MapGroup, Word, _as_lift,
-                   apply_torus_batch, reduce_batch, torus_grid, trig_term)
+                   _as_points, apply_torus_batch, reduce_batch, torus_grid,
+                   trig_term)
 from .mcg import MCGClass
 from .measures import EmpiricalMeasure, rotation_vector
 
@@ -42,7 +43,7 @@ __all__ = [
 
 def sigma_apply(pts: np.ndarray) -> np.ndarray:
     """The involution (x, y) -> (x + 1/2, -y) on torus representatives."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    pts = _as_points(pts, "points")
     out = np.column_stack([pts[:, 0] + 0.5, -pts[:, 1]])
     return reduce_batch(out)
 

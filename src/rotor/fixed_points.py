@@ -26,7 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._io import write_json
-from .errors import AmbiguousWinding, DefectExceeded, NonIsolated
+from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
+                     NonIsolated)
 from .maps import (LiftedWord, Word, _as_lift, _require_identity,
                    apply_lift_batch, displacement_field_batch,
                    orbit_displacement_means, reduce_point, torus_grid)
@@ -119,7 +120,7 @@ def _lift_list(ws) -> List[LiftedWord]:
         ws = [ws]
     lifts = [_as_lift(w) for w in ws]
     if not lifts:
-        raise ValueError("need at least one word")
+        raise InvalidArgument("need at least one word")
     return lifts
 
 
@@ -303,7 +304,7 @@ def _local_min_seeds(norms: np.ndarray, exclude: np.ndarray) -> List[Tuple[int, 
 
 def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
     if grid_n < 8:
-        raise ValueError("grid_n must be at least 8")
+        raise InvalidArgument("grid_n must be at least 8")
     pts = torus_grid(grid_n)
     axis = pts[::grid_n, 0]
     norms = _combined_norm(lifts, pts).reshape(grid_n, grid_n)
@@ -370,9 +371,9 @@ def fixed_point_index(w: Word, p, radius: float = 0.05, samples: int = 256) -> i
     of 2*pi, and no single increment may approach a half turn.
     """
     if samples < 8:
-        raise ValueError("samples must be at least 8")
+        raise InvalidArgument("samples must be at least 8")
     if radius <= 0.0:
-        raise ValueError("radius must be positive")
+        raise InvalidArgument("radius must be positive")
     lw = _as_lift(w)
     p = (float(p[0]), float(p[1]))
     at_p = displacement_field_batch(lw, np.array([p]))[0]

@@ -2,7 +2,9 @@
 
 Rotation-set estimates are routinely single points or straight segments, so
 the hull code must handle 0-, 1- and 2-dimensional hulls without joggling.
-Vertices returned are always a subset of the input points.
+Vertices returned are always a subset of the input points.  Point and
+vertex sets are (m, 2) arrays or one (2,) pair; any other shape raises
+InvalidArgument.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import InvalidArgument
+from .maps import _as_points
 
 __all__ = ["convex_hull", "hull_diameter", "hull_centroid",
            "point_to_hull_distance", "hausdorff_distance"]
@@ -21,7 +26,7 @@ def convex_hull(points) -> np.ndarray:
     Collinear interior points are dropped.  Degenerate inputs give 1 or 2
     vertices.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = _as_points(points, "points")
     uniq = sorted({(float(x), float(y)) for x, y in pts})
     if len(uniq) <= 2:
         return np.array(uniq, dtype=float).reshape(-1, 2)
@@ -47,7 +52,7 @@ def convex_hull(points) -> np.ndarray:
 
 
 def hull_diameter(vertices) -> float:
-    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
+    v = _as_points(vertices, "vertices")
     if len(v) <= 1:
         return 0.0
     d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
@@ -55,7 +60,7 @@ def hull_diameter(vertices) -> float:
 
 
 def hull_centroid(vertices) -> np.ndarray:
-    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
+    v = _as_points(vertices, "vertices")
     return v.mean(axis=0)
 
 
@@ -81,8 +86,11 @@ def _point_in_convex(p, v) -> bool:
 
 
 def point_to_hull_distance(p, vertices) -> float:
-    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    p = np.asarray(p, dtype=float)
+    v = _as_points(vertices, "vertices")
+    p = _as_points(p, "p")
+    if len(p) != 1:
+        raise InvalidArgument("p must be one point (2,), got %d" % len(p))
+    p = p[0]
     if len(v) == 0:
         return math.inf
     if len(v) == 1:
@@ -101,8 +109,8 @@ def hausdorff_distance(vertices_a, vertices_b) -> float:
     For convex sets the supremum of d(., other) is attained at a vertex, so
     checking vertices of each side against the other polygon is exact.
     """
-    a = np.asarray(vertices_a, dtype=float).reshape(-1, 2)
-    b = np.asarray(vertices_b, dtype=float).reshape(-1, 2)
+    a = _as_points(vertices_a, "vertices_a")
+    b = _as_points(vertices_b, "vertices_b")
     d1 = max(point_to_hull_distance(p, b) for p in a)
     d2 = max(point_to_hull_distance(p, a) for p in b)
     return float(max(d1, d2))

@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ._kernels import grid_merge
+from .errors import InvalidArgument
 from .geometry import convex_hull, hull_centroid, hull_diameter
 from .maps import (LiftedWord, Word, _as_points, _require_identity,
                    apply_lift_batch, apply_torus_batch,
@@ -45,19 +46,27 @@ _GRID = 10 ** 12
 def _canonical(points, weights) -> Tuple[np.ndarray, np.ndarray]:
     pts = _as_points(points, "atoms")
     if not np.isfinite(pts).all():
-        raise ValueError("atom coordinates must be finite")
-    w = (np.full(len(pts), 1.0 / max(len(pts), 1)) if weights is None
-         else np.asarray(weights, dtype=float).reshape(-1))
+        raise InvalidArgument("atom coordinates must be finite")
+    if weights is None:
+        w = np.full(len(pts), 1.0 / max(len(pts), 1))
+    else:
+        try:
+            w = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgument("weights: %s" % exc) from None
+        if w.ndim != 1:
+            raise InvalidArgument("weights must have shape (n,), got %s"
+                                  % (w.shape,))
     if len(w) != len(pts):
-        raise ValueError("points and weights differ in length")
+        raise InvalidArgument("points and weights differ in length")
     if len(w) == 0:
-        raise ValueError("a measure needs at least one atom")
+        raise InvalidArgument("a measure needs at least one atom")
     if (w < 0).any() or not np.isfinite(w).all():
-        raise ValueError("weights must be finite and nonnegative")
+        raise InvalidArgument("weights must be finite and nonnegative")
     out_pts, out_w = grid_merge(pts, w, float(_GRID), _GRID)
     total = out_w.sum()
     if total <= 0.0:
-        raise ValueError("total mass must be positive")
+        raise InvalidArgument("total mass must be positive")
     out_pts.setflags(write=False)
     out_w = out_w / total
     out_w.setflags(write=False)
@@ -91,7 +100,7 @@ class EmpiricalMeasure:
     def uniform_grid(cls, k: int) -> "EmpiricalMeasure":
         """Uniform weights on the k-by-k grid (i/k, j/k)."""
         if k < 1:
-            raise ValueError("grid size must be >= 1")
+            raise InvalidArgument("grid size must be >= 1")
         return cls(torus_grid(k))
 
     @property
@@ -116,7 +125,7 @@ class EmpiricalMeasure:
             rd = csv.reader(fh)
             header = next(rd, None)
             if header != ["x", "y", "weight"]:
-                raise ValueError("expected header x,y,weight")
+                raise InvalidArgument("expected header x,y,weight")
             for row in rd:
                 pts.append((float(row[0]), float(row[1])))
                 w.append(float(row[2]))
@@ -232,7 +241,7 @@ def birkhoff_mean(lw, seed, n: int) -> BirkhoffRecord:
     expanding eigenvalue makes the means diverge (RotorError).
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InvalidArgument("need n >= 1")
     mean, spread = orbit_mean_with_tail(lw, seed, n)
     return BirkhoffRecord(seed=reduce_point(seed), n=n, mean=mean,
                           tail_spread=spread)
@@ -251,7 +260,7 @@ def estimate_rotation_set(lw, seeds, n: int,
     are rejected rather than returning an unbounded hull.
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InvalidArgument("need n >= 1")
     samples = orbit_displacement_means(lw, seeds, n, threads)
     return RotationSetEstimate(samples=samples, hull=convex_hull(samples), n=n)
 
@@ -263,7 +272,7 @@ def krylov_bogolyubov(w: Word, seed, n: int, window: int) -> EmpiricalMeasure:
     which invariance_defect quantifies.
     """
     if window < 1 or n < window:
-        raise ValueError("need n >= window >= 1")
+        raise InvalidArgument("need n >= window >= 1")
     pts = orbit_segment(w, seed, window, burn=n - window)
     return EmpiricalMeasure(pts)
 

@@ -95,14 +95,16 @@ class SuiteReport:
 
 
 def _unimodular_matrices(bound: int):
-    rng = range(-bound, bound + 1)
+    # every (a, b, c, d) in [-bound, bound]^4 with |ad - bc| = 1, in
+    # lexicographic order, with Python int entries; one a at a time, so
+    # the table of ad - bc stays small
+    r = np.arange(-bound, bound + 1)
+    bc = np.multiply.outer(r, r)[:, :, None]
     out = []
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if abs(a * d - b * c) == 1:
-                        out.append(MCGClass(a, b, c, d))
+    for a in r.tolist():
+        det = a * r - bc                # ad - bc by (b, c, d)
+        keep = np.argwhere((det == 1) | (det == -1))
+        out += [MCGClass(a, *m) for m in r[keep].tolist()]
     return out
 
 

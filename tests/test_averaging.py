@@ -7,7 +7,8 @@ from rotor import _kernels, averaging
 from rotor.averaging import (GroupSpec, _cesaro_stage, bounded_orbit_check,
                              construct_invariant, rotev_residual)
 from rotor.errors import (ConditionStarStarViolated, ConfigError,
-                          DefectExceeded, NotIsotopicToIdentity, RotorError)
+                          DefectExceeded, InvalidArgument,
+                          NotIsotopicToIdentity, RotorError)
 from rotor.maps import (Generator, LiftedWord, MapGroup, _as_lift,
                         _require_identity, apply_torus_batch, commutator_lift,
                         constant_term, inverse, inverse_lift, linear_part,
@@ -101,9 +102,12 @@ def test_dehn_stage_preserves_rotation_vector():
 
 def test_rejects_noninvariant_seed_measure():
     spec = GroupSpec(generators_G0=(W_TR,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument, match="not invariant enough"):
         construct_invariant(spec, LiftedWord(W_TR),
                             EmpiricalMeasure.dirac((0.0, 0.0)), tol=1e-9)
+    with pytest.raises(InvalidArgument, match="L >= 1"):
+        construct_invariant(spec, LiftedWord(W_TR),
+                            EmpiricalMeasure.uniform_grid(8), L=0)
 
 
 def test_rejects_nonisotopic_tracked_word():

@@ -6,7 +6,8 @@ import pytest
 from rotor.covers import (AnnulusMapSpec, annulus_term, check_sigma_commute,
                           double_annulus, double_annulus_family,
                           klein_symmetrize, rho_bar, sigma_apply)
-from rotor.errors import NotIsotopicToIdentity, NotSigmaEquivariant
+from rotor.errors import (InvalidArgument, NotIsotopicToIdentity,
+                          NotSigmaEquivariant)
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_torus_batch,
                         compose, constant_term, trig_term)
 from rotor.measures import (EmpiricalMeasure, estimate_rotation_set,
@@ -36,6 +37,14 @@ def test_sigma_is_an_involution_on_atoms():
     pts = np.array([(0.1, 0.2), (0.6, 0.0), (0.3, 0.85)])
     back = sigma_apply(sigma_apply(pts))
     assert np.abs(back - pts).max() < 1e-15
+
+
+@pytest.mark.parametrize("bad", [[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+                                 [0.1, 0.2, 0.3, 0.4], [[[0.1, 0.2]]], []])
+def test_sigma_refuses_points_of_the_wrong_shape(bad):
+    with pytest.raises(InvalidArgument):
+        sigma_apply(bad)
+    assert sigma_apply((0.25, 0.5)).tolist() == [[0.75, 0.5]]
 
 
 def test_x_translation_commutes():

@@ -7,8 +7,9 @@ import pytest
 
 from rotor import fixed_points
 from rotor.catalog import build_catalog
-from rotor.errors import (AmbiguousWinding, DefectExceeded, NewtonDivergence,
-                          NonIsolated, NotIsotopicToIdentity)
+from rotor.errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
+                          NewtonDivergence, NonIsolated,
+                          NotIsotopicToIdentity)
 from rotor.fixed_points import (_grid_components, _min_torus_dist, _refine,
                                 _residual_fields, _torus_dist,
                                 common_fixed_points, find_fixed_points,
@@ -61,7 +62,7 @@ def test_identity_flagged_all_fixed():
 
 
 def test_grid_too_coarse_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         find_fixed_points(SKEW, 7, 1e-9)
 
 
@@ -176,9 +177,9 @@ def test_coarse_sampling_near_reversal_is_refused():
 
 
 def test_index_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         fixed_point_index(PROD, (0.0, 0.0), 0.05, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         fixed_point_index(PROD, (0.0, 0.0), 0.0, 256)
 
 
@@ -209,7 +210,7 @@ def test_common_with_point_reflection():
 
 
 def test_common_requires_a_word():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         common_fixed_points([], 16, 1e-9)
 
 

@@ -4,10 +4,38 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from rotor.errors import InvalidArgument
 from rotor.geometry import (convex_hull, hausdorff_distance, hull_centroid,
                             hull_diameter, point_to_hull_distance)
 
 SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+
+
+# neither (m, 2) nor one (2,) pair; reshaped to (-1, 2), the (2, 3) array
+# was the triangle (0, 0), (1, 0), (1, 1)
+WRONG_SHAPES = [[[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], [0.0, 0.0, 1.0, 1.0],
+                [[[0.0, 0.0]]], [], [[0.0, 0.0], [1.0]]]
+
+
+@pytest.mark.parametrize("bad", WRONG_SHAPES)
+@pytest.mark.parametrize("call", [
+    convex_hull, hull_diameter, hull_centroid,
+    lambda v: point_to_hull_distance((0.5, 0.5), v),
+    lambda v: point_to_hull_distance(v, SQUARE),
+    lambda v: hausdorff_distance(v, SQUARE),
+    lambda v: hausdorff_distance(SQUARE, v)])
+def test_wrong_shapes_raise_invalid_argument(call, bad):
+    with pytest.raises(InvalidArgument):
+        call(bad)
+
+
+def test_point_to_hull_distance_takes_one_point():
+    with pytest.raises(InvalidArgument, match="one point"):
+        point_to_hull_distance(SQUARE, SQUARE)
+    assert point_to_hull_distance([(2.0, 0.5)], SQUARE) == 1.0
+    assert hull_diameter((0.5, 0.5)) == 0.0
 
 
 def test_hull_of_square_with_interior_points():

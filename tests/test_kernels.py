@@ -263,20 +263,26 @@ def test_c_threads_are_bitwise_deterministic(restore_backend):
         assert one.tobytes() == two.tobytes()
 
 
+# words whose letters share memo entries with their twins: the two twists
+# (or two twist's) of a step, and the last skew of one step with the first
+# of the next; h and h' have the same slot but are never twins
+TWIN_WORDS = ("twist h twist", "twist' h twist'", "skew halftr skew halftr",
+              "h skew h'")
+
+
 def _memo_outputs():
     # cases where the C word step reuses most of its sin and cos values:
     # consecutive torus_grid points share x, which is all the terms of h and
-    # skew read; twist never moves y; Newton for skew' keeps x; the slot of
-    # twist sits at two letter positions of "twist h twist"
+    # skew read; twist never moves y; Newton for skew' keeps x
     cat = build_catalog()
     grid = torus_grid(256)
     seeds = np.random.default_rng(6).uniform(0, 1, size=(9, 2))
     out = [apply_lift_batch(cat.word(name), grid)
-           for name in ("h", "skew", "skew'", "h skew'", "twist h twist")]
+           for name in ("h", "skew", "skew'", "h skew'") + TWIN_WORDS]
     for seed in seeds[:2]:
         mean, spread = orbit_mean_with_tail(cat.word("twist"), seed, 500)
         out.append(np.array(mean + (spread,)))
-    for name in ("twist", "skew'", "h skew'", "twist h twist"):
+    for name in ("twist", "skew'", "h skew'") + TWIN_WORDS:
         w = cat.word(name)
         for threads in (1, 2):
             out.append(orbit_displacement_means(w, seeds, 300, threads))
@@ -290,7 +296,7 @@ def test_c_memo_hits_match_numpy(restore_backend):
     for backend in ("c", "numpy"):
         _kernels.set_backend(backend)
         runs.append(_memo_outputs())
-    assert len(runs[0]) == 5 + 2 + 4 * 3
+    assert len(runs[0]) == 8 + 2 + 7 * 3
     assert max(np.abs(a - b).max() for a, b in zip(*runs)) < 1e-12
     if _numpy_trig_is_libm():
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
@@ -507,12 +513,12 @@ def test_edge_values_match_numpy_bitwise(word, plane_mode):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
 
 
-def _build_orbit_library(tmp_path, opt):
-    # _orbit.c built with the package's flags but another optimisation level,
-    # its entry points typed like the loaded library's
+def _build_orbit_library(tmp_path, opt, *extra):
+    # _orbit.c built with the package's flags but another optimisation level
+    # and the extra flags, its entry points typed like the loaded library's
     flags = [f for f in _kernels._CFLAGS if not f.startswith("-O")]
-    path = tmp_path / ("orbit%s.so" % opt)
-    out = subprocess.run(["cc", opt, *flags, "-o", str(path),
+    path = tmp_path / ("orbit%s%d.so" % (opt, len(extra)))
+    out = subprocess.run(["cc", opt, *flags, *extra, "-o", str(path),
                           _kernels._C_SOURCE, "-lm"],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -551,6 +557,55 @@ def test_optimisation_level_changes_no_bit(tmp_path, monkeypatch):
         got = _c_outputs(_build_orbit_library(tmp_path, opt), monkeypatch)
         assert len(got) == len(want) == 8
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), opt
+
+
+# counts every sin and cos call of a build that includes it first
+_COUNTING_HEADER = """\
+#include <math.h>
+#include <stdint.h>
+int64_t sin_calls, cos_calls;
+static double counted_sin(double x) { sin_calls++; return sin(x); }
+static double counted_cos(double x) { cos_calls++; return cos(x); }
+#define sin(x) counted_sin(x)
+#define cos(x) counted_cos(x)
+"""
+
+# (sin, cos) calls of orbit_mean on one seed over 1000 steps.  Without
+# twins "twist h twist" made (6002, 0), "twist' h twist'" (6002, 4002) and
+# "skew halftr skew halftr" (4, 0); the others are as they were
+LIBM_CALLS = {
+    "twist h twist": (4003, 0),         # 4 sin a step, after the first
+    "twist' h twist'": (4003, 2003),
+    "skew halftr skew halftr": (3, 0),
+    "h skew h'": (12003, 12000),
+    "twist": (3, 0),
+    "h skew'": (111, 37),
+    "irrskew": (1002, 0),
+}
+
+
+@pytest.mark.skipif(_kernels.C_UNAVAILABLE is not None,
+                    reason="C backend unavailable: %s" % _kernels.C_UNAVAILABLE)
+def test_twin_memo_libm_calls(tmp_path, monkeypatch):
+    header = tmp_path / "counting.h"
+    header.write_text(_COUNTING_HEADER)
+    loaded = _kernels._LIB
+    counting = _build_orbit_library(tmp_path, "-O2", "-include", str(header))
+    calls = [ctypes.c_int64.in_dll(counting, name)
+             for name in ("sin_calls", "cos_calls")]
+    cat = build_catalog()
+    seed = np.random.default_rng(5).random((1, 2))
+    for word, want in LIBM_CALLS.items():
+        _, plane_mode, prog = maps._orbit_program(cat.word(word), seed, 1000)
+        for c in calls:
+            c.value = 0
+        means = []
+        for lib in (loaded, counting):
+            monkeypatch.setattr(_kernels, "_LIB", lib)
+            means.append(_kernels._orbit_mean_c(
+                seed, 1000, plane_mode, np.empty((0, 1, 2)), *prog))
+        assert tuple(c.value for c in calls) == want, word
+        assert means[0].tobytes() == means[1].tobytes(), word
 
 
 @pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_c)])

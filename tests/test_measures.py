@@ -91,6 +91,22 @@ def test_atoms_and_seeds_of_the_wrong_shape_are_refused(points):
         estimate_rotation_set(LiftedWord(G.by_name("irr")), points, 10)
 
 
+@pytest.mark.parametrize("weights", [
+    [[1.0], [3.0]], [[1.0, 3.0]], 1.0, [[[1.0]], [[3.0]]], [[1.0], [2.0, 3.0]],
+    ["a", "b"]])
+def test_weights_not_of_shape_n_are_refused(weights):
+    # once reshaped to (-1,): a (2, 1) array became weights 0.25 and 0.75
+    with pytest.raises(InvalidArgument, match="weights"):
+        EmpiricalMeasure([(0.1, 0.2), (0.3, 0.4)], weights)
+
+
+def test_bad_csv_header_raises_invalid_argument(tmp_path):
+    path = tmp_path / "mu.csv"
+    path.write_text("x,y,w\n0.1,0.2,1.0\n")
+    with pytest.raises(InvalidArgument, match="header"):
+        EmpiricalMeasure.from_csv(path)
+
+
 def test_a_lone_pair_is_one_atom_and_one_seed():
     assert EmpiricalMeasure((1.25, -0.5)).atoms == [((0.25, 0.5), 1.0)]
     lw = LiftedWord(G.by_name("irr"))
@@ -100,12 +116,18 @@ def test_a_lone_pair_is_one_atom_and_one_seed():
 
 
 def test_bad_inputs_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         EmpiricalMeasure([], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument, match="at least one atom"):
+        EmpiricalMeasure(np.zeros((0, 2)))
+    with pytest.raises(InvalidArgument, match="differ in length"):
+        EmpiricalMeasure([(0.1, 0.1)], [1.0, 2.0])
+    with pytest.raises(InvalidArgument):
         EmpiricalMeasure([(0.1, 0.1)], [-1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         EmpiricalMeasure([(0.1, 0.1)], [0.0])
+    with pytest.raises(InvalidArgument, match="grid size"):
+        EmpiricalMeasure.uniform_grid(0)
     with pytest.raises(AttributeError):
         EmpiricalMeasure.dirac((0, 0)).weights = None
 
@@ -146,9 +168,9 @@ def test_csv_round_trip_property(tmp_path_factory, atoms):
 def test_nonfinite_coordinates_rejected(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="coordinates must be finite"):
+        with pytest.raises(InvalidArgument, match="must be finite"):
             EmpiricalMeasure([(0.2, 0.3), (bad, 0.1)])
-        with pytest.raises(ValueError, match="coordinates must be finite"):
+        with pytest.raises(InvalidArgument, match="must be finite"):
             EmpiricalMeasure([(0.1, bad)], [1.0])
 
 
@@ -381,8 +403,10 @@ def test_hyperbolic_tail_mean_is_refused_without_warning():
 
 
 def test_birkhoff_rejects_bad_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         birkhoff_mean(LiftedWord(G.identity()), (0.0, 0.0), 0)
+    with pytest.raises(InvalidArgument):
+        estimate_rotation_set(LiftedWord(G.identity()), [(0.0, 0.0)], 0)
 
 
 # --- rotation set estimates
@@ -456,9 +480,9 @@ def test_krylov_irrational_translation_near_invariant():
 
 
 def test_krylov_rejects_bad_window():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         krylov_bogolyubov(G.identity(), (0.0, 0.0), 5, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         krylov_bogolyubov(G.identity(), (0.0, 0.0), 5, 0)
 
 
