@@ -26,7 +26,12 @@ apply_word evaluates a program on a batch of plane points; it is the
 evaluator behind maps.apply_lift_batch, and rejects points that are not
 finite before it evaluates any.  grid_merge, the one atom merge of the
 measures, reduces atoms to the torus and sums their weights per grid cell;
-its backends agree bit for bit everywhere, since it calls no trig.  At
+its backends agree bit for bit everywhere, since it calls no trig.
+affine_orbit, the scan of averaging.bounded_orbit_check, steps the affine
+orbit rho -> A(rho + w) forward and rho -> A^-1 rho - w backward in plain
+floats; its backends also agree bit for bit everywhere, since both take the
+class entries as doubles and make the same products and sums (the C build
+keeps them unfused).  Its numpy backend is the plain Python loop.  At
 import the C file is built with the system compiler (cc) into this
 package's __pycache__, once per source and flags, and loaded; "c" is then
 the default.  Without a compiler, or
@@ -145,9 +150,12 @@ def _load_c():
                                ctypes.c_int64, ctypes.c_double,
                                ctypes.c_int64, ctypes.c_void_p,
                                ctypes.c_void_p]
+    lib.affine_orbit.argtypes = ([ctypes.c_double] * 12
+                                 + [ctypes.c_int64, ctypes.c_void_p,
+                                    ctypes.c_void_p])
     lib.apply_batch.restype = lib.orbit_mean.restype = ctypes.c_int
     lib.orbit_collect.restype = ctypes.c_int
-    lib.grid_merge.restype = ctypes.c_int64
+    lib.grid_merge.restype = lib.affine_orbit.restype = ctypes.c_int64
     return lib, None
 
 
@@ -222,6 +230,14 @@ def _grid_merge_c(pts, w, scale, cells):
         return out_pts, out_w
     # copies, so no measure pins the n-sized buffers
     return out_pts[:m].copy(), out_w[:m].copy()
+
+
+def _affine_orbit_c(x0, y0, w1, w2, mat, inv, P):
+    xs = np.empty(2 * P + 1)
+    ys = np.empty(2 * P + 1)
+    n = _LIB.affine_orbit(x0, y0, w1, w2, *mat, *inv, P, xs.ctypes.data,
+                          ys.ctypes.data)
+    return xs[:n], ys[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +376,32 @@ def _orbit_mean_np(seeds, n, plane_mode, tail, *prog):
         return (acc - comp) / n
 
 
+def _affine_orbit_np(x0, y0, w1, w2, mat, inv, P):
+    # plain-float steps in the order of MCGClass.apply; the scan stops at
+    # the first point that is not finite
+    xs, ys = [x0], [y0]
+    finite = math.isfinite
+    a, b, c, d = mat
+    x, y = x0, y0
+    for _ in range(P):  # forward: rho_{p+1} = A(rho_p + w)
+        u, v = x + w1, y + w2
+        x, y = a * u + b * v, c * u + d * v
+        if not (finite(x) and finite(y)):
+            break
+        xs.append(x)
+        ys.append(y)
+    else:
+        a, b, c, d = inv
+        x, y = x0, y0
+        for _ in range(P):  # backward: rho_{p-1} = A^-1 rho_p - w
+            x, y = a * x + b * y - w1, c * x + d * y - w2
+            if not (finite(x) and finite(y)):
+                break
+            xs.append(x)
+            ys.append(y)
+    return np.array(xs), np.array(ys)
+
+
 def _orbit_collect_np(sx, sy, burn, count, *args):
     out = np.empty((count, 2))
     p = reduce_batch(np.array([[sx, sy]]))
@@ -424,3 +466,17 @@ def orbit_mean_tail(sx, sy, n, plane_mode, *args):
 def orbit_collect(sx, sy, burn, count, *args):
     collect = _orbit_collect_c if _BACKEND == "c" else _orbit_collect_np
     return collect(sx, sy, burn, count, *args)
+
+
+def affine_orbit(x0: float, y0: float, w1: float, w2: float, mat, inv,
+                 P: int):
+    """The points rho0, A(rho0 + w), ..., then A^-1 rho0 - w, ... of the
+    affine orbit of rho0 = (x0, y0) and w = (w1, w2) with P >= 0 steps each
+    way, as two float arrays xs, ys.  mat = (a, b, c, d) holds the entries
+    of A and inv those of A^-1; both backends take them as floats.  The
+    scan stops at the first point that is not finite, so fewer than 2P + 1
+    points mean the orbit overflowed."""
+    mat = [float(v) for v in mat]
+    inv = [float(v) for v in inv]
+    scan = _affine_orbit_c if _BACKEND == "c" else _affine_orbit_np
+    return scan(x0, y0, w1, w2, mat, inv, P)

@@ -1,11 +1,11 @@
-/* Word step, orbit loops and grid merge of the "c" backend: a
- * statement-for-statement port of the numpy code in _kernels.py
- * (_apply_word_np, _orbit_mean_np, _orbit_collect_np, _grid_merge_np), one
- * point at a time, except for three shortcuts of the word step that change
- * no bit.  _kernels builds this file with -ffp-contract=off and defines
- * TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX from its own constants, so results
- * match numpy bit for bit wherever numpy's sin and cos round like this C
- * library's.
+/* Word step, orbit loops, grid merge and affine orbit scan of the "c"
+ * backend: a statement-for-statement port of the numpy code in _kernels.py
+ * (_apply_word_np, _orbit_mean_np, _orbit_collect_np, _grid_merge_np,
+ * _affine_orbit_np), one point at a time, except for three shortcuts of the
+ * word step that change no bit.  _kernels builds this file with
+ * -ffp-contract=off and defines TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX from
+ * its own constants, so results match numpy bit for bit wherever numpy's sin
+ * and cos round like this C library's.
  *
  * The shortcuts: frac() takes x - floor(x) without the floor on [+0, 1),
  * where it equals x + 0.0 (see frac); a letter without trig terms takes no
@@ -404,4 +404,41 @@ int64_t grid_merge(const double *pts, const double *w, int64_t n,
     }
     free(items);
     return m;
+}
+
+/* The affine orbit of averaging.bounded_orbit_check: rho0 = (x0, y0), then
+ * P forward steps rho <- A(rho + w) with A = (a b; c d), then P backward
+ * steps rho <- A^-1 rho - w from rho0 with A^-1 = (ai bi; ci di), written
+ * to xs and ys, which have room for 2P + 1 points.  The scan stops at the
+ * first point that is not finite, so a forward overflow skips the backward
+ * half.  Returns the number of points written. */
+int64_t affine_orbit(double x0, double y0, double w1, double w2, double a,
+                     double b, double c, double d, double ai, double bi,
+                     double ci, double di, int64_t P, double *xs, double *ys)
+{
+    int64_t n = 0;
+    double x = x0, y = y0;
+    xs[n] = x;
+    ys[n++] = y;
+    for (int64_t k = 0; k < P; k++) {
+        double u = x + w1, v = y + w2;
+        x = a * u + b * v;
+        y = c * u + d * v;
+        if (!(isfinite(x) && isfinite(y)))
+            return n;
+        xs[n] = x;
+        ys[n++] = y;
+    }
+    x = x0;
+    y = y0;
+    for (int64_t k = 0; k < P; k++) {
+        double u = ai * x + bi * y - w1;
+        y = ci * x + di * y - w2;
+        x = u;
+        if (!(isfinite(x) && isfinite(y)))
+            return n;
+        xs[n] = x;
+        ys[n++] = y;
+    }
+    return n;
 }

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ._io import write_json
-from ._kernels import grid_merge
+from ._kernels import affine_orbit, grid_merge
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
                      InvalidArgument, RotorError)
 from .maps import (Word, _as_lift, _require_identity, apply_torus_batch,
@@ -329,8 +329,14 @@ def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck
     The orbit is either constant or unbounded for the classes of interest;
     the bounded flag uses the threshold 10*(1 + |rho0| + |w|), far above
     any constant orbit and far below a linearly growing one at P=1000.
-    Raises RotorError when that threshold is not finite.
+    P must be an integer >= 0, else InvalidArgument is raised; P=0 scans
+    rho0 alone.  Raises RotorError when the threshold is not finite.  The
+    scan runs in the kernel backend (_kernels.affine_orbit); both backends
+    step in plain floats in the order of MCGClass.apply, so every backend
+    gives the same bits.  An orbit that overflows has max_norm inf.
     """
+    if not isinstance(P, Integral) or P < 0:
+        raise InvalidArgument("P must be an integer >= 0")
     if not isinstance(g_class, MCGClass):
         g_class = MCGClass(*g_class)
     x0, y0 = float(rho0[0]), float(rho0[1])
@@ -343,30 +349,11 @@ def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck
     if not math.isfinite(bound):
         raise RotorError("bounded_orbit_check needs finite rho0 and w with "
                          "a finite threshold 10*(1 + |rho0| + |w|)")
-    # plain-float steps in the order of MCGClass.apply; the scan stops at
-    # the first non-finite point
-    xs, ys = [x0], [y0]
-    finite = math.isfinite
-    a, b, c, d = g_class.a, g_class.b, g_class.c, g_class.d
-    x, y = x0, y0
-    for _ in range(P):  # forward: rho_{p+1} = A(rho_p + w)
-        u, v = x + w1, y + w2
-        x, y = a * u + b * v, c * u + d * v
-        if not (finite(x) and finite(y)):
-            break
-        xs.append(x)
-        ys.append(y)
-    else:
-        inv = g_class.inverse()
-        a, b, c, d = inv.a, inv.b, inv.c, inv.d
-        x, y = x0, y0
-        for _ in range(P):  # backward: rho_{p-1} = A^-1 rho_p - w
-            x, y = a * x + b * y - w1, c * x + d * y - w2
-            if not (finite(x) and finite(y)):
-                break
-            xs.append(x)
-            ys.append(y)
-    # a break leaves fewer than 2P + 1 points: the orbit overflowed
+    inv = g_class.inverse()
+    xs, ys = affine_orbit(x0, y0, w1, w2,
+                          (g_class.a, g_class.b, g_class.c, g_class.d),
+                          (inv.a, inv.b, inv.c, inv.d), P)
+    # a stop leaves fewer than 2P + 1 points: the orbit overflowed
     with np.errstate(over="ignore"):
         max_norm = (math.inf if len(xs) < 2 * P + 1
                     else float(np.hypot(xs, ys).max()))

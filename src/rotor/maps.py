@@ -464,12 +464,13 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     Words with identity linear part iterate on the torus and accumulate the
     per-step displacement with compensated summation; other words iterate
     in plane coordinates, and an expanding linear part raises RotorError.
-    A NaN mean raises NewtonDivergence.  threads splits the seeds over a
-    thread pool on the C backend, whose kernels release the GIL; the numpy
-    backend runs all seeds in one vectorized call.  The pool has at most
-    one thread per CPU this process may run on, whatever threads asks for,
-    and four chunks of seeds per thread.  Results are the same for every
-    thread count.
+    A NaN mean raises NewtonDivergence.  threads > 1 splits the seeds over
+    a thread pool on the C backend, whose kernels release the GIL; the
+    numpy backend runs all seeds in one vectorized call.  The pool has at
+    most one thread per CPU this process may run on, whatever threads asks
+    for, and four chunks of seeds per thread; with one usable CPU it is a
+    pool of one over four chunks, so the chunked path runs on every
+    machine.  Results are the same for every thread count.
     """
     seeds = np.ascontiguousarray(_as_points(seeds, "seeds"))
     lw, plane_mode, args = _orbit_program(w, seeds, n)
@@ -477,12 +478,12 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     def run(chunk):
         return _kernels.orbit_mean_batch(chunk, n, plane_mode, *args)
 
-    workers = min(threads, _usable_cpus())
-    if workers <= 1 or len(seeds) < 2 or _kernels.get_backend() != "c":
+    if threads <= 1 or len(seeds) < 2 or _kernels.get_backend() != "c":
         means = run(seeds)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
+        workers = min(threads, _usable_cpus())
         chunks = np.array_split(seeds, min(workers * 4, len(seeds)))
         with ThreadPoolExecutor(max_workers=workers) as ex:
             means = np.concatenate(list(ex.map(run, chunks)), axis=0)

@@ -454,7 +454,7 @@ def _orbit_check_matmul(g_class, rho0, w, P):
     return max_norm <= bound, max_norm
 
 
-def test_orbit_check_matches_matmul_reference():
+def test_orbit_check_matches_matmul_reference(backends):
     rng = np.random.default_rng(20261018)
     cases = [(DEHN, (v1, 0.3), (w1, w2), 1000) for v1 in (-1.0, 0.0, 0.5)
              for w1 in (-0.5, 0.0) for w2 in (-0.5, 0.5)]
@@ -467,11 +467,30 @@ def test_orbit_check_matches_matmul_reference():
             cases.append((MCGClass(*m), tuple(rng.uniform(-1, 1, 2)),
                           tuple(rng.uniform(-1, 1, 2)),
                           int(rng.choice([10, 100, 1000]))))
-    overflowed = 0
-    for g_class, rho0, w, P in cases:
-        c = bounded_orbit_check(g_class, rho0, w, P)
-        bounded, max_norm = _orbit_check_matmul(g_class, rho0, w, P)
-        assert c.bounded == bounded, (g_class, rho0, w, P)
-        assert c.max_norm.hex() == max_norm.hex(), (g_class, rho0, w, P)
-        overflowed += max_norm == math.inf
-    assert overflowed >= 10
+    want = [_orbit_check_matmul(*case) for case in cases]
+    assert sum(max_norm == math.inf for _, max_norm in want) >= 10
+    for backend in backends:
+        _kernels.set_backend(backend)
+        for case, (bounded, max_norm) in zip(cases, want):
+            c = bounded_orbit_check(*case)
+            assert c.bounded == bounded, (backend, *case)
+            assert c.max_norm.hex() == max_norm.hex(), (backend, *case)
+
+
+@pytest.mark.parametrize("P", [-3, 1.5, "5", None, 2.0])
+def test_orbit_check_rejects_bad_P(P, backends):
+    # P=-3 once scanned rho0 alone and came back bounded
+    for backend in backends:
+        _kernels.set_backend(backend)
+        with pytest.raises(InvalidArgument, match="P must be"):
+            bounded_orbit_check(DEHN, (0.5, 0.2), (0.0, 0.0), P)
+
+
+def test_orbit_check_takes_P_zero_and_numpy_ints(backends):
+    for backend in backends:
+        _kernels.set_backend(backend)
+        c = bounded_orbit_check(DEHN, (0.3, 0.4), (0.7, 0.0), 0)
+        assert c.bounded and c.max_norm == 0.5
+        c = bounded_orbit_check(DEHN, (0.3, 0.4), (0.7, 0.0), np.int64(1))
+        u = 0.3 + 0.7
+        assert c.max_norm == float(np.hypot(u, u + 0.4))

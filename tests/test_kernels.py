@@ -1,9 +1,11 @@
 import ctypes
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -360,6 +362,14 @@ def test_orbit_pool_is_capped_at_the_usable_cpus(monkeypatch,
     many = orbit_displacement_means(w, seeds, 20, threads=100000)
     assert [(p.max_workers, p.chunks) for p in pools] == [(3, 12)]
     assert many.tobytes() == one.tobytes()
+    # with one usable CPU threads > 1 still runs the chunked path, in a
+    # pool of one, so thread_determinism compares it on every machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    pools.clear()
+    eight = orbit_displacement_means(w, seeds, 20, threads=8)
+    assert [(p.max_workers, p.chunks) for p in pools] == [(1, 4)]
+    assert eight.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("call", [
@@ -513,6 +523,88 @@ def test_edge_values_match_numpy_bitwise(word, plane_mode):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
 
 
+# (rho0, w, class, P) edge cases of the affine orbit scan
+AFFINE_EDGES = [
+    ((-0.0, 0.3), (-0.0, -0.0), MCGClass(1, 0, 1, 1), 5),
+    ((-0.0, -0.0), (-0.0, 0.0), MCGClass(0, -1, 1, 0), 4),
+    ((1e308, 0.0), (0.0, 0.0), MCGClass(2, 1, 1, 1), 10),
+    ((1.5e308, 0.0), (-1e307, 0.0), ID, 5),
+    ((0.2, 0.7), (0.1, -0.3), MCGClass(1000001, 1000000, 1, 1), 0),
+    ((0.2, 0.7), (0.1, -0.3), MCGClass(1000001, 1000000, 1, 1), 1),
+    ((0.2, 0.7), (0.1, -0.3), MCGClass(1000001, 1000000, 1, 1), 60),
+    ((0.2, -0.7), (-0.1, 0.3), MCGClass(-1, 1000000, 0, -1), 50),
+    ((0.25, 0.5), (-0.5, 0.125), MCGClass(-1000000, 1, -1, 0), 30),
+]
+
+
+def _affine_outputs():
+    # the points of every AFFINE_EDGES scan on the current backend
+    out = []
+    for rho0, w, g, P in AFFINE_EDGES:
+        inv = g.inverse()
+        out.extend(_kernels.affine_orbit(*rho0, *w, (g.a, g.b, g.c, g.d),
+                                         (inv.a, inv.b, inv.c, inv.d), P))
+    return out
+
+
+@needs_c
+def test_affine_orbit_backends_agree_on_edges(restore_backend):
+    runs = []
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        runs.append(_affine_outputs())
+    # overflow on the first forward step, in the backward half only, and
+    # in the middle of the forward half; P = 0 and 1 scan 1 and 3 points
+    assert [len(xs) for xs in runs[1][::2]] == [11, 9, 1, 8, 1, 3, 52, 101,
+                                               61]
+    assert any(np.signbit(xs[xs == 0.0]).any() for xs in runs[1])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
+
+
+def _c_entry_points():
+    # name -> parameter count of every function _orbit.c defines without
+    # static: its comments, directives and brace bodies removed, each
+    # definition is a top-level statement ending in its parameter list
+    with open(_kernels._C_SOURCE) as f:
+        src = f.read()
+    src = re.sub(r"/\*.*?\*/|^#[^\n]*", " ", src, flags=re.S | re.M)
+    while "{" in src:
+        src = re.sub(r"\{[^{}]*\}", ";", src)
+    out = {}
+    for stmt in src.split(";"):
+        m = re.search(r"(\w+)\s*\(([^()]*)\)\s*$", stmt)
+        if m and stmt.split()[0] != "static":
+            out[m.group(1)] = len(m.group(2).split(","))
+    return out
+
+
+@pytest.mark.skipif(_kernels.C_UNAVAILABLE is not None,
+                    reason="C backend unavailable: %s" % _kernels.C_UNAVAILABLE)
+def test_every_c_entry_point_is_typed(monkeypatch):
+    # ctypes passes untyped arguments as C ints and reads a C int back by
+    # default, which would truncate an int64_t count, so _load_c must set
+    # argtypes and restype of every exported function
+    typed = {}
+
+    class Recorder:
+        def __init__(self, path):
+            pass
+
+        def __getattr__(self, name):
+            return typed.setdefault(name, types.SimpleNamespace())
+
+    monkeypatch.setattr(ctypes, "CDLL", Recorder)
+    _, why = _kernels._load_c()
+    assert why is None
+    entry = _c_entry_points()
+    assert {"apply_batch", "orbit_mean", "orbit_collect", "grid_merge",
+            "affine_orbit"} <= set(entry)
+    for name, nparams in entry.items():
+        fn = vars(typed.get(name, types.SimpleNamespace()))
+        assert "restype" in fn, name
+        assert len(fn.get("argtypes", ())) == nparams, name
+
+
 def _build_orbit_library(tmp_path, opt, *extra):
     # _orbit.c built with the package's flags but another optimisation level
     # and the extra flags, its entry points typed like the loaded library's
@@ -523,7 +615,7 @@ def _build_orbit_library(tmp_path, opt, *extra):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lib = ctypes.CDLL(str(path))
-    for name in ("apply_batch", "orbit_mean", "orbit_collect", "grid_merge"):
+    for name in _c_entry_points():
         fn, typed = getattr(lib, name), getattr(_kernels._LIB, name)
         fn.argtypes, fn.restype = typed.argtypes, typed.restype
     return lib
@@ -543,19 +635,21 @@ def _c_outputs(lib, monkeypatch):
         out.append(_kernels._orbit_mean_c(pts, 40, plane_mode,
                                           np.empty((4, len(pts), 2)), *prog))
         out.append(_kernels._apply_word_c(pts, *prog))
-    return out
+    return out + _affine_outputs()
 
 
 @pytest.mark.skipif(_kernels.C_UNAVAILABLE is not None,
                     reason="C backend unavailable: %s" % _kernels.C_UNAVAILABLE)
-def test_optimisation_level_changes_no_bit(tmp_path, monkeypatch):
+def test_optimisation_level_changes_no_bit(tmp_path, monkeypatch,
+                                           restore_backend):
     # frac's x + 0.0 turns -0.0 into +0.0; an optimiser that folded it to x
     # (as -ffast-math allows) would change bits, so -O0 and -O3 builds must
     # agree with the loaded -O2 library
+    _kernels.set_backend("c")
     want = _c_outputs(_kernels._LIB, monkeypatch)
     for opt in ("-O0", "-O3"):
         got = _c_outputs(_build_orbit_library(tmp_path, opt), monkeypatch)
-        assert len(got) == len(want) == 8
+        assert len(got) == len(want) == 8 + 2 * len(AFFINE_EDGES)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), opt
 
 
