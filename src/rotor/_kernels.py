@@ -1,4 +1,4 @@
-"""Word-program kernels: the one map evaluator and the long-orbit loops.
+"""Word-program kernels: the one map evaluator and the one orbit loop.
 
 A word program is the tuple built in maps.compile_program: per-letter
 (slot, mode) plus per-slot linear matrices and trig-term ranges, the
@@ -38,13 +38,16 @@ the default.  Without a compiler, or
 when the build or the load fails, the backend is "numpy" and
 C_UNAVAILABLE says why.  set_backend() switches at runtime.
 
-Each backend has one mean loop, orbit_mean in C and _orbit_mean_np, over a
+Each backend has one orbit loop, orbit_mean in C and _orbit_mean_np, over a
 batch of seeds.  It holds the plane/torus split and the compensated
-summation, and fills a tail array with the running means of the last steps;
-plain means pass an empty tail.  Plane mode iterates the unreduced lift and
-reads the mean off its travel; torus mode reduces every step and sums the
-per-step displacements.  The tail spread is computed once, in the
-orbit_mean_tail dispatch, for both backends.
+summation, fills a tail array with the running means of the last steps, and
+a path array with the points the last steps start from; an empty array
+records nothing.  Plane mode iterates the unreduced lift and reads the mean
+off its travel; torus mode reduces every step and sums the per-step
+displacements.  orbit_mean_batch and orbit_mean_tail record no path, and
+the tail spread is computed once, in the orbit_mean_tail dispatch, for both
+backends.  orbit_collect is the same loop in torus mode, over burn + count
+steps, recording the last count points of its path.
 
 The seam snap and the Newton tolerance and step budget are defined here once,
 shared by maps and passed to the C build as macros.
@@ -142,9 +145,7 @@ def _load_c():
     lib.apply_batch.argtypes = [ctypes.c_void_p, ctypes.c_int64, *tail]
     lib.orbit_mean.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
-        ctypes.c_void_p, ctypes.c_int64, *tail]
-    lib.orbit_collect.argtypes = [
-        ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
         *tail]
     lib.grid_merge.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                ctypes.c_int64, ctypes.c_double,
@@ -154,7 +155,6 @@ def _load_c():
                                  + [ctypes.c_int64, ctypes.c_void_p,
                                     ctypes.c_void_p])
     lib.apply_batch.restype = lib.orbit_mean.restype = ctypes.c_int
-    lib.orbit_collect.restype = ctypes.c_int
     lib.grid_merge.restype = lib.affine_orbit.restype = ctypes.c_int64
     return lib, None
 
@@ -197,25 +197,27 @@ def _apply_word_c(pts, *prog):
     return out
 
 
-def _orbit_mean_c(seeds, n, plane_mode, tail, *prog):
+def _steps_address(a, seeds):
+    # the address of a tail or path array (steps, m, 2) for the C loop,
+    # which writes at most len(a) steps of it; NULL for an empty one, which
+    # it never touches, to spare a .ctypes.data lookup of a few microseconds
+    if (a.shape[1:] != seeds.shape or a.dtype != float
+            or not a.flags.c_contiguous):
+        raise InvalidArgument("tail and path must be (steps, m, 2)")
+    return a.ctypes.data if len(a) else None
+
+
+def _orbit_mean_c(seeds, n, plane_mode, tail, path, *prog):
     # same arguments and result as _orbit_mean_np; the checks bound every
     # index the C loop touches
     seeds = np.ascontiguousarray(seeds, dtype=float)
-    if (seeds.shape[1:] != (2,) or tail.shape[1:] != seeds.shape
-            or tail.dtype != float or not tail.flags.c_contiguous):
-        raise InvalidArgument(
-            "seeds must be (m, 2) and tail (window, m, 2)")
+    if seeds.shape[1:] != (2,):
+        raise InvalidArgument("seeds must be (m, 2)")
     out = np.empty_like(seeds)
     _no_memo(_LIB.orbit_mean(seeds.ctypes.data, len(seeds), n, plane_mode,
-                             tail.ctypes.data, len(tail), *prog[-3:],
-                             out.ctypes.data))
-    return out
-
-
-def _orbit_collect_c(sx, sy, burn, count, *prog):
-    out = np.empty((count, 2))
-    _no_memo(_LIB.orbit_collect(sx, sy, burn, count, *prog[-3:],
-                                out.ctypes.data))
+                             _steps_address(tail, seeds), len(tail),
+                             _steps_address(path, seeds), len(path),
+                             *prog[-3:], out.ctypes.data))
     return out
 
 
@@ -352,14 +354,17 @@ def _newton_np(qx, qy, s, lin, lin_inv, tstart, tend, amps, fkx, fky,
     return px, py
 
 
-def _orbit_mean_np(seeds, n, plane_mode, tail, *prog):
-    # tail has shape (window, m, 2); _orbit.c's orbit_mean runs the same loop
-    start = n - len(tail)
+def _orbit_mean_np(seeds, n, plane_mode, tail, path, *prog):
+    # tail and path have shape (steps, m, 2); _orbit.c's orbit_mean runs the
+    # same loop
+    start, first = n - len(tail), n - len(path)
     with np.errstate(over="ignore", invalid="ignore"):
         p = seeds.copy() if plane_mode else reduce_batch(seeds)
         acc = np.zeros_like(p)
         comp = np.zeros_like(p)
         for k in range(1, n + 1):
+            if k > first:
+                path[k - first - 1] = p
             q = _apply_word_np(p, *prog)
             if plane_mode:
                 p = q
@@ -402,17 +407,6 @@ def _affine_orbit_np(x0, y0, w1, w2, mat, inv, P):
     return np.array(xs), np.array(ys)
 
 
-def _orbit_collect_np(sx, sy, burn, count, *args):
-    out = np.empty((count, 2))
-    p = reduce_batch(np.array([[sx, sy]]))
-    for _ in range(burn):
-        p = reduce_batch(_apply_word_np(p, *args))
-    for k in range(count):
-        out[k] = p[0]
-        p = reduce_batch(_apply_word_np(p, *args))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -447,25 +441,34 @@ def grid_merge(points, weights, scale: float, cells: int):
     return merge(pts, w, float(scale), int(cells))
 
 
-def orbit_mean_batch(seeds, n, plane_mode, *args):
+def _orbit_mean(seeds, n, plane_mode, tail, path, *args):
     mean = _orbit_mean_c if _BACKEND == "c" else _orbit_mean_np
-    return mean(seeds, n, plane_mode, np.empty((0, len(seeds), 2)), *args)
+    return mean(seeds, n, plane_mode, tail, path, *args)
+
+
+def orbit_mean_batch(seeds, n, plane_mode, *args):
+    none = np.empty((0, len(seeds), 2))
+    return _orbit_mean(seeds, n, plane_mode, none, none, *args)
 
 
 def orbit_mean_tail(sx, sy, n, plane_mode, *args):
     """The mean of one orbit and the largest distance from it of the running
     means over the last max(1, n//10) steps."""
-    mean = _orbit_mean_c if _BACKEND == "c" else _orbit_mean_np
     tail = np.empty((max(1, n // 10), 1, 2))
-    mx, my = mean(np.array([[sx, sy]]), n, plane_mode, tail, *args)[0]
+    mx, my = _orbit_mean(np.array([[sx, sy]]), n, plane_mode, tail,
+                         np.empty((0, 1, 2)), *args)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         spread = np.hypot(tail[:, 0, 0] - mx, tail[:, 0, 1] - my).max()
     return float(mx), float(my), float(spread)
 
 
 def orbit_collect(sx, sy, burn, count, *args):
-    collect = _orbit_collect_c if _BACKEND == "c" else _orbit_collect_np
-    return collect(sx, sy, burn, count, *args)
+    """Torus orbit points w^burn(p), ..., w^(burn+count-1)(p) of p = (sx, sy),
+    shape (count, 2): the path of the orbit loop in torus mode."""
+    path = np.empty((count, 1, 2))
+    _orbit_mean(np.array([[sx, sy]]), burn + count, False,
+                np.empty((0, 1, 2)), path, *args)
+    return path.reshape(count, 2)
 
 
 def affine_orbit(x0: float, y0: float, w1: float, w2: float, mat, inv,

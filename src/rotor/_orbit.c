@@ -1,11 +1,11 @@
-/* Word step, orbit loops, grid merge and affine orbit scan of the "c"
+/* Word step, orbit loop, grid merge and affine orbit scan of the "c"
  * backend: a statement-for-statement port of the numpy code in _kernels.py
- * (_apply_word_np, _orbit_mean_np, _orbit_collect_np, _grid_merge_np,
- * _affine_orbit_np), one point at a time, except for three shortcuts of the
- * word step that change no bit.  _kernels builds this file with
- * -ffp-contract=off and defines TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX from
- * its own constants, so results match numpy bit for bit wherever numpy's sin
- * and cos round like this C library's.
+ * (_apply_word_np, _orbit_mean_np, _grid_merge_np, _affine_orbit_np), one
+ * point at a time, except for three shortcuts of the word step that change
+ * no bit.  _kernels builds this file with -ffp-contract=off and defines
+ * TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX from its own constants, so
+ * results match numpy bit for bit wherever numpy's sin and cos round like
+ * this C library's.
  *
  * The shortcuts: frac() takes x - floor(x) without the floor on [+0, 1),
  * where it equals x + 0.0 (see frac); a letter without trig terms takes no
@@ -20,9 +20,9 @@
  * of one step hands its y unchanged to the first twist of the next.  sin
  * and cos are functions of their argument's bits, the argument is computed
  * as before and the sums take the values in the same order, so the memo
- * changes no bit of any result.  Each call of apply_batch, orbit_mean and
- * orbit_collect owns its memo, so pool threads share nothing they write.
- * Callers check all sizes; nothing here checks bounds. */
+ * changes no bit of any result.  Each call of apply_batch and orbit_mean
+ * owns its memo, so pool threads share nothing they write.  Callers check
+ * all sizes; nothing here checks bounds. */
 
 #include <math.h>
 #include <stdint.h>
@@ -251,80 +251,76 @@ static double reduce(double x)
     return 1.0 - r < SNAP ? 0.0 : r;
 }
 
-/* n-step displacement means of m seeds (m, 2) into out (m, 2), and the
- * running means of the last `window` steps into tail (window, m, 2).
- * Plane mode iterates the unreduced lift and reads the mean off its travel;
- * torus mode reduces every step and sums the displacements compensated.
- * Returns 0, or -1 when the memo cannot be allocated. */
-int orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
-               double *tail, int64_t window, const program *w, double vx,
-               double vy, double *out)
+/* One seed's orbit in orbit_mean: the seed, the current point, and the
+ * displacement sum with its compensation. */
+typedef struct {
+    double sx, sy, px, py, ax, ay, cx, cy;
+} orbit;
+
+/* One step of o.  Plane mode iterates the unreduced lift and reads the sum
+ * off its travel; torus mode reduces every step and sums the displacements
+ * compensated.  Forced inline, so o stays in registers. */
+static inline __attribute__((always_inline)) void
+orbit_step(const program *w, memo_entry *memo, double vx, double vy,
+           int plane_mode, orbit *o)
 {
-    int64_t start = n - window;
+    double qx = o->px, qy = o->py;
+    apply_word(w, memo, vx, vy, &qx, &qy);
+    if (plane_mode) {
+        o->px = qx;
+        o->py = qy;
+        o->ax = qx - o->sx;
+        o->ay = qy - o->sy;
+    } else {
+        double t = (qx - o->px) - o->cx, s = o->ax + t;
+        o->cx = (s - o->ax) - t;
+        o->ax = s;
+        t = (qy - o->py) - o->cy;
+        s = o->ay + t;
+        o->cy = (s - o->ay) - t;
+        o->ay = s;
+        o->px = reduce(qx);
+        o->py = reduce(qy);
+    }
+}
+
+/* n-step displacement means of m seeds (m, 2) into out (m, 2), the running
+ * means of the last `window` steps into tail (window, m, 2), and the point
+ * each of the last `steps` steps starts from into path (steps, m, 2).
+ * Returns 0, or -1 when the memo cannot be allocated.  The steps before the
+ * first one that records run in a loop of their own: with the recording
+ * checks in it, an irrskew step took 8% longer (gcc -O2, x86-64). */
+int orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
+               double *tail, int64_t window, double *path, int64_t steps,
+               const program *w, double vx, double vy, double *out)
+{
+    int64_t start = n - window, first = n - steps;
+    int64_t quiet = start < first ? start : first;
     memo_entry *memo = memo_new(w);
     if (memo == NULL)
         return -1;
     for (int64_t i = 0; i < m; i++) {
         double sx = seeds[2 * i], sy = seeds[2 * i + 1];
-        double px = plane_mode ? sx : reduce(sx);
-        double py = plane_mode ? sy : reduce(sy);
-        double ax = 0.0, ay = 0.0, cx = 0.0, cy = 0.0;
-        for (int64_t k = 1; k <= n; k++) {
-            double qx = px, qy = py;
-            apply_word(w, memo, vx, vy, &qx, &qy);
-            if (plane_mode) {
-                px = qx;
-                py = qy;
-                ax = px - sx;
-                ay = py - sy;
-            } else {
-                double t = (qx - px) - cx, s = ax + t;
-                cx = (s - ax) - t;
-                ax = s;
-                t = (qy - py) - cy;
-                s = ay + t;
-                cy = (s - ay) - t;
-                ay = s;
-                px = reduce(qx);
-                py = reduce(qy);
+        orbit o = {sx, sy, plane_mode ? sx : reduce(sx),
+                   plane_mode ? sy : reduce(sy), 0.0, 0.0, 0.0, 0.0};
+        int64_t k = 1;
+        for (; k <= quiet; k++)
+            orbit_step(w, memo, vx, vy, plane_mode, &o);
+        for (; k <= n; k++) {
+            if (k > first) {
+                double *cell = path + 2 * ((k - first - 1) * m + i);
+                cell[0] = o.px;
+                cell[1] = o.py;
             }
+            orbit_step(w, memo, vx, vy, plane_mode, &o);
             if (k > start) {
                 double *cell = tail + 2 * ((k - start - 1) * m + i);
-                cell[0] = (ax - cx) / k;
-                cell[1] = (ay - cy) / k;
+                cell[0] = (o.ax - o.cx) / k;
+                cell[1] = (o.ay - o.cy) / k;
             }
         }
-        out[2 * i] = (ax - cx) / n;
-        out[2 * i + 1] = (ay - cy) / n;
-    }
-    free(memo);
-    return 0;
-}
-
-/* One torus step: the lift, then the reduction. */
-static void step(const program *w, memo_entry *memo, double vx, double vy,
-                 double *x, double *y)
-{
-    apply_word(w, memo, vx, vy, x, y);
-    *x = reduce(*x);
-    *y = reduce(*y);
-}
-
-/* Torus orbit points w^burn(p), ..., w^(burn+count-1)(p) into out.
- * Returns 0, or -1 when the memo cannot be allocated. */
-int orbit_collect(double sx, double sy, int64_t burn, int64_t count,
-                  const program *w, double vx, double vy, double *out)
-{
-    double px = reduce(sx), py = reduce(sy);
-    memo_entry *memo = memo_new(w);
-    if (memo == NULL)
-        return -1;
-    for (int64_t k = 0; k < burn; k++)
-        step(w, memo, vx, vy, &px, &py);
-    for (int64_t k = 0; k < count; k++) {
-        out[2 * k] = px;
-        out[2 * k + 1] = py;
-        step(w, memo, vx, vy, &px, &py);
+        out[2 * i] = (o.ax - o.cx) / n;
+        out[2 * i + 1] = (o.ay - o.cy) / n;
     }
     free(memo);
     return 0;

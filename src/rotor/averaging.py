@@ -29,9 +29,9 @@ from ._io import write_json
 from ._kernels import affine_orbit, grid_merge
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
                      InvalidArgument, RotorError)
-from .maps import (Word, _as_lift, _require_identity, apply_torus_batch,
-                   commutator_lift, inverse as word_inverse, inverse_lift,
-                   linear_part)
+from .maps import (Word, _as_lift, _check_count, _require_identity,
+                   apply_torus_batch, commutator_lift,
+                   inverse as word_inverse, inverse_lift, linear_part)
 from .mcg import MCGClass, check_condition_star_star
 from .measures import (EmpiricalMeasure, _trig_moments, invariance_defect,
                        pushforward, rotation_vector)
@@ -308,18 +308,12 @@ def rotev_residual(g, h, mu: EmpiricalMeasure, p) -> np.ndarray:
     return np.array([rows[q] for q in powers]).reshape(-1, 2)
 
 
+@dataclass(frozen=True)
 class OrbitCheck:
     """Result of the affine orbit scan: bounded flag and the largest norm."""
 
-    __slots__ = ("bounded", "max_norm")
-
-    def __init__(self, bounded: bool, max_norm: float):
-        self.bounded = bounded
-        self.max_norm = max_norm
-
-    def __repr__(self):
-        return "OrbitCheck(bounded=%r, max_norm=%g)" % (self.bounded,
-                                                        self.max_norm)
+    bounded: bool
+    max_norm: float
 
 
 def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck:
@@ -335,8 +329,7 @@ def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck
     step in plain floats in the order of MCGClass.apply, so every backend
     gives the same bits.  An orbit that overflows has max_norm inf.
     """
-    if not isinstance(P, Integral) or P < 0:
-        raise InvalidArgument("P must be an integer >= 0")
+    _check_count(P, 0, "P")
     if not isinstance(g_class, MCGClass):
         g_class = MCGClass(*g_class)
     x0, y0 = float(rho0[0]), float(rho0[1])

@@ -10,6 +10,7 @@ annulus twist.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -85,18 +86,13 @@ def orbit_measure(n: int = 2048) -> EmpiricalMeasure:
         np.column_stack([(ALPHA * k) % 1.0, (0.3 * k) % 1.0]))
 
 
+@dataclass(frozen=True)
 class FranksCase:
     """One (map, invariant measure) pair for the consistency sweep."""
 
-    __slots__ = ("label", "word", "measure")
-
-    def __init__(self, label: str, word: Word, measure: EmpiricalMeasure):
-        self.label = label
-        self.word = word
-        self.measure = measure
-
-    def __repr__(self):
-        return "FranksCase(%r)" % self.label
+    label: str
+    word: Word
+    measure: EmpiricalMeasure
 
 
 def franks_cases(group: MapGroup = None) -> List[FranksCase]:

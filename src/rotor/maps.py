@@ -423,20 +423,26 @@ def _check_seeds(seeds) -> None:
         raise RotorError("orbit seeds must be finite")
 
 
+def _check_count(value, least: int, what: str) -> None:
+    # the one check of orbit lengths, burn-ins, thread counts and the scan
+    # length of averaging.bounded_orbit_check
+    if not isinstance(value, Integral) or value < least:
+        raise InvalidArgument("%s must be an integer >= %d" % (what, least))
+
+
 def _orbit_program(w, seeds, n: int):
     """(lift, plane_mode, kernel arguments) of an orbit mean of length n >= 1.
 
     An expanding linear part makes the plane orbit overflow, so its word
     is refused rather than returning inf or NaN means.
     """
+    _check_count(n, 1, "orbit length")
     lw = _as_lift(w)
     a = linear_part(lw.word)
     tag = spectral_class(a).tag
     if tag in ("hyperbolic", "other_real_split"):
         raise RotorError("rotation set undefined for %s linear part: "
                          "displacement means diverge" % tag)
-    if not isinstance(n, Integral) or n < 1:
-        raise RotorError("orbit length must be an integer >= 1")
     _check_seeds(seeds)
     return lw, not a.is_identity(), compile_program(lw)
 
@@ -470,8 +476,10 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     most one thread per CPU this process may run on, whatever threads asks
     for, and four chunks of seeds per thread; with one usable CPU it is a
     pool of one over four chunks, so the chunked path runs on every
-    machine.  Results are the same for every thread count.
+    machine.  Results are the same for every thread count.  threads must
+    be an integer >= 1, else InvalidArgument is raised.
     """
+    _check_count(threads, 1, "threads")
     seeds = np.ascontiguousarray(_as_points(seeds, "seeds"))
     lw, plane_mode, args = _orbit_program(w, seeds, n)
 
@@ -505,8 +513,8 @@ def orbit_segment(w, seed, n: int, burn: int = 0) -> np.ndarray:
     """Torus orbit points w^burn(p), ..., w^{burn+n-1}(p), shape (n,2)."""
     lw = _as_lift(w)
     seed = (float(seed[0]), float(seed[1]))
-    if not all(isinstance(k, Integral) and k >= 0 for k in (n, burn)):
-        raise RotorError("orbit length and burn-in must be integers >= 0")
+    _check_count(n, 0, "orbit length")
+    _check_count(burn, 0, "burn-in")
     _check_seeds(seed)
     out = _kernels.orbit_collect(*seed, burn, n, *compile_program(lw))
     _check_orbit(lw, out)

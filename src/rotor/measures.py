@@ -240,8 +240,6 @@ def birkhoff_mean(lw, seed, n: int) -> BirkhoffRecord:
     non-identity linear part are iterated in the plane instead, unless an
     expanding eigenvalue makes the means diverge (RotorError).
     """
-    if n < 1:
-        raise InvalidArgument("need n >= 1")
     mean, spread = orbit_mean_with_tail(lw, seed, n)
     return BirkhoffRecord(seed=reduce_point(seed), n=n, mean=mean,
                           tail_spread=spread)
@@ -259,8 +257,6 @@ def estimate_rotation_set(lw, seeds, n: int,
     circle; an expanding eigenvalue makes the means diverge, so such words
     are rejected rather than returning an unbounded hull.
     """
-    if n < 1:
-        raise InvalidArgument("need n >= 1")
     samples = orbit_displacement_means(lw, seeds, n, threads)
     return RotationSetEstimate(samples=samples, hull=convex_hull(samples), n=n)
 

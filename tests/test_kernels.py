@@ -184,7 +184,8 @@ def test_newton_failure_raises_on_both_backends(restore_backend):
 @needs_c
 def test_failed_orbits_are_nan_in_the_same_cells(restore_backend):
     # a seed stops iterating Newton at its first NaN residual; the means and
-    # every tail cell must still come out exactly as a full run gives them
+    # every tail and path cell must still come out exactly as a full run
+    # gives them
     w = _bad_inverse()
     seeds = np.random.default_rng(0).random((16, 2))
     n = 60
@@ -193,21 +194,47 @@ def test_failed_orbits_are_nan_in_the_same_cells(restore_backend):
                           ("numpy", _kernels._orbit_mean_np)):
         _kernels.set_backend(backend)
         tail = np.empty((n // 10, len(seeds), 2))
-        runs.append((mean(seeds, n, False, tail, *compile_program(w)), tail))
+        path = np.empty((n // 4, len(seeds), 2))
+        runs.append((mean(seeds, n, False, tail, path, *compile_program(w)),
+                     tail, path))
         with pytest.raises(NewtonDivergence):
             orbit_displacement_means(w, seeds, n)
         failed = np.isnan(runs[-1][0]).any(axis=1)
         with pytest.raises(NewtonDivergence):
             orbit_mean_with_tail(w, seeds[failed][0], n)
         orbit_mean_with_tail(w, seeds[~failed][0], n)
-    (mean_c, tail_c), (mean_np, tail_np) = runs
-    assert 0 < np.isnan(mean_c).any(axis=1).sum() < len(seeds)
-    assert np.isnan(tail_c).any()
-    for a, b in ((mean_c, mean_np), (tail_c, tail_np)):
+    assert 0 < np.isnan(runs[0][0]).any(axis=1).sum() < len(seeds)
+    assert np.isnan(runs[0][1]).any() and np.isnan(runs[0][2]).any()
+    for a, b in zip(*runs):
         assert np.array_equal(np.isnan(a), np.isnan(b))
         assert np.abs(np.nan_to_num(a - b)).max() < 1e-12
         if _numpy_trig_is_libm():
             assert np.array_equal(a, b, equal_nan=True)
+
+
+@needs_c
+@pytest.mark.parametrize("n, window, steps", [
+    (10, 0, 0), (10, 3, 0), (10, 0, 4), (10, 3, 7), (10, 7, 3), (10, 10, 10),
+    (5, 8, 9)])
+def test_tail_and_path_match_numpy(n, window, steps):
+    # the C loop runs the steps before the first recording one apart; every
+    # recorded cell, and every cell before n steps back left as it was, must
+    # come out as numpy's one loop gives it, for m > 1 seeds
+    seeds = np.random.default_rng(3).uniform(-2.0, 3.0, (5, 2))
+    cat = build_catalog()
+    for word, plane_mode in (("skew", False), ("h skew'", False),
+                             ("dehn", True)):
+        prog = compile_program(cat.word(word))
+        runs = []
+        for mean in (_kernels._orbit_mean_c, _kernels._orbit_mean_np):
+            tail = np.full((window, len(seeds), 2), 7.0)
+            path = np.full((steps, len(seeds), 2), 7.0)
+            runs.append((mean(seeds, n, plane_mode, tail, path, *prog), tail,
+                         path))
+        for a, b in zip(*runs):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12), word
+            if word == "dehn" or _numpy_trig_is_libm():
+                assert a.tobytes() == b.tobytes(), word
 
 
 @needs_c
@@ -305,7 +332,8 @@ def test_c_memo_hits_match_numpy(restore_backend):
 
 
 @needs_c
-def test_c_memo_allocation_failure_is_a_memory_error(monkeypatch):
+def test_c_memo_allocation_failure_is_a_memory_error(monkeypatch,
+                                                     restore_backend):
     # each word-step entry point returns -1 when its memo cannot be
     # allocated; that is never "points must be finite"
     class NoMemory:
@@ -313,12 +341,14 @@ def test_c_memo_allocation_failure_is_a_memory_error(monkeypatch):
             return lambda *args: -1
 
     prog = compile_program(G.word("skew mix'"))
+    _kernels.set_backend("c")
     monkeypatch.setattr(_kernels, "_LIB", NoMemory())
+    none = np.empty((0, 2, 2))
     calls = [
         lambda: _kernels._apply_word_c(np.zeros((2, 2)), *prog),
-        lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False,
-                                       np.empty((0, 2, 2)), *prog),
-        lambda: _kernels._orbit_collect_c(0.1, 0.2, 3, 4, *prog),
+        lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False, none,
+                                       none, *prog),
+        lambda: _kernels.orbit_collect(0.1, 0.2, 3, 4, *prog),
     ]
     for call in calls:
         with pytest.raises(MemoryError):
@@ -372,18 +402,28 @@ def test_orbit_pool_is_capped_at_the_usable_cpus(monkeypatch,
     assert eight.tobytes() == one.tobytes()
 
 
-@pytest.mark.parametrize("call", [
-    lambda w: orbit_displacement_means(w, [[0.1, 0.2], [math.nan, 0.2]], 5),
-    lambda w: orbit_displacement_means(w, [[math.inf, 0.2]], 5, threads=2),
-    lambda w: orbit_mean_with_tail(w, (math.nan, 0.2), 5),
-    lambda w: orbit_segment(w, (0.3, -math.inf), 5),
-    lambda w: orbit_segment(w, (0.3, 0.2), -3),
-    lambda w: orbit_segment(w, (0.3, 0.2), 3, burn=-3),
-    lambda w: orbit_segment(w, (0.3, 0.2), 3.0),
-    lambda w: orbit_mean_with_tail(w, (0.3, 0.2), 5.0),
-    lambda w: orbit_displacement_means(w, [[0.3, 0.2]], 5.0),
-])
-def test_bad_orbit_inputs_fail_alike_on_every_backend(call, restore_backend):
+# each bad input with the exact class it raises, named <lambda>0 to
+# <lambda>8 by position
+BAD_ORBIT_CALLS = [
+    (lambda w: orbit_displacement_means(w, [[0.1, 0.2], [math.nan, 0.2]], 5),
+     RotorError),
+    (lambda w: orbit_displacement_means(w, [[math.inf, 0.2]], 5, threads=2),
+     RotorError),
+    (lambda w: orbit_mean_with_tail(w, (math.nan, 0.2), 5), RotorError),
+    (lambda w: orbit_segment(w, (0.3, -math.inf), 5), RotorError),
+    (lambda w: orbit_segment(w, (0.3, 0.2), -3), InvalidArgument),
+    (lambda w: orbit_segment(w, (0.3, 0.2), 3, burn=-3), InvalidArgument),
+    (lambda w: orbit_segment(w, (0.3, 0.2), 3.0), InvalidArgument),
+    (lambda w: orbit_mean_with_tail(w, (0.3, 0.2), 5.0), InvalidArgument),
+    (lambda w: orbit_displacement_means(w, [[0.3, 0.2]], 5.0),
+     InvalidArgument),
+]
+
+
+@pytest.mark.parametrize("call, error", BAD_ORBIT_CALLS, ids=[
+    "<lambda>%d" % i for i in range(len(BAD_ORBIT_CALLS))])
+def test_bad_orbit_inputs_fail_alike_on_every_backend(call, error,
+                                                      restore_backend):
     # no inverse letter: a NaN seed used to be blamed on Newton
     w = MapGroup([Generator("bad", ID, disp_x=[trig_term(0.3, 1, 0)])]
                  ).by_name("bad")
@@ -395,9 +435,33 @@ def test_bad_orbit_inputs_fail_alike_on_every_backend(call, restore_backend):
             warnings.simplefilter("error")
             with pytest.raises(RotorError) as err:
                 call(w)
-        assert type(err.value) is RotorError
+        assert type(err.value) is error
         messages.append(str(err.value))
     assert len(set(messages)) == 1
+
+
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_c)])
+@pytest.mark.parametrize("threads", ["2", None, -4, 0, 1.5, 2.5])
+def test_bad_thread_counts_raise_before_any_kernel(backend, threads,
+                                                   monkeypatch,
+                                                   restore_backend):
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    _kernels.set_backend(backend)
+    monkeypatch.setattr(_kernels, "orbit_mean_batch", no_kernel)
+    with pytest.raises(InvalidArgument, match="threads"):
+        orbit_displacement_means(G.word("skew"), torus_grid(4), 5, threads)
+
+
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_c)])
+def test_numpy_integer_thread_counts_are_accepted(backend, restore_backend):
+    _kernels.set_backend(backend)
+    w, seeds = G.word("skew mix'"), torus_grid(4)
+    one = orbit_displacement_means(w, seeds, 20)
+    for threads in (np.int64(2), np.int32(1), np.uint8(3)):
+        got = orbit_displacement_means(w, seeds, 20, threads)
+        assert got.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_c)])
@@ -488,32 +552,34 @@ EDGES = [-0.0, -5e-324, -1e-300, 1.0 - 2.0 ** -53, 1.0, -1.0,
          2.0 ** 52 - 0.5, 2.0 ** 52 + 1.0, 2.0 ** 53, 1e300, -1e300]
 
 
-def _edge_outputs(word, plane_mode, apply, mean, collect, merge):
-    # every ordered pair of edge values through one backend's kernels
+def _edge_outputs(word, plane_mode):
+    # every ordered pair of edge values through the current backend's
+    # kernels
     edges = np.array(EDGES)
     pts = np.stack(np.meshgrid(edges, edges, indexing="ij"), -1).reshape(-1, 2)
     prog = compile_program(build_catalog().word(word))
     tail = np.empty((3, len(pts), 2))
-    out = [apply(pts, *prog), mean(pts, 3, plane_mode, tail, *prog), tail]
-    out += [collect(x, y, 0, 3, *prog) for x, y in pts]
-    out += merge(pts, np.ones(len(pts)), 1e12, 10 ** 12)
+    path = np.empty((2, len(pts), 2))
+    out = [_kernels.apply_word(pts, *prog),
+           _kernels._orbit_mean(pts, 3, plane_mode, tail, path, *prog), tail,
+           path]
+    out += [_kernels.orbit_collect(x, y, 0, 3, *prog) for x, y in pts]
+    out += _kernels.grid_merge(pts, np.ones(len(pts)), 1e12, 10 ** 12)
     return out
 
 
 @needs_c
 @pytest.mark.parametrize("word, plane_mode", [
     ("dehn", True), ("phi", True), ("skew", False), ("h'", False)])
-def test_edge_values_match_numpy_bitwise(word, plane_mode):
+def test_edge_values_match_numpy_bitwise(word, plane_mode, restore_backend):
     # the C word step and reduce take x - floor(x) by a shortcut on [+0, 1);
     # -0.0 must still come out +0.0, as numpy's subtraction gives it
-    runs = [_edge_outputs(word, plane_mode, _kernels._apply_word_c,
-                          _kernels._orbit_mean_c, _kernels._orbit_collect_c,
-                          _kernels._grid_merge_c),
-            _edge_outputs(word, plane_mode, _kernels._apply_word_np,
-                          _kernels._orbit_mean_np, _kernels._orbit_collect_np,
-                          _kernels._grid_merge_np)]
-    assert len(runs[0]) == 3 + len(EDGES) ** 2 + 2
-    collected = np.concatenate(runs[0][3:-2])
+    runs = []
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        runs.append(_edge_outputs(word, plane_mode))
+    assert len(runs[0]) == 4 + len(EDGES) ** 2 + 2
+    collected = np.concatenate(runs[0][4:-2])
     assert collected.tobytes() == np.abs(collected).tobytes()   # no -0.0
     for a, b in zip(*runs):
         assert np.array_equal(np.isnan(a), np.isnan(b))
@@ -597,12 +663,19 @@ def test_every_c_entry_point_is_typed(monkeypatch):
     _, why = _kernels._load_c()
     assert why is None
     entry = _c_entry_points()
-    assert {"apply_batch", "orbit_mean", "orbit_collect", "grid_merge",
-            "affine_orbit"} <= set(entry)
+    assert set(entry) == {"apply_batch", "orbit_mean", "grid_merge",
+                          "affine_orbit"}
     for name, nparams in entry.items():
         fn = vars(typed.get(name, types.SimpleNamespace()))
         assert "restype" in fn, name
         assert len(fn.get("argtypes", ())) == nparams, name
+
+
+def test_every_c_entry_point_is_called():
+    # an export that _kernels never calls is dead C code
+    with open(_kernels.__file__) as f:
+        called = set(re.findall(r"_LIB\.(\w+)\(", f.read()))
+    assert called == set(_c_entry_points())
 
 
 def _build_orbit_library(tmp_path, opt, *extra):
@@ -632,9 +705,11 @@ def _c_outputs(lib, monkeypatch):
     for word in ("twist", "dehn", "h skew'", "irrskew"):
         w = cat.word(word)
         _, plane_mode, prog = maps._orbit_program(w, pts, 40)
-        out.append(_kernels._orbit_mean_c(pts, 40, plane_mode,
-                                          np.empty((4, len(pts), 2)), *prog))
-        out.append(_kernels._apply_word_c(pts, *prog))
+        tail = np.empty((4, len(pts), 2))
+        path = np.empty((5, len(pts), 2))
+        out += [_kernels._orbit_mean_c(pts, 40, plane_mode, tail, path,
+                                       *prog), tail, path,
+                _kernels._apply_word_c(pts, *prog)]
     return out + _affine_outputs()
 
 
@@ -649,7 +724,7 @@ def test_optimisation_level_changes_no_bit(tmp_path, monkeypatch,
     want = _c_outputs(_kernels._LIB, monkeypatch)
     for opt in ("-O0", "-O3"):
         got = _c_outputs(_build_orbit_library(tmp_path, opt), monkeypatch)
-        assert len(got) == len(want) == 8 + 2 * len(AFFINE_EDGES)
+        assert len(got) == len(want) == 16 + 2 * len(AFFINE_EDGES)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), opt
 
 
@@ -680,7 +755,10 @@ LIBM_CALLS = {
 
 @pytest.mark.skipif(_kernels.C_UNAVAILABLE is not None,
                     reason="C backend unavailable: %s" % _kernels.C_UNAVAILABLE)
-def test_twin_memo_libm_calls(tmp_path, monkeypatch):
+def test_twin_memo_libm_calls(tmp_path, monkeypatch, restore_backend):
+    # a 1000-point orbit segment runs the same torus loop as the 1000-step
+    # mean of an identity-class word, so it makes the same calls
+    _kernels.set_backend("c")
     header = tmp_path / "counting.h"
     header.write_text(_COUNTING_HEADER)
     loaded = _kernels._LIB
@@ -696,10 +774,17 @@ def test_twin_memo_libm_calls(tmp_path, monkeypatch):
         means = []
         for lib in (loaded, counting):
             monkeypatch.setattr(_kernels, "_LIB", lib)
+            none = np.empty((0, 1, 2))
             means.append(_kernels._orbit_mean_c(
-                seed, 1000, plane_mode, np.empty((0, 1, 2)), *prog))
+                seed, 1000, plane_mode, none, none, *prog))
         assert tuple(c.value for c in calls) == want, word
         assert means[0].tobytes() == means[1].tobytes(), word
+        if plane_mode:
+            continue
+        for c in calls:
+            c.value = 0
+        orbit_segment(cat.word(word), seed[0], 1000)
+        assert tuple(c.value for c in calls) == want, word
 
 
 @pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_c)])
@@ -713,11 +798,16 @@ def test_kernel_shape_checks_raise_invalid_argument(backend, restore_backend):
         lambda: _kernels.grid_merge(np.zeros(4), np.ones(2), 8.0, 8),
     ]
     if backend == "c":      # the C mean loop trusts these shapes
+        none = np.empty((0, 2, 2))
         calls += [
-            lambda: _kernels._orbit_mean_c(np.zeros((2, 3)), 5, False,
-                                           np.empty((0, 2, 2)), *prog),
+            lambda: _kernels._orbit_mean_c(np.zeros((2, 3)), 5, False, none,
+                                           none, *prog),
             lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False,
+                                           np.empty((1, 3, 2)), none, *prog),
+            lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False, none,
                                            np.empty((1, 3, 2)), *prog),
+            lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False, none,
+                                           np.empty((2, 2, 2))[::-1], *prog),
         ]
     for call in calls:
         with pytest.raises(InvalidArgument):
