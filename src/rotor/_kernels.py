@@ -16,8 +16,13 @@ The C word step also keeps, per letter position and trig term, the bits of
 the term's last argument and its sin and cos values, and reuses them when
 the next argument has the same bits, or copies them from the same term at
 the letter's twin: the position of the same slot and mode that ran most
-recently before it, wrapping across word steps.  This changes no result,
-since sin and cos are functions of those bits.  Each C call allocates its
+recently before it, wrapping across word steps.  A Newton letter also
+keeps each term's argument and values per iteration, which the next
+solve reads at the same iteration: on torus_grid points, which share x
+from one point to the next, the h' of "h skew h'" repeats its iterates,
+and the grid scan calls sin and cos a few thousand times instead of
+640,000.  This changes no result, since sin and cos are functions of
+those bits.  Each C call allocates its
 own memo, and a failed allocation raises MemoryError.  The C step also
 takes x - floor(x) as x + 0.0 on [+0, 1), where floor(x) is +0, and skips
 it for a letter without terms; both give the same bits, -0.0 included,

@@ -7,8 +7,13 @@ located by a grid scan followed by damped Newton refinement, which
 advances all seeds together, one evaluator call per word for each
 Newton round and each step halving.  Curves of fixed points (the
 interesting examples fix whole circles) are detected as connected runs
-of near-zero grid cells and reported as sampled chains rather than
-collapsed to spurious isolated points.
+of near-zero grid cells and reported as sampled chains.  That needs the
+curve to pass through grid nodes: a fixed circle between the nodes
+leaves no near-zero cell, Newton lands on it from every local-minimum
+seed, and each landing is reported as an isolated point.  So
+`skew tr skew' tr'`, whose fixed set is the two circles
+x = 0.457107... and x = 0.957107..., comes back as 58 / 119 / 246
+isolated points and no chain at grid 32 / 64 / 128.
 
 Nothing here is a rigorous existence proof, and no index is certified.
 fixed_point_index gives the float winding number of the displacement
@@ -21,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,9 +34,10 @@ import numpy as np
 from ._io import write_json
 from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                      NonIsolated)
-from .maps import (LiftedWord, Word, _as_lift, _require_identity,
-                   apply_lift_batch, displacement_field_batch,
-                   orbit_displacement_means, reduce_point, torus_grid)
+from .maps import (LiftedWord, Word, _as_lift, _check_count,
+                   _require_identity, apply_lift_batch,
+                   displacement_field_batch, orbit_displacement_means,
+                   reduce_point, torus_grid)
 from .measures import EmpiricalMeasure, invariance_defect, rotation_vector
 
 __all__ = [
@@ -302,9 +309,20 @@ def _local_min_seeds(norms: np.ndarray, exclude: np.ndarray) -> List[Tuple[int, 
     return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
+def _check_positive(value, what: str) -> None:
+    # tolerances and radii: a NaN, an infinity, zero or a negative value
+    # would make every comparison with it false or meaningless
+    if not (isinstance(value, Real) and 0.0 < value < math.inf):
+        raise InvalidArgument("%s must be a finite number > 0" % what)
+
+
+def _check_scan(grid_n, tol) -> None:
+    # the arguments of a scan, checked before any evaluation
+    _check_count(grid_n, 8, "grid_n")
+    _check_positive(tol, "tol")
+
+
 def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
-    if grid_n < 8:
-        raise InvalidArgument("grid_n must be at least 8")
     pts = torus_grid(grid_n)
     axis = pts[::grid_n, 0]
     norms = _combined_norm(lifts, pts).reshape(grid_n, grid_n)
@@ -349,8 +367,10 @@ def find_fixed_points(w: Word, grid_n: int = 64, tol: float = 1e-9) -> FixedPoin
 
     Connected runs of at least eight near-zero cells come back as
     sampled chains (curves of fixed points); everything else is Newton
-    refined and deduplicated within 10*tol.
+    refined and deduplicated within 10*tol.  grid_n is an integer >= 8
+    and tol a finite number > 0.
     """
+    _check_scan(grid_n, tol)
     return _scan([_require_identity(w)], grid_n, tol)
 
 
@@ -361,6 +381,7 @@ def common_fixed_points(ws, grid_n: int = 64, tol: float = 1e-9) -> FixedPointRe
     fixed points are still the zeros of the lattice residual, and the
     reflection generator of the key examples is exactly such a word.
     """
+    _check_scan(grid_n, tol)
     return _scan(_lift_list(ws), grid_n, tol)
 
 
@@ -368,12 +389,11 @@ def fixed_point_index(w: Word, p, radius: float = 0.05, samples: int = 256) -> i
     """Winding number of the displacement field along a circle around p.
 
     The total angular increment must land within 0.1 of a full multiple
-    of 2*pi, and no single increment may approach a half turn.
+    of 2*pi, and no single increment may approach a half turn.  samples
+    is an integer >= 8 and radius a finite number > 0.
     """
-    if samples < 8:
-        raise InvalidArgument("samples must be at least 8")
-    if radius <= 0.0:
-        raise InvalidArgument("radius must be positive")
+    _check_count(samples, 8, "samples")
+    _check_positive(radius, "radius")
     lw = _as_lift(w)
     p = (float(p[0]), float(p[1]))
     at_p = displacement_field_batch(lw, np.array([p]))[0]
@@ -445,6 +465,7 @@ def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
     vector makes the hypothesis vacuous, and fixed points found in that
     case contradict nothing, because the implication runs one way.
     """
+    _check_scan(grid_n, tol)
     lw = _as_lift(w)
     defect = invariance_defect(w, mu)
     if not defect < tol:

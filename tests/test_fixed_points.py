@@ -183,6 +183,50 @@ def test_index_parameter_validation():
         fixed_point_index(PROD, (0.0, 0.0), 0.0, 256)
 
 
+# each bad argument with the entry point it goes to.  Before the checks,
+# float and string grid sizes raised a plain TypeError; a NaN, negative or
+# zero tol gave an empty report, which reads as "no fixed point";
+# samples=8.5 gave index 0 and samples=nan a plain ValueError; and a NaN
+# tol made franks_certificate raise DefectExceeded
+_CIRCLE = EmpiricalMeasure([(0.25, j / 16) for j in range(16)])
+BAD_FIXED_POINT_CALLS = {
+    "grid_n=64.0": lambda: find_fixed_points(SKEW, grid_n=64.0),
+    "grid_n=64.5": lambda: find_fixed_points(SKEW, grid_n=64.5),
+    "grid_n='64'": lambda: find_fixed_points(SKEW, grid_n="64"),
+    "tol=nan": lambda: find_fixed_points(SKEW, tol=math.nan),
+    "tol=-1.0": lambda: find_fixed_points(SKEW, tol=-1.0),
+    "tol=0.0": lambda: find_fixed_points(SKEW, tol=0.0),
+    "tol=inf": lambda: find_fixed_points(SKEW, tol=math.inf),
+    "common grid_n=32.0": lambda: common_fixed_points([SKEW], grid_n=32.0),
+    "common tol=nan": lambda: common_fixed_points([SKEW], tol=math.nan),
+    "samples=8.5": lambda: fixed_point_index(PROD, (0.0, 0.0), samples=8.5),
+    "samples=nan": lambda: fixed_point_index(PROD, (0.0, 0.0),
+                                             samples=math.nan),
+    "radius=nan": lambda: fixed_point_index(PROD, (0.0, 0.0),
+                                            radius=math.nan),
+    "radius=inf": lambda: fixed_point_index(PROD, (0.0, 0.0),
+                                            radius=math.inf),
+    "franks tol=nan": lambda: franks_certificate(SKEW, _CIRCLE, tol=math.nan),
+    "franks tol=-1.0": lambda: franks_certificate(SKEW, _CIRCLE, tol=-1.0),
+    "franks grid_n=64.5": lambda: franks_certificate(SKEW, _CIRCLE,
+                                                     grid_n=64.5),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_FIXED_POINT_CALLS.values()),
+                         ids=list(BAD_FIXED_POINT_CALLS))
+def test_bad_fixed_point_arguments_raise_before_any_evaluation(call,
+                                                                monkeypatch):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("the word was evaluated")
+
+    for name in ("apply_lift_batch", "displacement_field_batch",
+                 "invariance_defect", "orbit_displacement_means"):
+        monkeypatch.setattr(fixed_points, name, no_evaluation)
+    with pytest.raises(InvalidArgument):
+        call()
+
+
 # --- simultaneous fixed points
 
 

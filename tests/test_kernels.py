@@ -302,12 +302,13 @@ TWIN_WORDS = ("twist h twist", "twist' h twist'", "skew halftr skew halftr",
 def _memo_outputs():
     # cases where the C word step reuses most of its sin and cos values:
     # consecutive torus_grid points share x, which is all the terms of h and
-    # skew read; twist never moves y; Newton for skew' keeps x
+    # skew read, so the Newton solves of h' repeat their iterates from point
+    # to point; twist never moves y; Newton for skew' keeps x
     cat = build_catalog()
     grid = torus_grid(256)
     seeds = np.random.default_rng(6).uniform(0, 1, size=(9, 2))
     out = [apply_lift_batch(cat.word(name), grid)
-           for name in ("h", "skew", "skew'", "h skew'") + TWIN_WORDS]
+           for name in ("h", "skew", "skew'", "h skew'", "h'") + TWIN_WORDS]
     for seed in seeds[:2]:
         mean, spread = orbit_mean_with_tail(cat.word("twist"), seed, 500)
         out.append(np.array(mean + (spread,)))
@@ -325,7 +326,7 @@ def test_c_memo_hits_match_numpy(restore_backend):
     for backend in ("c", "numpy"):
         _kernels.set_backend(backend)
         runs.append(_memo_outputs())
-    assert len(runs[0]) == 8 + 2 + 7 * 3
+    assert len(runs[0]) == 9 + 2 + 7 * 3
     assert max(np.abs(a - b).max() for a, b in zip(*runs)) < 1e-12
     if _numpy_trig_is_libm():
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
@@ -710,6 +711,11 @@ def _c_outputs(lib, monkeypatch):
         out += [_kernels._orbit_mean_c(pts, 40, plane_mode, tail, path,
                                        *prog), tail, path,
                 _kernels._apply_word_c(pts, *prog)]
+    # Newton solves that repeat their iterates from point to point
+    grid = torus_grid(64)
+    for word in ("h skew h'", "h'"):
+        out.append(_kernels._apply_word_c(grid, *compile_program(
+            cat.word(word))))
     return out + _affine_outputs()
 
 
@@ -724,7 +730,7 @@ def test_optimisation_level_changes_no_bit(tmp_path, monkeypatch,
     want = _c_outputs(_kernels._LIB, monkeypatch)
     for opt in ("-O0", "-O3"):
         got = _c_outputs(_build_orbit_library(tmp_path, opt), monkeypatch)
-        assert len(got) == len(want) == 16 + 2 * len(AFFINE_EDGES)
+        assert len(got) == len(want) == 18 + 2 * len(AFFINE_EDGES)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), opt
 
 
@@ -741,15 +747,26 @@ static double counted_cos(double x) { cos_calls++; return cos(x); }
 
 # (sin, cos) calls of orbit_mean on one seed over 1000 steps.  Without
 # twins "twist h twist" made (6002, 0), "twist' h twist'" (6002, 4002) and
-# "skew halftr skew halftr" (4, 0); the others are as they were
+# "skew halftr skew halftr" (4, 0); without entries per Newton iteration
+# "h skew h'" made (12003, 12000); the others are as they were
 LIBM_CALLS = {
     "twist h twist": (4003, 0),         # 4 sin a step, after the first
     "twist' h twist'": (4003, 2003),
     "skew halftr skew halftr": (3, 0),
-    "h skew h'": (12003, 12000),
+    "h skew h'": (15, 12),              # its orbits keep x
     "twist": (3, 0),
     "h skew'": (111, 37),
     "irrskew": (1002, 0),
+}
+
+
+# (sin, cos) calls of apply_batch on torus_grid(256).  Without entries per
+# Newton iteration "h skew h'" made (639752, 638984) and "h'" (638984,
+# 638984); the terms of twist' read y, which changes from point to point
+GRID_LIBM_CALLS = {
+    "h skew h'": (3272, 2504),
+    "h'": (2504, 2504),
+    "skew twist'": (196609, 131073),
 }
 
 
@@ -766,6 +783,17 @@ def test_twin_memo_libm_calls(tmp_path, monkeypatch, restore_backend):
     calls = [ctypes.c_int64.in_dll(counting, name)
              for name in ("sin_calls", "cos_calls")]
     cat = build_catalog()
+    grid = torus_grid(256)
+    for word, want in GRID_LIBM_CALLS.items():
+        prog = compile_program(cat.word(word))
+        for c in calls:
+            c.value = 0
+        outs = []
+        for lib in (loaded, counting):
+            monkeypatch.setattr(_kernels, "_LIB", lib)
+            outs.append(_kernels._apply_word_c(grid, *prog))
+        assert tuple(c.value for c in calls) == want, word
+        assert outs[0].tobytes() == outs[1].tobytes(), word
     seed = np.random.default_rng(5).random((1, 2))
     for word, want in LIBM_CALLS.items():
         _, plane_mode, prog = maps._orbit_program(cat.word(word), seed, 1000)
