@@ -25,12 +25,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._io import write_json
 from ._kernels import affine_orbit, grid_merge
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
                      InvalidArgument, RotorError)
-from .maps import (Word, _as_lift, _check_count, _require_identity,
-                   apply_torus_batch, commutator_lift,
+from .maps import (Word, _as_lift, _check_count, _check_positive,
+                   _require_identity, apply_torus_batch, commutator_lift,
                    inverse as word_inverse, inverse_lift, linear_part)
 from .mcg import MCGClass, check_condition_star_star
 from .measures import (EmpiricalMeasure, _trig_moments, invariance_defect,
@@ -124,9 +123,6 @@ class ConstructionTrace:
             ]
         }
 
-    def save_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
-
 
 def _cesaro_stage(word: Word, mu: EmpiricalMeasure, L: int) -> EmpiricalMeasure:
     """(1/L) sum of the first L pushforward powers, atoms merged on the
@@ -178,11 +174,11 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     condition (the mechanism that preserves rotation vectors); force=True
     runs anyway so the failure is observable in the trace.  A stage whose
     defect stays above 10*tol after doubling L _MAX_DOUBLINGS times raises
-    DefectExceeded.
+    DefectExceeded; a bad L or tol raises InvalidArgument before any work.
     """
     phi = _require_identity(phi, "tracked word")
-    if L < 1:
-        raise InvalidArgument("need L >= 1")
+    _check_count(L, 1, "L")
+    _check_positive(tol, "tol")
 
     base_words: Dict[str, Word] = {"phi": phi.word}
     for i, g in enumerate(spec.generators_G0):
@@ -231,18 +227,13 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     return ConstructionTrace(stages)
 
 
-def _mat_apply(m: MCGClass, v) -> np.ndarray:
-    return np.array([m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1]],
-                    dtype=float)
-
-
 def _powers(p) -> Tuple[bool, List[int]]:
     # (whether p is a single power, the powers as ints)
     single = isinstance(p, (int, Integral)) or not isinstance(p, Iterable)
     powers = [p] if single else list(p)
     for q in powers:
         if not isinstance(q, (int, Integral)):
-            raise RotorError("powers must be integers")
+            raise InvalidArgument("powers must be integers")
     return single, [int(q) for q in powers]
 
 
@@ -258,8 +249,8 @@ def rotev_residual(g, h, mu: EmpiricalMeasure, p) -> np.ndarray:
     one row per power, shape (k, 2).  A range of powers shares the work:
     mu is pushed step by step along each sign, and each rotation vector
     and each [g]^k c is computed once, so every row has the bits of the
-    single-power call.  A power that is not an integer raises RotorError
-    before any pushforward.
+    single-power call.  A power that is not an integer raises
+    InvalidArgument before any pushforward.
     """
     g = _as_lift(g)
     h = _require_identity(h)
@@ -292,10 +283,10 @@ def rotev_residual(g, h, mu: EmpiricalMeasure, p) -> np.ndarray:
     inv = a.inverse()
     for k in range(-1, lo - 1, -1):
         mats[k] = mats[k + 1] * inv
-    terms = {k: _mat_apply(mats[k], c) for k in range(lo + 1, hi + 1)}
+    terms = {k: np.array(mats[k].apply(c)) for k in range(lo + 1, hi + 1)}
     rows = {}
     for q in wanted:
-        rhs = _mat_apply(mats[q], rho_h)
+        rhs = np.array(mats[q].apply(rho_h))
         if q >= 1:
             for k in range(1, q + 1):
                 rhs = rhs + terms[k]

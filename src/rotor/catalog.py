@@ -16,7 +16,8 @@ from typing import List
 import numpy as np
 
 from .covers import AnnulusMapSpec, annulus_term, doubled_displacement_terms
-from .maps import Generator, MapGroup, Word, constant_term, trig_term
+from .maps import (Generator, MapGroup, Word, _check_count, constant_term,
+                   trig_term)
 from .mcg import MCGClass
 from .measures import EmpiricalMeasure
 
@@ -72,10 +73,12 @@ def build_catalog() -> MapGroup:
 
 def circle_measure(x0: float, atoms: int = 16) -> EmpiricalMeasure:
     """Uniform atoms on the vertical circle x = x0."""
+    _check_count(atoms, 1, "atoms")
     return EmpiricalMeasure([(x0, j / atoms) for j in range(atoms)])
 
 
 def horizontal_circle_measure(y0: float, atoms: int = 16) -> EmpiricalMeasure:
+    _check_count(atoms, 1, "atoms")
     return EmpiricalMeasure([(j / atoms, y0) for j in range(atoms)])
 
 

@@ -499,7 +499,7 @@ def _cmd_verify(outdir: str, threads: int) -> int:
     os.makedirs(outdir, exist_ok=True)
     report = run_suite(threads=threads)
     path = os.path.join(outdir, "verify_report.json")
-    report.save_json(path)
+    write_json(path, report.to_json_dict())
     meta = {
         "command": "verify",
         "threads": threads,
@@ -540,10 +540,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_verify(args.out, args.threads)
         return _cmd_analysis(args.command, args.scenario, args.out,
                              args.threads)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -21,10 +21,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NotSigmaEquivariant, RotorError
+from .errors import NotSigmaEquivariant
 from .maps import (Generator, LiftedWord, MapGroup, Word, _as_lift,
-                   _as_points, apply_torus_batch, reduce_batch, torus_grid,
-                   trig_term)
+                   _as_points, _check_count, _check_integral,
+                   _check_positive, apply_torus_batch, reduce_batch,
+                   torus_grid, trig_term)
 from .mcg import MCGClass
 from .measures import EmpiricalMeasure, rotation_vector
 
@@ -70,7 +71,9 @@ def rho_bar(mu: EmpiricalMeasure, lw,
     The x component of the deck translation never enters, so replacing
     the lift by T_(m,0) composed with it leaves both coordinates bitwise
     unchanged; the y component shifts b before the absolute value.
+    sigma_tol, a finite number > 0, is checked before any evaluation.
     """
+    _check_positive(sigma_tol, "sigma_tol")
     base = _as_lift(lw)
     defect = check_sigma_commute(base.word)
     if not defect < sigma_tol:
@@ -100,9 +103,9 @@ def klein_symmetrize(mu: EmpiricalMeasure) -> EmpiricalMeasure:
 def annulus_term(amplitude: float, k: int = 0, phase: float = 0.0,
                  ypow: int = 0):
     """One displacement term amplitude*sin(2pi*k*x + phase)*t^ypow."""
-    if k != int(k) or ypow != int(ypow) or ypow < 0:
-        raise RotorError("frequency must be integral and ypow >= 0")
-    return (float(amplitude), int(k), float(phase), int(ypow))
+    _check_count(ypow, 0, "ypow")
+    return (float(amplitude), _check_integral(k, "frequency must be integral"),
+            float(phase), int(ypow))
 
 
 class AnnulusMapSpec:

@@ -26,16 +26,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._io import write_json
 from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                      NonIsolated)
 from .maps import (LiftedWord, Word, _as_lift, _check_count,
-                   _require_identity, apply_lift_batch,
+                   _check_positive, _require_identity, apply_lift_batch,
                    displacement_field_batch, orbit_displacement_means,
                    reduce_point, torus_grid)
 from .measures import EmpiricalMeasure, invariance_defect, rotation_vector
@@ -108,9 +106,6 @@ class FixedPointReport:
                 for c in self.chains
             ],
         }
-
-    def save_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
     def chains_to_csv(self, path) -> None:
         """One polyline per chain, rows (chain, x, y)."""
@@ -222,16 +217,9 @@ def _refine(lifts, seeds: np.ndarray, tol: float) -> List[Tuple[Tuple[float, flo
             for q, r in zip(p, worst) if r < tol]
 
 
-def _torus_dist(a, b) -> float:
-    dx = abs(a[0] - b[0])
-    dy = abs(a[1] - b[1])
-    dx = min(dx, 1.0 - dx)
-    dy = min(dy, 1.0 - dy)
-    return math.hypot(dx, dy)
-
-
 def _min_torus_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """min of _torus_dist over all pairs of rows of a (n, 2) and b (k, 2),
+    """The smallest torus distance math.hypot(min(dx, 1 - dx),
+    min(dy, 1 - dy)) over all pairs of rows of a (n, 2) and b (k, 2),
     to the bit.  Squared distances in numpy shortlist the pairs within a
     relative 1e-9 of the smallest one (plus an absolute 1e-300 for the
     subnormal range), and math.hypot runs on that shortlist only:
@@ -255,7 +243,8 @@ def _dedup(found, merge_radius: float) -> List[Tuple[Tuple[float, float], float]
     ordered = sorted(found, key=lambda t: (t[1], t[0]))
     kept: List[Tuple[Tuple[float, float], float]] = []
     for pt, res in ordered:
-        if all(_torus_dist(pt, k[0]) > merge_radius for k in kept):
+        if not kept or _min_torus_dist(np.array([pt]), np.array(
+                [k[0] for k in kept])) > merge_radius:
             kept.append((pt, res))
     kept.sort(key=lambda t: t[0])
     return kept
@@ -307,13 +296,6 @@ def _local_min_seeds(norms: np.ndarray, exclude: np.ndarray) -> List[Tuple[int, 
             lt_any |= norms < nb
     mask = le_all & lt_any & ~exclude
     return [(int(i), int(j)) for i, j in np.argwhere(mask)]
-
-
-def _check_positive(value, what: str) -> None:
-    # tolerances and radii: a NaN, an infinity, zero or a negative value
-    # would make every comparison with it false or meaningless
-    if not (isinstance(value, Real) and 0.0 < value < math.inf):
-        raise InvalidArgument("%s must be a finite number > 0" % what)
 
 
 def _check_scan(grid_n, tol) -> None:
@@ -452,9 +434,6 @@ class FranksReport:
             "defect": repr(self.defect),
             "tol": self.tol,
         }
-
-    def save_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
 
 def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -50,15 +50,16 @@ def reduce_point(p) -> Tuple[float, float]:
 
 def torus_grid(k: int) -> np.ndarray:
     """The k*k grid points (i/k, j/k), i-major ("ij" order), shape (k*k, 2)."""
+    _check_count(k, 1, "grid size")
     axis = np.arange(k) / k
     return np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
 
 
 def trig_term(amplitude: float, kx: int, ky: int, phase: float = 0.0):
     """One displacement term amplitude*sin(2pi*(kx*x + ky*y) + phase)."""
-    if kx != int(kx) or ky != int(ky):
-        raise RotorError("frequencies must be integers")
-    return (float(amplitude), int(kx), int(ky), float(phase))
+    msg = "frequencies must be integers"
+    return (float(amplitude), _check_integral(kx, msg),
+            _check_integral(ky, msg), float(phase))
 
 
 def constant_term(value: float):
@@ -213,11 +214,10 @@ class LiftedWord:
     """T_v composed with the canonical lift of a word; v integral."""
 
     def __init__(self, word: Word, extra_translation=(0, 0)):
-        v = (int(extra_translation[0]), int(extra_translation[1]))
-        if v != (extra_translation[0], extra_translation[1]):
-            raise RotorError("deck translation must be integral")
+        msg = "deck translation must be integral"
         self.word = word
-        self.extra_translation = v
+        self.extra_translation = (_check_integral(extra_translation[0], msg),
+                                  _check_integral(extra_translation[1], msg))
 
     def __repr__(self):
         return "LiftedWord(%r, v=%r)" % (self.word, self.extra_translation)
@@ -293,18 +293,19 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(pts) -> np.ndarray:
-    # checked before the reduction, which would turn inf into NaN with a
-    # RuntimeWarning
+def _finite(pts, what: str) -> np.ndarray:
+    # the one check that points or orbit seeds are finite, made before the
+    # reduction (which would turn inf into NaN with a RuntimeWarning) and
+    # before any orbit kernel (which would report a Newton divergence)
     pts = np.asarray(pts, dtype=float)
     if not np.isfinite(pts).all():
-        raise RotorError(_kernels._NOT_FINITE)
+        raise RotorError("%s must be finite" % what)
     return pts
 
 
 def apply_torus_batch(w, pts: np.ndarray) -> np.ndarray:
-    lw = _as_lift(w)
-    return reduce_batch(apply_lift_batch(lw, reduce_batch(_finite(pts))))
+    pts = reduce_batch(_finite(pts, "points"))
+    return reduce_batch(apply_lift_batch(w, pts))
 
 
 def _require_identity(lw, what: str = "word") -> LiftedWord:
@@ -319,7 +320,7 @@ def _require_identity(lw, what: str = "word") -> LiftedWord:
 def displacement_field_batch(lw, pts: np.ndarray) -> np.ndarray:
     """The vectors lift(p~) - p~, independent of the chosen lift of each p."""
     lw = _require_identity(lw)
-    red = reduce_batch(_finite(pts))
+    red = reduce_batch(_finite(pts, "points"))
     return apply_lift_batch(lw, red) - red
 
 
@@ -416,18 +417,31 @@ def _as_points(values, what: str) -> np.ndarray:
     return pts
 
 
-def _check_seeds(seeds) -> None:
-    # checked before any kernel runs: the C kernel trusts its inputs, and a
-    # non-finite seed would otherwise fail as a Newton divergence
-    if not np.isfinite(seeds).all():
-        raise RotorError("orbit seeds must be finite")
-
-
 def _check_count(value, least: int, what: str) -> None:
-    # the one check of orbit lengths, burn-ins, thread counts and the scan
-    # length of averaging.bounded_orbit_check
+    # the one check of counts (orbit lengths, burn-ins, windows, threads,
+    # grid sizes, atoms, L, samples, P, powers of t): a float, a string or
+    # an integer below least raises
     if not isinstance(value, Integral) or value < least:
         raise InvalidArgument("%s must be an integer >= %d" % (what, least))
+
+
+def _check_positive(value, what: str) -> None:
+    # the one check of tolerances and radii: NaN, inf, zero, a negative
+    # value or a non-number would make every comparison with it meaningless
+    if not (isinstance(value, Real) and 0.0 < value < math.inf):
+        raise InvalidArgument("%s must be a finite number > 0" % what)
+
+
+def _check_integral(value, message: str) -> int:
+    # the one check of frequencies and deck translations: 2.0 passes, as
+    # the scenario parser reads numbers as floats; NaN, inf, strings and
+    # fractions raise
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidArgument(message)
 
 
 def _orbit_program(w, seeds, n: int):
@@ -443,7 +457,7 @@ def _orbit_program(w, seeds, n: int):
     if tag in ("hyperbolic", "other_real_split"):
         raise RotorError("rotation set undefined for %s linear part: "
                          "displacement means diverge" % tag)
-    _check_seeds(seeds)
+    _finite(seeds, "orbit seeds")
     return lw, not a.is_identity(), compile_program(lw)
 
 
@@ -515,7 +529,7 @@ def orbit_segment(w, seed, n: int, burn: int = 0) -> np.ndarray:
     seed = (float(seed[0]), float(seed[1]))
     _check_count(n, 0, "orbit length")
     _check_count(burn, 0, "burn-in")
-    _check_seeds(seed)
+    _finite(seed, "orbit seeds")
     out = _kernels.orbit_collect(*seed, burn, n, *compile_program(lw))
     _check_orbit(lw, out)
     return out

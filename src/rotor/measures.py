@@ -20,10 +20,11 @@ import numpy as np
 from ._kernels import grid_merge
 from .errors import InvalidArgument
 from .geometry import convex_hull, hull_centroid, hull_diameter
-from .maps import (LiftedWord, Word, _as_points, _require_identity,
-                   apply_lift_batch, apply_torus_batch,
-                   orbit_displacement_means, orbit_mean_with_tail,
-                   orbit_segment, reduce_point, torus_grid)
+from .maps import (LiftedWord, Word, _as_points, _check_count,
+                   _check_positive, _require_identity, apply_lift_batch,
+                   apply_torus_batch, orbit_displacement_means,
+                   orbit_mean_with_tail, orbit_segment, reduce_point,
+                   torus_grid)
 
 __all__ = [
     "EmpiricalMeasure",
@@ -99,8 +100,6 @@ class EmpiricalMeasure:
     @classmethod
     def uniform_grid(cls, k: int) -> "EmpiricalMeasure":
         """Uniform weights on the k-by-k grid (i/k, j/k)."""
-        if k < 1:
-            raise InvalidArgument("grid size must be >= 1")
         return cls(torus_grid(k))
 
     @property
@@ -268,10 +267,10 @@ def krylov_bogolyubov(w: Word, seed, n: int, window: int) -> EmpiricalMeasure:
     """Uniform measure on the orbit window {w^k(seed)}, n-window <= k < n.
 
     The Cesaro construction: for large n the result is nearly invariant,
-    which invariance_defect quantifies.
+    which invariance_defect quantifies.  Needs integers n >= window >= 1.
     """
-    if window < 1 or n < window:
-        raise InvalidArgument("need n >= window >= 1")
+    _check_count(window, 1, "window")
+    _check_count(n, window, "n")
     pts = orbit_segment(w, seed, window, burn=n - window)
     return EmpiricalMeasure(pts)
 
@@ -283,8 +282,10 @@ def irrotational_lift(w, seeds, n: int, tol: float) -> Optional[LiftedWord]:
     below tol and its centroid is within tol of an integer vector v, the
     lift translated by -v is returned.  Otherwise None: at this resolution
     (seeds, n, tol) the element does not look irrotational.  Never a
-    certificate, only a judgment at the stated resolution.
+    certificate, only a judgment at the stated resolution.  A tol that is
+    not a finite number > 0 raises InvalidArgument before any orbit runs.
     """
+    _check_positive(tol, "tol")
     base = _require_identity(w)
     est = estimate_rotation_set(base, seeds, n)
     if est.diameter() >= tol:

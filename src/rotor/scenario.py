@@ -44,11 +44,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .averaging import GroupSpec
+from .catalog import circle_measure, horizontal_circle_measure
 from .errors import ConfigError, RotorError
 from .maps import (Generator, MapGroup, Word, constant_term, linear_part,
-                   orbit_segment, torus_grid, trig_term)
+                   trig_term)
 from .mcg import MCGClass
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, krylov_bogolyubov
 
 __all__ = [
     "AnalysisRequest",
@@ -78,7 +79,6 @@ class AnalysisRequest:
     kind: str
     name: Optional[str]
     params: dict
-    line: int
 
     @property
     def slug(self) -> str:
@@ -96,39 +96,13 @@ class Scenario:
     tolerances: Dict[str, float] = field(
         default_factory=lambda: dict(_TOLERANCE_KEYS))
 
-    def resolve_word(self, text: str, line: int = 0) -> Word:
-        """A declared word by name, else an inline word over the group."""
-        text = text.strip()
-        if text in self.words:
-            return self.words[text]
-        try:
-            return self.group.word(text)
-        except RotorError as exc:
-            raise _err(line, "cannot resolve word %r: %s" % (text, exc))
-
-    def resolve_measure(self, name: str, line: int = 0) -> EmpiricalMeasure:
-        if name not in self.measures:
-            raise _err(line, "unknown measure %r" % name)
-        return self.measures[name]
-
 
 # --- raw sectioning
 
 
-class _RawSection:
-    __slots__ = ("kind", "name", "line", "pairs", "title")
-
-    def __init__(self, kind, name, line):
-        self.kind = kind
-        self.name = name
-        self.line = line
-        self.pairs: List[Tuple[int, str, str]] = []
-        self.title = kind if name is None else kind + " " + name
-
-
-def _split_sections(text: str) -> List[_RawSection]:
-    sections: List[_RawSection] = []
-    current: Optional[_RawSection] = None
+def _split_sections(text: str) -> List[_Section]:
+    sections: List[_Section] = []
+    current: Optional[_Section] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -152,7 +126,7 @@ def _split_sections(text: str) -> List[_RawSection]:
                 raise _err(lineno, "bad name %r (letters, digits, "
                                    "underscore; not starting with a digit)"
                            % name)
-            current = _RawSection(kind, name, lineno)
+            current = _Section(kind, name, lineno)
             sections.append(current)
             continue
         if "=" not in line:
@@ -160,19 +134,20 @@ def _split_sections(text: str) -> List[_RawSection]:
         if current is None:
             raise _err(lineno, "key before any section header")
         key, value = line.split("=", 1)
-        current.pairs.append((lineno, key.strip(), value.strip()))
+        current.values.setdefault(key.strip(), []).append(
+            (lineno, value.strip()))
     return sections
 
 
 # --- typed key extraction: a parser maps (key, text) to a value or raises
-# ValueError with the message, which _Keys.get turns into a ConfigError
+# ValueError with the message, which _Section.get turns into a ConfigError
 
 
 def _text(key, text):
     return text
 
 
-def _finite(key, text):
+def _number(key, text):
     try:
         value = float(text)
     except ValueError:
@@ -183,7 +158,7 @@ def _finite(key, text):
 
 
 def _positive(key, text):
-    value = _finite(key, text)
+    value = _number(key, text)
     if not value > 0.0:
         raise ValueError("%s must be positive, got %r" % (key, text))
     return value
@@ -238,15 +213,17 @@ def _matrix(key, text):
     return [_integer(key, part) for part in parts]
 
 
-class _Keys:
-    """One section's key = value pairs, read through the value parsers."""
+class _Section:
+    """One section: its header and its key = value pairs, read through the
+    value parsers.  Each read marks its key as known."""
 
-    def __init__(self, section: _RawSection):
-        self.section = section
-        self.seen = set()
+    def __init__(self, kind, name, line):
+        self.kind = kind
+        self.name = name
+        self.line = line
+        self.title = kind if name is None else kind + " " + name
         self.values: Dict[str, List[Tuple[int, str]]] = {}
-        for lineno, key, value in section.pairs:
-            self.values.setdefault(key, []).append((lineno, value))
+        self.seen = set()
 
     def get(self, key, parse=_text, default=None, required=False):
         """The parsed value of a key that appears at most once; a repeated
@@ -254,51 +231,63 @@ class _Keys:
         found = self.repeated(key)
         if not found:
             if required:
-                raise _err(self.section.line, "[%s] needs %s ="
-                           % (self.section.title, key))
+                raise _err(self.line, "[%s] needs %s =" % (self.title, key))
             return default
         lineno, text = found[-1]
         if len(found) > 1:
-            raise _err(lineno, "duplicate key %r in [%s]"
-                       % (key, self.section.kind))
+            raise _err(lineno, "duplicate key %r in [%s]" % (key, self.kind))
         try:
             return parse(key, text)
         except ValueError as exc:
             raise _err(lineno, str(exc))
 
-    def line(self, key) -> int:
+    def line_of(self, key) -> int:
         return self.values[key][0][0]
 
     def repeated(self, key):
         self.seen.add(key)
         return self.values.get(key, [])
 
+    def _resolve(self, scn: Scenario, key, text) -> Word:
+        # a declared word by name, else an inline word over the group
+        if text in scn.words:
+            return scn.words[text]
+        try:
+            return scn.group.word(text)
+        except RotorError as exc:
+            raise _err(self.line_of(key), "cannot resolve word %r: %s"
+                       % (text, exc))
+
     def word(self, scn: Scenario, key, required=True):
         """(word, text) of a word-valued key; (None, None) when absent."""
         text = self.get(key, _nonempty, required=required)
         if text is None:
             return None, None
-        return scn.resolve_word(text, self.line(key)), text
+        return self._resolve(scn, key, text), text
 
     def words(self, scn: Scenario, key):
         """(words, names) of a list of words; ([], None) when absent."""
         names = self.get(key, _names)
         if names is None:
             return [], None
-        return [scn.resolve_word(nm, self.line(key)) for nm in names], names
+        return [self._resolve(scn, key, nm) for nm in names], names
 
     def measure(self, scn: Scenario, key, required=True):
         """(measure, name) of a measure-valued key; (None, None) when absent."""
         name = self.get(key, required=required)
         if name is None:
             return None, None
-        return scn.resolve_measure(name, self.line(key)), name
+        if name not in scn.measures:
+            raise _err(self.line_of(key), "unknown measure %r" % name)
+        return scn.measures[name], name
 
     def reject_unknown(self):
-        for lineno, key, _ in self.section.pairs:
+        # keys in order of first appearance, so the first unknown key in
+        # the file is the one reported, on its first line
+        for key, found in self.values.items():
             if key not in self.seen:
-                raise _err(lineno, "unknown key %r in [%s]"
-                           % (key, self.section.kind))
+                raise _err(found[0][0], "unknown key %r in [%s]"
+                           % (key, self.kind))
 
 
 # --- declaration builders
@@ -312,7 +301,7 @@ def _parse_term(lineno: int, text: str):
     fn, body = m.groups()
     parts = [p.strip() for p in body.split(",")] if body.strip() else []
     try:
-        args = [_finite(fn, p) for p in parts]
+        args = [_number(fn, p) for p in parts]
     except ValueError:
         raise _err(lineno, "bad number in term %r" % text)
     if fn == "const":
@@ -327,87 +316,84 @@ def _parse_term(lineno: int, text: str):
         raise _err(lineno, str(exc))
 
 
-def _build_generator(section: _RawSection) -> Generator:
-    keys = _Keys(section)
-    entries = keys.get("matrix", _matrix)
+def _build_generator(sec: _Section) -> Generator:
+    entries = sec.get("matrix", _matrix)
     try:
         linear = (MCGClass.identity() if entries is None
                   else MCGClass(*entries))
     except RotorError as exc:
-        raise _err(keys.line("matrix"), "generator %r: %s"
-                   % (section.name, exc))
-    disp_x = [_parse_term(lineno, v) for lineno, v in keys.repeated("x")]
-    disp_y = [_parse_term(lineno, v) for lineno, v in keys.repeated("y")]
-    keys.reject_unknown()
+        raise _err(sec.line_of("matrix"), "generator %r: %s"
+                   % (sec.name, exc))
+    disp_x = [_parse_term(lineno, v) for lineno, v in sec.repeated("x")]
+    disp_y = [_parse_term(lineno, v) for lineno, v in sec.repeated("y")]
+    sec.reject_unknown()
     try:
-        gen = Generator(section.name, linear, disp_x=disp_x, disp_y=disp_y)
+        gen = Generator(sec.name, linear, disp_x=disp_x, disp_y=disp_y)
     except RotorError as exc:
-        raise _err(section.line, "generator %r: %s" % (section.name, exc))
+        raise _err(sec.line, "generator %r: %s" % (sec.name, exc))
     if not gen.certified:
-        raise _err(section.line,
+        raise _err(sec.line,
                    "generator %r: displacement is not certified invertible "
                    "(contraction margin %.3f <= 0)"
-                   % (section.name, gen.contraction_margin))
+                   % (sec.name, gen.contraction_margin))
     return gen
 
 
-def _build_measure(scn: Scenario, section: _RawSection) -> EmpiricalMeasure:
-    keys = _Keys(section)
-    kind = keys.get("kind", required=True)
+def _build_measure(scn: Scenario, sec: _Section) -> EmpiricalMeasure:
+    kind = sec.get("kind", required=True)
     if kind == "circle":
-        x0 = keys.get("x0", _finite, required=True)
-        atoms = keys.get("atoms", _count, 16)
-        points = [(x0, j / atoms) for j in range(atoms)]
+        mu = circle_measure(sec.get("x0", _number, required=True),
+                            sec.get("atoms", _count, 16))
     elif kind == "hcircle":
-        y0 = keys.get("y0", _finite, required=True)
-        atoms = keys.get("atoms", _count, 16)
-        points = [(j / atoms, y0) for j in range(atoms)]
+        mu = horizontal_circle_measure(sec.get("y0", _number, required=True),
+                                       sec.get("atoms", _count, 16))
     elif kind == "grid":
-        points = torus_grid(keys.get("k", _count, required=True))
+        mu = EmpiricalMeasure.uniform_grid(sec.get("k", _count, required=True))
     elif kind == "dirac":
-        points = [keys.get("at", _pair(_finite), required=True)]
+        at = sec.get("at", _pair(_number), required=True)
+        mu = EmpiricalMeasure.dirac(at)
     elif kind == "orbit":
-        w, _ = keys.word(scn, "word")
-        seed = keys.get("seed", _pair(_finite), (0.0, 0.0))
-        points = orbit_segment(w, seed, keys.get("n", _count, 2048))
+        w, _ = sec.word(scn, "word")
+        seed = sec.get("seed", _pair(_number), (0.0, 0.0))
+        n = sec.get("n", _count, 2048)
+        mu = krylov_bogolyubov(w, seed, n, n)
     else:
-        raise _err(keys.line("kind"),
+        raise _err(sec.line_of("kind"),
                    "unknown measure kind %r; want circle, hcircle, grid, "
                    "dirac or orbit" % kind)
-    keys.reject_unknown()
-    return EmpiricalMeasure(points)
+    sec.reject_unknown()
+    return mu
 
 
 # --- analysis builders
 
 
-def _build_analysis(scn: Scenario, section: _RawSection) -> AnalysisRequest:
-    keys = _Keys(section)
-    kind = section.kind
+def _build_analysis(scn: Scenario, sec: _Section) -> AnalysisRequest:
+    kind = sec.kind
     params: dict = {}
 
     if kind == "classify":
         gens = []
-        for nm in keys.get("generators", _names, required=True):
+        for nm in sec.get("generators", _names, required=True):
             try:
                 w = scn.group.by_name(nm)
             except RotorError:
-                raise _err(keys.line("generators"),
+                raise _err(sec.line_of("generators"),
                            "unknown generator %r" % nm)
-            gens.append((nm, scn.group.generators[w.letters[0][0]].linear))
+            gens.append((nm, linear_part(w)))
         params["generators"] = gens
 
     elif kind == "rotation_set":
-        params["word"], params["word_text"] = keys.word(scn, "word")
-        params["n"] = keys.get("n", _count, 1000)
-        params["seeds"] = keys.get("seeds", _count, 64)
-        params["deck"] = keys.get("deck", _pair(_integer), (0, 0))
+        params["word"], params["word_text"] = sec.word(scn, "word")
+        params["n"] = sec.get("n", _count, 1000)
+        params["seeds"] = sec.get("seeds", _count, 64)
+        params["deck"] = sec.get("deck", _pair(_integer), (0, 0))
 
     elif kind == "invariant_measure":
-        params["seed"], params["seed_name"] = keys.measure(scn, "seed")
-        params["phi"], params["phi_text"] = keys.word(scn, "phi")
-        params["g0"], _ = keys.words(scn, "g0")
-        params["extension"], _ = keys.words(scn, "extension")
+        params["seed"], params["seed_name"] = sec.measure(scn, "seed")
+        params["phi"], params["phi_text"] = sec.word(scn, "phi")
+        params["g0"], _ = sec.words(scn, "g0")
+        params["extension"], _ = sec.words(scn, "extension")
         # group data misdeclarations are scenario validation failures,
         # caught here with a line number rather than mid-run
         try:
@@ -416,50 +402,50 @@ def _build_analysis(scn: Scenario, section: _RawSection) -> AnalysisRequest:
                 extension_gens=tuple((w, linear_part(w))
                                      for w in params["extension"]))
         except ConfigError as exc:
-            raise _err(section.line, str(exc))
-        params["L"] = keys.get("L", _count, 256)
-        params["tol"] = keys.get("tol", _positive, 1e-9)
-        params["force"] = keys.get("force", _bool, False)
+            raise _err(sec.line, str(exc))
+        params["L"] = sec.get("L", _count, 256)
+        params["tol"] = sec.get("tol", _positive, 1e-9)
+        params["force"] = sec.get("force", _bool, False)
 
     elif kind == "fixed_points":
-        word, wtext = keys.word(scn, "word", required=False)
-        params["words"], params["word_texts"] = keys.words(scn, "words")
+        word, wtext = sec.word(scn, "word", required=False)
+        params["words"], params["word_texts"] = sec.words(scn, "words")
         if (wtext is None) == (params["word_texts"] is None):
-            raise _err(section.line,
+            raise _err(sec.line,
                        "[fixed_points] needs exactly one of word =, words =")
         if wtext is not None:
             params["words"], params["word_texts"] = [word], [wtext]
-        params["grid"] = keys.get("grid", _count, 64)
-        params["measure"], params["measure_name"] = keys.measure(
+        params["grid"] = sec.get("grid", _count, 64)
+        params["measure"], params["measure_name"] = sec.measure(
             scn, "measure", required=False)
         if params["measure"] is not None and len(params["words"]) != 1:
-            raise _err(keys.line("measure"),
+            raise _err(sec.line_of("measure"),
                        "a Franks certificate needs a single word")
         # a Franks run bounds the measure's invariance defect, a plain scan
         # bounds the pointwise residual; the defaults differ accordingly
         fallback = scn.tolerances["fixed" if params["measure"] is None
                                   else "invariance"]
-        params["tol"] = keys.get("tol", _positive, fallback)
+        params["tol"] = sec.get("tol", _positive, fallback)
 
     elif kind == "rotev":
-        params["g"], params["g_text"] = keys.word(scn, "g")
-        params["h"], params["h_text"] = keys.word(scn, "h")
-        params["measure"], params["measure_name"] = keys.measure(scn,
-                                                                 "measure")
-        params["pmax"] = keys.get("pmax", _count, 5)
+        params["g"], params["g_text"] = sec.word(scn, "g")
+        params["h"], params["h_text"] = sec.word(scn, "h")
+        params["measure"], params["measure_name"] = sec.measure(scn,
+                                                                "measure")
+        params["pmax"] = sec.get("pmax", _count, 5)
 
     elif kind == "klein":
-        params["word"], params["word_text"] = keys.word(scn, "word")
-        params["deck"] = keys.get("deck", _pair(_integer), (0, 0))
-        params["sigma_tol"] = keys.get("sigma_tol", _positive,
-                                       scn.tolerances["sigma"])
-        params["measure"], params["measure_name"] = keys.measure(
+        params["word"], params["word_text"] = sec.word(scn, "word")
+        params["deck"] = sec.get("deck", _pair(_integer), (0, 0))
+        params["sigma_tol"] = sec.get("sigma_tol", _positive,
+                                      scn.tolerances["sigma"])
+        params["measure"], params["measure_name"] = sec.measure(
             scn, "measure", required=False)
-        params["symmetrize"] = keys.get("symmetrize", _bool,
-                                        params["measure"] is not None)
+        params["symmetrize"] = sec.get("symmetrize", _bool,
+                                       params["measure"] is not None)
 
-    keys.reject_unknown()
-    return AnalysisRequest(kind, section.name, params, section.line)
+    sec.reject_unknown()
+    return AnalysisRequest(kind, sec.name, params)
 
 
 # --- top level
@@ -493,11 +479,9 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
             raise _err(s.line, "[tolerances] already declared on line %d"
                        % seen_tol)
         seen_tol = s.line
-        keys = _Keys(s)
         for key in _TOLERANCE_KEYS:
-            scn.tolerances[key] = keys.get(key, _positive,
-                                           scn.tolerances[key])
-        keys.reject_unknown()
+            scn.tolerances[key] = s.get(key, _positive, scn.tolerances[key])
+        s.reject_unknown()
 
     for s in sections:
         if s.kind != "word":
@@ -506,13 +490,12 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
             raise _err(s.line, "name %r already declared on line %d"
                        % (s.name, seen_names[s.name]))
         seen_names[s.name] = s.line
-        keys = _Keys(s)
-        letters = keys.get("letters", _nonempty, required=True)
-        keys.reject_unknown()
+        letters = s.get("letters", _nonempty, required=True)
+        s.reject_unknown()
         try:
             scn.words[s.name] = group.word(letters)
         except RotorError as exc:
-            raise _err(keys.line("letters"), str(exc))
+            raise _err(s.line_of("letters"), str(exc))
 
     for s in sections:
         if s.kind != "measure":

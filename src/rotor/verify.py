@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._io import _f, json_text, write_json
+from ._io import _f, json_text
 from .averaging import (GroupSpec, bounded_orbit_check, construct_invariant,
                         rotev_residual)
 from .catalog import ALPHA, build_catalog, circle_measure, franks_cases
@@ -86,9 +86,6 @@ class SuiteReport:
 
     def json_text(self) -> str:
         return json_text(self.to_json_dict())
-
-    def save_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
 
 # --- 1: exhaustive spectral consistency over small integer matrices

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rotor import _kernels, averaging
+from rotor._io import write_json
 from rotor.averaging import (GroupSpec, _cesaro_stage, bounded_orbit_check,
                              construct_invariant, rotev_residual)
 from rotor.errors import (ConditionStarStarViolated, ConfigError,
@@ -105,7 +106,7 @@ def test_rejects_noninvariant_seed_measure():
     with pytest.raises(InvalidArgument, match="not invariant enough"):
         construct_invariant(spec, LiftedWord(W_TR),
                             EmpiricalMeasure.dirac((0.0, 0.0)), tol=1e-9)
-    with pytest.raises(InvalidArgument, match="L >= 1"):
+    with pytest.raises(InvalidArgument, match="L must be an integer >= 1"):
         construct_invariant(spec, LiftedWord(W_TR),
                             EmpiricalMeasure.uniform_grid(8), L=0)
 
@@ -141,7 +142,7 @@ def test_trace_json_shape(tmp_path):
     tr = construct_invariant(spec, LiftedWord(W_H), circle_measure(),
                              tol=1e-8, force=True)
     path = tmp_path / "trace.json"
-    tr.save_json(path)
+    write_json(path, tr.to_json_dict())
     import json
     data = json.loads(path.read_text())
     assert [s["index"] for s in data["stages"]] == [0, 1]
@@ -341,7 +342,7 @@ def test_rotev_non_integer_power_is_refused_before_any_pushforward(
     pushed = []
     monkeypatch.setattr(averaging, "pushforward",
                         lambda *args: pushed.append(args))
-    with pytest.raises(RotorError, match="powers must be integers"):
+    with pytest.raises(InvalidArgument, match="powers must be integers"):
         rotev_residual(LiftedWord(W_DEHN), LiftedWord(W_TR),
                        EmpiricalMeasure.uniform_grid(8), p)
     assert pushed == []

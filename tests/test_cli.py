@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from rotor import cli
 from rotor.cli import main
 from rotor.scenario import parse_scenario
 
@@ -218,7 +219,10 @@ def test_rerun_identical_including_meta(examples_dir, tmp_path):
 # --- verify subcommand
 
 
-def test_verify_subcommand(tmp_path, capsys):
+def test_verify_subcommand(tmp_path, capsys, monkeypatch, suite_report):
+    # the suite itself runs once, in the shared fixture; the manifest test
+    # runs it through this subcommand at threads 1 and 2
+    monkeypatch.setattr(cli, "run_suite", lambda threads: suite_report)
     assert main(["verify", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     rep = read_json(tmp_path / "verify_report.json")

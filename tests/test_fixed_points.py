@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from rotor import fixed_points
+from rotor._io import write_json
 from rotor.catalog import build_catalog
 from rotor.errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                           NewtonDivergence, NonIsolated,
                           NotIsotopicToIdentity)
 from rotor.fixed_points import (_grid_components, _min_torus_dist, _refine,
-                                _residual_fields, _torus_dist,
-                                common_fixed_points, find_fixed_points,
-                                fixed_point_index, franks_certificate)
+                                _residual_fields, common_fixed_points,
+                                find_fixed_points, fixed_point_index,
+                                franks_certificate)
 from rotor.maps import (Generator, MapGroup, apply_lift_batch,
                         displacement_field_batch, reduce_point, trig_term,
                         constant_term)
@@ -277,7 +278,7 @@ def test_irrotational_lift_fixed_points_project():
 def test_report_json_and_chain_csv(tmp_path):
     r = find_fixed_points(SKEW, 32, 1e-9)
     jpath = tmp_path / "fp.json"
-    r.save_json(jpath)
+    write_json(jpath, r.to_json_dict())
     data = json.loads(jpath.read_text())
     assert data["grid_n"] == 32 and data["all_points_fixed"] is False
     assert len(data["chains"]) == 2
@@ -354,7 +355,7 @@ def test_franks_json_round_trip(tmp_path):
     rep = franks_certificate(SKEW, EmpiricalMeasure.dirac((0.0, 0.37)),
                              tol=1e-8, grid_n=32)
     path = tmp_path / "franks.json"
-    rep.save_json(path)
+    write_json(path, rep.to_json_dict())
     data = json.loads(path.read_text())
     assert data["certificate"] == "consistent with Franks"
     assert data["nearest_lattice"] == [0, 0]
@@ -546,6 +547,15 @@ def test_grid_components_join_across_the_seams():
     assert [(0, 0), (15, 0), (15, 15)] in comps
     assert [(0, 3), (15, 4)] in comps
     assert [(5, 0), (6, 15)] in comps
+
+
+def _torus_dist(a, b) -> float:
+    # the per-pair oracle of _min_torus_dist
+    dx = abs(a[0] - b[0])
+    dy = abs(a[1] - b[1])
+    dx = min(dx, 1.0 - dx)
+    dy = min(dy, 1.0 - dy)
+    return math.hypot(dx, dy)
 
 
 def _pairwise_min(a, b):
