@@ -29,19 +29,20 @@ it for a letter without terms; both give the same bits, -0.0 included,
 since x + 0.0 and -0.0 - floor(-0.0) are both +0.0.
 apply_word evaluates a program on a batch of plane points; it is the
 evaluator behind maps.apply_lift_batch, and rejects points that are not
-finite before it evaluates any.  grid_merge, the one atom merge of the
-measures, reduces atoms to the torus and sums their weights per grid cell;
-its backends agree bit for bit everywhere, since it calls no trig.
-affine_orbit, the scan of averaging.bounded_orbit_check, steps the affine
-orbit rho -> A(rho + w) forward and rho -> A^-1 rho - w backward in plain
-floats; its backends also agree bit for bit everywhere, since both take the
-class entries as doubles and make the same products and sums (the C build
-keeps them unfused).  Its numpy backend is the plain Python loop.  At
-import the C file is built with the system compiler (cc) into this
-package's __pycache__, once per source and flags, and loaded; "c" is then
-the default.  Without a compiler, or
-when the build or the load fails, the backend is "numpy" and
-C_UNAVAILABLE says why.  set_backend() switches at runtime.
+finite with InvalidArgument before it evaluates any, by a check of its own:
+maps._as_points would add microseconds to each call.  grid_merge, the one
+atom merge of the measures, reduces atoms to the torus and sums their
+weights per grid cell; its backends agree bit for bit everywhere, since it
+calls no trig.  affine_orbit, the scan of averaging.bounded_orbit_check,
+steps the affine orbit rho -> A(rho + w) forward and rho -> A^-1 rho - w
+backward in plain floats; its backends also agree bit for bit everywhere,
+since both take the class entries as doubles and make the same products and
+sums (the C build keeps them unfused).  Its numpy backend is the plain
+Python loop.  At import the C file is built with the system compiler (cc)
+into this package's __pycache__, once per source and flags, and loaded; "c"
+is then the default.  Without a compiler, or when the build or the load
+fails, the backend is "numpy" and C_UNAVAILABLE says why.  set_backend()
+switches at runtime.
 
 Each backend has one orbit loop, orbit_mean in C and _orbit_mean_np, over a
 batch of seeds.  It holds the plane/torus split and the compensated
@@ -198,7 +199,7 @@ def _apply_word_c(pts, *prog):
     # apply_batch checks every point before it evaluates any
     if _no_memo(_LIB.apply_batch(pts.ctypes.data, len(pts), *prog[-3:],
                                  out.ctypes.data)):
-        raise RotorError(_NOT_FINITE)
+        raise InvalidArgument(_NOT_FINITE)
     return out
 
 
@@ -418,14 +419,14 @@ def _affine_orbit_np(x0, y0, w1, w2, mat, inv, P):
 
 def apply_word(pts, *prog):
     """The lift of a word program at plane points pts (m, 2).  A point that
-    is not finite raises RotorError before any point is evaluated."""
+    is not finite raises InvalidArgument before any point is evaluated."""
     pts = np.ascontiguousarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidArgument("points must have shape (m, 2)")
     if _BACKEND == "c":
         return _apply_word_c(pts, *prog)
     if not np.isfinite(pts).all():
-        raise RotorError(_NOT_FINITE)
+        raise InvalidArgument(_NOT_FINITE)
     return _apply_word_np(pts, *prog)
 
 

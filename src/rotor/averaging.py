@@ -28,7 +28,7 @@ import numpy as np
 from ._kernels import affine_orbit, grid_merge
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
                      InvalidArgument, RotorError)
-from .maps import (Word, _as_lift, _check_count, _check_positive,
+from .maps import (Word, _as_lift, _as_point, _check_count, _check_positive,
                    _require_identity, apply_torus_batch, commutator_lift,
                    inverse as word_inverse, inverse_lift, linear_part)
 from .mcg import MCGClass, check_condition_star_star
@@ -314,22 +314,22 @@ def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck
     The orbit is either constant or unbounded for the classes of interest;
     the bounded flag uses the threshold 10*(1 + |rho0| + |w|), far above
     any constant orbit and far below a linearly growing one at P=1000.
-    P must be an integer >= 0, else InvalidArgument is raised; P=0 scans
-    rho0 alone.  Raises RotorError when the threshold is not finite.  The
-    scan runs in the kernel backend (_kernels.affine_orbit); both backends
-    step in plain floats in the order of MCGClass.apply, so every backend
-    gives the same bits.  An orbit that overflows has max_norm inf.
+    rho0 and w must be finite points, P an integer >= 0, else InvalidArgument
+    is raised; P=0 scans rho0 alone.  Raises RotorError when the threshold is
+    not finite.  The scan runs in the kernel backend (_kernels.affine_orbit);
+    both backends step in plain floats in the order of MCGClass.apply, so every
+    backend gives the same bits.  An orbit that overflows has max_norm inf.
     """
     _check_count(P, 0, "P")
     if not isinstance(g_class, MCGClass):
         g_class = MCGClass(*g_class)
-    x0, y0 = float(rho0[0]), float(rho0[1])
-    w1, w2 = float(w[0]), float(w[1])
+    x0, y0 = _as_point(rho0, "rho0")
+    w1, w2 = _as_point(w, "w")
     with np.errstate(over="ignore", invalid="ignore"):
         bound = 10.0 * (1.0 + float(np.hypot(x0, y0))
                         + float(np.hypot(w1, w2)))
-    # NaN or inf in rho0 or w, or an overflowing sum, leaves no threshold
-    # to tell a bounded orbit from an unbounded one
+    # an overflowing sum leaves no threshold to tell a bounded orbit from
+    # an unbounded one
     if not math.isfinite(bound):
         raise RotorError("bounded_orbit_check needs finite rho0 and w with "
                          "a finite threshold 10*(1 + |rho0| + |w|)")

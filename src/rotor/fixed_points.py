@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                      NonIsolated)
-from .maps import (LiftedWord, Word, _as_lift, _check_count,
+from .maps import (LiftedWord, Word, _as_lift, _as_point, _check_count,
                    _check_positive, _require_identity, apply_lift_batch,
                    displacement_field_batch, orbit_displacement_means,
                    reduce_point, torus_grid)
@@ -213,7 +213,7 @@ def _refine(lifts, seeds: np.ndarray, tol: float) -> List[Tuple[Tuple[float, flo
         active.sort()
     per_word = f.reshape(len(p), len(lifts), 2)
     worst = np.sqrt((per_word * per_word).sum(axis=2)).max(axis=1)
-    return [(reduce_point((float(q[0]), float(q[1]))), float(r))
+    return [(reduce_point(q), float(r))
             for q, r in zip(p, worst) if r < tol]
 
 
@@ -377,8 +377,8 @@ def fixed_point_index(w: Word, p, radius: float = 0.05, samples: int = 256) -> i
     _check_count(samples, 8, "samples")
     _check_positive(radius, "radius")
     lw = _as_lift(w)
-    p = (float(p[0]), float(p[1]))
-    at_p = displacement_field_batch(lw, np.array([p]))[0]
+    p = _as_point(p, "p")
+    at_p = displacement_field_batch(lw, p)[0]
     deck = np.round(at_p)
 
     theta = 2.0 * math.pi * np.arange(samples) / samples

@@ -3,8 +3,8 @@
 Rotation-set estimates are routinely single points or straight segments, so
 the hull code must handle 0-, 1- and 2-dimensional hulls without joggling.
 Vertices returned are always a subset of the input points.  Point and
-vertex sets are (m, 2) arrays or one (2,) pair; any other shape raises
-InvalidArgument.
+vertex sets are (m, 2) arrays or one (2,) pair of finite coordinates; any
+other shape, or a coordinate that is not finite, raises InvalidArgument.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgument
-from .maps import _as_points
+from .maps import _as_point, _as_points
 
 __all__ = ["convex_hull", "hull_diameter", "hull_centroid",
            "point_to_hull_distance", "hausdorff_distance"]
@@ -87,16 +86,11 @@ def _point_in_convex(p, v) -> bool:
 
 def point_to_hull_distance(p, vertices) -> float:
     v = _as_points(vertices, "vertices")
-    p = _as_points(p, "p")
-    if len(p) != 1:
-        raise InvalidArgument("p must be one point (2,), got %d" % len(p))
-    p = p[0]
+    p = _as_point(p, "p")
     if len(v) == 0:
         return math.inf
-    if len(v) == 1:
-        return float(np.hypot(*(p - v[0])))
-    if len(v) == 2:
-        return _point_segment_distance(p, v[0], v[1])
+    if len(v) <= 2:
+        return _point_segment_distance(p, v[0], v[-1])
     if _point_in_convex(p, v):
         return 0.0
     return min(_point_segment_distance(p, v[i], v[(i + 1) % len(v)])

@@ -44,8 +44,8 @@ __all__ = [
 
 def reduce_point(p) -> Tuple[float, float]:
     """Canonical torus representative in [0,1)^2, with a snap at the seam."""
-    q = reduce_batch(np.array([p], dtype=float))[0]
-    return (float(q[0]), float(q[1]))
+    x, y = reduce_batch(np.array(_as_point(p, "p")))
+    return (float(x), float(y))
 
 
 def torus_grid(k: int) -> np.ndarray:
@@ -214,6 +214,8 @@ class LiftedWord:
     """T_v composed with the canonical lift of a word; v integral."""
 
     def __init__(self, word: Word, extra_translation=(0, 0)):
+        if not isinstance(word, Word):
+            raise InvalidArgument("a lift needs a Word, not %r" % (word,))
         msg = "deck translation must be integral"
         self.word = word
         self.extra_translation = (_check_integral(extra_translation[0], msg),
@@ -281,7 +283,7 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
 
     Runs the word's compiled program through the word kernel of the current
     backend (_kernels.apply_word).  A point that is not finite raises
-    RotorError before any point is evaluated; an inverse letter whose
+    InvalidArgument before any point is evaluated; an inverse letter whose
     Newton solve fails raises NewtonDivergence.
     """
     lw = _as_lift(lw)
@@ -293,18 +295,8 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(pts, what: str) -> np.ndarray:
-    # the one check that points or orbit seeds are finite, made before the
-    # reduction (which would turn inf into NaN with a RuntimeWarning) and
-    # before any orbit kernel (which would report a Newton divergence)
-    pts = np.asarray(pts, dtype=float)
-    if not np.isfinite(pts).all():
-        raise RotorError("%s must be finite" % what)
-    return pts
-
-
 def apply_torus_batch(w, pts: np.ndarray) -> np.ndarray:
-    pts = reduce_batch(_finite(pts, "points"))
+    pts = reduce_batch(_as_points(pts, "points"))
     return reduce_batch(apply_lift_batch(w, pts))
 
 
@@ -320,7 +312,7 @@ def _require_identity(lw, what: str = "word") -> LiftedWord:
 def displacement_field_batch(lw, pts: np.ndarray) -> np.ndarray:
     """The vectors lift(p~) - p~, independent of the chosen lift of each p."""
     lw = _require_identity(lw)
-    red = reduce_batch(_finite(pts, "points"))
+    red = reduce_batch(_as_points(pts, "points"))
     return apply_lift_batch(lw, red) - red
 
 
@@ -403,18 +395,30 @@ def compile_program(lw) -> tuple:
 
 
 def _as_points(values, what: str) -> np.ndarray:
-    """values as float points (m, 2), a lone pair (2,) as one point; any
-    other shape raises InvalidArgument instead of being reshaped."""
+    """The one reader of point arguments: values as finite float points
+    (m, 2), a lone pair (2,) as one point.  Any other shape, or a coordinate
+    that is not finite, raises InvalidArgument before any reduction or orbit.
+    """
     try:
         pts = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidArgument("%s: %s" % (what, exc)) from None
     if pts.shape == (2,):
-        return pts.reshape(1, 2)
-    if pts.ndim != 2 or pts.shape[1] != 2:
+        pts = pts.reshape(1, 2)
+    elif pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidArgument("%s must have shape (m, 2) or (2,), got %s"
                               % (what, pts.shape))
+    if not np.isfinite(pts).all():
+        raise InvalidArgument("%s must be finite" % what)
     return pts
+
+
+def _as_point(value, what: str) -> Tuple[float, float]:
+    """value as one finite point (x, y) of floats; see _as_points."""
+    pts = _as_points(value, what)
+    if len(pts) != 1:
+        raise InvalidArgument("%s must be one point" % what)
+    return float(pts[0, 0]), float(pts[0, 1])
 
 
 def _check_count(value, least: int, what: str) -> None:
@@ -444,7 +448,7 @@ def _check_integral(value, message: str) -> int:
     raise InvalidArgument(message)
 
 
-def _orbit_program(w, seeds, n: int):
+def _orbit_program(w, n: int):
     """(lift, plane_mode, kernel arguments) of an orbit mean of length n >= 1.
 
     An expanding linear part makes the plane orbit overflow, so its word
@@ -457,7 +461,6 @@ def _orbit_program(w, seeds, n: int):
     if tag in ("hyperbolic", "other_real_split"):
         raise RotorError("rotation set undefined for %s linear part: "
                          "displacement means diverge" % tag)
-    _finite(seeds, "orbit seeds")
     return lw, not a.is_identity(), compile_program(lw)
 
 
@@ -494,8 +497,8 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     be an integer >= 1, else InvalidArgument is raised.
     """
     _check_count(threads, 1, "threads")
-    seeds = np.ascontiguousarray(_as_points(seeds, "seeds"))
-    lw, plane_mode, args = _orbit_program(w, seeds, n)
+    seeds = np.ascontiguousarray(_as_points(seeds, "orbit seeds"))
+    lw, plane_mode, args = _orbit_program(w, n)
 
     def run(chunk):
         return _kernels.orbit_mean_batch(chunk, n, plane_mode, *args)
@@ -516,8 +519,8 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
 def orbit_mean_with_tail(w, seed, n: int):
     """Displacement mean plus the max deviation of the last n//10 partial
     means; the mean and its failures match orbit_displacement_means."""
-    seed = (float(seed[0]), float(seed[1]))
-    lw, plane_mode, args = _orbit_program(w, seed, n)
+    seed = _as_point(seed, "orbit seeds")
+    lw, plane_mode, args = _orbit_program(w, n)
     mx, my, spread = _kernels.orbit_mean_tail(*seed, n, plane_mode, *args)
     _check_orbit(lw, (mx, my))
     return (mx, my), spread
@@ -526,10 +529,9 @@ def orbit_mean_with_tail(w, seed, n: int):
 def orbit_segment(w, seed, n: int, burn: int = 0) -> np.ndarray:
     """Torus orbit points w^burn(p), ..., w^{burn+n-1}(p), shape (n,2)."""
     lw = _as_lift(w)
-    seed = (float(seed[0]), float(seed[1]))
+    seed = _as_point(seed, "orbit seeds")
     _check_count(n, 0, "orbit length")
     _check_count(burn, 0, "burn-in")
-    _finite(seed, "orbit seeds")
     out = _kernels.orbit_collect(*seed, burn, n, *compile_program(lw))
     _check_orbit(lw, out)
     return out

@@ -45,9 +45,7 @@ _GRID = 10 ** 12
 
 
 def _canonical(points, weights) -> Tuple[np.ndarray, np.ndarray]:
-    pts = _as_points(points, "atoms")
-    if not np.isfinite(pts).all():
-        raise InvalidArgument("atom coordinates must be finite")
+    pts = _as_points(points, "atom coordinates")
     if weights is None:
         w = np.full(len(pts), 1.0 / max(len(pts), 1))
     else:

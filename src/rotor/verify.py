@@ -11,7 +11,6 @@ separate run metadata.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -502,8 +501,8 @@ def klein_closed_forms() -> Tuple[bool, dict]:
 def thread_determinism() -> Tuple[bool, dict]:
     a, b = 1, 8
     text_a, text_b = (
-        json.dumps(run_suite(t, only=[8]).results[0].to_json_dict(),
-                   sort_keys=True) for t in (a, b))
+        json_text(run_suite(t, only=[8]).results[0].to_json_dict())
+        for t in (a, b))
 
     g = build_catalog()
     seeds = torus_grid(32)

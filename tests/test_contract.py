@@ -1,4 +1,5 @@
-"""Bad counts and tolerances raise InvalidArgument before any work.
+"""Bad counts, tolerances, points and words raise InvalidArgument before
+any work.
 
 Each entry is one bad argument of one public callable.  The evaluators
 and constructors the callables would run next are replaced by a function
@@ -8,17 +9,27 @@ through (a NaN tolerance compares false with everything), fails the test.
 
 import math
 
+import numpy as np
 import pytest
 
-from rotor import averaging, catalog, covers, measures
-from rotor.averaging import GroupSpec, construct_invariant, rotev_residual
+from rotor import (_kernels, averaging, catalog, covers, fixed_points,
+                   geometry, maps, measures)
+from rotor.averaging import (GroupSpec, bounded_orbit_check,
+                             construct_invariant, rotev_residual)
 from rotor.catalog import (build_catalog, circle_measure,
                            horizontal_circle_measure)
-from rotor.covers import annulus_term, rho_bar
+from rotor.covers import annulus_term, rho_bar, sigma_apply
 from rotor.errors import InvalidArgument
-from rotor.maps import LiftedWord, torus_grid, trig_term
-from rotor.measures import (EmpiricalMeasure, irrotational_lift,
-                            krylov_bogolyubov)
+from rotor.fixed_points import find_fixed_points, fixed_point_index
+from rotor.geometry import (convex_hull, hausdorff_distance, hull_centroid,
+                            hull_diameter, point_to_hull_distance)
+from rotor.maps import (LiftedWord, apply_torus_batch,
+                        displacement_field_batch, linear_part,
+                        orbit_displacement_means, orbit_mean_with_tail,
+                        orbit_segment, reduce_point, torus_grid, trig_term)
+from rotor.measures import (EmpiricalMeasure, birkhoff_mean,
+                            estimate_rotation_set, irrotational_lift,
+                            krylov_bogolyubov, rotation_vector)
 
 CAT = build_catalog()
 TR, SKEW, DEHN = (CAT.word(n) for n in ("tr", "skew", "dehn"))
@@ -106,3 +117,87 @@ def test_bad_counts_and_tolerances_raise_before_any_evaluation(call,
             monkeypatch.setattr(module, name, no_evaluation)
     with pytest.raises(InvalidArgument):
         call()
+
+
+# each bad point argument, given where a callable reads a point or a point
+# set; a lone pair is one point wherever a point set is read
+BAD_POINTS = {
+    "nan": (math.nan, 0.2),
+    "+inf": (math.inf, 0.2),
+    "-inf": (0.3, -math.inf),
+    "3-vector": (0.1, 0.2, 0.3),
+    "(2, 3) array": np.zeros((2, 3)),
+    "string": "ab",
+}
+
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+DEHN_CLASS = linear_part(DEHN)
+
+POINT_CALLS = {
+    "apply_torus_batch": lambda p: apply_torus_batch(TR, p),
+    "displacement_field_batch": lambda p: displacement_field_batch(TR, p),
+    "orbit_displacement_means": lambda p: orbit_displacement_means(TR, p, 5),
+    "orbit_displacement_means threads=2":
+        lambda p: orbit_displacement_means(TR, p, 5, threads=2),
+    "estimate_rotation_set": lambda p: estimate_rotation_set(TR, p, 5),
+    "estimate_rotation_set threads=2":
+        lambda p: estimate_rotation_set(TR, p, 5, threads=2),
+    "irrotational_lift": lambda p: irrotational_lift(TR, p, 5, 1e-3),
+    "orbit_mean_with_tail": lambda p: orbit_mean_with_tail(TR, p, 5),
+    "birkhoff_mean": lambda p: birkhoff_mean(TR, p, 5),
+    "orbit_segment": lambda p: orbit_segment(TR, p, 5),
+    "krylov_bogolyubov": lambda p: krylov_bogolyubov(TR, p, 10, 5),
+    "fixed_point_index": lambda p: fixed_point_index(TR, p),
+    "bounded_orbit_check rho0":
+        lambda p: bounded_orbit_check(DEHN_CLASS, p, (0.0, 0.0)),
+    "bounded_orbit_check w":
+        lambda p: bounded_orbit_check(DEHN_CLASS, (0.0, 0.0), p),
+    "EmpiricalMeasure": EmpiricalMeasure,
+    "EmpiricalMeasure.dirac": EmpiricalMeasure.dirac,
+    "convex_hull": convex_hull,
+    "hull_diameter": hull_diameter,
+    "hull_centroid": hull_centroid,
+    "point_to_hull_distance": lambda p: point_to_hull_distance(p, SQUARE),
+    "hausdorff_distance": lambda p: hausdorff_distance(p, SQUARE),
+    "sigma_apply": sigma_apply,
+    "reduce_point": reduce_point,
+}
+
+BAD_POINT_CALLS = {"%s %s" % (name, label): (lambda c=call, p=p: c(p))
+                   for name, call in POINT_CALLS.items()
+                   for label, p in BAD_POINTS.items()}
+
+# a string or a number where a word belongs once leaked AttributeError
+BAD_WORD_CALLS = {
+    "LiftedWord(None)": lambda: LiftedWord(None),
+    "orbit_displacement_means('h')":
+        lambda: orbit_displacement_means("h", SEEDS, 10),
+    "find_fixed_points('h')": lambda: find_fixed_points("h"),
+    "rotation_vector(mu, 3)": lambda: rotation_vector(GRID, 3),
+}
+
+# the kernels a point or a word reaches once it is read, under every name
+# a rotor module holds them by
+KERNELS = ("apply_word", "orbit_mean_batch", "orbit_mean_tail",
+           "orbit_collect", "affine_orbit", "grid_merge", "reduce_batch")
+KERNEL_HOLDERS = (_kernels, maps, measures, averaging, covers, geometry,
+                  fixed_points)
+
+BAD_ARGUMENT_CALLS = {**BAD_POINT_CALLS, **BAD_WORD_CALLS}
+
+
+@pytest.mark.parametrize("call", list(BAD_ARGUMENT_CALLS.values()),
+                         ids=list(BAD_ARGUMENT_CALLS))
+def test_bad_points_and_words_raise_before_any_kernel(call, backends,
+                                                      monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for module in KERNEL_HOLDERS:
+        for name in KERNELS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_kernel)
+    for backend in backends:
+        _kernels.set_backend(backend)
+        with pytest.raises(InvalidArgument):
+            call()

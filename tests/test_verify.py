@@ -2,6 +2,7 @@
 
 import json
 
+from rotor._io import json_text
 from rotor.verify import BIRKHOFF_SPREAD_LIMIT, run_suite
 
 
@@ -50,5 +51,5 @@ def test_suite_order_and_thread_report_size(suite_report):
         (11, "thread_determinism"),
     ]
     # criterion 11 compares the whole criterion-8 entry, not its bare details
-    hulls = json.dumps(rep.results[7].to_json_dict(), sort_keys=True)
-    assert rep.results[10].details["report_bytes"] == len(hulls) == 237
+    hulls = json_text(rep.results[7].to_json_dict())
+    assert rep.results[10].details["report_bytes"] == len(hulls) == 268
