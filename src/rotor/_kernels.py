@@ -9,24 +9,23 @@ coordinates and the callers raise.
 
 Every kernel has two backends that run the same float operations in the
 same order: "c", the loops of _orbit.c run one point at a time through
-ctypes, which releases the GIL so seed chunks can run on threads; and
-"numpy", the same loops vectorized over a batch of points.  Their results
-are bit-identical wherever numpy's sin and cos round like the C library's.
-The C word step also keeps, per letter position and trig term, the bits of
-the term's last argument and its sin and cos values, and reuses them when
-the next argument has the same bits, or copies them from the same term at
-the letter's twin: the position of the same slot and mode that ran most
-recently before it, wrapping across word steps.  A Newton letter also
-keeps each term's argument and values per iteration, which the next
-solve reads at the same iteration: on torus_grid points, which share x
+ctypes; and "numpy", the same loops vectorized over a batch of points.
+Their results are bit-identical wherever numpy's sin and cos round like the
+C library's.  The C word step also keeps, per letter position and trig
+term, the bits of the term's last argument and its sin and cos values, and
+reuses them when the next argument has the same bits, or copies them from
+the same term at the letter's twin: the position of the same slot and mode
+that ran most recently before it, wrapping across word steps.  A Newton
+letter also keeps each term's argument and values per iteration, which the
+next solve reads at the same iteration: on torus_grid points, which share x
 from one point to the next, the h' of "h skew h'" repeats its iterates,
 and the grid scan calls sin and cos a few thousand times instead of
 640,000.  This changes no result, since sin and cos are functions of
-those bits.  Each C call allocates its
-own memo, and a failed allocation raises MemoryError.  The C step also
-takes x - floor(x) as x + 0.0 on [+0, 1), where floor(x) is +0, and skips
-it for a letter without terms; both give the same bits, -0.0 included,
-since x + 0.0 and -0.0 - floor(-0.0) are both +0.0.
+those bits.  Each C call, and each block of seeds of a threaded orbit
+call, allocates its own memo, and a failed allocation raises MemoryError.
+The C step also takes x - floor(x) as x + 0.0 on [+0, 1), where floor(x)
+is +0, and skips it for a letter without terms; both give the same bits,
+-0.0 included, since x + 0.0 and -0.0 - floor(-0.0) are both +0.0.
 apply_word evaluates a program on a batch of plane points; it is the
 evaluator behind maps.apply_lift_batch, and rejects points that are not
 finite with InvalidArgument before it evaluates any, by a check of its own:
@@ -50,10 +49,15 @@ summation, fills a tail array with the running means of the last steps, and
 a path array with the points the last steps start from; an empty array
 records nothing.  Plane mode iterates the unreduced lift and reads the mean
 off its travel; torus mode reduces every step and sums the per-step
-displacements.  orbit_mean_batch and orbit_mean_tail record no path, and
-the tail spread is computed once, in the orbit_mean_tail dispatch, for both
-backends.  orbit_collect is the same loop in torus mode, over burn + count
-steps, recording the last count points of its path.
+displacements.  The C loop cuts its seeds into as many contiguous blocks
+as orbit_mean_batch's threads asks for: the calling thread runs the first,
+a pthread each of the others, and the call returns once all have finished.
+A block changes only which memo serves a seed, so no bit depends on the
+count; the numpy loop ignores it.  orbit_mean_batch and orbit_mean_tail
+record no path, and the tail spread is computed once, in the
+orbit_mean_tail dispatch, for both backends.  orbit_collect is the same
+loop in torus mode, over burn + count steps, recording the last count
+points of its path.
 
 The seam snap and the Newton tolerance and step budget are defined here once,
 shared by maps and passed to the C build as macros.
@@ -76,7 +80,7 @@ _NOT_FINITE = "points must be finite"
 
 # -ffp-contract=off keeps the compiler from fusing multiply-adds (the default
 # on some targets), which would change the last bits of the results.
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off",
+_CFLAGS = ["-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off",
            "-DTWO_PI=%r" % _TWO_PI, "-DSNAP=%r" % _SNAP,
            "-DNEWTON_TOL=%r" % _NEWTON_TOL, "-DNEWTON_MAX=%d" % _NEWTON_MAX]
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -99,7 +103,8 @@ class _Program(ctypes.Structure):
 def c_program(arrays) -> _Program:
     """The _Program of a word program's arrays; it holds the arrays it
     points to.  Built once per compiled letter sequence and never written
-    afterwards, so lifts and pool threads can share it."""
+    afterwards, so lifts and the threads of an orbit_mean call can share
+    it."""
     arrays = [np.ascontiguousarray(a, dtype)
               for a, (_, dtype) in zip(arrays, _PROGRAM_ARRAYS)]
     out = _Program(len(arrays[0]), *(a.ctypes.data for a in arrays))
@@ -152,7 +157,7 @@ def _load_c():
     lib.orbit_mean.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-        *tail]
+        ctypes.c_int, *tail]
     lib.grid_merge.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                ctypes.c_int64, ctypes.c_double,
                                ctypes.c_int64, ctypes.c_void_p,
@@ -213,9 +218,9 @@ def _steps_address(a, seeds):
     return a.ctypes.data if len(a) else None
 
 
-def _orbit_mean_c(seeds, n, plane_mode, tail, path, *prog):
-    # same arguments and result as _orbit_mean_np; the checks bound every
-    # index the C loop touches
+def _orbit_mean_c(seeds, n, plane_mode, tail, path, *prog, threads=1):
+    # same arguments and result as _orbit_mean_np, with the seeds cut into
+    # `threads` blocks; the checks bound every index the C loop touches
     seeds = np.ascontiguousarray(seeds, dtype=float)
     if seeds.shape[1:] != (2,):
         raise InvalidArgument("seeds must be (m, 2)")
@@ -223,7 +228,7 @@ def _orbit_mean_c(seeds, n, plane_mode, tail, path, *prog):
     _no_memo(_LIB.orbit_mean(seeds.ctypes.data, len(seeds), n, plane_mode,
                              _steps_address(tail, seeds), len(tail),
                              _steps_address(path, seeds), len(path),
-                             *prog[-3:], out.ctypes.data))
+                             threads, *prog[-3:], out.ctypes.data))
     return out
 
 
@@ -447,14 +452,21 @@ def grid_merge(points, weights, scale: float, cells: int):
     return merge(pts, w, float(scale), int(cells))
 
 
-def _orbit_mean(seeds, n, plane_mode, tail, path, *args):
-    mean = _orbit_mean_c if _BACKEND == "c" else _orbit_mean_np
-    return mean(seeds, n, plane_mode, tail, path, *args)
+def _orbit_mean(seeds, n, plane_mode, tail, path, *args, threads=1):
+    # the numpy loop ignores threads
+    if _BACKEND == "c":
+        return _orbit_mean_c(seeds, n, plane_mode, tail, path, *args,
+                             threads=threads)
+    return _orbit_mean_np(seeds, n, plane_mode, tail, path, *args)
 
 
-def orbit_mean_batch(seeds, n, plane_mode, *args):
+def orbit_mean_batch(seeds, n, plane_mode, *args, threads=1):
+    """The n-step displacement means of seeds (m, 2).  The C loop cuts the
+    seeds into `threads` contiguous blocks and runs them on as many threads,
+    each block with its own memo."""
     none = np.empty((0, len(seeds), 2))
-    return _orbit_mean(seeds, n, plane_mode, none, none, *args)
+    return _orbit_mean(seeds, n, plane_mode, none, none, *args,
+                       threads=threads)
 
 
 def orbit_mean_tail(sx, sy, n, plane_mode, *args):

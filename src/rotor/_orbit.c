@@ -24,18 +24,21 @@
  * torus_grid, whose consecutive points share the x that h reads.  sin
  * and cos are functions of their argument's bits, the argument is computed
  * as before and the sums take the values in the same order, so the memo
- * changes no bit of any result.  Each call of apply_batch and orbit_mean
- * owns its memo, so pool threads share nothing they write.  Callers check
- * all sizes; nothing here checks bounds. */
+ * changes no bit of any result.  Each call of apply_batch owns its memo,
+ * and so does each block of seeds of an orbit_mean call, so the threads
+ * that run the blocks share nothing they write.  Callers check all sizes;
+ * nothing here checks bounds. */
 
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 /* A compiled word program; see maps._compile_letters for the layout.
- * One program is shared by every lift of its word and by pool threads, so
- * it is never written: the deck translation (vx, vy) is an argument. */
+ * One program is shared by every lift of its word and by the threads of an
+ * orbit_mean call, so it is never written: the deck translation (vx, vy)
+ * is an argument. */
 typedef struct {
     int64_t nletters;
     const int64_t *slot, *mode;
@@ -318,22 +321,24 @@ orbit_step(const program *w, memo_entry *memo, memo_entry *iters, double vx,
     }
 }
 
-/* n-step displacement means of m seeds (m, 2) into out (m, 2), the running
- * means of the last `window` steps into tail (window, m, 2), and the point
- * each of the last `steps` steps starts from into path (steps, m, 2).
+/* n-step displacement means of the seeds [lo, hi) of m seeds (m, 2) into
+ * out (m, 2), the running means of the last `window` steps into tail
+ * (window, m, 2), and the point each of the last `steps` steps starts from
+ * into path (steps, m, 2), all indexed by the seed's place among the m.
  * Returns 0, or -1 when the memo cannot be allocated.  The steps before the
  * first one that records run in a loop of their own: with the recording
  * checks in it, an irrskew step took 8% longer (gcc -O2, x86-64). */
-int orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
-               double *tail, int64_t window, double *path, int64_t steps,
-               const program *w, double vx, double vy, double *out)
+static int orbit_block(const double *seeds, int64_t m, int64_t lo,
+                       int64_t hi, int64_t n, int plane_mode, double *tail,
+                       int64_t window, double *path, int64_t steps,
+                       const program *w, double vx, double vy, double *out)
 {
     int64_t start = n - window, first = n - steps;
     int64_t quiet = start < first ? start : first;
     memo_entry *iters, *memo = memo_new(w, &iters);
     if (memo == NULL)
         return -1;
-    for (int64_t i = 0; i < m; i++) {
+    for (int64_t i = lo; i < hi; i++) {
         double sx = seeds[2 * i], sy = seeds[2 * i + 1];
         orbit o = {sx, sy, plane_mode ? sx : reduce(sx),
                    plane_mode ? sy : reduce(sy), 0.0, 0.0, 0.0, 0.0};
@@ -358,6 +363,68 @@ int orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
     }
     free(memo);
     return 0;
+}
+
+/* The arguments of one orbit_block, the thread that runs it and its
+ * status. */
+typedef struct {
+    const double *seeds;
+    double *tail, *path, *out;
+    int64_t m, lo, hi, n, window, steps;
+    const program *w;
+    double vx, vy;
+    int plane_mode, started, status;
+    pthread_t thread;
+} block;
+
+static void *run_block(void *arg)
+{
+    block *b = arg;
+    b->status = orbit_block(b->seeds, b->m, b->lo, b->hi, b->n,
+                            b->plane_mode, b->tail, b->window, b->path,
+                            b->steps, b->w, b->vx, b->vy, b->out);
+    return NULL;
+}
+
+/* orbit_block over all m seeds, cut into `threads` contiguous blocks: the
+ * calling thread runs block 0 and a thread of its own each of the others,
+ * or the calling thread too when that thread cannot be started.  A block
+ * changes only which memo serves a seed, so the results have the same bits
+ * for every thread count.  Returns 0 once every block has finished, or -1
+ * when a memo or the blocks cannot be allocated. */
+int orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
+               double *tail, int64_t window, double *path, int64_t steps,
+               int threads, const program *w, double vx, double vy,
+               double *out)
+{
+    if (threads <= 1)
+        return orbit_block(seeds, m, 0, m, n, plane_mode, tail, window, path,
+                           steps, w, vx, vy, out);
+    block *blocks = malloc(threads * sizeof(block));
+    if (blocks == NULL)
+        return -1;
+    for (int b = 0; b < threads; b++) {
+        block *k = &blocks[b];
+        *k = (block){.seeds = seeds, .tail = tail, .path = path, .out = out,
+                     .m = m, .lo = m * b / threads,
+                     .hi = m * (b + 1) / threads, .n = n, .window = window,
+                     .steps = steps, .w = w, .vx = vx, .vy = vy,
+                     .plane_mode = plane_mode};
+        k->started = b > 0 && pthread_create(&k->thread, NULL, run_block,
+                                             k) == 0;
+    }
+    for (int b = 0; b < threads; b++)
+        if (!blocks[b].started)
+            run_block(&blocks[b]);
+    int status = 0;
+    for (int b = 0; b < threads; b++) {
+        if (blocks[b].started)
+            pthread_join(blocks[b].thread, NULL);
+        if (blocks[b].status < 0)
+            status = -1;
+    }
+    free(blocks);
+    return status;
 }
 
 /* A grid cell key and the input row it came from. */

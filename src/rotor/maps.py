@@ -214,10 +214,8 @@ class LiftedWord:
     """T_v composed with the canonical lift of a word; v integral."""
 
     def __init__(self, word: Word, extra_translation=(0, 0)):
-        if not isinstance(word, Word):
-            raise InvalidArgument("a lift needs a Word, not %r" % (word,))
         msg = "deck translation must be integral"
-        self.word = word
+        self.word = _check_kind(word, Word, "a lift")
         self.extra_translation = (_check_integral(extra_translation[0], msg),
                                   _check_integral(extra_translation[1], msg))
 
@@ -225,13 +223,25 @@ class LiftedWord:
         return "LiftedWord(%r, v=%r)" % (self.word, self.extra_translation)
 
 
+def _check_kind(value, kind, what: str):
+    # the one type check of the word algebra's words and lifts: a string or
+    # a number would leak AttributeError from deep inside
+    if not isinstance(value, kind):
+        raise InvalidArgument("%s needs a %s, not %r"
+                              % (what, kind.__name__, value))
+    return value
+
+
 def compose(w1: Word, w2: Word) -> Word:
+    _check_kind(w1, Word, "compose")
+    _check_kind(w2, Word, "compose")
     if w1.group is not w2.group:
         raise RotorError("words over different groups")
     return Word(w1.group, list(w1.letters) + list(w2.letters))
 
 
 def inverse(w: Word) -> Word:
+    _check_kind(w, Word, "inverse")
     return Word(w.group, [(i, -s) for i, s in reversed(w.letters)])
 
 
@@ -243,7 +253,7 @@ def linear_part(w: Word) -> MCGClass:
     """The product of the letters' classes, once per group and reduced
     letter sequence; integer products are exact, so the cache changes no
     result."""
-    cache = w.group._linear_parts
+    cache = _check_kind(w, Word, "linear_part").group._linear_parts
     out = cache.get(w.letters)
     if out is None:
         out = MCGClass.identity()
@@ -256,6 +266,8 @@ def linear_part(w: Word) -> MCGClass:
 
 def compose_lift(l1: LiftedWord, l2: LiftedWord) -> LiftedWord:
     # (T_u W1)(T_v W2) = T_{u + [W1] v} (W1 W2)
+    _check_kind(l1, LiftedWord, "compose_lift")
+    _check_kind(l2, LiftedWord, "compose_lift")
     u, v = l1.extra_translation, l2.extra_translation
     a = linear_part(l1.word)
     shift = a.apply(v)
@@ -264,6 +276,7 @@ def compose_lift(l1: LiftedWord, l2: LiftedWord) -> LiftedWord:
 
 def inverse_lift(lw: LiftedWord) -> LiftedWord:
     # (T_v W)^-1 = T_{-[W]^-1 v} W^-1
+    _check_kind(lw, LiftedWord, "inverse_lift")
     a = linear_part(lw.word).inverse()
     shift = a.apply(lw.extra_translation)
     return LiftedWord(inverse(lw.word), (-shift[0], -shift[1]))
@@ -380,8 +393,8 @@ def compile_program(lw) -> tuple:
     The letters are compiled once per group and reduced letter sequence;
     words built afresh on every call (commutators, transports) reuse them,
     C struct included.  The struct is never written after it is built, so
-    lifts of one word that differ by their deck translation, and pool
-    threads, share it safely.
+    lifts of one word that differ by their deck translation, and the
+    threads of one orbit kernel call, share it safely.
     """
     lw = _as_lift(lw)
     programs = lw.word.group._programs
@@ -487,31 +500,20 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     Words with identity linear part iterate on the torus and accumulate the
     per-step displacement with compensated summation; other words iterate
     in plane coordinates, and an expanding linear part raises RotorError.
-    A NaN mean raises NewtonDivergence.  threads > 1 splits the seeds over
-    a thread pool on the C backend, whose kernels release the GIL; the
-    numpy backend runs all seeds in one vectorized call.  The pool has at
-    most one thread per CPU this process may run on, whatever threads asks
-    for, and four chunks of seeds per thread; with one usable CPU it is a
-    pool of one over four chunks, so the chunked path runs on every
-    machine.  Results are the same for every thread count.  threads must
-    be an integer >= 1, else InvalidArgument is raised.
+    A NaN mean raises NewtonDivergence.  On the C backend threads > 1 cuts
+    the seeds into blocks that one kernel call runs on as many threads,
+    each block with its own memo: min(threads, seeds, max(2, usable CPUs))
+    blocks, so with one usable CPU threads > 1 still runs two blocks and
+    the split path runs on every machine.  The numpy backend runs all seeds
+    in one vectorized call.  Results are the same for every thread count.
+    threads must be an integer >= 1, else InvalidArgument is raised.
     """
     _check_count(threads, 1, "threads")
     seeds = np.ascontiguousarray(_as_points(seeds, "orbit seeds"))
     lw, plane_mode, args = _orbit_program(w, n)
-
-    def run(chunk):
-        return _kernels.orbit_mean_batch(chunk, n, plane_mode, *args)
-
-    if threads <= 1 or len(seeds) < 2 or _kernels.get_backend() != "c":
-        means = run(seeds)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(threads, _usable_cpus())
-        chunks = np.array_split(seeds, min(workers * 4, len(seeds)))
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            means = np.concatenate(list(ex.map(run, chunks)), axis=0)
+    blocks = int(min(threads, len(seeds), max(2, _usable_cpus())))
+    means = _kernels.orbit_mean_batch(seeds, n, plane_mode, *args,
+                                      threads=blocks)
     _check_orbit(lw, means)
     return means
 

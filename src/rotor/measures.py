@@ -124,8 +124,17 @@ class EmpiricalMeasure:
             if header != ["x", "y", "weight"]:
                 raise InvalidArgument("expected header x,y,weight")
             for row in rd:
-                pts.append((float(row[0]), float(row[1])))
-                w.append(float(row[2]))
+                where = "line %d of %s" % (rd.line_num, path)
+                if len(row) != 3:
+                    raise InvalidArgument("%s: expected 3 cells x,y,weight, "
+                                          "got %d" % (where, len(row)))
+                try:
+                    x, y, weight = (float(cell) for cell in row)
+                except ValueError:
+                    raise InvalidArgument("%s: a cell is not a number: %r"
+                                          % (where, row)) from None
+                pts.append((x, y))
+                w.append(weight)
         return cls(pts, w)
 
     def __repr__(self):

@@ -23,10 +23,12 @@ from rotor.errors import InvalidArgument
 from rotor.fixed_points import find_fixed_points, fixed_point_index
 from rotor.geometry import (convex_hull, hausdorff_distance, hull_centroid,
                             hull_diameter, point_to_hull_distance)
-from rotor.maps import (LiftedWord, apply_torus_batch,
-                        displacement_field_batch, linear_part,
-                        orbit_displacement_means, orbit_mean_with_tail,
-                        orbit_segment, reduce_point, torus_grid, trig_term)
+from rotor.maps import (LiftedWord, apply_torus_batch, commutator,
+                        commutator_lift, compose, compose_lift,
+                        displacement_field_batch, inverse, inverse_lift,
+                        linear_part, orbit_displacement_means,
+                        orbit_mean_with_tail, orbit_segment, reduce_point,
+                        torus_grid, trig_term)
 from rotor.measures import (EmpiricalMeasure, birkhoff_mean,
                             estimate_rotation_set, irrotational_lift,
                             krylov_bogolyubov, rotation_vector)
@@ -174,6 +176,15 @@ BAD_WORD_CALLS = {
         lambda: orbit_displacement_means("h", SEEDS, 10),
     "find_fixed_points('h')": lambda: find_fixed_points("h"),
     "rotation_vector(mu, 3)": lambda: rotation_vector(GRID, 3),
+    "compose('h', w)": lambda: compose("h", SKEW),
+    "linear_part('h')": lambda: linear_part("h"),
+    "inverse(3)": lambda: inverse(3),
+    "commutator(w, None)": lambda: commutator(SKEW, None),
+    "w * 'h'": lambda: SKEW * "h",
+    "compose_lift('h', lw)": lambda: compose_lift("h", LiftedWord(SKEW)),
+    "inverse_lift(w)": lambda: inverse_lift(SKEW),
+    "commutator_lift(lw, None)":
+        lambda: commutator_lift(LiftedWord(SKEW), None),
 }
 
 # the kernels a point or a word reaches once it is read, under every name

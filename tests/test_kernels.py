@@ -359,48 +359,34 @@ def test_c_memo_allocation_failure_is_a_memory_error(monkeypatch,
 @needs_c
 def test_orbit_pool_is_capped_at_the_usable_cpus(monkeypatch,
                                                  restore_backend):
-    # a stub pool records its size and runs the chunks inline, so no
-    # thread is started whatever the request
-    import concurrent.futures
+    # a spy records the block count orbit_displacement_means hands to the
+    # kernel, which then runs at most three threads
+    real = _kernels.orbit_mean_batch
+    blocks = []
 
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.chunks = 0
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            chunks = list(chunks)
-            self.chunks = len(chunks)
-            return map(fn, chunks)
+    def spy(*args, threads=1):
+        blocks.append(threads)
+        return real(*args, threads=threads)
 
     _kernels.set_backend("c")
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(_kernels, "orbit_mean_batch", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     w = G.word("skew mix'")
     seeds = torus_grid(16)
     one = orbit_displacement_means(w, seeds, 20)
-    assert pools == []
     many = orbit_displacement_means(w, seeds, 20, threads=100000)
-    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 12)]
+    assert blocks == [1, 3]
     assert many.tobytes() == one.tobytes()
-    # with one usable CPU threads > 1 still runs the chunked path, in a
-    # pool of one, so thread_determinism compares it on every machine
+    # with one usable CPU threads > 1 still splits the seeds, into two
+    # blocks, so thread_determinism compares a split run on every machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    pools.clear()
     eight = orbit_displacement_means(w, seeds, 20, threads=8)
-    assert [(p.max_workers, p.chunks) for p in pools] == [(1, 4)]
+    lone = orbit_displacement_means(w, seeds[:1], 20, threads=8)
+    assert blocks == [1, 3, 2, 1]
     assert eight.tobytes() == one.tobytes()
+    assert lone.tobytes() == one[:1].tobytes()
 
 
 # each bad input with the exact class it raises, named <lambda>0 to
@@ -695,6 +681,15 @@ def _build_orbit_library(tmp_path, opt, *extra):
     return lib
 
 
+def _split_orbit_outputs(pts, n, plane_mode, prog, threads):
+    # the mean, tail and path of _orbit_mean_c over threads blocks of pts
+    tail = np.empty((4, len(pts), 2))
+    path = np.empty((5, len(pts), 2))
+    mean = _kernels._orbit_mean_c(pts, n, plane_mode, tail, path, *prog,
+                                  threads=threads)
+    return [mean, tail, path]
+
+
 def _c_outputs(lib, monkeypatch):
     # orbit means and plane evaluations, edge values included, run on lib
     monkeypatch.setattr(_kernels, "_LIB", lib)
@@ -706,11 +701,13 @@ def _c_outputs(lib, monkeypatch):
     for word in ("twist", "dehn", "h skew'", "irrskew"):
         w = cat.word(word)
         _, plane_mode, prog = maps._orbit_program(w, 40)
-        tail = np.empty((4, len(pts), 2))
-        path = np.empty((5, len(pts), 2))
-        out += [_kernels._orbit_mean_c(pts, 40, plane_mode, tail, path,
-                                       *prog), tail, path,
-                _kernels._apply_word_c(pts, *prog)]
+        out += _split_orbit_outputs(pts, 40, plane_mode, prog, 1)
+        out.append(_kernels._apply_word_c(pts, *prog))
+        # each block of seeds writes its own rows of tail and path
+        for threads in (2, 3, 7):
+            split = _split_orbit_outputs(pts, 40, plane_mode, prog, threads)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(split, out[-4:-1])), (word, threads)
     # Newton solves that repeat their iterates from point to point
     grid = torus_grid(64)
     for word in ("h skew h'", "h'"):
@@ -732,6 +729,48 @@ def test_optimisation_level_changes_no_bit(tmp_path, monkeypatch,
         got = _c_outputs(_build_orbit_library(tmp_path, opt), monkeypatch)
         assert len(got) == len(want) == 18 + 2 * len(AFFINE_EDGES)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), opt
+
+
+# makes every pthread_create of a build that includes it first fail, as it
+# does when the system is out of threads, and counts the attempts
+_NO_THREAD_HEADER = """\
+#include <errno.h>
+#include <pthread.h>
+#include <stdint.h>
+int64_t create_calls;
+static int no_thread(pthread_t *id, const pthread_attr_t *attr,
+                     void *(*run)(void *), void *arg)
+{
+    (void)id, (void)attr, (void)run, (void)arg;
+    create_calls++;
+    return EAGAIN;
+}
+#define pthread_create no_thread
+"""
+
+
+@pytest.mark.skipif(_kernels.C_UNAVAILABLE is not None,
+                    reason="C backend unavailable: %s" % _kernels.C_UNAVAILABLE)
+def test_blocks_without_a_thread_run_on_the_caller(tmp_path, monkeypatch,
+                                                   restore_backend):
+    _kernels.set_backend("c")
+    header = tmp_path / "no_thread.h"
+    header.write_text(_NO_THREAD_HEADER)
+    loaded = _kernels._LIB
+    lib = _build_orbit_library(tmp_path, "-O2", "-include", str(header))
+    calls = ctypes.c_int64.in_dll(lib, "create_calls")
+    pts = np.random.default_rng(9).uniform(-2.0, 3.0, (23, 2))
+    for word in ("h skew'", "dehn"):
+        _, plane_mode, prog = maps._orbit_program(build_catalog().word(word),
+                                                  30)
+        monkeypatch.setattr(_kernels, "_LIB", loaded)
+        want = _split_orbit_outputs(pts, 30, plane_mode, prog, 1)
+        monkeypatch.setattr(_kernels, "_LIB", lib)
+        for threads in (2, 5):
+            calls.value = 0
+            got = _split_orbit_outputs(pts, 30, plane_mode, prog, threads)
+            assert calls.value == threads - 1
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 # counts every sin and cos call of a build that includes it first
@@ -915,7 +954,9 @@ def test_build_cache_and_fallback_without_compiler(tmp_path):
 
 @needs_c
 def test_orbit_source_compiles_cleanly(tmp_path):
-    cmd = ["cc", *_kernels._CFLAGS, "-std=c99", "-Wall", "-Wextra", "-Werror",
-           "-o", str(tmp_path / "orbit.so"), _kernels._C_SOURCE, "-lm"]
+    # the package's flags with every common warning an error
+    cmd = ["cc", *_kernels._CFLAGS, "-std=c99", "-Wall", "-Wextra",
+           "-Wpedantic", "-Werror", "-o", str(tmp_path / "orbit.so"),
+           _kernels._C_SOURCE, "-lm"]
     out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

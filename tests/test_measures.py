@@ -107,6 +107,18 @@ def test_bad_csv_header_raises_invalid_argument(tmp_path):
         EmpiricalMeasure.from_csv(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0.1,0.2,1.0\n0.3,zz,1.0\n", "line 3 .*not a number"),
+    ("0.1,0.2,1.0\n0.3,0.4\n", "line 3 .*3 cells"),
+    ("0.1,0.2,1.0,7\n", "line 2 .*3 cells"),
+])
+def test_bad_csv_rows_raise_invalid_argument(tmp_path, rows, message):
+    path = tmp_path / "mu.csv"
+    path.write_text("x,y,weight\n" + rows)
+    with pytest.raises(InvalidArgument, match=message):
+        EmpiricalMeasure.from_csv(path)
+
+
 def test_a_lone_pair_is_one_atom_and_one_seed():
     assert EmpiricalMeasure((1.25, -0.5)).atoms == [((0.25, 0.5), 1.0)]
     lw = LiftedWord(G.by_name("irr"))
