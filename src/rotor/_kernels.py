@@ -1,66 +1,37 @@
-"""Word-program kernels: the one map evaluator and the one orbit loop.
+"""Word-program kernels: dispatch between the "c" and "numpy" backends.
 
-A word program is the tuple built in maps.compile_program: per-letter
-(slot, mode) plus per-slot linear matrices and trig-term ranges, the
-_Program struct that points the C loops at those arrays, and the deck
-translation (vx, vy).  mode 0 applies the slot's map forward, mode 1 solves
-it backward by Newton iteration; a Newton failure surfaces as NaN
-coordinates and the callers raise.
+A word program is a Program: per-letter (slot, mode), per-slot linear
+matrices and trig-term ranges, built once per word by maps.compile_program.
+Every kernel takes it with the deck translation (vx, vy).  mode 0 applies
+the slot's map forward, mode 1 solves it backward by Newton iteration; a
+Newton failure surfaces as NaN coordinates and the callers raise.
 
 Every kernel has two backends that run the same float operations in the
 same order: "c", the loops of _orbit.c run one point at a time through
-ctypes; and "numpy", the same loops vectorized over a batch of points.
-Their results are bit-identical wherever numpy's sin and cos round like the
-C library's.  The C word step also keeps, per letter position and trig
-term, the bits of the term's last argument and its sin and cos values, and
-reuses them when the next argument has the same bits, or copies them from
-the same term at the letter's twin: the position of the same slot and mode
-that ran most recently before it, wrapping across word steps.  A Newton
-letter also keeps each term's argument and values per iteration, which the
-next solve reads at the same iteration: on torus_grid points, which share x
-from one point to the next, the h' of "h skew h'" repeats its iterates,
-and the grid scan calls sin and cos a few thousand times instead of
-640,000.  This changes no result, since sin and cos are functions of
-those bits.  Each C call, and each block of seeds of a threaded orbit
-call, allocates its own memo, and a failed allocation raises MemoryError.
-The C step also takes x - floor(x) as x + 0.0 on [+0, 1), where floor(x)
-is +0, and skips it for a letter without terms; both give the same bits,
--0.0 included, since x + 0.0 and -0.0 - floor(-0.0) are both +0.0.
-apply_word evaluates a program on a batch of plane points; it is the
-evaluator behind maps.apply_lift_batch, and rejects points that are not
-finite with InvalidArgument before it evaluates any, by a check of its own:
-maps._as_points would add microseconds to each call.  grid_merge, the one
-atom merge of the measures, reduces atoms to the torus and sums their
-weights per grid cell; its backends agree bit for bit everywhere, since it
-calls no trig.  affine_orbit, the scan of averaging.bounded_orbit_check,
-steps the affine orbit rho -> A(rho + w) forward and rho -> A^-1 rho - w
-backward in plain floats; its backends also agree bit for bit everywhere,
-since both take the class entries as doubles and make the same products and
-sums (the C build keeps them unfused).  Its numpy backend is the plain
-Python loop.  At import the C file is built with the system compiler (cc)
-into this package's __pycache__, once per source and flags, and loaded; "c"
-is then the default.  Without a compiler, or when the build or the load
-fails, the backend is "numpy" and C_UNAVAILABLE says why.  set_backend()
-switches at runtime.
+ctypes; and "numpy", the same loops vectorized over a batch of points,
+which are the reference the C loops are tested against.  Their results are
+bit-identical wherever numpy's sin and cos round like the C library's; the
+shortcuts of the C word step (its memo, its fractional part and its thread
+blocks) change no bit, and the header of _orbit.c explains why.
 
-Each backend has one orbit loop, orbit_mean in C and _orbit_mean_np, over a
-batch of seeds.  It holds the plane/torus split and the compensated
-summation, fills a tail array with the running means of the last steps, and
-a path array with the points the last steps start from; an empty array
-records nothing.  Plane mode iterates the unreduced lift and reads the mean
-off its travel; torus mode reduces every step and sums the per-step
-displacements.  The C loop cuts its seeds into as many contiguous blocks
-as orbit_mean_batch's threads asks for: the calling thread runs the first,
-a pthread each of the others, and the call returns once all have finished.
-A block changes only which memo serves a seed, so no bit depends on the
-count; the numpy loop ignores it.  orbit_mean_batch and orbit_mean_tail
-record no path, and the tail spread is computed once, in the
-orbit_mean_tail dispatch, for both backends.  orbit_collect is the same
-loop in torus mode, over burn + count steps, recording the last count
-points of its path.
+apply_word evaluates a program on a batch of plane points and rejects
+points that are not finite with InvalidArgument before it evaluates any,
+by a check of its own: maps._as_points would add microseconds to each
+call.  orbit_mean_batch, orbit_mean_tail and orbit_collect run the one
+orbit loop of each backend (orbit_mean in C, _orbit_mean_np) over a batch
+of seeds, in plane mode (the unreduced lift, its mean read off its travel)
+or torus mode (every step reduced, the per-step displacements summed with
+compensation); the tail spread is computed once, in orbit_mean_tail.
+grid_merge, the one atom merge of the measures, and affine_orbit, the scan
+of averaging.bounded_orbit_check, call no trig, so their backends agree bit
+for bit everywhere.
 
-The seam snap and the Newton tolerance and step budget are defined here once,
-shared by maps and passed to the C build as macros.
+At import the C file is built with the system compiler (cc) into this
+package's __pycache__, once per source and flags, and loaded; "c" is then
+the default.  Without a compiler, or when the build or the load fails, the
+backend is "numpy" and C_UNAVAILABLE says why.  set_backend() switches at
+runtime.  The seam snap and the Newton tolerance and step budget are
+defined here once, shared by maps and passed to the C build as macros.
 """
 
 import ctypes
@@ -87,29 +58,31 @@ _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "_orbit.c")
 
 
-# the arrays of a word program, in compile_program order, with their dtypes
+# the arrays of a word program, in _orbit.c's struct order, with dtypes
 _PROGRAM_ARRAYS = [("slot", np.int64), ("mode", np.int64), ("lin", float),
                    ("lin_inv", float), ("tstart", np.int64),
                    ("tend", np.int64), ("amps", float), ("fkx", float),
                    ("fky", float), ("phase", float), ("row", np.int64)]
 
 
-class _Program(ctypes.Structure):
-    """The `program` struct of _orbit.c."""
+class Program(ctypes.Structure):
+    """The `program` struct of _orbit.c, holding the arrays it points to as
+    attributes named as in _PROGRAM_ARRAYS (p.slot, p.lin, ...); len(p) is
+    its letter count.  Never written once built, so the lifts of a word
+    and the threads of an orbit_mean call share it."""
     _fields_ = ([("nletters", ctypes.c_int64)]
-                + [(name, ctypes.c_void_p) for name, _ in _PROGRAM_ARRAYS])
+                + [("_" + name, ctypes.c_void_p)
+                   for name, _ in _PROGRAM_ARRAYS])
 
+    def __init__(self, **arrays):
+        arrays = {name: np.ascontiguousarray(arrays[name], dtype)
+                  for name, dtype in _PROGRAM_ARRAYS}
+        super().__init__(len(arrays["slot"]),
+                         *(a.ctypes.data for a in arrays.values()))
+        vars(self).update(arrays)
 
-def c_program(arrays) -> _Program:
-    """The _Program of a word program's arrays; it holds the arrays it
-    points to.  Built once per compiled letter sequence and never written
-    afterwards, so lifts and the threads of an orbit_mean call can share
-    it."""
-    arrays = [np.ascontiguousarray(a, dtype)
-              for a, (_, dtype) in zip(arrays, _PROGRAM_ARRAYS)]
-    out = _Program(len(arrays[0]), *(a.ctypes.data for a in arrays))
-    out.arrays = arrays
-    return out
+    def __len__(self):
+        return self.nletters
 
 
 def _load_c():
@@ -151,7 +124,7 @@ def _load_c():
     except OSError as exc:
         return None, str(exc)
     # every entry point ends with (program, vx, vy, out)
-    tail = [ctypes.POINTER(_Program), ctypes.c_double, ctypes.c_double,
+    tail = [ctypes.POINTER(Program), ctypes.c_double, ctypes.c_double,
             ctypes.c_void_p]
     lib.apply_batch.argtypes = [ctypes.c_void_p, ctypes.c_int64, *tail]
     lib.orbit_mean.argtypes = [
@@ -199,10 +172,10 @@ def _no_memo(status):
     return status
 
 
-def _apply_word_c(pts, *prog):
+def _apply_word_c(pts, prog, vx, vy):
     out = np.empty_like(pts)
     # apply_batch checks every point before it evaluates any
-    if _no_memo(_LIB.apply_batch(pts.ctypes.data, len(pts), *prog[-3:],
+    if _no_memo(_LIB.apply_batch(pts.ctypes.data, len(pts), prog, vx, vy,
                                  out.ctypes.data)):
         raise InvalidArgument(_NOT_FINITE)
     return out
@@ -218,7 +191,7 @@ def _steps_address(a, seeds):
     return a.ctypes.data if len(a) else None
 
 
-def _orbit_mean_c(seeds, n, plane_mode, tail, path, *prog, threads=1):
+def _orbit_mean_c(seeds, n, plane_mode, tail, path, prog, vx, vy, threads=1):
     # same arguments and result as _orbit_mean_np, with the seeds cut into
     # `threads` blocks; the checks bound every index the C loop touches
     seeds = np.ascontiguousarray(seeds, dtype=float)
@@ -228,7 +201,7 @@ def _orbit_mean_c(seeds, n, plane_mode, tail, path, *prog, threads=1):
     _no_memo(_LIB.orbit_mean(seeds.ctypes.data, len(seeds), n, plane_mode,
                              _steps_address(tail, seeds), len(tail),
                              _steps_address(path, seeds), len(path),
-                             threads, *prog[-3:], out.ctypes.data))
+                             threads, prog, vx, vy, out.ctypes.data))
     return out
 
 
@@ -277,50 +250,46 @@ def _grid_merge_np(pts, w, scale, cells):
     return ordered[first] / scale, np.bincount(cell, weights=w)
 
 
-def _apply_word_np(pts, slot, mode, lin, lin_inv, tstart, tend,
-                   amps, fkx, fky, phase, row, c_prog, vx, vy):
-    # c_prog, the same program for the C loops, is not read here
+def _apply_word_np(pts, p, vx, vy):
     x = pts[:, 0]
     y = pts[:, 1]
-    for li in range(len(slot) - 1, -1, -1):
-        s = slot[li]
-        if mode[li] == 0:
-            x, y = _forward_np(x, y, s, lin, tstart, tend, amps, fkx, fky,
-                               phase, row)
+    for li in range(len(p) - 1, -1, -1):
+        s = p.slot[li]
+        if p.mode[li] == 0:
+            x, y = _forward_np(x, y, s, p)
         else:
-            x, y = _newton_np(x, y, s, lin, lin_inv, tstart, tend, amps, fkx,
-                              fky, phase, row)
+            x, y = _newton_np(x, y, s, p)
     out = np.empty((len(x), 2))
     np.add(x, vx, out=out[:, 0])
     np.add(y, vy, out=out[:, 1])
     return out
 
 
-def _terms_np(x, y, s, tstart, tend, amps, fkx, fky, phase, row):
+def _terms_np(x, y, s, p):
     rx = x - np.floor(x)
     ry = y - np.floor(y)
     dx = np.zeros_like(x)
     dy = np.zeros_like(y)
-    for t in range(tstart[s], tend[s]):
-        v = amps[t] * np.sin(_TWO_PI * (fkx[t] * rx + fky[t] * ry) + phase[t])
-        if row[t] == 0:
+    for t in range(p.tstart[s], p.tend[s]):
+        v = p.amps[t] * np.sin(_TWO_PI * (p.fkx[t] * rx + p.fky[t] * ry)
+                               + p.phase[t])
+        if p.row[t] == 0:
             dx += v
         else:
             dy += v
     return dx, dy
 
 
-def _forward_np(x, y, s, lin, tstart, tend, amps, fkx, fky, phase, row):
-    dx, dy = _terms_np(x, y, s, tstart, tend, amps, fkx, fky, phase, row)
-    ax = lin[s, 0, 0] * x + lin[s, 0, 1] * y + dx
-    ay = lin[s, 1, 0] * x + lin[s, 1, 1] * y + dy
+def _forward_np(x, y, s, p):
+    dx, dy = _terms_np(x, y, s, p)
+    ax = p.lin[s, 0, 0] * x + p.lin[s, 0, 1] * y + dx
+    ay = p.lin[s, 1, 0] * x + p.lin[s, 1, 1] * y + dy
     return ax, ay
 
 
-def _newton_np(qx, qy, s, lin, lin_inv, tstart, tend, amps, fkx, fky,
-               phase, row):
-    px = lin_inv[s, 0, 0] * qx + lin_inv[s, 0, 1] * qy
-    py = lin_inv[s, 1, 0] * qx + lin_inv[s, 1, 1] * qy
+def _newton_np(qx, qy, s, p):
+    px = p.lin_inv[s, 0, 0] * qx + p.lin_inv[s, 0, 1] * qy
+    py = p.lin_inv[s, 1, 0] * qx + p.lin_inv[s, 1, 1] * qy
     ok = np.zeros(px.shape, dtype=bool)
     for _ in range(_NEWTON_MAX):
         rx = px - np.floor(px)
@@ -331,30 +300,30 @@ def _newton_np(qx, qy, s, lin, lin_inv, tstart, tend, amps, fkx, fky,
         j01 = np.zeros_like(px)
         j10 = np.zeros_like(px)
         j11 = np.zeros_like(px)
-        for t in range(tstart[s], tend[s]):
-            arg = _TWO_PI * (fkx[t] * rx + fky[t] * ry) + phase[t]
-            sv = amps[t] * np.sin(arg)
-            cv = amps[t] * np.cos(arg) * _TWO_PI
-            if row[t] == 0:
+        for t in range(p.tstart[s], p.tend[s]):
+            arg = _TWO_PI * (p.fkx[t] * rx + p.fky[t] * ry) + p.phase[t]
+            sv = p.amps[t] * np.sin(arg)
+            cv = p.amps[t] * np.cos(arg) * _TWO_PI
+            if p.row[t] == 0:
                 dx += sv
-                j00 += cv * fkx[t]
-                j01 += cv * fky[t]
+                j00 += cv * p.fkx[t]
+                j01 += cv * p.fky[t]
             else:
                 dy += sv
-                j10 += cv * fkx[t]
-                j11 += cv * fky[t]
-        fx = lin[s, 0, 0] * px + lin[s, 0, 1] * py + dx - qx
-        fy = lin[s, 1, 0] * px + lin[s, 1, 1] * py + dy - qy
+                j10 += cv * p.fkx[t]
+                j11 += cv * p.fky[t]
+        fx = p.lin[s, 0, 0] * px + p.lin[s, 0, 1] * py + dx - qx
+        fy = p.lin[s, 1, 0] * px + p.lin[s, 1, 1] * py + dy - qy
         ok = np.maximum(np.abs(fx), np.abs(fy)) < _NEWTON_TOL
         if ok.all():
             return px, py
         # a point whose residual is NaN can only end NaN
         if (ok | np.isnan(fx) | np.isnan(fy)).all():
             break
-        a00 = lin[s, 0, 0] + j00
-        a01 = lin[s, 0, 1] + j01
-        a10 = lin[s, 1, 0] + j10
-        a11 = lin[s, 1, 1] + j11
+        a00 = p.lin[s, 0, 0] + j00
+        a01 = p.lin[s, 0, 1] + j01
+        a10 = p.lin[s, 1, 0] + j10
+        a11 = p.lin[s, 1, 1] + j11
         det = a00 * a11 - a01 * a10
         det[det == 0.0] = np.nan
         act = ~ok
@@ -365,7 +334,7 @@ def _newton_np(qx, qy, s, lin, lin_inv, tstart, tend, amps, fkx, fky,
     return px, py
 
 
-def _orbit_mean_np(seeds, n, plane_mode, tail, path, *prog):
+def _orbit_mean_np(seeds, n, plane_mode, tail, path, prog, vx, vy):
     # tail and path have shape (steps, m, 2); _orbit.c's orbit_mean runs the
     # same loop
     start, first = n - len(tail), n - len(path)
@@ -376,7 +345,7 @@ def _orbit_mean_np(seeds, n, plane_mode, tail, path, *prog):
         for k in range(1, n + 1):
             if k > first:
                 path[k - first - 1] = p
-            q = _apply_word_np(p, *prog)
+            q = _apply_word_np(p, prog, vx, vy)
             if plane_mode:
                 p = q
                 acc = p - seeds
@@ -422,17 +391,17 @@ def _affine_orbit_np(x0, y0, w1, w2, mat, inv, P):
 # dispatch
 
 
-def apply_word(pts, *prog):
+def apply_word(pts, prog, vx, vy):
     """The lift of a word program at plane points pts (m, 2).  A point that
     is not finite raises InvalidArgument before any point is evaluated."""
     pts = np.ascontiguousarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidArgument("points must have shape (m, 2)")
     if _BACKEND == "c":
-        return _apply_word_c(pts, *prog)
+        return _apply_word_c(pts, prog, vx, vy)
     if not np.isfinite(pts).all():
         raise InvalidArgument(_NOT_FINITE)
-    return _apply_word_np(pts, *prog)
+    return _apply_word_np(pts, prog, vx, vy)
 
 
 def grid_merge(points, weights, scale: float, cells: int):
@@ -452,40 +421,40 @@ def grid_merge(points, weights, scale: float, cells: int):
     return merge(pts, w, float(scale), int(cells))
 
 
-def _orbit_mean(seeds, n, plane_mode, tail, path, *args, threads=1):
+def _orbit_mean(seeds, n, plane_mode, tail, path, prog, vx, vy, threads=1):
     # the numpy loop ignores threads
     if _BACKEND == "c":
-        return _orbit_mean_c(seeds, n, plane_mode, tail, path, *args,
-                             threads=threads)
-    return _orbit_mean_np(seeds, n, plane_mode, tail, path, *args)
+        return _orbit_mean_c(seeds, n, plane_mode, tail, path, prog, vx, vy,
+                             threads)
+    return _orbit_mean_np(seeds, n, plane_mode, tail, path, prog, vx, vy)
 
 
-def orbit_mean_batch(seeds, n, plane_mode, *args, threads=1):
+def orbit_mean_batch(seeds, n, plane_mode, prog, vx, vy, *, threads=1):
     """The n-step displacement means of seeds (m, 2).  The C loop cuts the
     seeds into `threads` contiguous blocks and runs them on as many threads,
     each block with its own memo."""
     none = np.empty((0, len(seeds), 2))
-    return _orbit_mean(seeds, n, plane_mode, none, none, *args,
-                       threads=threads)
+    return _orbit_mean(seeds, n, plane_mode, none, none, prog, vx, vy,
+                       threads)
 
 
-def orbit_mean_tail(sx, sy, n, plane_mode, *args):
+def orbit_mean_tail(sx, sy, n, plane_mode, prog, vx, vy):
     """The mean of one orbit and the largest distance from it of the running
     means over the last max(1, n//10) steps."""
     tail = np.empty((max(1, n // 10), 1, 2))
     mx, my = _orbit_mean(np.array([[sx, sy]]), n, plane_mode, tail,
-                         np.empty((0, 1, 2)), *args)[0]
+                         np.empty((0, 1, 2)), prog, vx, vy)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         spread = np.hypot(tail[:, 0, 0] - mx, tail[:, 0, 1] - my).max()
     return float(mx), float(my), float(spread)
 
 
-def orbit_collect(sx, sy, burn, count, *args):
+def orbit_collect(sx, sy, burn, count, prog, vx, vy):
     """Torus orbit points w^burn(p), ..., w^(burn+count-1)(p) of p = (sx, sy),
     shape (count, 2): the path of the orbit loop in torus mode."""
     path = np.empty((count, 1, 2))
     _orbit_mean(np.array([[sx, sy]]), burn + count, False,
-                np.empty((0, 1, 2)), path, *args)
+                np.empty((0, 1, 2)), path, prog, vx, vy)
     return path.reshape(count, 2)
 
 

@@ -35,10 +35,11 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* A compiled word program; see maps._compile_letters for the layout.
- * One program is shared by every lift of its word and by the threads of an
- * orbit_mean call, so it is never written: the deck translation (vx, vy)
- * is an argument. */
+/* A compiled word program: the fields of _kernels.Program, which holds the
+ * arrays under the same names (see maps._compile_letters for their
+ * content).  One program is shared by every lift of its word and by the
+ * threads of an orbit_mean call, so it is never written: the deck
+ * translation (vx, vy) is an argument. */
 typedef struct {
     int64_t nletters;
     const int64_t *slot, *mode;

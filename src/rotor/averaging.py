@@ -28,9 +28,10 @@ import numpy as np
 from ._kernels import affine_orbit, grid_merge
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
                      InvalidArgument, RotorError)
-from .maps import (Word, _as_lift, _as_point, _check_count, _check_positive,
-                   _require_identity, apply_torus_batch, commutator_lift,
-                   inverse as word_inverse, inverse_lift, linear_part)
+from .maps import (Word, _as_lift, _as_point, _check_count, _check_kind,
+                   _check_positive, _require_identity, apply_torus_batch,
+                   commutator_lift, inverse as word_inverse, inverse_lift,
+                   linear_part)
 from .mcg import MCGClass, check_condition_star_star
 from .measures import (EmpiricalMeasure, _trig_moments, invariance_defect,
                        pushforward, rotation_vector)
@@ -177,6 +178,7 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     DefectExceeded; a bad L or tol raises InvalidArgument before any work.
     """
     phi = _require_identity(phi, "tracked word")
+    _check_kind(mu0, EmpiricalMeasure, "construct_invariant")
     _check_count(L, 1, "L")
     _check_positive(tol, "tol")
 
@@ -254,6 +256,7 @@ def rotev_residual(g, h, mu: EmpiricalMeasure, p) -> np.ndarray:
     """
     g = _as_lift(g)
     h = _require_identity(h)
+    _check_kind(mu, EmpiricalMeasure, "rotev_residual")
     single, powers = _powers(p)
     a = linear_part(g.word)
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import NotSigmaEquivariant
 from .maps import (Generator, LiftedWord, MapGroup, Word, _as_lift,
-                   _as_points, _check_count, _check_integral,
-                   _check_positive, apply_torus_batch, reduce_batch,
-                   torus_grid, trig_term)
+                   _as_points, _check_count, _check_finite, _check_integral,
+                   _check_kind, _check_positive, _read_terms,
+                   apply_torus_batch, reduce_batch, torus_grid, trig_term)
 from .mcg import MCGClass
 from .measures import EmpiricalMeasure, rotation_vector
 
@@ -74,6 +74,7 @@ def rho_bar(mu: EmpiricalMeasure, lw,
     sigma_tol, a finite number > 0, is checked before any evaluation.
     """
     _check_positive(sigma_tol, "sigma_tol")
+    _check_kind(mu, EmpiricalMeasure, "rho_bar")
     base = _as_lift(lw)
     defect = check_sigma_commute(base.word)
     if not defect < sigma_tol:
@@ -92,6 +93,7 @@ def klein_symmetrize(mu: EmpiricalMeasure) -> EmpiricalMeasure:
     invariant, and its rotation vector has second coordinate zero: the
     computable shadow of averaging over the deck involution.
     """
+    _check_kind(mu, EmpiricalMeasure, "klein_symmetrize")
     pts = np.concatenate([np.asarray(mu.points), sigma_apply(mu.points)])
     w = np.concatenate([mu.weights, mu.weights]) * 0.5
     return EmpiricalMeasure(pts, w)
@@ -104,8 +106,9 @@ def annulus_term(amplitude: float, k: int = 0, phase: float = 0.0,
                  ypow: int = 0):
     """One displacement term amplitude*sin(2pi*k*x + phase)*t^ypow."""
     _check_count(ypow, 0, "ypow")
-    return (float(amplitude), _check_integral(k, "frequency must be integral"),
-            float(phase), int(ypow))
+    return (_check_finite(amplitude, "amplitude"),
+            _check_integral(k, "frequency must be integral"),
+            _check_finite(phase, "phase"), int(ypow))
 
 
 class AnnulusMapSpec:
@@ -113,7 +116,8 @@ class AnnulusMapSpec:
     in x and polynomial in t."""
 
     def __init__(self, a_terms: Sequence = ()):
-        self.a_terms = tuple(annulus_term(*t) for t in a_terms)
+        self.a_terms = _read_terms(a_terms, annulus_term,
+                                   "(amplitude[, k, phase, ypow])")
 
 
 def _t_power_cosine_coeffs(p: int) -> List[float]:

@@ -33,9 +33,9 @@ import numpy as np
 from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                      NonIsolated)
 from .maps import (LiftedWord, Word, _as_lift, _as_point, _check_count,
-                   _check_positive, _require_identity, apply_lift_batch,
-                   displacement_field_batch, orbit_displacement_means,
-                   reduce_point, torus_grid)
+                   _check_kind, _check_positive, _require_identity,
+                   apply_lift_batch, displacement_field_batch,
+                   orbit_displacement_means, reduce_point, torus_grid)
 from .measures import EmpiricalMeasure, invariance_defect, rotation_vector
 
 __all__ = [
@@ -445,6 +445,7 @@ def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
     case contradict nothing, because the implication runs one way.
     """
     _check_scan(grid_n, tol)
+    _check_kind(mu, EmpiricalMeasure, "franks_certificate")
     lw = _as_lift(w)
     defect = invariance_defect(w, mu)
     if not defect < tol:

@@ -20,7 +20,7 @@ from . import _kernels
 from ._kernels import _NEWTON_MAX, _NEWTON_TOL, reduce_batch
 from .errors import (InvalidArgument, NewtonDivergence,
                      NotIsotopicToIdentity, RotorError)
-from .mcg import MCGClass, spectral_class
+from .mcg import MCGClass, _check_integral, _check_kind, spectral_class
 
 __all__ = [
     "Generator",
@@ -56,15 +56,26 @@ def torus_grid(k: int) -> np.ndarray:
 
 
 def trig_term(amplitude: float, kx: int, ky: int, phase: float = 0.0):
-    """One displacement term amplitude*sin(2pi*(kx*x + ky*y) + phase)."""
+    """One displacement term amplitude*sin(2pi*(kx*x + ky*y) + phase), with
+    a finite amplitude and phase and integral frequencies."""
     msg = "frequencies must be integers"
-    return (float(amplitude), _check_integral(kx, msg),
-            _check_integral(ky, msg), float(phase))
+    return (_check_finite(amplitude, "amplitude"), _check_integral(kx, msg),
+            _check_integral(ky, msg), _check_finite(phase, "phase"))
 
 
 def constant_term(value: float):
     # sin(pi/2) = 1 turns a term into a constant offset
-    return (float(value), 0, 0, math.pi / 2)
+    return (_check_finite(value, "constant"), 0, 0, math.pi / 2)
+
+
+def _read_terms(terms, make, form: str) -> tuple:
+    # terms as tuples of make's arguments; a term of the wrong length, or
+    # terms that are not a sequence of tuples, would leak TypeError
+    try:
+        return tuple(make(*t) for t in terms)
+    except TypeError:
+        raise InvalidArgument("terms must be tuples %s, not %r"
+                              % (form, terms)) from None
 
 
 class Generator:
@@ -81,12 +92,14 @@ class Generator:
     def __init__(self, name: str, linear: MCGClass, disp_x=(), disp_y=(),
                  _derive: bool = True):
         self.name = str(name)
+        _check_kind(linear, MCGClass, "Generator")
         if max(map(abs, (linear.a, linear.b, linear.c, linear.d))) > 2 ** 53:
             # the float linear parts hold integers exactly only up to 2**53
             raise RotorError("linear part has an entry above 2**53")
         self.linear = linear
-        self.disp_x = tuple(trig_term(*t) for t in disp_x)
-        self.disp_y = tuple(trig_term(*t) for t in disp_y)
+        form = "(amplitude, kx, ky[, phase])"
+        self.disp_x = _read_terms(disp_x, trig_term, form)
+        self.disp_y = _read_terms(disp_y, trig_term, form)
 
         row_x = sum(abs(a) * 2.0 * math.pi * (abs(kx) + abs(ky))
                     for a, kx, ky, _ in self.disp_x)
@@ -122,7 +135,8 @@ class MapGroup:
     """Finitely generated group of torus maps; group elements are Words."""
 
     def __init__(self, generators: Sequence[Generator]):
-        self.generators = tuple(generators)
+        self.generators = tuple(_check_kind(g, Generator, "MapGroup")
+                                for g in generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise RotorError("generator names must be distinct")
@@ -223,15 +237,6 @@ class LiftedWord:
         return "LiftedWord(%r, v=%r)" % (self.word, self.extra_translation)
 
 
-def _check_kind(value, kind, what: str):
-    # the one type check of the word algebra's words and lifts: a string or
-    # a number would leak AttributeError from deep inside
-    if not isinstance(value, kind):
-        raise InvalidArgument("%s needs a %s, not %r"
-                              % (what, kind.__name__, value))
-    return value
-
-
 def compose(w1: Word, w2: Word) -> Word:
     _check_kind(w1, Word, "compose")
     _check_kind(w2, Word, "compose")
@@ -300,10 +305,10 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     Newton solve fails raises NewtonDivergence.
     """
     lw = _as_lift(lw)
-    args = compile_program(lw)
-    out = _kernels.apply_word(pts, *args)
-    # args[1] holds the letter modes; only Newton letters (mode 1) emit NaN
-    if args[1].any() and np.isnan(out).any():
+    prog, vx, vy = compile_program(lw)
+    out = _kernels.apply_word(pts, prog, vx, vy)
+    # only Newton letters (mode 1) emit NaN
+    if prog.mode.any() and np.isnan(out).any():
         raise _divergence(lw)
     return out
 
@@ -339,10 +344,9 @@ def _divergence(lw) -> NewtonDivergence:
 # compiled word programs for the word and orbit kernels
 
 
-def _compile_letters(letters) -> tuple:
-    """Flatten (Generator, sign) letters into the form the kernels consume:
-    the arrays (slot, mode, lin, lin_inv, tstart, tend, amps, fkx, fky,
-    phase, row), then the C struct over them.  The last letter acts first.
+def _compile_letters(letters) -> _kernels.Program:
+    """Flatten (Generator, sign) letters into the Program the kernels
+    consume.  The last letter acts first.
 
     Inverse letters of generators carrying an explicit inverse are rewritten
     as forward letters (mode 0) of that inverse; the remaining inverse
@@ -375,26 +379,26 @@ def _compile_letters(letters) -> tuple:
             terms.extend(disp)
             row.extend([r] * len(disp))
         tend[i] = len(terms)
-    amps, fkx, fky, phase = np.array(terms, dtype=float).reshape(-1, 4).T.copy()
-    arrays = (np.array(slot, dtype=np.int64), np.array(mode, dtype=np.int64),
-              lin, lin_inv, tstart, tend, amps, fkx, fky, phase,
-              np.array(row, dtype=np.int64))
-    return arrays + (_kernels.c_program(arrays),)
+    amps, fkx, fky, phase = np.array(terms, dtype=float).reshape(-1, 4).T
+    return _kernels.Program(slot=slot, mode=mode, lin=lin, lin_inv=lin_inv,
+                            tstart=tstart, tend=tend, amps=amps, fkx=fkx,
+                            fky=fky, phase=phase, row=row)
 
 
 def _run_letters(letters, pts: np.ndarray) -> np.ndarray:
-    return _kernels.apply_word(pts, *_compile_letters(letters), 0.0, 0.0)
+    return _kernels.apply_word(pts, _compile_letters(letters), 0.0, 0.0)
 
 
 def compile_program(lw) -> tuple:
-    """The kernel arguments of a lifted word: its compiled letters (see
-    _compile_letters) followed by the deck translation (vx, vy).
+    """The kernel arguments (program, vx, vy) of a lifted word: its letters
+    compiled to a _kernels.Program (see _compile_letters), and its deck
+    translation.
 
     The letters are compiled once per group and reduced letter sequence;
-    words built afresh on every call (commutators, transports) reuse them,
-    C struct included.  The struct is never written after it is built, so
-    lifts of one word that differ by their deck translation, and the
-    threads of one orbit kernel call, share it safely.
+    words built afresh on every call (commutators, transports) reuse them.
+    A Program is never written after it is built, so lifts of one word
+    that differ by their deck translation, and the threads of one orbit
+    kernel call, share it safely.
     """
     lw = _as_lift(lw)
     programs = lw.word.group._programs
@@ -404,7 +408,7 @@ def compile_program(lw) -> tuple:
         prog = programs[lw.word.letters] = _compile_letters(
             [(gens[i], sign) for i, sign in lw.word.letters])
     v = lw.extra_translation
-    return prog + (float(v[0]), float(v[1]))
+    return prog, float(v[0]), float(v[1])
 
 
 def _as_points(values, what: str) -> np.ndarray:
@@ -442,23 +446,23 @@ def _check_count(value, least: int, what: str) -> None:
         raise InvalidArgument("%s must be an integer >= %d" % (what, least))
 
 
+def _check_finite(value, what: str) -> float:
+    # the one check of term amplitudes and phases: a NaN would read as a
+    # Lipschitz bound of 0 and certify a generator whose maps return NaN
+    try:
+        if isinstance(value, Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise InvalidArgument("%s must be a finite number, not %r"
+                          % (what, value))
+
+
 def _check_positive(value, what: str) -> None:
     # the one check of tolerances and radii: NaN, inf, zero, a negative
     # value or a non-number would make every comparison with it meaningless
     if not (isinstance(value, Real) and 0.0 < value < math.inf):
         raise InvalidArgument("%s must be a finite number > 0" % what)
-
-
-def _check_integral(value, message: str) -> int:
-    # the one check of frequencies and deck translations: 2.0 passes, as
-    # the scenario parser reads numbers as floats; NaN, inf, strings and
-    # fractions raise
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidArgument(message)
 
 
 def _orbit_program(w, n: int):

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotNilpotent, NotUnimodular, RotorError
+from .errors import InvalidArgument, NotNilpotent, NotUnimodular, RotorError
 
 __all__ = [
     "MCGClass",
@@ -28,16 +28,41 @@ __all__ = [
 ]
 
 
+def _check_kind(value, kind, what: str):
+    # the one type check of words, lifts, classes, generators and measures:
+    # a string, a number or None would leak AttributeError from deep inside
+    if not isinstance(value, kind):
+        raise InvalidArgument("%s expects %s, not %r"
+                              % (what, kind.__name__, value))
+    return value
+
+
+def _check_integral(value, message: str) -> int:
+    # the one check of class entries, frequencies and deck translations:
+    # 2.0 passes, as the scenario parser reads numbers as floats; NaN, inf,
+    # None, strings and fractions raise
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidArgument(message)
+
+
 class MCGClass:
     """Integer 2x2 matrix with determinant +1 or -1, acting on column vectors.
 
-    Entries are Python ints, so products of any size stay exact.
+    Entries are Python ints, so products of any size stay exact; an entry
+    that is not integral raises InvalidArgument.
     """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        a, b, c, d = int(a), int(b), int(c), int(d)
+        # ints first: products in closure and criterion 1 skip the check
+        if not type(a) is type(b) is type(c) is type(d) is int:
+            a, b, c, d = (_check_integral(v, "class entries must be integers")
+                          for v in (a, b, c, d))
         if a * d - b * c not in (1, -1):
             raise NotUnimodular("det = %d" % (a * d - b * c))
         self.a = a
@@ -69,6 +94,7 @@ class MCGClass:
         return t == (1, 0, 0, 1) or t == (-1, 0, 0, -1)
 
     def __mul__(self, other: "MCGClass") -> "MCGClass":
+        _check_kind(other, MCGClass, "a class product")
         return MCGClass(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -175,6 +201,7 @@ class FiniteIndexReport:
 
 def spectral_class(A: MCGClass) -> SpectralClass:
     """Exact (trace, det) tag plus float eigenvalues; RotorError on overflow."""
+    _check_kind(A, MCGClass, "spectral_class")
     t, d = A.trace, A.det
     disc = t * t - 4 * d
     try:
@@ -223,6 +250,7 @@ def torsion_order(A: MCGClass) -> Optional[int]:
     Finite orders in GL(2,Z) lie in {1,2,3,4,6} (crystallographic restriction),
     so powering up to 6 decides the question.
     """
+    _check_kind(A, MCGClass, "torsion_order")
     p = _ID
     for k in range(1, 7):
         p = p * A
@@ -242,7 +270,7 @@ def closure(gens):
     """
     step = []
     for g in gens:
-        step.append(g)
+        step.append(_check_kind(g, MCGClass, "closure"))
         step.append(g.inverse())
     seen = {_ID}
     frontier = [_ID]

@@ -20,7 +20,7 @@ import numpy as np
 from ._kernels import grid_merge
 from .errors import InvalidArgument
 from .geometry import convex_hull, hull_centroid, hull_diameter
-from .maps import (LiftedWord, Word, _as_points, _check_count,
+from .maps import (LiftedWord, Word, _as_points, _check_count, _check_kind,
                    _check_positive, _require_identity, apply_lift_batch,
                    apply_torus_batch, orbit_displacement_means,
                    orbit_mean_with_tail, orbit_segment, reduce_point,
@@ -190,6 +190,7 @@ def pushforward(w: Word, mu: EmpiricalMeasure) -> EmpiricalMeasure:
     The atoms are canonical, so they are lifted as they are; the measure
     reduces the image.
     """
+    _check_kind(mu, EmpiricalMeasure, "pushforward")
     return EmpiricalMeasure(apply_lift_batch(w, mu.points), mu.weights)
 
 
@@ -201,6 +202,7 @@ def rotation_vector(mu: EmpiricalMeasure, lw) -> np.ndarray:
     translation is added once at the end, so shifting the lift by an
     integer vector shifts the result by exactly that vector.
     """
+    _check_kind(mu, EmpiricalMeasure, "rotation_vector")
     base = _require_identity(lw)
     # canonical atoms are their own torus representatives
     disp = apply_lift_batch(LiftedWord(base.word), mu.points) - mu.points
@@ -231,6 +233,7 @@ def invariance_defect(w: Word, mu: EmpiricalMeasure,
     moments, when given, are mu's own test integrals (_trig_moments), so a
     table of defects of one measure computes them once.
     """
+    _check_kind(mu, EmpiricalMeasure, "invariance_defect")
     image = apply_torus_batch(w, mu.points)
     before = (_trig_moments(mu.points, mu.weights) if moments is None
               else moments)

@@ -1,5 +1,5 @@
-"""Bad counts, tolerances, points and words raise InvalidArgument before
-any work.
+"""Bad counts, tolerances, points, words, measures, classes and terms
+raise InvalidArgument before any work.
 
 Each entry is one bad argument of one public callable.  The evaluators
 and constructors the callables would run next are replaced by a function
@@ -18,20 +18,26 @@ from rotor.averaging import (GroupSpec, bounded_orbit_check,
                              construct_invariant, rotev_residual)
 from rotor.catalog import (build_catalog, circle_measure,
                            horizontal_circle_measure)
-from rotor.covers import annulus_term, rho_bar, sigma_apply
+from rotor.covers import (annulus_term, klein_symmetrize, rho_bar,
+                          sigma_apply)
 from rotor.errors import InvalidArgument
-from rotor.fixed_points import find_fixed_points, fixed_point_index
+from rotor.fixed_points import (find_fixed_points, fixed_point_index,
+                                franks_certificate)
 from rotor.geometry import (convex_hull, hausdorff_distance, hull_centroid,
                             hull_diameter, point_to_hull_distance)
-from rotor.maps import (LiftedWord, apply_torus_batch, commutator,
-                        commutator_lift, compose, compose_lift,
-                        displacement_field_batch, inverse, inverse_lift,
-                        linear_part, orbit_displacement_means,
+from rotor.maps import (Generator, LiftedWord, MapGroup, apply_torus_batch,
+                        commutator, commutator_lift, compose, compose_lift,
+                        constant_term, displacement_field_batch, inverse,
+                        inverse_lift, linear_part, orbit_displacement_means,
                         orbit_mean_with_tail, orbit_segment, reduce_point,
                         torus_grid, trig_term)
+from rotor.mcg import (MCGClass, check_condition_star_star,
+                       classify_nilpotent, closure, spectral_class,
+                       torsion_order)
 from rotor.measures import (EmpiricalMeasure, birkhoff_mean,
-                            estimate_rotation_set, irrotational_lift,
-                            krylov_bogolyubov, rotation_vector)
+                            estimate_rotation_set, invariance_defect,
+                            irrotational_lift, krylov_bogolyubov,
+                            pushforward, rotation_vector)
 
 CAT = build_catalog()
 TR, SKEW, DEHN = (CAT.word(n) for n in ("tr", "skew", "dehn"))
@@ -187,6 +193,56 @@ BAD_WORD_CALLS = {
         lambda: commutator_lift(LiftedWord(SKEW), None),
 }
 
+# a measure argument that is not a measure once leaked AttributeError
+BAD_MEASURE_CALLS = {
+    "pushforward(w, None)": lambda: pushforward(TR, None),
+    "rotation_vector(list, w)": lambda: rotation_vector([(0.1, 0.2)], TR),
+    "invariance_defect(w, 'mu')": lambda: invariance_defect(TR, "mu"),
+    "klein_symmetrize(None)": lambda: klein_symmetrize(None),
+    "rho_bar(None, w)": lambda: rho_bar(None, SKEW),
+    "franks_certificate(w, None)": lambda: franks_certificate(TR, None),
+    "rotev_residual(g, h, None, 1)":
+        lambda: rotev_residual(DEHN, TR, None, 1),
+    "construct_invariant(spec, w, None)":
+        lambda: construct_invariant(GroupSpec((TR,)), TR, None),
+}
+
+# class entries that are not integral were truncated or leaked, and a
+# tuple where a class belongs leaked AttributeError
+ID = MCGClass.identity()
+BAD_CLASS_CALLS = {
+    "MCGClass(1.5, 0, 0, 1)": lambda: MCGClass(1.5, 0, 0, 1),
+    "MCGClass(nan, 0, 0, 1)": lambda: MCGClass(math.nan, 0, 0, 1),
+    "MCGClass(None, 0, 0, 1)": lambda: MCGClass(None, 0, 0, 1),
+    "bounded_orbit_check((1.5, 0, 1, 1))":
+        lambda: bounded_orbit_check((1.5, 0, 1, 1), (0, 0.3), (0, 0)),
+    "spectral_class(tuple)": lambda: spectral_class((1, 0, 0, 1)),
+    "torsion_order(None)": lambda: torsion_order(None),
+    "classify_nilpotent([tuple])": lambda: classify_nilpotent([(1, 0, 0, 1)]),
+    "closure([tuple])": lambda: closure([(1, 0, 0, 1)]),
+    "check_condition_star_star(['x'])":
+        lambda: check_condition_star_star(["x"]),
+    "identity * tuple": lambda: ID * (1, 0, 0, 1),
+    "Generator('g', tuple)": lambda: Generator("g", (1, 0, 0, 1)),
+}
+
+# a non-finite term built a "certified" generator that returned NaN; a
+# term of the wrong length or a group of non-generators leaked
+BAD_TERM_CALLS = {
+    "trig amplitude=nan": lambda: trig_term(math.nan, 1, 0),
+    "trig amplitude=inf": lambda: trig_term(math.inf, 1, 0),
+    "trig phase=nan": lambda: trig_term(0.1, 1, 0, math.nan),
+    "trig phase=-inf": lambda: trig_term(0.1, 1, 0, -math.inf),
+    "trig amplitude='a'": lambda: trig_term("a", 1, 0),
+    "constant nan": lambda: constant_term(math.nan),
+    "annulus amplitude=nan": lambda: annulus_term(math.nan),
+    "annulus phase=inf": lambda: annulus_term(0.1, 1, math.inf),
+    "Generator disp_y nan term":
+        lambda: Generator("g", ID, disp_y=[(math.nan, 1, 0)]),
+    "Generator one-number term": lambda: Generator("g", ID, disp_x=[(0.1,)]),
+    "MapGroup([1])": lambda: MapGroup([1]),
+}
+
 # the kernels a point or a word reaches once it is read, under every name
 # a rotor module holds them by
 KERNELS = ("apply_word", "orbit_mean_batch", "orbit_mean_tail",
@@ -194,7 +250,8 @@ KERNELS = ("apply_word", "orbit_mean_batch", "orbit_mean_tail",
 KERNEL_HOLDERS = (_kernels, maps, measures, averaging, covers, geometry,
                   fixed_points)
 
-BAD_ARGUMENT_CALLS = {**BAD_POINT_CALLS, **BAD_WORD_CALLS}
+BAD_ARGUMENT_CALLS = {**BAD_POINT_CALLS, **BAD_WORD_CALLS, **BAD_MEASURE_CALLS,
+                      **BAD_CLASS_CALLS, **BAD_TERM_CALLS}
 
 
 @pytest.mark.parametrize("call", list(BAD_ARGUMENT_CALLS.values()),
@@ -212,3 +269,10 @@ def test_bad_points_and_words_raise_before_any_kernel(call, backends,
         _kernels.set_backend(backend)
         with pytest.raises(InvalidArgument):
             call()
+
+
+def test_integral_floats_still_read_as_class_entries():
+    # the scenario parser reads numbers as floats
+    c = MCGClass(2.0, 1, np.int64(1), True)
+    assert c == MCGClass(2, 1, 1, 1)
+    assert all(type(v) is int for v in (c.a, c.b, c.c, c.d))

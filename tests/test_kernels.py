@@ -141,8 +141,8 @@ def test_c_kernels_match_numpy(restore_backend):
 
 
 def _struct(w):
-    # a compiled program is its 11 arrays, their C struct, then vx, vy
-    return compile_program(w)[11]
+    # a compiled program is its Program, then vx, vy
+    return compile_program(w)[0]
 
 
 def _catalog_lifts():
