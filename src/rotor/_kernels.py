@@ -16,10 +16,10 @@ blocks) change no bit, and the header of _orbit.c explains why.
 
 apply_word evaluates a program on a batch of plane points and rejects
 points that are not finite with InvalidArgument before it evaluates any,
-by a check of its own: maps._as_points would add microseconds to each
-call.  orbit_mean_batch, orbit_mean_tail and orbit_collect run the one
-orbit loop of each backend (orbit_mean in C, _orbit_mean_np) over a batch
-of seeds, in plane mode (the unreduced lift, its mean read off its travel)
+by a check of its own: _args.POINTS would add microseconds to each call.
+orbit_mean_batch, orbit_mean_tail and orbit_collect run the one orbit loop
+of each backend (orbit_mean in C, _orbit_mean_np) over a batch of seeds,
+in plane mode (the unreduced lift, its mean read off its travel)
 or torus mode (every step reduced, the per-step displacements summed with
 compensation); the tail spread is computed once, in orbit_mean_tail.
 grid_merge, the one atom merge of the measures, and affine_orbit, the scan

@@ -25,16 +25,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ._args import POINT, POSITIVE, Reader, count, each, fields, kind, reads
 from ._kernels import affine_orbit, grid_merge
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
                      InvalidArgument, RotorError)
-from .maps import (Word, _as_lift, _as_point, _check_count, _check_kind,
-                   _check_positive, _require_identity, apply_torus_batch,
+from .maps import (IDENTITY, LIFT, WORD, Word, apply_torus_batch,
                    commutator_lift, inverse as word_inverse, inverse_lift,
                    linear_part)
-from .mcg import MCGClass, check_condition_star_star
-from .measures import (EmpiricalMeasure, _trig_moments, invariance_defect,
-                       pushforward, rotation_vector)
+from .mcg import CLASS, MCGClass, check_condition_star_star
+from .measures import (MEASURE, EmpiricalMeasure, _trig_moments,
+                       invariance_defect, pushforward, rotation_vector)
 
 __all__ = [
     "GroupSpec",
@@ -66,9 +66,6 @@ class GroupSpec:
     extension_gens: Tuple[Tuple[Word, MCGClass], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "generators_G0", tuple(self.generators_G0))
-        object.__setattr__(self, "extension_gens", tuple(
-            (w, c) for w, c in self.extension_gens))
         for g in self.generators_G0:
             if not linear_part(g).is_identity():
                 raise ConfigError(
@@ -81,6 +78,12 @@ class GroupSpec:
 
     def extension_classes(self) -> Tuple[MCGClass, ...]:
         return tuple(c for _, c in self.extension_gens)
+
+
+# the dataclass's own __init__, declared: the readers hand it tuples
+GroupSpec.__init__ = reads(generators_G0=each(WORD), extension_gens=each(
+    fields(WORD, CLASS)))(GroupSpec.__init__)
+SPEC = kind(GroupSpec)
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,7 @@ def _defect_table(words: Dict[str, Word], mu: EmpiricalMeasure) -> Dict[str, flo
     return table
 
 
+@reads(spec=SPEC, phi=IDENTITY, mu0=MEASURE, L=count(1), tol=POSITIVE)
 def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
                         L: int = 256, tol: float = 1e-9,
                         force: bool = False) -> ConstructionTrace:
@@ -175,13 +179,8 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     condition (the mechanism that preserves rotation vectors); force=True
     runs anyway so the failure is observable in the trace.  A stage whose
     defect stays above 10*tol after doubling L _MAX_DOUBLINGS times raises
-    DefectExceeded; a bad L or tol raises InvalidArgument before any work.
+    DefectExceeded.
     """
-    phi = _require_identity(phi, "tracked word")
-    _check_kind(mu0, EmpiricalMeasure, "construct_invariant")
-    _check_count(L, 1, "L")
-    _check_positive(tol, "tol")
-
     base_words: Dict[str, Word] = {"phi": phi.word}
     for i, g in enumerate(spec.generators_G0):
         base_words["G0[%d]" % i] = g
@@ -229,7 +228,7 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
     return ConstructionTrace(stages)
 
 
-def _powers(p) -> Tuple[bool, List[int]]:
+def _powers(p, name) -> Tuple[bool, List[int]]:
     # (whether p is a single power, the powers as ints)
     single = isinstance(p, (int, Integral)) or not isinstance(p, Iterable)
     powers = [p] if single else list(p)
@@ -239,6 +238,7 @@ def _powers(p) -> Tuple[bool, List[int]]:
     return single, [int(q) for q in powers]
 
 
+@reads(g=LIFT, h=IDENTITY, mu=MEASURE, p=Reader("powers", _powers))
 def rotev_residual(g, h, mu: EmpiricalMeasure, p) -> np.ndarray:
     """Difference between the measured and the predicted rotation vector
     of h under the p-th pushforward of mu by g.
@@ -251,13 +251,9 @@ def rotev_residual(g, h, mu: EmpiricalMeasure, p) -> np.ndarray:
     one row per power, shape (k, 2).  A range of powers shares the work:
     mu is pushed step by step along each sign, and each rotation vector
     and each [g]^k c is computed once, so every row has the bits of the
-    single-power call.  A power that is not an integer raises
-    InvalidArgument before any pushforward.
+    single-power call.
     """
-    g = _as_lift(g)
-    h = _require_identity(h)
-    _check_kind(mu, EmpiricalMeasure, "rotev_residual")
-    single, powers = _powers(p)
+    single, powers = p
     a = linear_part(g.word)
 
     rho_h = rotation_vector(mu, h)
@@ -310,6 +306,7 @@ class OrbitCheck:
     max_norm: float
 
 
+@reads(g_class=CLASS, rho0=POINT, w=POINT, P=count(0))
 def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck:
     """Scan the affine orbit rho_p = [g]^p rho0 + sum_{k<=p} [g]^k w over
     p in [-P, P] and report whether it stays bounded.
@@ -317,17 +314,13 @@ def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck
     The orbit is either constant or unbounded for the classes of interest;
     the bounded flag uses the threshold 10*(1 + |rho0| + |w|), far above
     any constant orbit and far below a linearly growing one at P=1000.
-    rho0 and w must be finite points, P an integer >= 0, else InvalidArgument
-    is raised; P=0 scans rho0 alone.  Raises RotorError when the threshold is
-    not finite.  The scan runs in the kernel backend (_kernels.affine_orbit);
+    P=0 scans rho0 alone.  Raises RotorError when the threshold is not
+    finite.  The scan runs in the kernel backend (_kernels.affine_orbit);
     both backends step in plain floats in the order of MCGClass.apply, so every
     backend gives the same bits.  An orbit that overflows has max_norm inf.
     """
-    _check_count(P, 0, "P")
-    if not isinstance(g_class, MCGClass):
-        g_class = MCGClass(*g_class)
-    x0, y0 = _as_point(rho0, "rho0")
-    w1, w2 = _as_point(w, "w")
+    x0, y0 = rho0
+    w1, w2 = w
     with np.errstate(over="ignore", invalid="ignore"):
         bound = 10.0 * (1.0 + float(np.hypot(x0, y0))
                         + float(np.hypot(w1, w2)))

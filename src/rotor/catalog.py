@@ -15,9 +15,9 @@ from typing import List
 
 import numpy as np
 
+from ._args import FINITE, count, optional, reads
 from .covers import AnnulusMapSpec, annulus_term, doubled_displacement_terms
-from .maps import (Generator, MapGroup, Word, _check_count, constant_term,
-                   trig_term)
+from .maps import GROUP, Generator, MapGroup, Word, constant_term, trig_term
 from .mcg import MCGClass
 from .measures import EmpiricalMeasure
 
@@ -71,17 +71,18 @@ def build_catalog() -> MapGroup:
     return MapGroup(gens)
 
 
+@reads(x0=FINITE, atoms=count(1))
 def circle_measure(x0: float, atoms: int = 16) -> EmpiricalMeasure:
     """Uniform atoms on the vertical circle x = x0."""
-    _check_count(atoms, 1, "atoms")
     return EmpiricalMeasure([(x0, j / atoms) for j in range(atoms)])
 
 
+@reads(y0=FINITE, atoms=count(1))
 def horizontal_circle_measure(y0: float, atoms: int = 16) -> EmpiricalMeasure:
-    _check_count(atoms, 1, "atoms")
     return EmpiricalMeasure([(j / atoms, y0) for j in range(atoms)])
 
 
+@reads(n=count(1))
 def orbit_measure(n: int = 2048) -> EmpiricalMeasure:
     """Orbit of the irrational translation; invariance defect ~ 1/n."""
     k = np.arange(n)
@@ -98,6 +99,7 @@ class FranksCase:
     measure: EmpiricalMeasure
 
 
+@reads(group=optional(GROUP))
 def franks_cases(group: MapGroup = None) -> List[FranksCase]:
     """Every catalog pair the fixed-point consistency sweep runs over.
 

@@ -37,7 +37,7 @@ from .catalog import build_catalog
 from .covers import check_sigma_commute, klein_symmetrize, rho_bar
 from .errors import ConfigError, RotorError
 from .fixed_points import common_fixed_points, franks_certificate
-from .maps import LiftedWord, _as_points, torus_grid
+from .maps import LiftedWord, torus_grid
 from .mcg import (H_LIST, check_condition_star_star, has_nontrivial_unity_root,
                   spectral_class, torsion_order)
 from .measures import estimate_rotation_set, invariance_defect
@@ -59,12 +59,11 @@ _SUBCOMMAND_KIND = {
 
 def _hull_svg(vertices: np.ndarray) -> str:
     """A closed polyline of the hull, y axis pointing up."""
-    v = _as_points(vertices, "vertices")
-    xmin, ymin = v.min(axis=0)
-    xmax, ymax = v.max(axis=0)
+    xmin, ymin = vertices.min(axis=0)
+    xmax, ymax = vertices.max(axis=0)
     span = max(xmax - xmin, ymax - ymin, 1e-3)
     pad = 0.1 * span
-    closed = np.vstack([v, v[:1]])
+    closed = np.vstack([vertices, vertices[:1]])
     pts = " ".join("%s,%s" % (_f(x), _f(-y)) for x, y in closed)
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" '

@@ -21,13 +21,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ._args import (EXACT_INT, FINITE, POINTS, POSITIVE, TEXT, count, each,
+                    fields, kind, reads, terms)
+from ._kernels import reduce_batch
 from .errors import NotSigmaEquivariant
-from .maps import (Generator, LiftedWord, MapGroup, Word, _as_lift,
-                   _as_points, _check_count, _check_finite, _check_integral,
-                   _check_kind, _check_positive, _read_terms,
-                   apply_torus_batch, reduce_batch, torus_grid, trig_term)
+from .maps import (LIFT, Generator, LiftedWord, MapGroup, Word,
+                   apply_torus_batch, torus_grid, trig_term)
 from .mcg import MCGClass
-from .measures import EmpiricalMeasure, rotation_vector
+from .measures import MEASURE, EmpiricalMeasure, rotation_vector
 
 __all__ = [
     "AnnulusMapSpec",
@@ -42,9 +43,9 @@ __all__ = [
 ]
 
 
+@reads(pts=POINTS)
 def sigma_apply(pts: np.ndarray) -> np.ndarray:
     """The involution (x, y) -> (x + 1/2, -y) on torus representatives."""
-    pts = _as_points(pts, "points")
     out = np.column_stack([pts[:, 0] + 0.5, -pts[:, 1]])
     return reduce_batch(out)
 
@@ -55,6 +56,7 @@ def _torus_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(d[:, 0], d[:, 1])
 
 
+@reads(w=LIFT)
 def check_sigma_commute(w: Word) -> float:
     """Max torus distance between f(sigma(p)) and sigma(f(p)) on the
     64 x 64 grid."""
@@ -64,6 +66,7 @@ def check_sigma_commute(w: Word) -> float:
     return float(_torus_gap(left, right).max())
 
 
+@reads(mu=MEASURE, lw=LIFT, sigma_tol=POSITIVE)
 def rho_bar(mu: EmpiricalMeasure, lw,
             sigma_tol: float = 1e-9) -> Tuple[float, float]:
     """The Klein rotation invariant (a mod 1, |b|) of a lifted word.
@@ -71,21 +74,18 @@ def rho_bar(mu: EmpiricalMeasure, lw,
     The x component of the deck translation never enters, so replacing
     the lift by T_(m,0) composed with it leaves both coordinates bitwise
     unchanged; the y component shifts b before the absolute value.
-    sigma_tol, a finite number > 0, is checked before any evaluation.
     """
-    _check_positive(sigma_tol, "sigma_tol")
-    _check_kind(mu, EmpiricalMeasure, "rho_bar")
-    base = _as_lift(lw)
-    defect = check_sigma_commute(base.word)
+    defect = check_sigma_commute(lw.word)
     if not defect < sigma_tol:
         raise NotSigmaEquivariant(
             "rho_bar needs a sigma-commuting word; defect %.3e" % defect)
-    rho0 = rotation_vector(mu, LiftedWord(base.word))
+    rho0 = rotation_vector(mu, LiftedWord(lw.word))
     a = float(rho0[0]) % 1.0
-    b = float(rho0[1]) + base.extra_translation[1]
+    b = float(rho0[1]) + lw.extra_translation[1]
     return (a, abs(b))
 
 
+@reads(mu=MEASURE)
 def klein_symmetrize(mu: EmpiricalMeasure) -> EmpiricalMeasure:
     """The sigma-symmetric measure (mu + sigma_*mu)/2.
 
@@ -93,7 +93,6 @@ def klein_symmetrize(mu: EmpiricalMeasure) -> EmpiricalMeasure:
     invariant, and its rotation vector has second coordinate zero: the
     computable shadow of averaging over the deck involution.
     """
-    _check_kind(mu, EmpiricalMeasure, "klein_symmetrize")
     pts = np.concatenate([np.asarray(mu.points), sigma_apply(mu.points)])
     w = np.concatenate([mu.weights, mu.weights]) * 0.5
     return EmpiricalMeasure(pts, w)
@@ -102,22 +101,23 @@ def klein_symmetrize(mu: EmpiricalMeasure) -> EmpiricalMeasure:
 # --- annulus doubling
 
 
+@reads(amplitude=FINITE, k=EXACT_INT, phase=FINITE, ypow=count(0))
 def annulus_term(amplitude: float, k: int = 0, phase: float = 0.0,
                  ypow: int = 0):
     """One displacement term amplitude*sin(2pi*k*x + phase)*t^ypow."""
-    _check_count(ypow, 0, "ypow")
-    return (_check_finite(amplitude, "amplitude"),
-            _check_integral(k, "frequency must be integral"),
-            _check_finite(phase, "phase"), int(ypow))
+    return (amplitude, k, phase, int(ypow))
 
 
 class AnnulusMapSpec:
     """A fiber-preserving map (x + a(x, t), t) of S^1 x [0,1], with a trig
     in x and polynomial in t."""
 
+    @reads(a_terms=terms(annulus_term))
     def __init__(self, a_terms: Sequence = ()):
-        self.a_terms = _read_terms(a_terms, annulus_term,
-                                   "(amplitude[, k, phase, ypow])")
+        self.a_terms = a_terms
+
+
+ANNULUS = kind(AnnulusMapSpec)
 
 
 def _t_power_cosine_coeffs(p: int) -> List[float]:
@@ -137,6 +137,7 @@ def _t_power_cosine_coeffs(p: int) -> List[float]:
     return c
 
 
+@reads(spec=ANNULUS)
 def doubled_displacement_terms(spec: "AnnulusMapSpec") -> List[tuple]:
     """The trig terms of the doubled map's x displacement, ready to drop
     into a Generator; the caller picks the group."""
@@ -161,6 +162,7 @@ def doubled_displacement_terms(spec: "AnnulusMapSpec") -> List[tuple]:
             for (kx, ky, ph), a in sorted(acc.items()) if a != 0.0]
 
 
+@reads(named_specs=each(fields(TEXT, ANNULUS)))
 def double_annulus_family(named_specs) -> MapGroup:
     """Double several annulus maps into one shared group so their
     doubles compose as words."""
@@ -171,6 +173,7 @@ def double_annulus_family(named_specs) -> MapGroup:
     return MapGroup(gens)
 
 
+@reads(spec=ANNULUS, name=TEXT)
 def double_annulus(spec: AnnulusMapSpec, name: str = "doubled") -> Word:
     """Mirror-double an annulus map into a torus word.
 

@@ -30,13 +30,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._args import POINT, POSITIVE, Reader, count, each, reads
 from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                      NonIsolated)
-from .maps import (LiftedWord, Word, _as_lift, _as_point, _check_count,
-                   _check_kind, _check_positive, _require_identity,
-                   apply_lift_batch, displacement_field_batch,
-                   orbit_displacement_means, reduce_point, torus_grid)
-from .measures import EmpiricalMeasure, invariance_defect, rotation_vector
+from .maps import (IDENTITY, LIFT, LiftedWord, Word, apply_lift_batch,
+                   displacement_field_batch, orbit_displacement_means,
+                   reduce_point, torus_grid)
+from .measures import (MEASURE, EmpiricalMeasure, invariance_defect,
+                       rotation_vector)
 
 __all__ = [
     "FixedChain",
@@ -117,12 +118,16 @@ class FixedPointReport:
                     w.writerow([k, repr(x), repr(y)])
 
 
-def _lift_list(ws) -> List[LiftedWord]:
+_EACH_LIFT = each(LIFT)
+
+
+def _lifts(ws, name) -> Tuple[LiftedWord, ...]:
+    # one word or lift, or a nonempty iterable of them
     if isinstance(ws, (Word, LiftedWord)):
         ws = [ws]
-    lifts = [_as_lift(w) for w in ws]
+    lifts = _EACH_LIFT.read(ws, name)
     if not lifts:
-        raise InvalidArgument("need at least one word")
+        raise InvalidArgument("%s needs at least one word" % name)
     return lifts
 
 
@@ -298,12 +303,6 @@ def _local_min_seeds(norms: np.ndarray, exclude: np.ndarray) -> List[Tuple[int, 
     return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
-def _check_scan(grid_n, tol) -> None:
-    # the arguments of a scan, checked before any evaluation
-    _check_count(grid_n, 8, "grid_n")
-    _check_positive(tol, "tol")
-
-
 def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
     pts = torus_grid(grid_n)
     axis = pts[::grid_n, 0]
@@ -344,18 +343,18 @@ def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
     return report
 
 
+@reads(w=IDENTITY, grid_n=count(8), tol=POSITIVE)
 def find_fixed_points(w: Word, grid_n: int = 64, tol: float = 1e-9) -> FixedPointReport:
     """Fixed points of the torus map of w at the given grid resolution.
 
     Connected runs of at least eight near-zero cells come back as
     sampled chains (curves of fixed points); everything else is Newton
-    refined and deduplicated within 10*tol.  grid_n is an integer >= 8
-    and tol a finite number > 0.
+    refined and deduplicated within 10*tol.
     """
-    _check_scan(grid_n, tol)
-    return _scan([_require_identity(w)], grid_n, tol)
+    return _scan([w], grid_n, tol)
 
 
+@reads(ws=Reader("lifts", _lifts), grid_n=count(8), tol=POSITIVE)
 def common_fixed_points(ws, grid_n: int = 64, tol: float = 1e-9) -> FixedPointReport:
     """Points fixed simultaneously by every word in ws.
 
@@ -363,28 +362,23 @@ def common_fixed_points(ws, grid_n: int = 64, tol: float = 1e-9) -> FixedPointRe
     fixed points are still the zeros of the lattice residual, and the
     reflection generator of the key examples is exactly such a word.
     """
-    _check_scan(grid_n, tol)
-    return _scan(_lift_list(ws), grid_n, tol)
+    return _scan(ws, grid_n, tol)
 
 
+@reads(w=LIFT, p=POINT, radius=POSITIVE, samples=count(8))
 def fixed_point_index(w: Word, p, radius: float = 0.05, samples: int = 256) -> int:
     """Winding number of the displacement field along a circle around p.
 
     The total angular increment must land within 0.1 of a full multiple
-    of 2*pi, and no single increment may approach a half turn.  samples
-    is an integer >= 8 and radius a finite number > 0.
+    of 2*pi, and no single increment may approach a half turn.
     """
-    _check_count(samples, 8, "samples")
-    _check_positive(radius, "radius")
-    lw = _as_lift(w)
-    p = _as_point(p, "p")
-    at_p = displacement_field_batch(lw, p)[0]
+    at_p = displacement_field_batch(w, p)[0]
     deck = np.round(at_p)
 
     theta = 2.0 * math.pi * np.arange(samples) / samples
     circle = np.column_stack([p[0] + radius * np.cos(theta),
                               p[1] + radius * np.sin(theta)])
-    field = displacement_field_batch(lw, circle) - deck
+    field = displacement_field_batch(w, circle) - deck
     norms = np.hypot(field[:, 0], field[:, 1])
     if float(norms.min()) < _VANISH:
         raise NonIsolated(
@@ -436,6 +430,7 @@ class FranksReport:
         }
 
 
+@reads(w=LIFT, mu=MEASURE, tol=POSITIVE, grid_n=count(8))
 def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
                        grid_n: int = 64) -> FranksReport:
     """Empirical check of the zero-rotation-vector fixed point criterion.
@@ -444,15 +439,12 @@ def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
     vector makes the hypothesis vacuous, and fixed points found in that
     case contradict nothing, because the implication runs one way.
     """
-    _check_scan(grid_n, tol)
-    _check_kind(mu, EmpiricalMeasure, "franks_certificate")
-    lw = _as_lift(w)
     defect = invariance_defect(w, mu)
     if not defect < tol:
         raise DefectExceeded(
             "measure is not invariant enough: defect %.3e, tol %.3e"
             % (defect, tol))
-    rho = rotation_vector(mu, lw)
+    rho = rotation_vector(mu, w)
     nearest = (int(round(rho[0])), int(round(rho[1])))
     dist = math.hypot(rho[0] - nearest[0], rho[1] - nearest[1])
     hypothesis_met = dist < tol
@@ -463,13 +455,13 @@ def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
     pick = np.unique(np.linspace(0, len(mu.points) - 1,
                                  min(len(mu.points), 8)).round().astype(int))
     seeds = mu.points[pick]
-    means = orbit_displacement_means(lw, seeds, 512)
+    means = orbit_displacement_means(w, seeds, 512)
     spread = 0.0
     for i in range(len(means)):
         for j in range(i + 1, len(means)):
             spread = max(spread, float(np.hypot(*(means[i] - means[j]))))
 
-    fp = _scan([lw], grid_n, tol if tol > 1e-12 else 1e-9)
+    fp = _scan([w], grid_n, tol if tol > 1e-12 else 1e-9)
     found = not fp.is_empty()
 
     samples: List[Tuple[float, float]] = [e.point for e in fp.points]

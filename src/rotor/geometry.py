@@ -2,9 +2,7 @@
 
 Rotation-set estimates are routinely single points or straight segments, so
 the hull code must handle 0-, 1- and 2-dimensional hulls without joggling.
-Vertices returned are always a subset of the input points.  Point and
-vertex sets are (m, 2) arrays or one (2,) pair of finite coordinates; any
-other shape, or a coordinate that is not finite, raises InvalidArgument.
+Vertices returned are always a subset of the input points.
 """
 
 from __future__ import annotations
@@ -13,20 +11,20 @@ import math
 
 import numpy as np
 
-from .maps import _as_point, _as_points
+from ._args import POINT, POINTS, reads
 
 __all__ = ["convex_hull", "hull_diameter", "hull_centroid",
            "point_to_hull_distance", "hausdorff_distance"]
 
 
+@reads(points=POINTS)
 def convex_hull(points) -> np.ndarray:
     """Ordered (counter-clockwise) hull vertices; Andrew's monotone chain.
 
     Collinear interior points are dropped.  Degenerate inputs give 1 or 2
     vertices.
     """
-    pts = _as_points(points, "points")
-    uniq = sorted({(float(x), float(y)) for x, y in pts})
+    uniq = sorted({(float(x), float(y)) for x, y in points})
     if len(uniq) <= 2:
         return np.array(uniq, dtype=float).reshape(-1, 2)
 
@@ -50,17 +48,17 @@ def convex_hull(points) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
+@reads(vertices=POINTS)
 def hull_diameter(vertices) -> float:
-    v = _as_points(vertices, "vertices")
-    if len(v) <= 1:
+    if len(vertices) <= 1:
         return 0.0
-    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((vertices[:, None, :] - vertices[None, :, :]) ** 2).sum(axis=2)
     return float(math.sqrt(d2.max()))
 
 
+@reads(vertices=POINTS)
 def hull_centroid(vertices) -> np.ndarray:
-    v = _as_points(vertices, "vertices")
-    return v.mean(axis=0)
+    return vertices.mean(axis=0)
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -84,9 +82,9 @@ def _point_in_convex(p, v) -> bool:
     return True
 
 
+@reads(p=POINT, vertices=POINTS)
 def point_to_hull_distance(p, vertices) -> float:
-    v = _as_points(vertices, "vertices")
-    p = _as_point(p, "p")
+    v = vertices
     if len(v) == 0:
         return math.inf
     if len(v) <= 2:
@@ -97,14 +95,13 @@ def point_to_hull_distance(p, vertices) -> float:
                for i in range(len(v)))
 
 
+@reads(vertices_a=POINTS, vertices_b=POINTS)
 def hausdorff_distance(vertices_a, vertices_b) -> float:
     """Hausdorff distance between two convex polygons given by vertices.
 
     For convex sets the supremum of d(., other) is attained at a vertex, so
     checking vertices of each side against the other polygon is exact.
     """
-    a = _as_points(vertices_a, "vertices_a")
-    b = _as_points(vertices_b, "vertices_b")
-    d1 = max(point_to_hull_distance(p, b) for p in a)
-    d2 = max(point_to_hull_distance(p, a) for p in b)
+    d1 = max(point_to_hull_distance(p, vertices_b) for p in vertices_a)
+    d2 = max(point_to_hull_distance(p, vertices_a) for p in vertices_b)
     return float(max(d1, d2))

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import math
 import os
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import _NEWTON_MAX, _NEWTON_TOL, reduce_batch
+from ._args import (EXACT_INT, FINITE, POINT, POINTS, Reader, count, each,
+                    fields, kind, reads, terms)
+from ._kernels import _NEWTON_MAX, _NEWTON_TOL
 from .errors import (InvalidArgument, NewtonDivergence,
                      NotIsotopicToIdentity, RotorError)
-from .mcg import MCGClass, _check_integral, _check_kind, spectral_class
+from .mcg import CLASS, MCGClass, spectral_class
 
 __all__ = [
     "Generator",
@@ -42,40 +44,38 @@ __all__ = [
     "constant_term",
 ]
 
+# the kernel's own reduce_batch stays bare for the package's hot paths
+reduce_batch = reads(pts=POINTS)(_kernels.reduce_batch)
+
+
+@reads(p=POINT)
 def reduce_point(p) -> Tuple[float, float]:
     """Canonical torus representative in [0,1)^2, with a snap at the seam."""
-    x, y = reduce_batch(np.array(_as_point(p, "p")))
+    x, y = _kernels.reduce_batch(np.array(p))
     return (float(x), float(y))
 
 
+@reads(k=count(1))
 def torus_grid(k: int) -> np.ndarray:
     """The k*k grid points (i/k, j/k), i-major ("ij" order), shape (k*k, 2)."""
-    _check_count(k, 1, "grid size")
     axis = np.arange(k) / k
     return np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
 
 
+@reads(amplitude=FINITE, kx=EXACT_INT, ky=EXACT_INT, phase=FINITE)
 def trig_term(amplitude: float, kx: int, ky: int, phase: float = 0.0):
     """One displacement term amplitude*sin(2pi*(kx*x + ky*y) + phase), with
     a finite amplitude and phase and integral frequencies."""
-    msg = "frequencies must be integers"
-    return (_check_finite(amplitude, "amplitude"), _check_integral(kx, msg),
-            _check_integral(ky, msg), _check_finite(phase, "phase"))
+    return (amplitude, kx, ky, phase)
 
 
+@reads(value=FINITE)
 def constant_term(value: float):
     # sin(pi/2) = 1 turns a term into a constant offset
-    return (_check_finite(value, "constant"), 0, 0, math.pi / 2)
+    return (value, 0, 0, math.pi / 2)
 
 
-def _read_terms(terms, make, form: str) -> tuple:
-    # terms as tuples of make's arguments; a term of the wrong length, or
-    # terms that are not a sequence of tuples, would leak TypeError
-    try:
-        return tuple(make(*t) for t in terms)
-    except TypeError:
-        raise InvalidArgument("terms must be tuples %s, not %r"
-                              % (form, terms)) from None
+TERMS = terms(trig_term)
 
 
 class Generator:
@@ -89,17 +89,16 @@ class Generator:
     by the linear factor, which is 1 for A = +-Id).
     """
 
+    @reads(linear=CLASS, disp_x=TERMS, disp_y=TERMS)
     def __init__(self, name: str, linear: MCGClass, disp_x=(), disp_y=(),
                  _derive: bool = True):
         self.name = str(name)
-        _check_kind(linear, MCGClass, "Generator")
         if max(map(abs, (linear.a, linear.b, linear.c, linear.d))) > 2 ** 53:
             # the float linear parts hold integers exactly only up to 2**53
             raise RotorError("linear part has an entry above 2**53")
         self.linear = linear
-        form = "(amplitude, kx, ky[, phase])"
-        self.disp_x = _read_terms(disp_x, trig_term, form)
-        self.disp_y = _read_terms(disp_y, trig_term, form)
+        self.disp_x = disp_x
+        self.disp_y = disp_y
 
         row_x = sum(abs(a) * 2.0 * math.pi * (abs(kx) + abs(ky))
                     for a, kx, ky, _ in self.disp_x)
@@ -134,9 +133,9 @@ class Generator:
 class MapGroup:
     """Finitely generated group of torus maps; group elements are Words."""
 
+    @reads(generators=each(kind(Generator)))
     def __init__(self, generators: Sequence[Generator]):
-        self.generators = tuple(_check_kind(g, Generator, "MapGroup")
-                                for g in generators)
+        self.generators = generators
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise RotorError("generator names must be distinct")
@@ -170,29 +169,37 @@ class MapGroup:
         for i, g in enumerate(self.generators):
             if g.name == name:
                 return i
-        raise RotorError("unknown generator %r in word" % name)
+        raise InvalidArgument("unknown generator %r in word" % name)
 
     def identity(self) -> "Word":
         return Word(self, [])
 
 
+GROUP = kind(MapGroup)
+
+
 def _free_reduce(letters, size: int) -> tuple:
-    """The letters checked and freely reduced in one pass; RotorError
-    unless each is an (index, sign) pair with an integer index in
-    [0, size) and a sign of +1 or -1."""
+    """The letters checked and freely reduced in one pass; InvalidArgument
+    unless they are iterable and each is an (index, sign) pair with an
+    integer index in [0, size) and a sign of +1 or -1."""
     out = []
+    try:
+        letters = iter(letters)
+    except TypeError:
+        raise InvalidArgument("letters must be iterable, not %r"
+                              % (letters,)) from None
     for letter in letters:
         try:
             idx, sign = letter
         except (TypeError, ValueError):
-            raise RotorError("a letter must be an (index, sign) pair, not %r"
-                             % (letter,)) from None
+            raise InvalidArgument("a letter must be an (index, sign) pair, "
+                                  "not %r" % (letter,)) from None
         # int first: the Integral check alone costs far more per letter
         if not (isinstance(idx, (int, Integral)) and 0 <= idx < size):
-            raise RotorError("generator index %r is not an integer in [0, %d)"
-                             % (idx, size))
+            raise InvalidArgument("generator index %r is not an integer in "
+                                  "[0, %d)" % (idx, size))
         if sign not in (1, -1):
-            raise RotorError("letter sign must be +1 or -1")
+            raise InvalidArgument("letter sign must be +1 or -1")
         if out and out[-1][0] == idx and out[-1][1] == -sign:
             out.pop()
         else:
@@ -206,6 +213,7 @@ class Word:
     Letters compose left to right as maps: the last letter acts first.
     """
 
+    @reads(group=GROUP)
     def __init__(self, group: MapGroup, letters):
         self.group = group
         self.letters = _free_reduce(letters, len(group.generators))
@@ -224,41 +232,47 @@ class Word:
         return "Word(%s)" % (" ".join(parts) or "id")
 
 
+WORD = kind(Word)
+
+
 class LiftedWord:
     """T_v composed with the canonical lift of a word; v integral."""
 
+    @reads(word=WORD, extra_translation=fields(EXACT_INT, EXACT_INT))
     def __init__(self, word: Word, extra_translation=(0, 0)):
-        msg = "deck translation must be integral"
-        self.word = _check_kind(word, Word, "a lift")
-        self.extra_translation = (_check_integral(extra_translation[0], msg),
-                                  _check_integral(extra_translation[1], msg))
+        self.word = word
+        self.extra_translation = extra_translation
 
     def __repr__(self):
         return "LiftedWord(%r, v=%r)" % (self.word, self.extra_translation)
 
 
+LIFTED = kind(LiftedWord)
+
+
+@reads(w1=WORD, w2=WORD)
 def compose(w1: Word, w2: Word) -> Word:
-    _check_kind(w1, Word, "compose")
-    _check_kind(w2, Word, "compose")
     if w1.group is not w2.group:
         raise RotorError("words over different groups")
     return Word(w1.group, list(w1.letters) + list(w2.letters))
 
 
+@reads(w=WORD)
 def inverse(w: Word) -> Word:
-    _check_kind(w, Word, "inverse")
     return Word(w.group, [(i, -s) for i, s in reversed(w.letters)])
 
 
+@reads(w1=WORD, w2=WORD)
 def commutator(w1: Word, w2: Word) -> Word:
     return compose(compose(w1, w2), compose(inverse(w1), inverse(w2)))
 
 
+@reads(w=WORD)
 def linear_part(w: Word) -> MCGClass:
     """The product of the letters' classes, once per group and reduced
     letter sequence; integer products are exact, so the cache changes no
     result."""
-    cache = _check_kind(w, Word, "linear_part").group._linear_parts
+    cache = w.group._linear_parts
     out = cache.get(w.letters)
     if out is None:
         out = MCGClass.identity()
@@ -269,33 +283,47 @@ def linear_part(w: Word) -> MCGClass:
     return out
 
 
+@reads(l1=LIFTED, l2=LIFTED)
 def compose_lift(l1: LiftedWord, l2: LiftedWord) -> LiftedWord:
     # (T_u W1)(T_v W2) = T_{u + [W1] v} (W1 W2)
-    _check_kind(l1, LiftedWord, "compose_lift")
-    _check_kind(l2, LiftedWord, "compose_lift")
     u, v = l1.extra_translation, l2.extra_translation
     a = linear_part(l1.word)
     shift = a.apply(v)
     return LiftedWord(compose(l1.word, l2.word), (u[0] + shift[0], u[1] + shift[1]))
 
 
+@reads(lw=LIFTED)
 def inverse_lift(lw: LiftedWord) -> LiftedWord:
     # (T_v W)^-1 = T_{-[W]^-1 v} W^-1
-    _check_kind(lw, LiftedWord, "inverse_lift")
     a = linear_part(lw.word).inverse()
     shift = a.apply(lw.extra_translation)
     return LiftedWord(inverse(lw.word), (-shift[0], -shift[1]))
 
 
+@reads(l1=LIFTED, l2=LIFTED)
 def commutator_lift(l1: LiftedWord, l2: LiftedWord) -> LiftedWord:
     return compose_lift(compose_lift(l1, l2),
                         compose_lift(inverse_lift(l1), inverse_lift(l2)))
 
 
-def _as_lift(w) -> LiftedWord:
-    return w if isinstance(w, LiftedWord) else LiftedWord(w)
+def _lift(w, name) -> LiftedWord:
+    # a word as its canonical lift
+    return w if isinstance(w, LiftedWord) else LiftedWord(WORD.read(w, name))
 
 
+def _identity_lift(w, name) -> LiftedWord:
+    lw = _lift(w, name)
+    if not linear_part(lw.word).is_identity():
+        raise NotIsotopicToIdentity(
+            "%s %r has a nontrivial linear part" % (name, lw.word))
+    return lw
+
+
+LIFT = Reader("lift", _lift)
+IDENTITY = Reader("identity lift", _identity_lift)
+
+
+@reads(lw=LIFT)
 def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     """Evaluate the lift on plane points, shape (n,2).
 
@@ -304,7 +332,6 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     InvalidArgument before any point is evaluated; an inverse letter whose
     Newton solve fails raises NewtonDivergence.
     """
-    lw = _as_lift(lw)
     prog, vx, vy = compile_program(lw)
     out = _kernels.apply_word(pts, prog, vx, vy)
     # only Newton letters (mode 1) emit NaN
@@ -313,24 +340,16 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+@reads(w=LIFT, pts=POINTS)
 def apply_torus_batch(w, pts: np.ndarray) -> np.ndarray:
-    pts = reduce_batch(_as_points(pts, "points"))
-    return reduce_batch(apply_lift_batch(w, pts))
+    red = _kernels.reduce_batch(pts)
+    return _kernels.reduce_batch(apply_lift_batch(w, red))
 
 
-def _require_identity(lw, what: str = "word") -> LiftedWord:
-    """lw as a lift; raises NotIsotopicToIdentity unless its linear part is Id."""
-    lw = _as_lift(lw)
-    if not linear_part(lw.word).is_identity():
-        raise NotIsotopicToIdentity(
-            "%s %r has a nontrivial linear part" % (what, lw.word))
-    return lw
-
-
+@reads(lw=IDENTITY, pts=POINTS)
 def displacement_field_batch(lw, pts: np.ndarray) -> np.ndarray:
     """The vectors lift(p~) - p~, independent of the chosen lift of each p."""
-    lw = _require_identity(lw)
-    red = reduce_batch(_as_points(pts, "points"))
+    red = _kernels.reduce_batch(pts)
     return apply_lift_batch(lw, red) - red
 
 
@@ -389,6 +408,7 @@ def _run_letters(letters, pts: np.ndarray) -> np.ndarray:
     return _kernels.apply_word(pts, _compile_letters(letters), 0.0, 0.0)
 
 
+@reads(lw=LIFT)
 def compile_program(lw) -> tuple:
     """The kernel arguments (program, vx, vy) of a lifted word: its letters
     compiled to a _kernels.Program (see _compile_letters), and its deck
@@ -400,7 +420,6 @@ def compile_program(lw) -> tuple:
     that differ by their deck translation, and the threads of one orbit
     kernel call, share it safely.
     """
-    lw = _as_lift(lw)
     programs = lw.word.group._programs
     prog = programs.get(lw.word.letters)
     if prog is None:
@@ -411,74 +430,18 @@ def compile_program(lw) -> tuple:
     return prog, float(v[0]), float(v[1])
 
 
-def _as_points(values, what: str) -> np.ndarray:
-    """The one reader of point arguments: values as finite float points
-    (m, 2), a lone pair (2,) as one point.  Any other shape, or a coordinate
-    that is not finite, raises InvalidArgument before any reduction or orbit.
-    """
-    try:
-        pts = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgument("%s: %s" % (what, exc)) from None
-    if pts.shape == (2,):
-        pts = pts.reshape(1, 2)
-    elif pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvalidArgument("%s must have shape (m, 2) or (2,), got %s"
-                              % (what, pts.shape))
-    if not np.isfinite(pts).all():
-        raise InvalidArgument("%s must be finite" % what)
-    return pts
-
-
-def _as_point(value, what: str) -> Tuple[float, float]:
-    """value as one finite point (x, y) of floats; see _as_points."""
-    pts = _as_points(value, what)
-    if len(pts) != 1:
-        raise InvalidArgument("%s must be one point" % what)
-    return float(pts[0, 0]), float(pts[0, 1])
-
-
-def _check_count(value, least: int, what: str) -> None:
-    # the one check of counts (orbit lengths, burn-ins, windows, threads,
-    # grid sizes, atoms, L, samples, P, powers of t): a float, a string or
-    # an integer below least raises
-    if not isinstance(value, Integral) or value < least:
-        raise InvalidArgument("%s must be an integer >= %d" % (what, least))
-
-
-def _check_finite(value, what: str) -> float:
-    # the one check of term amplitudes and phases: a NaN would read as a
-    # Lipschitz bound of 0 and certify a generator whose maps return NaN
-    try:
-        if isinstance(value, Real) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int too large for a float
-        pass
-    raise InvalidArgument("%s must be a finite number, not %r"
-                          % (what, value))
-
-
-def _check_positive(value, what: str) -> None:
-    # the one check of tolerances and radii: NaN, inf, zero, a negative
-    # value or a non-number would make every comparison with it meaningless
-    if not (isinstance(value, Real) and 0.0 < value < math.inf):
-        raise InvalidArgument("%s must be a finite number > 0" % what)
-
-
-def _orbit_program(w, n: int):
-    """(lift, plane_mode, kernel arguments) of an orbit mean of length n >= 1.
+def _orbit_program(lw):
+    """(plane_mode, kernel arguments) of an orbit mean of a lift.
 
     An expanding linear part makes the plane orbit overflow, so its word
     is refused rather than returning inf or NaN means.
     """
-    _check_count(n, 1, "orbit length")
-    lw = _as_lift(w)
     a = linear_part(lw.word)
     tag = spectral_class(a).tag
     if tag in ("hyperbolic", "other_real_split"):
         raise RotorError("rotation set undefined for %s linear part: "
                          "displacement means diverge" % tag)
-    return lw, not a.is_identity(), compile_program(lw)
+    return not a.is_identity(), compile_program(lw)
 
 
 def _check_orbit(lw, values) -> None:
@@ -497,6 +460,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@reads(w=LIFT, seeds=POINTS, n=count(1), threads=count(1))
 def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
                              ) -> np.ndarray:
     """n-step displacement means (lift^n(p) - p)/n for each seed, shape (m,2).
@@ -510,34 +474,28 @@ def orbit_displacement_means(w, seeds: np.ndarray, n: int, threads: int = 1
     blocks, so with one usable CPU threads > 1 still runs two blocks and
     the split path runs on every machine.  The numpy backend runs all seeds
     in one vectorized call.  Results are the same for every thread count.
-    threads must be an integer >= 1, else InvalidArgument is raised.
     """
-    _check_count(threads, 1, "threads")
-    seeds = np.ascontiguousarray(_as_points(seeds, "orbit seeds"))
-    lw, plane_mode, args = _orbit_program(w, n)
+    plane_mode, args = _orbit_program(w)
     blocks = int(min(threads, len(seeds), max(2, _usable_cpus())))
-    means = _kernels.orbit_mean_batch(seeds, n, plane_mode, *args,
-                                      threads=blocks)
-    _check_orbit(lw, means)
+    means = _kernels.orbit_mean_batch(np.ascontiguousarray(seeds), n,
+                                      plane_mode, *args, threads=blocks)
+    _check_orbit(w, means)
     return means
 
 
+@reads(w=LIFT, seed=POINT, n=count(1))
 def orbit_mean_with_tail(w, seed, n: int):
     """Displacement mean plus the max deviation of the last n//10 partial
     means; the mean and its failures match orbit_displacement_means."""
-    seed = _as_point(seed, "orbit seeds")
-    lw, plane_mode, args = _orbit_program(w, n)
+    plane_mode, args = _orbit_program(w)
     mx, my, spread = _kernels.orbit_mean_tail(*seed, n, plane_mode, *args)
-    _check_orbit(lw, (mx, my))
+    _check_orbit(w, (mx, my))
     return (mx, my), spread
 
 
+@reads(w=LIFT, seed=POINT, n=count(0), burn=count(0))
 def orbit_segment(w, seed, n: int, burn: int = 0) -> np.ndarray:
     """Torus orbit points w^burn(p), ..., w^{burn+n-1}(p), shape (n,2)."""
-    lw = _as_lift(w)
-    seed = _as_point(seed, "orbit seeds")
-    _check_count(n, 0, "orbit length")
-    _check_count(burn, 0, "burn-in")
-    out = _kernels.orbit_collect(*seed, burn, n, *compile_program(lw))
-    _check_orbit(lw, out)
+    out = _kernels.orbit_collect(*seed, burn, n, *compile_program(w))
+    _check_orbit(w, out)
     return out

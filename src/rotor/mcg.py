@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidArgument, NotNilpotent, NotUnimodular, RotorError
+from ._args import INTEGRAL, each, kind, reads
+from .errors import NotNilpotent, NotUnimodular, RotorError
 
 __all__ = [
     "MCGClass",
@@ -28,27 +29,6 @@ __all__ = [
 ]
 
 
-def _check_kind(value, kind, what: str):
-    # the one type check of words, lifts, classes, generators and measures:
-    # a string, a number or None would leak AttributeError from deep inside
-    if not isinstance(value, kind):
-        raise InvalidArgument("%s expects %s, not %r"
-                              % (what, kind.__name__, value))
-    return value
-
-
-def _check_integral(value, message: str) -> int:
-    # the one check of class entries, frequencies and deck translations:
-    # 2.0 passes, as the scenario parser reads numbers as floats; NaN, inf,
-    # None, strings and fractions raise
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidArgument(message)
-
-
 class MCGClass:
     """Integer 2x2 matrix with determinant +1 or -1, acting on column vectors.
 
@@ -59,9 +39,10 @@ class MCGClass:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        # ints first: products in closure and criterion 1 skip the check
+        # read by hand, not declared: products in closure and criterion 1
+        # build many classes, and int entries skip the reader
         if not type(a) is type(b) is type(c) is type(d) is int:
-            a, b, c, d = (_check_integral(v, "class entries must be integers")
+            a, b, c, d = (INTEGRAL.read(v, "a class entry")
                           for v in (a, b, c, d))
         if a * d - b * c not in (1, -1):
             raise NotUnimodular("det = %d" % (a * d - b * c))
@@ -94,7 +75,9 @@ class MCGClass:
         return t == (1, 0, 0, 1) or t == (-1, 0, 0, -1)
 
     def __mul__(self, other: "MCGClass") -> "MCGClass":
-        _check_kind(other, MCGClass, "a class product")
+        # read by hand, not declared, for the same reason as __init__
+        if type(other) is not MCGClass:
+            CLASS.read(other, "other")
         return MCGClass(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -138,6 +121,9 @@ class MCGClass:
     def __repr__(self) -> str:
         return "MCGClass(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
 
+
+CLASS = kind(MCGClass)
+CLASSES = each(CLASS)
 
 _ID = MCGClass.identity()
 _MINUS_ID = -_ID
@@ -199,9 +185,9 @@ class FiniteIndexReport:
     description: str
 
 
+@reads(A=CLASS)
 def spectral_class(A: MCGClass) -> SpectralClass:
     """Exact (trace, det) tag plus float eigenvalues; RotorError on overflow."""
-    _check_kind(A, MCGClass, "spectral_class")
     t, d = A.trace, A.det
     disc = t * t - 4 * d
     try:
@@ -235,6 +221,7 @@ def spectral_class(A: MCGClass) -> SpectralClass:
     return SpectralClass("other_real_split", eig)
 
 
+@reads(A=CLASS)
 def has_nontrivial_unity_root(A: MCGClass) -> bool:
     """True iff some eigenvalue is a root of unity other than 1.
 
@@ -244,13 +231,13 @@ def has_nontrivial_unity_root(A: MCGClass) -> bool:
     return (d == 1 and t in (-2, -1, 0, 1)) or (d == -1 and t == 0)
 
 
+@reads(A=CLASS)
 def torsion_order(A: MCGClass) -> Optional[int]:
     """Smallest k >= 1 with A^k = Id, or None for infinite order.
 
     Finite orders in GL(2,Z) lie in {1,2,3,4,6} (crystallographic restriction),
     so powering up to 6 decides the question.
     """
-    _check_kind(A, MCGClass, "torsion_order")
     p = _ID
     for k in range(1, 7):
         p = p * A
@@ -259,6 +246,7 @@ def torsion_order(A: MCGClass) -> Optional[int]:
     return None
 
 
+@reads(gens=CLASSES)
 def closure(gens):
     """Breadth-first closure under products and inverses.
 
@@ -270,8 +258,7 @@ def closure(gens):
     """
     step = []
     for g in gens:
-        step.append(_check_kind(g, MCGClass, "closure"))
-        step.append(g.inverse())
+        step += [g, g.inverse()]
     seen = {_ID}
     frontier = [_ID]
     while frontier:
@@ -423,6 +410,7 @@ def _infinite_form(gens):
     return SubgroupForm("pair" if minus else "cyclic", generator=N)
 
 
+@reads(gens=CLASSES)
 def classify_nilpotent(gens) -> SubgroupForm:
     """Match the generated subgroup against the classified nilpotent shapes.
 
@@ -439,13 +427,13 @@ def classify_nilpotent(gens) -> SubgroupForm:
     larger entries once multiplied by the sign of its trace; for the pair
     <N, -Id> it is the larger of the trace-positive versions of N and N^-1.
     """
-    gens = list(gens)
     G = closure(gens)
     if G is not None:
         return _finite_form(G)
     return _infinite_form(gens)
 
 
+@reads(gens=CLASSES)
 def check_condition_star_star(gens) -> StarStarReport:
     """Decide whether the linear-part group admits the averaging witness.
 
@@ -473,6 +461,7 @@ def check_condition_star_star(gens) -> StarStarReport:
     return StarStarReport(True, (N, -N), None, form)
 
 
+@reads(gens=CLASSES)
 def finite_index_subgroup(gens) -> FiniteIndexReport:
     """Largest classified subgroup on which the averaging scheme applies.
 

@@ -17,11 +17,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._args import PATH, POINT, POINTS, POSITIVE, count, kind, reads
 from ._kernels import grid_merge
 from .errors import InvalidArgument
 from .geometry import convex_hull, hull_centroid, hull_diameter
-from .maps import (LiftedWord, Word, _as_points, _check_count, _check_kind,
-                   _check_positive, _require_identity, apply_lift_batch,
+from .maps import (IDENTITY, LIFT, LiftedWord, Word, apply_lift_batch,
                    apply_torus_batch, orbit_displacement_means,
                    orbit_mean_with_tail, orbit_segment, reduce_point,
                    torus_grid)
@@ -44,8 +44,7 @@ __all__ = [
 _GRID = 10 ** 12
 
 
-def _canonical(points, weights) -> Tuple[np.ndarray, np.ndarray]:
-    pts = _as_points(points, "atom coordinates")
+def _canonical(pts, weights) -> Tuple[np.ndarray, np.ndarray]:
     if weights is None:
         w = np.full(len(pts), 1.0 / max(len(pts), 1))
     else:
@@ -83,6 +82,7 @@ class EmpiricalMeasure:
 
     __slots__ = ("points", "weights")
 
+    @reads(points=POINTS)
     def __init__(self, points, weights=None):
         pts, w = _canonical(points, weights)
         object.__setattr__(self, "points", pts)
@@ -116,6 +116,7 @@ class EmpiricalMeasure:
                 wr.writerow([repr(x), repr(y), repr(w)])
 
     @classmethod
+    @reads(path=PATH)
     def from_csv(cls, path) -> "EmpiricalMeasure":
         pts, w = [], []
         with open(path, newline="") as fh:
@@ -139,6 +140,9 @@ class EmpiricalMeasure:
 
     def __repr__(self):
         return "EmpiricalMeasure(%d atoms)" % len(self)
+
+
+MEASURE = kind(EmpiricalMeasure)
 
 
 @dataclass(eq=False)
@@ -184,16 +188,17 @@ class BirkhoffRecord:
     tail_spread: float
 
 
+@reads(w=LIFT, mu=MEASURE)
 def pushforward(w: Word, mu: EmpiricalMeasure) -> EmpiricalMeasure:
     """Image measure: atoms moved by the torus map, weights carried along.
 
     The atoms are canonical, so they are lifted as they are; the measure
     reduces the image.
     """
-    _check_kind(mu, EmpiricalMeasure, "pushforward")
     return EmpiricalMeasure(apply_lift_batch(w, mu.points), mu.weights)
 
 
+@reads(mu=MEASURE, lw=IDENTITY)
 def rotation_vector(mu: EmpiricalMeasure, lw) -> np.ndarray:
     """Integral of the displacement field against mu.
 
@@ -202,11 +207,9 @@ def rotation_vector(mu: EmpiricalMeasure, lw) -> np.ndarray:
     translation is added once at the end, so shifting the lift by an
     integer vector shifts the result by exactly that vector.
     """
-    _check_kind(mu, EmpiricalMeasure, "rotation_vector")
-    base = _require_identity(lw)
     # canonical atoms are their own torus representatives
-    disp = apply_lift_batch(LiftedWord(base.word), mu.points) - mu.points
-    u = base.extra_translation
+    disp = apply_lift_batch(LiftedWord(lw.word), mu.points) - mu.points
+    u = lw.extra_translation
     return np.array([mu.weights @ disp[:, 0] + u[0],
                      mu.weights @ disp[:, 1] + u[1]])
 
@@ -224,6 +227,7 @@ def _trig_moments(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.concatenate([weights @ np.cos(ang), weights @ np.sin(ang)])
 
 
+@reads(w=LIFT, mu=MEASURE)
 def invariance_defect(w: Word, mu: EmpiricalMeasure,
                       moments: Optional[np.ndarray] = None) -> float:
     """Largest change of a trig test-function integral under the map.
@@ -233,7 +237,6 @@ def invariance_defect(w: Word, mu: EmpiricalMeasure,
     moments, when given, are mu's own test integrals (_trig_moments), so a
     table of defects of one measure computes them once.
     """
-    _check_kind(mu, EmpiricalMeasure, "invariance_defect")
     image = apply_torus_batch(w, mu.points)
     before = (_trig_moments(mu.points, mu.weights) if moments is None
               else moments)
@@ -241,6 +244,7 @@ def invariance_defect(w: Word, mu: EmpiricalMeasure,
     return float(np.abs(before - after).max())
 
 
+@reads(lw=LIFT, seed=POINT, n=count(1))
 def birkhoff_mean(lw, seed, n: int) -> BirkhoffRecord:
     """n-step displacement mean (lift^n(seed) - seed)/n along one orbit.
 
@@ -254,6 +258,7 @@ def birkhoff_mean(lw, seed, n: int) -> BirkhoffRecord:
                           tail_spread=spread)
 
 
+@reads(lw=LIFT, seeds=POINTS, n=count(1), threads=count(1))
 def estimate_rotation_set(lw, seeds, n: int,
                           threads: int = 1) -> RotationSetEstimate:
     """Convex hull of n-step displacement means over the given seeds.
@@ -273,18 +278,20 @@ def estimate_rotation_set(lw, seeds, n: int,
     return RotationSetEstimate(samples=samples, hull=convex_hull(samples), n=n)
 
 
+@reads(w=LIFT, seed=POINT, n=count(1), window=count(1))
 def krylov_bogolyubov(w: Word, seed, n: int, window: int) -> EmpiricalMeasure:
     """Uniform measure on the orbit window {w^k(seed)}, n-window <= k < n.
 
     The Cesaro construction: for large n the result is nearly invariant,
     which invariance_defect quantifies.  Needs integers n >= window >= 1.
     """
-    _check_count(window, 1, "window")
-    _check_count(n, window, "n")
+    if n < window:
+        raise InvalidArgument("n must be an integer >= window")
     pts = orbit_segment(w, seed, window, burn=n - window)
     return EmpiricalMeasure(pts)
 
 
+@reads(w=IDENTITY, seeds=POINTS, n=count(1), tol=POSITIVE)
 def irrotational_lift(w, seeds, n: int, tol: float) -> Optional[LiftedWord]:
     """Deck-translate a lift so its estimated rotation set is {(0,0)}.
 
@@ -292,17 +299,14 @@ def irrotational_lift(w, seeds, n: int, tol: float) -> Optional[LiftedWord]:
     below tol and its centroid is within tol of an integer vector v, the
     lift translated by -v is returned.  Otherwise None: at this resolution
     (seeds, n, tol) the element does not look irrotational.  Never a
-    certificate, only a judgment at the stated resolution.  A tol that is
-    not a finite number > 0 raises InvalidArgument before any orbit runs.
+    certificate, only a judgment at the stated resolution.
     """
-    _check_positive(tol, "tol")
-    base = _require_identity(w)
-    est = estimate_rotation_set(base, seeds, n)
+    est = estimate_rotation_set(w, seeds, n)
     if est.diameter() >= tol:
         return None
     cx, cy = est.centroid()
     v = (round(float(cx)), round(float(cy)))
     if math.hypot(cx - v[0], cy - v[1]) >= tol:
         return None
-    u = base.extra_translation
-    return LiftedWord(base.word, (u[0] - v[0], u[1] - v[1]))
+    u = w.extra_translation
+    return LiftedWord(w.word, (u[0] - v[0], u[1] - v[1]))

@@ -43,6 +43,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ._args import PATH, TEXT, kind, reads
 from .averaging import GroupSpec
 from .catalog import circle_measure, horizontal_circle_measure
 from .errors import ConfigError, RotorError
@@ -451,6 +452,7 @@ def _build_analysis(scn: Scenario, sec: _Section) -> AnalysisRequest:
 # --- top level
 
 
+@reads(text=TEXT)
 def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
     sections = _split_sections(text)
 
@@ -521,6 +523,7 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
     return scn
 
 
+@reads(path=PATH)
 def parse_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -539,6 +542,7 @@ def _term_text(term) -> str:
     return "trig(%r, %d, %d, %r)" % (amp, int(kx), int(ky), phase)
 
 
+@reads(gen=kind(Generator))
 def generator_section_text(gen: Generator) -> str:
     """The [generator] section reproducing gen exactly on reparse."""
     lines = ["[generator %s]" % gen.name]

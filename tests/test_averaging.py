@@ -10,10 +10,9 @@ from rotor.averaging import (GroupSpec, _cesaro_stage, bounded_orbit_check,
 from rotor.errors import (ConditionStarStarViolated, ConfigError,
                           DefectExceeded, InvalidArgument,
                           NotIsotopicToIdentity, RotorError)
-from rotor.maps import (Generator, LiftedWord, MapGroup, _as_lift,
-                        _require_identity, apply_torus_batch, commutator_lift,
-                        constant_term, inverse, inverse_lift, linear_part,
-                        trig_term)
+from rotor.maps import (IDENTITY, LIFT, Generator, LiftedWord, MapGroup,
+                        apply_torus_batch, commutator_lift, constant_term,
+                        inverse, inverse_lift, linear_part, trig_term)
 from rotor.mcg import MCGClass
 from rotor.measures import EmpiricalMeasure, pushforward, rotation_vector
 
@@ -266,8 +265,8 @@ def test_rotev_closed_form_family():
 def rotev_oracle(g, h, mu, p):
     """Reference single-power transport residual: every pushforward,
     rotation vector and matrix power computed afresh for p alone."""
-    g = _as_lift(g)
-    h = _require_identity(h)
+    g = LIFT.read(g, "g")
+    h = IDENTITY.read(h, "h")
     a = linear_part(g.word)
 
     mu_p = mu

@@ -1,26 +1,33 @@
-"""Bad counts, tolerances, points, words, measures, classes and terms
-raise InvalidArgument before any work.
+"""Bad arguments raise InvalidArgument before any work.
 
-Each entry is one bad argument of one public callable.  The evaluators
-and constructors the callables would run next are replaced by a function
-that fails, so a check that comes after them, or a value that slips
-through (a NaN tolerance compares false with everything), fails the test.
+The contract is generated from the declarations: every parameter that a
+callable declares with @reads gets every bad value of its reader's kind,
+on both backends and, where the callable takes threads, at threads 1 and
+2, with the kernels replaced by a function that fails.  So a check that
+comes after a kernel, or a value that slips through (a NaN tolerance
+compares false with everything), fails the test, and the same call
+without the bad value must not raise InvalidArgument.  Every callable in
+a module's __all__ is declared or exempt with a reason.  The named cases
+below pin the calls that once leaked, one bad argument each.
 """
 
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from rotor import (_kernels, averaging, catalog, covers, fixed_points,
-                   geometry, maps, measures)
+from rotor import (_kernels, averaging, catalog, cli, covers, fixed_points,
+                   geometry, maps, mcg, measures, scenario, verify)
+from rotor._args import REGISTRY
 from rotor.averaging import (GroupSpec, bounded_orbit_check,
                              construct_invariant, rotev_residual)
-from rotor.catalog import (build_catalog, circle_measure,
+from rotor.catalog import (annulus_twist_spec, build_catalog, circle_measure,
                            horizontal_circle_measure)
 from rotor.covers import (annulus_term, klein_symmetrize, rho_bar,
                           sigma_apply)
-from rotor.errors import InvalidArgument
+from rotor.errors import InvalidArgument, RotorError
 from rotor.fixed_points import (find_fixed_points, fixed_point_index,
                                 franks_certificate)
 from rotor.geometry import (convex_hull, hausdorff_distance, hull_centroid,
@@ -45,15 +52,31 @@ GRID = EmpiricalMeasure.uniform_grid(4)
 SEEDS = torus_grid(4)
 SPEC = GroupSpec(generators_G0=(TR,))
 
-# the work each callable would do once its arguments pass
-EVALUATORS = {
-    measures: ("orbit_segment", "estimate_rotation_set",
-               "orbit_displacement_means"),
-    averaging: ("_defect_table", "rotation_vector", "pushforward",
-                "apply_torus_batch"),
-    covers: ("check_sigma_commute", "rotation_vector", "apply_torus_batch"),
-    catalog: ("EmpiricalMeasure",),
-}
+# the kernels a point or a word reaches once it is read, under every name
+# a rotor module holds them by
+KERNELS = ("apply_word", "orbit_mean_batch", "orbit_mean_tail",
+           "orbit_collect", "affine_orbit", "grid_merge", "reduce_batch")
+KERNEL_HOLDERS = (_kernels, maps, measures, averaging, covers, geometry,
+                  fixed_points)
+
+
+@pytest.fixture
+def no_kernels(monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for module in KERNEL_HOLDERS:
+        for name in KERNELS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_kernel)
+
+
+def _rejected_everywhere(call, backends):
+    for backend in backends:
+        _kernels.set_backend(backend)
+        with pytest.raises(InvalidArgument):
+            call()
+
 
 BAD_COUNTS = {
     "torus_grid(2.5)": lambda: torus_grid(2.5),
@@ -115,16 +138,9 @@ BAD_CALLS = {**BAD_COUNTS, **BAD_INTEGERS, **BAD_TOLERANCES}
 
 @pytest.mark.parametrize("call", list(BAD_CALLS.values()),
                          ids=list(BAD_CALLS))
-def test_bad_counts_and_tolerances_raise_before_any_evaluation(call,
-                                                               monkeypatch):
-    def no_evaluation(*args, **kwargs):
-        raise AssertionError("the arguments were used")
-
-    for module, names in EVALUATORS.items():
-        for name in names:
-            monkeypatch.setattr(module, name, no_evaluation)
-    with pytest.raises(InvalidArgument):
-        call()
+def test_bad_counts_and_tolerances_raise_before_any_evaluation(call, backends,
+                                                               no_kernels):
+    _rejected_everywhere(call, backends)
 
 
 # each bad point argument, given where a callable reads a point or a point
@@ -243,13 +259,6 @@ BAD_TERM_CALLS = {
     "MapGroup([1])": lambda: MapGroup([1]),
 }
 
-# the kernels a point or a word reaches once it is read, under every name
-# a rotor module holds them by
-KERNELS = ("apply_word", "orbit_mean_batch", "orbit_mean_tail",
-           "orbit_collect", "affine_orbit", "grid_merge", "reduce_batch")
-KERNEL_HOLDERS = (_kernels, maps, measures, averaging, covers, geometry,
-                  fixed_points)
-
 BAD_ARGUMENT_CALLS = {**BAD_POINT_CALLS, **BAD_WORD_CALLS, **BAD_MEASURE_CALLS,
                       **BAD_CLASS_CALLS, **BAD_TERM_CALLS}
 
@@ -257,18 +266,8 @@ BAD_ARGUMENT_CALLS = {**BAD_POINT_CALLS, **BAD_WORD_CALLS, **BAD_MEASURE_CALLS,
 @pytest.mark.parametrize("call", list(BAD_ARGUMENT_CALLS.values()),
                          ids=list(BAD_ARGUMENT_CALLS))
 def test_bad_points_and_words_raise_before_any_kernel(call, backends,
-                                                      monkeypatch):
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("a kernel ran")
-
-    for module in KERNEL_HOLDERS:
-        for name in KERNELS:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, no_kernel)
-    for backend in backends:
-        _kernels.set_backend(backend)
-        with pytest.raises(InvalidArgument):
-            call()
+                                                      no_kernels):
+    _rejected_everywhere(call, backends)
 
 
 def test_integral_floats_still_read_as_class_entries():
@@ -276,3 +275,134 @@ def test_integral_floats_still_read_as_class_entries():
     c = MCGClass(2.0, 1, np.int64(1), True)
     assert c == MCGClass(2, 1, 1, 1)
     assert all(type(v) is int for v in (c.a, c.b, c.c, c.d))
+
+
+# --- the contract generated from the declarations
+
+MODULES = (mcg, maps, measures, averaging, fixed_points, covers, geometry,
+           catalog, scenario, verify, cli)
+# callables of an __all__ that declare nothing, each with its reason
+RECORD = "a result record, built from values rotor has read"
+EXEMPT = {**dict.fromkeys([
+    "mcg.SpectralClass", "mcg.SubgroupForm", "mcg.StarStarReport",
+    "mcg.FiniteIndexReport", "measures.RotationSetEstimate",
+    "measures.BirkhoffRecord", "averaging.StageRecord",
+    "averaging.ConstructionTrace", "averaging.OrbitCheck",
+    "fixed_points.FixedChain", "fixed_points.FixedPointEntry",
+    "fixed_points.FixedPointReport", "fixed_points.FranksReport",
+    "catalog.FranksCase", "scenario.AnalysisRequest", "scenario.Scenario",
+    "verify.CriterionResult", "verify.SuiteReport"], RECORD),
+    "mcg.MCGClass": "a hot path: int entries skip the reader",
+    "cli.main": "argparse reads argv and exits with status 2 on a bad one"}
+
+# one good value of each reader kind, and its bad values (a class reader
+# gets None, 3 and "x"); counts and containers are built from their items
+GOOD = {"positive": 1e-3, "finite": 0.25, "integral": 1, "exact integer": 1,
+        "point": (0.1, 0.2), "points": SQUARE, "lift": TR, "lifts": [TR],
+        "identity lift": TR, "powers": 1, "MCGClass": ID,
+        "Word": TR, "LiftedWord": LiftedWord(TR), "MapGroup": CAT,
+        "Generator": CAT.generators[0], "EmpiricalMeasure": GRID,
+        "GroupSpec": SPEC, "AnnulusMapSpec": annulus_twist_spec(),
+        "str": "x", "str or PathLike": "no_such.scn",
+        "terms trig_term": [(0.01, 1, 0)], "terms annulus_term": [(0.01, 1)]}
+BAD = {"positive": [math.nan, math.inf, -math.inf, 0.0, -1.0, "1", None],
+       "finite": [math.nan, math.inf, -math.inf, "a", None, 10 ** 400],
+       "integral": [1.5, "1", math.nan, math.inf, None],
+       "exact integer": [1.5, "1", math.nan, None, 10 ** 400],
+       "point": list(BAD_POINTS.values()) + [None, SQUARE],
+       "points": list(BAD_POINTS.values()) + [None],
+       "lifts": [None, 3, [], ["h"]], "powers": [1.5, "2", [1, 1.5], None],
+       "MCGClass": [None, "x", (1, 0, 0, 1)], "str": [None, 3, b"x"],
+       "str or PathLike": [None, 3], **dict.fromkeys(
+           ["terms trig_term", "terms annulus_term"],
+           [None, 3, [None], [(math.nan, 1, 0)], [(0.1,) * 9]])}
+# the required parameters that declare nothing
+UNDECLARED = {"pts": SQUARE, "letters": [], "name": "g"}
+
+
+def good(r):
+    if r.kind == "count":
+        return max(r.least, 4)
+    if r.kind in ("each", "fields", "optional"):
+        items = [good(item) for item in r.items]
+        return items[0] if r.kind == "optional" else items
+    return GOOD[r.kind]
+
+
+def bad(r):
+    if r.kind == "count":
+        return [2.5, "4", None, r.least - 1] + (
+            [r.most + 1] if r.most else [])
+    if r.kind == "each":
+        return [None, 3] + [[b] for b in bad(r.items[0])]
+    if r.kind == "optional":
+        return [b for b in bad(r.items[0]) if b is not None]
+    if r.kind == "fields":
+        g = good(r)
+        return [None, 3, g[:-1]] + [g[:k] + [b] + g[k + 1:]
+                                    for k, item in enumerate(r.items)
+                                    for b in bad(item)]
+    return BAD.get(r.kind, [None, 3, "x"])
+
+
+def _target(fn):
+    # a constructor is called through its class, a class method on it
+    owner, _, name = fn.__qualname__.rpartition(".")
+    if not owner:
+        return fn
+    cls = getattr(sys.modules[fn.__module__], owner)
+    return cls if name == "__init__" else getattr(cls, name)
+
+
+def _cases():
+    # every bad value of every declared parameter, into a call whose other
+    # arguments are good; a callable that takes threads runs at 1 and 2
+    for fn, readers in REGISTRY.items():
+        params = inspect.signature(fn).parameters
+        base = {name: good(readers[name]) if name in readers
+                else UNDECLARED[name] for name, p in params.items()
+                if name not in ("self", "cls")
+                and (name in readers or p.default is p.empty)}
+        for threads in ((1, 2) if "threads" in params else (None,)):
+            at = dict(base, threads=threads) if threads else base
+            for name, reader in readers.items():
+                if name == "threads" and threads == 2:
+                    continue
+                for k, value in enumerate(bad(reader)):
+                    label = "%s %s %d%s" % (
+                        fn.__qualname__, name, k,
+                        " threads=%d" % threads if threads else "")
+                    yield pytest.param(_target(fn), at, name, value, id=label)
+
+
+@pytest.mark.parametrize("call,base,name,value", list(_cases()))
+def test_declared_parameters_reject_every_bad_value(call, base, name, value,
+                                                    backends, no_kernels):
+    for backend in backends:
+        _kernels.set_backend(backend)
+        try:
+            call(**base)
+        except InvalidArgument as exc:
+            pytest.fail("the good call raised %r" % exc)
+        except (AssertionError, RotorError, OSError):
+            pass        # a kernel ran, or a step after the readers failed
+        with pytest.raises(InvalidArgument):
+            call(**dict(base, **{name: value}))
+
+
+def test_every_public_callable_is_declared_or_exempt():
+    wrong, seen = [], set()
+    for module in MODULES:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            label = "%s.%s" % (module.__name__.split(".")[1], name)
+            if not callable(obj):
+                continue
+            fn = obj.__init__ if isinstance(obj, type) else obj
+            takes = set(inspect.signature(fn).parameters) - {"self"}
+            declared, exempt = fn in REGISTRY, label in EXEMPT
+            if declared == exempt and (takes or exempt):
+                wrong.append(label)
+            seen.add(label)
+    assert not wrong, "neither declared nor exempt, or both: %s" % wrong
+    assert set(EXEMPT) <= seen

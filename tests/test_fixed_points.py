@@ -15,7 +15,7 @@ from rotor.fixed_points import (_grid_components, _min_torus_dist, _refine,
                                 _residual_fields, common_fixed_points,
                                 find_fixed_points, fixed_point_index,
                                 franks_certificate)
-from rotor.maps import (Generator, MapGroup, apply_lift_batch,
+from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift_batch,
                         displacement_field_batch, reduce_point, trig_term,
                         constant_term)
 from rotor.measures import EmpiricalMeasure, irrotational_lift
@@ -437,7 +437,7 @@ def test_batched_refine_matches_seed_loop_from_random_seeds():
     # off-grid seeds need step halvings, which grid seeds rarely do
     rng = np.random.default_rng(2)
     for w in [CAT.word(x) for x in IDENTITY_CLASS] + [PRODOFF]:
-        lifts = [fixed_points._as_lift(w)]
+        lifts = [LiftedWord(w)]
         seeds = rng.random((20, 2))
         assert _refine(lifts, seeds, 1e-9) == _refine_one_seed_at_a_time(
             lifts, seeds, 1e-9)
@@ -451,7 +451,7 @@ def _bad_inverse():
 
 
 def test_batched_refine_diverges_when_the_seed_loop_does():
-    lifts = [fixed_points._as_lift(_bad_inverse())]
+    lifts = [LiftedWord(_bad_inverse())]
     seeds = np.random.default_rng(1).random((80, 2))
     ok, diverged = [], 0
     for seed in seeds:
@@ -482,7 +482,7 @@ def test_refine_calls_do_not_grow_with_the_seeds(monkeypatch):
         return apply_lift_batch(lw, pts)
 
     monkeypatch.setattr(fixed_points, "apply_lift_batch", spy)
-    lifts = [fixed_points._as_lift(PRODOFF)]
+    lifts = [LiftedWord(PRODOFF)]
     seed = np.array([[0.28, 0.17]])
     one = _refine(lifts, seed, 1e-9)
     n_one = len(calls)

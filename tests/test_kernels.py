@@ -700,7 +700,7 @@ def _c_outputs(lib, monkeypatch):
     out = []
     for word in ("twist", "dehn", "h skew'", "irrskew"):
         w = cat.word(word)
-        _, plane_mode, prog = maps._orbit_program(w, 40)
+        plane_mode, prog = maps._orbit_program(LiftedWord(w))
         out += _split_orbit_outputs(pts, 40, plane_mode, prog, 1)
         out.append(_kernels._apply_word_c(pts, *prog))
         # each block of seeds writes its own rows of tail and path
@@ -761,8 +761,8 @@ def test_blocks_without_a_thread_run_on_the_caller(tmp_path, monkeypatch,
     calls = ctypes.c_int64.in_dll(lib, "create_calls")
     pts = np.random.default_rng(9).uniform(-2.0, 3.0, (23, 2))
     for word in ("h skew'", "dehn"):
-        _, plane_mode, prog = maps._orbit_program(build_catalog().word(word),
-                                                  30)
+        plane_mode, prog = maps._orbit_program(
+            LiftedWord(build_catalog().word(word)))
         monkeypatch.setattr(_kernels, "_LIB", loaded)
         want = _split_orbit_outputs(pts, 30, plane_mode, prog, 1)
         monkeypatch.setattr(_kernels, "_LIB", lib)
@@ -835,7 +835,7 @@ def test_twin_memo_libm_calls(tmp_path, monkeypatch, restore_backend):
         assert outs[0].tobytes() == outs[1].tobytes(), word
     seed = np.random.default_rng(5).random((1, 2))
     for word, want in LIBM_CALLS.items():
-        _, plane_mode, prog = maps._orbit_program(cat.word(word), 1000)
+        plane_mode, prog = maps._orbit_program(LiftedWord(cat.word(word)))
         for c in calls:
             c.value = 0
         means = []

@@ -137,7 +137,7 @@ def test_word_from_string_reduces():
 
 
 def test_word_from_string_unknown_name():
-    with pytest.raises(RotorError):
+    with pytest.raises(InvalidArgument):
         G.word("skew nosuch")
 
 
@@ -147,19 +147,22 @@ def test_word_from_string_unknown_name():
     [(0, 1, 2)],     # three-element letter
     [("skew", 1)],   # name where an index belongs
     [None],          # not a pair at all
+    [(9, 1)],        # index out of range
+    [(0, 2)],        # sign other than +-1
+    None,            # no letters at all
 ])
 def test_malformed_letter_is_a_rotor_error(letters):
-    with pytest.raises(RotorError):
+    with pytest.raises(InvalidArgument):
         G.word(letters)
 
 
 def test_unknown_generator_fails_alike_in_word_and_by_name():
     for name in ("nosuch", "Skew", "skew2", "ske"):
-        with pytest.raises(RotorError) as by_name:
+        with pytest.raises(InvalidArgument) as by_name:
             G.by_name(name)
-        with pytest.raises(RotorError) as word:
+        with pytest.raises(InvalidArgument) as word:
             G.word(name)
-        assert type(by_name.value) is type(word.value) is RotorError
+        assert type(by_name.value) is type(word.value) is InvalidArgument
         assert str(by_name.value) == str(word.value)
         assert str(word.value) == "unknown generator %r in word" % name
 
@@ -361,8 +364,16 @@ def test_newton_inverse_is_pointwise():
 
 
 def test_trig_term_rejects_fractional_frequency():
-    with pytest.raises(RotorError):
+    with pytest.raises(InvalidArgument):
         trig_term(0.1, 0.5, 1)
+
+
+def test_frequency_beyond_float_precision_is_an_invalid_argument():
+    # 10**400 once overflowed in the Lipschitz bound of Generator
+    trig_term(0.1, 2 ** 53, 0)
+    for k in (2 ** 53 + 1, 10 ** 400):
+        with pytest.raises(InvalidArgument, match="2\\*\\*53"):
+            Generator("g", ID, disp_x=[(0.1, k, 0)])
 
 
 # --- orbit helpers

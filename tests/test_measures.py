@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rotor import _kernels
+from rotor.catalog import build_catalog
 from rotor.errors import InvalidArgument, NotIsotopicToIdentity, RotorError
 from rotor.geometry import hausdorff_distance, point_to_hull_distance
 from rotor.maps import (Generator, LiftedWord, MapGroup, compose,
@@ -138,7 +139,7 @@ def test_bad_inputs_rejected():
         EmpiricalMeasure([(0.1, 0.1)], [-1.0])
     with pytest.raises(InvalidArgument):
         EmpiricalMeasure([(0.1, 0.1)], [0.0])
-    with pytest.raises(InvalidArgument, match="grid size"):
+    with pytest.raises(InvalidArgument, match="k must be an integer >= 1"):
         EmpiricalMeasure.uniform_grid(0)
     with pytest.raises(AttributeError):
         EmpiricalMeasure.dirac((0, 0)).weights = None
@@ -303,6 +304,32 @@ def test_rotation_vector_of_deck_translation():
     m = EmpiricalMeasure.dirac((0.37, 0.61))
     rv = rotation_vector(m, LiftedWord(G.identity(), (1, 0)))
     assert rv.tolist() == [1.0, 0.0]
+
+
+# the catalog's identity-class words, and commutators, whose class is the
+# identity whatever the classes of their letters
+_CAT = build_catalog()
+DECK_WORDS = [_CAT.word(w) for w in ("h", "tr", "halftr", "skew", "irrskew",
+                                      "twist", "h skew h' skew'",
+                                      "dehn tr dehn' tr'",
+                                      "phi twist phi' twist'")]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(DECK_WORDS),
+       st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                          st.floats(1e-3, 1.0)), min_size=1, max_size=12))
+def test_deck_translation_shifts_rotation_vector_bitwise(backends, word, deck,
+                                                         atoms):
+    mu = EmpiricalMeasure([(x, y) for x, y, _ in atoms],
+                          [w for _, _, w in atoms])
+    for backend in backends:
+        _kernels.set_backend(backend)
+        base = rotation_vector(mu, LiftedWord(word))
+        shifted = rotation_vector(mu, LiftedWord(word, deck))
+        assert shifted.tobytes() == (base + deck).tobytes()
 
 
 def test_rotation_vector_on_invariant_circle():

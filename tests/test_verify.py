@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+from rotor import verify
 from rotor._io import json_text
+from rotor.errors import InvalidArgument
 from rotor.verify import BIRKHOFF_SPREAD_LIMIT, run_suite
 
 
@@ -53,3 +57,15 @@ def test_suite_order_and_thread_report_size(suite_report):
     # criterion 11 compares the whole criterion-8 entry, not its bare details
     hulls = json_text(rep.results[7].to_json_dict())
     assert rep.results[10].details["report_bytes"] == len(hulls) == 268
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"only": [99]}, {"only": [0]}, {"only": [2.0]}, {"only": ["2"]},
+    {"only": 2}, {"threads": 2.5}, {"threads": 0}], ids=str)
+def test_bad_arguments_raise_before_any_criterion(kwargs, monkeypatch):
+    # only=[99] once ran nothing and passed; threads=2.5 once ran criteria
+    # 1 to 7 and failed in criterion 8
+    monkeypatch.setattr(verify, "_CRITERIA",
+                        [lambda: pytest.fail("a criterion ran")])
+    with pytest.raises(InvalidArgument):
+        run_suite(**kwargs)
