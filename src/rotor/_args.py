@@ -1,14 +1,12 @@
 """Argument readers: the one decision of what counts as a valid argument.
 
-A Reader's read(value, name) returns the value as the body uses it (a
-point set as a finite float array (m, 2), a word as its lift), or raises
-InvalidArgument.  @reads(param=READER, ...) runs a callable's readers on
-the arguments passed, in parameter order, before the body; a default is
-not read, so defaults are written in read form.  REGISTRY maps each
-declared callable to its readers, and the contract tests are generated
-from it.  Readers of rotor's own classes are built with kind() next to
-the class (maps.LIFT, measures.MEASURE, mcg.CLASS, ...), so this module
-imports nothing of the package but its errors.
+A reader read(value, name) returns the value as the body uses it (a point
+set as a finite float array (m, 2), a word as its lift) or raises
+InvalidArgument; a class stands for the reader of its instances.
+@reads(param=reader, ...) runs a callable's readers on the arguments
+passed, in parameter order, before the body; an argument that is its
+parameter's default is passed unread.  REGISTRY maps each declared
+callable to its readers, and the contract tests are generated from it.
 """
 
 import functools
@@ -21,39 +19,26 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-# declared callable -> {parameter: Reader}
+# declared callable -> {parameter: reader}
 REGISTRY = {}
-
-
-class Reader:
-    """kind names what read() reads ("count", "point", a class name, ...);
-    items are the readers of a container's elements."""
-
-    def __init__(self, kind, read, *items, least=None, most=None):
-        self.kind, self.read, self.items = kind, read, items
-        self.least, self.most = least, most
 
 
 def reads(**readers):
     """Declare the readers of a callable's parameters, by name.
 
     The wrapper is compiled here, once, with the callable's own parameter
-    list, so a call costs one frame more than the readers: every argument
-    passed for a declared parameter goes through its reader, in parameter
-    order, and a default is passed on unread.
+    list, so a call costs one frame more than its readers.
     """
+    readers = {k: _reader(r) for k, r in readers.items()}
+
     def declare(fn):
-        params = inspect.signature(fn).parameters
-        if set(readers) - set(params):
-            raise TypeError("%s has no parameter %s"
-                            % (fn.__qualname__, set(readers) - set(params)))
         env, head, args = {"_fn": fn}, [], []
-        for name, p in params.items():
+        for name, p in inspect.signature(fn).parameters.items():
             if p.kind is not p.POSITIONAL_OR_KEYWORD:
                 raise TypeError("@reads takes plain parameters, not %s" % p)
             arg = name
             if name in readers:
-                env["_r_" + name] = readers[name].read
+                env["_r_" + name] = readers[name]
                 arg = "_r_%s(%s, %r)" % (name, name, name)
             if p.default is p.empty:
                 head.append(name)
@@ -72,65 +57,56 @@ def reads(**readers):
     return declare
 
 
-def count(least, most=None):
-    """An integer >= least (and <= most); a float or a string raises."""
-    bound = ">= %d" % least if most is None else "in %d..%d" % (least, most)
+def _reader(r):
+    return kind(r) if isinstance(r, type) else r
 
+
+def _rule(what, holds, convert=None):
+    """The reader of the values for which holds(value) is true, passed on
+    as convert(value); a holds that raises rejects the value."""
     def read(value, name):
-        if (not isinstance(value, Integral) or value < least
-                or (most is not None and value > most)):
-            raise InvalidArgument("%s must be an integer %s, not %r"
-                                  % (name, bound, value))
-        return value
-    return Reader("count", read, least=least, most=most)
+        try:
+            if holds(value):
+                return value if convert is None else convert(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise InvalidArgument("%s must be %s, not %r" % (name, what, value))
+    return read
 
 
-def _positive(value, name):
-    # NaN, inf, zero or a negative tolerance makes every comparison with
-    # it meaningless
-    if not (isinstance(value, Real) and 0.0 < value < math.inf):
-        raise InvalidArgument("%s must be a finite number > 0, not %r"
-                              % (name, value))
-    return value
+def count(least, most=math.inf):
+    """An integer >= least (and <= most); a float or a string raises."""
+    return _rule("an integer " + (">= %d" % least if most == math.inf
+                                  else "in %d..%d" % (least, most)),
+                 lambda v: isinstance(v, Integral) and least <= v <= most)
 
 
-def _finite(value, name):
-    # a NaN amplitude would read as a Lipschitz bound of 0 and certify a
-    # generator whose maps return NaN
-    try:
-        if isinstance(value, Real) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int too large for a float
-        pass
-    raise InvalidArgument("%s must be a finite number, not %r"
-                          % (name, value))
+def kind(*types):
+    """An instance of one of the types, passed on as it is."""
+    return _rule(" or ".join(t.__name__ for t in types),
+                 lambda v: isinstance(v, types))
 
 
-def _integral(value, name):
-    # 2.0 passes, as the scenario parser reads numbers as floats; NaN, inf,
-    # None, strings and fractions raise
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidArgument("%s must be an integer, not %r" % (name, value))
+# NaN, inf, zero or a negative tolerance makes every comparison with it
+# meaningless
+POSITIVE = _rule("a finite number > 0",
+                 lambda v: isinstance(v, Real) and 0.0 < v < math.inf)
+# a NaN amplitude would read as a Lipschitz bound of 0 and certify a
+# generator whose maps return NaN; an int too large for a float raises
+FINITE = _rule("a finite number",
+               lambda v: isinstance(v, Real) and math.isfinite(v), float)
+# 2.0 passes, as the scenario parser reads numbers as floats; the kernels
+# hold frequencies and deck translations as floats, exact up to 2**53
+INTEGRAL = _rule("an integer of size <= 2**53",
+                 lambda v: v == int(v) and abs(v) <= 2 ** 53, int)
+PATH = kind(str, os.PathLike)
 
 
-def _exact_int(value, name):
-    # the kernels hold frequencies and deck translations as floats, which
-    # are exact up to 2**53
-    k = value if type(value) is int else _integral(value, name)
-    if not -2 ** 53 <= k <= 2 ** 53:
-        raise InvalidArgument("%s must be an integer of size <= 2**53" % name)
-    return k
-
-
-def _points(values, name):
-    # a lone pair (2,) is one point
+def POINTS(values, name):
+    # finite float points (m, 2); a lone pair (2,) is one point
     try:
         pts = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgument("%s: %s" % (name, exc)) from None
     if pts.shape == (2,):
         pts = pts.reshape(1, 2)
@@ -142,40 +118,19 @@ def _points(values, name):
     return pts
 
 
-def _point(value, name):
-    pts = _points(value, name)
+def POINT(value, name):
+    # one finite point (x, y) of floats
+    pts = POINTS(value, name)
     if len(pts) != 1:
         raise InvalidArgument("%s must be one point" % name)
     return float(pts[0, 0]), float(pts[0, 1])
 
 
-POSITIVE = Reader("positive", _positive)
-FINITE = Reader("finite", _finite)
-INTEGRAL = Reader("integral", _integral)
-EXACT_INT = Reader("exact integer", _exact_int)
-POINTS = Reader("points", _points)   # finite float array (m, 2)
-POINT = Reader("point", _point)      # one finite point (x, y)
-
-
-def kind(*types):
-    """An instance of one of the types, passed on as it is."""
-    names = " or ".join(t.__name__ for t in types)
-
-    def read(value, name):
-        if not isinstance(value, types):
-            raise InvalidArgument("%s must be %s, not %r"
-                                  % (name, names, value))
-        return value
-    return Reader(names, read)
-
-
-TEXT = kind(str)
-PATH = kind(str, os.PathLike)
-
-
-def each(item):
-    """An iterable, read before its elements, as a tuple of item's reads."""
-    read_item = item.read
+def each(*items):
+    """An iterable, read before its elements, as a tuple: every element
+    read by the one reader given, or, given several, exactly one element
+    for each reader, read by it."""
+    items = tuple(_reader(r) for r in items)
 
     def read(value, name):
         try:
@@ -183,38 +138,12 @@ def each(item):
         except TypeError:
             raise InvalidArgument("%s must be iterable, not %r"
                                   % (name, value)) from None
-        out = []
-        for v in values:      # a loop: a comprehension costs a frame
-            out.append(read_item(v, name))
-        return tuple(out)
-    return Reader("each", read, item)
-
-
-def fields(*items):
-    """A fixed-length tuple, each field read by its own reader."""
-    read_items = [r.read for r in items]
-    n = len(items)
-
-    def read(value, name):
-        try:
-            values = tuple(value)
-        except TypeError:
-            values = ()
-        if len(values) != n:
+        fields = items * len(values) if len(items) == 1 else items
+        if len(fields) != len(values):
             raise InvalidArgument("%s must hold %d values, not %r"
-                                  % (name, n, value))
-        out = []
-        for f, v in zip(read_items, values):  # a loop, as in each()
-            out.append(f(v, name))
-        return tuple(out)
-    return Reader("fields", read, *items)
-
-
-def optional(item):
-    """None, or a value item reads."""
-    def read(value, name):
-        return None if value is None else item.read(value, name)
-    return Reader("optional", read, item)
+                                  % (name, len(items), value))
+        return tuple([r(v, name) for r, v in zip(fields, values)])
+    return read
 
 
 def terms(make):
@@ -225,4 +154,4 @@ def terms(make):
         except TypeError:
             raise InvalidArgument("%s must be tuples of %s's arguments, not %r"
                                   % (name, make.__name__, value)) from None
-    return Reader("terms " + make.__name__, read)
+    return read

@@ -25,15 +25,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._args import POINT, POSITIVE, Reader, count, each, fields, kind, reads
+from ._args import POINT, POSITIVE, count, each, reads
 from ._kernels import affine_orbit, grid_merge
 from .errors import (ConditionStarStarViolated, ConfigError, DefectExceeded,
                      InvalidArgument, RotorError)
-from .maps import (IDENTITY, LIFT, WORD, Word, apply_torus_batch,
+from .maps import (IDENTITY, LIFT, Word, apply_torus_batch,
                    commutator_lift, inverse as word_inverse, inverse_lift,
                    linear_part)
-from .mcg import CLASS, MCGClass, check_condition_star_star
-from .measures import (MEASURE, EmpiricalMeasure, _trig_moments,
+from .mcg import MCGClass, check_condition_star_star
+from .measures import (EmpiricalMeasure, _trig_moments,
                        invariance_defect, pushforward, rotation_vector)
 
 __all__ = [
@@ -81,9 +81,8 @@ class GroupSpec:
 
 
 # the dataclass's own __init__, declared: the readers hand it tuples
-GroupSpec.__init__ = reads(generators_G0=each(WORD), extension_gens=each(
-    fields(WORD, CLASS)))(GroupSpec.__init__)
-SPEC = kind(GroupSpec)
+GroupSpec.__init__ = reads(generators_G0=each(Word), extension_gens=each(
+    each(Word, MCGClass)))(GroupSpec.__init__)
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ def _defect_table(words: Dict[str, Word], mu: EmpiricalMeasure) -> Dict[str, flo
     return table
 
 
-@reads(spec=SPEC, phi=IDENTITY, mu0=MEASURE, L=count(1), tol=POSITIVE)
+@reads(spec=GroupSpec, phi=IDENTITY, mu0=EmpiricalMeasure, L=count(1), tol=POSITIVE)
 def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
                         L: int = 256, tol: float = 1e-9,
                         force: bool = False) -> ConstructionTrace:
@@ -230,15 +229,14 @@ def construct_invariant(spec: GroupSpec, phi, mu0: EmpiricalMeasure,
 
 def _powers(p, name) -> Tuple[bool, List[int]]:
     # (whether p is a single power, the powers as ints)
-    single = isinstance(p, (int, Integral)) or not isinstance(p, Iterable)
+    single = not isinstance(p, Iterable)
     powers = [p] if single else list(p)
-    for q in powers:
-        if not isinstance(q, (int, Integral)):
-            raise InvalidArgument("powers must be integers")
+    if not all(isinstance(q, Integral) for q in powers):
+        raise InvalidArgument("powers must be integers")
     return single, [int(q) for q in powers]
 
 
-@reads(g=LIFT, h=IDENTITY, mu=MEASURE, p=Reader("powers", _powers))
+@reads(g=LIFT, h=IDENTITY, mu=EmpiricalMeasure, p=_powers)
 def rotev_residual(g, h, mu: EmpiricalMeasure, p) -> np.ndarray:
     """Difference between the measured and the predicted rotation vector
     of h under the p-th pushforward of mu by g.
@@ -306,7 +304,7 @@ class OrbitCheck:
     max_norm: float
 
 
-@reads(g_class=CLASS, rho0=POINT, w=POINT, P=count(0))
+@reads(g_class=MCGClass, rho0=POINT, w=POINT, P=count(0))
 def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck:
     """Scan the affine orbit rho_p = [g]^p rho0 + sum_{k<=p} [g]^k w over
     p in [-P, P] and report whether it stays bounded.

@@ -15,9 +15,9 @@ from typing import List
 
 import numpy as np
 
-from ._args import FINITE, count, optional, reads
+from ._args import FINITE, count, reads
 from .covers import AnnulusMapSpec, annulus_term, doubled_displacement_terms
-from .maps import GROUP, Generator, MapGroup, Word, constant_term, trig_term
+from .maps import Generator, MapGroup, Word, constant_term, trig_term
 from .mcg import MCGClass
 from .measures import EmpiricalMeasure
 
@@ -99,7 +99,7 @@ class FranksCase:
     measure: EmpiricalMeasure
 
 
-@reads(group=optional(GROUP))
+@reads(group=MapGroup)
 def franks_cases(group: MapGroup = None) -> List[FranksCase]:
     """Every catalog pair the fixed-point consistency sweep runs over.
 

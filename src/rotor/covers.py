@@ -21,14 +21,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._args import (EXACT_INT, FINITE, POINTS, POSITIVE, TEXT, count, each,
-                    fields, kind, reads, terms)
+from ._args import (FINITE, INTEGRAL, POINTS, POSITIVE, count, each, reads,
+                    terms)
 from ._kernels import reduce_batch
 from .errors import NotSigmaEquivariant
 from .maps import (LIFT, Generator, LiftedWord, MapGroup, Word,
                    apply_torus_batch, torus_grid, trig_term)
 from .mcg import MCGClass
-from .measures import MEASURE, EmpiricalMeasure, rotation_vector
+from .measures import EmpiricalMeasure, rotation_vector
 
 __all__ = [
     "AnnulusMapSpec",
@@ -66,7 +66,7 @@ def check_sigma_commute(w: Word) -> float:
     return float(_torus_gap(left, right).max())
 
 
-@reads(mu=MEASURE, lw=LIFT, sigma_tol=POSITIVE)
+@reads(mu=EmpiricalMeasure, lw=LIFT, sigma_tol=POSITIVE)
 def rho_bar(mu: EmpiricalMeasure, lw,
             sigma_tol: float = 1e-9) -> Tuple[float, float]:
     """The Klein rotation invariant (a mod 1, |b|) of a lifted word.
@@ -85,7 +85,7 @@ def rho_bar(mu: EmpiricalMeasure, lw,
     return (a, abs(b))
 
 
-@reads(mu=MEASURE)
+@reads(mu=EmpiricalMeasure)
 def klein_symmetrize(mu: EmpiricalMeasure) -> EmpiricalMeasure:
     """The sigma-symmetric measure (mu + sigma_*mu)/2.
 
@@ -101,7 +101,7 @@ def klein_symmetrize(mu: EmpiricalMeasure) -> EmpiricalMeasure:
 # --- annulus doubling
 
 
-@reads(amplitude=FINITE, k=EXACT_INT, phase=FINITE, ypow=count(0))
+@reads(amplitude=FINITE, k=INTEGRAL, phase=FINITE, ypow=count(0))
 def annulus_term(amplitude: float, k: int = 0, phase: float = 0.0,
                  ypow: int = 0):
     """One displacement term amplitude*sin(2pi*k*x + phase)*t^ypow."""
@@ -115,9 +115,6 @@ class AnnulusMapSpec:
     @reads(a_terms=terms(annulus_term))
     def __init__(self, a_terms: Sequence = ()):
         self.a_terms = a_terms
-
-
-ANNULUS = kind(AnnulusMapSpec)
 
 
 def _t_power_cosine_coeffs(p: int) -> List[float]:
@@ -137,7 +134,7 @@ def _t_power_cosine_coeffs(p: int) -> List[float]:
     return c
 
 
-@reads(spec=ANNULUS)
+@reads(spec=AnnulusMapSpec)
 def doubled_displacement_terms(spec: "AnnulusMapSpec") -> List[tuple]:
     """The trig terms of the doubled map's x displacement, ready to drop
     into a Generator; the caller picks the group."""
@@ -162,7 +159,7 @@ def doubled_displacement_terms(spec: "AnnulusMapSpec") -> List[tuple]:
             for (kx, ky, ph), a in sorted(acc.items()) if a != 0.0]
 
 
-@reads(named_specs=each(fields(TEXT, ANNULUS)))
+@reads(named_specs=each(each(str, AnnulusMapSpec)))
 def double_annulus_family(named_specs) -> MapGroup:
     """Double several annulus maps into one shared group so their
     doubles compose as words."""
@@ -173,7 +170,7 @@ def double_annulus_family(named_specs) -> MapGroup:
     return MapGroup(gens)
 
 
-@reads(spec=ANNULUS, name=TEXT)
+@reads(spec=AnnulusMapSpec, name=str)
 def double_annulus(spec: AnnulusMapSpec, name: str = "doubled") -> Word:
     """Mirror-double an annulus map into a torus word.
 

@@ -30,13 +30,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._args import POINT, POSITIVE, Reader, count, each, reads
+from ._args import POINT, POSITIVE, count, each, reads
 from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                      NonIsolated)
 from .maps import (IDENTITY, LIFT, LiftedWord, Word, apply_lift_batch,
                    displacement_field_batch, orbit_displacement_means,
                    reduce_point, torus_grid)
-from .measures import (MEASURE, EmpiricalMeasure, invariance_defect,
+from .measures import (EmpiricalMeasure, invariance_defect,
                        rotation_vector)
 
 __all__ = [
@@ -118,14 +118,10 @@ class FixedPointReport:
                     w.writerow([k, repr(x), repr(y)])
 
 
-_EACH_LIFT = each(LIFT)
-
-
 def _lifts(ws, name) -> Tuple[LiftedWord, ...]:
     # one word or lift, or a nonempty iterable of them
-    if isinstance(ws, (Word, LiftedWord)):
-        ws = [ws]
-    lifts = _EACH_LIFT.read(ws, name)
+    lifts = each(LIFT)([ws] if isinstance(ws, (Word, LiftedWord)) else ws,
+                       name)
     if not lifts:
         raise InvalidArgument("%s needs at least one word" % name)
     return lifts
@@ -354,7 +350,7 @@ def find_fixed_points(w: Word, grid_n: int = 64, tol: float = 1e-9) -> FixedPoin
     return _scan([w], grid_n, tol)
 
 
-@reads(ws=Reader("lifts", _lifts), grid_n=count(8), tol=POSITIVE)
+@reads(ws=_lifts, grid_n=count(8), tol=POSITIVE)
 def common_fixed_points(ws, grid_n: int = 64, tol: float = 1e-9) -> FixedPointReport:
     """Points fixed simultaneously by every word in ws.
 
@@ -430,7 +426,7 @@ class FranksReport:
         }
 
 
-@reads(w=LIFT, mu=MEASURE, tol=POSITIVE, grid_n=count(8))
+@reads(w=LIFT, mu=EmpiricalMeasure, tol=POSITIVE, grid_n=count(8))
 def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
                        grid_n: int = 64) -> FranksReport:
     """Empirical check of the zero-rotation-vector fixed point criterion.

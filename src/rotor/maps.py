@@ -17,12 +17,12 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from ._args import (EXACT_INT, FINITE, POINT, POINTS, Reader, count, each,
-                    fields, kind, reads, terms)
+from ._args import (FINITE, INTEGRAL, POINT, POINTS, count, each, kind,
+                    reads, terms)
 from ._kernels import _NEWTON_MAX, _NEWTON_TOL
 from .errors import (InvalidArgument, NewtonDivergence,
                      NotIsotopicToIdentity, RotorError)
-from .mcg import CLASS, MCGClass, spectral_class
+from .mcg import MCGClass, spectral_class
 
 __all__ = [
     "Generator",
@@ -62,7 +62,7 @@ def torus_grid(k: int) -> np.ndarray:
     return np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
 
 
-@reads(amplitude=FINITE, kx=EXACT_INT, ky=EXACT_INT, phase=FINITE)
+@reads(amplitude=FINITE, kx=INTEGRAL, ky=INTEGRAL, phase=FINITE)
 def trig_term(amplitude: float, kx: int, ky: int, phase: float = 0.0):
     """One displacement term amplitude*sin(2pi*(kx*x + ky*y) + phase), with
     a finite amplitude and phase and integral frequencies."""
@@ -89,7 +89,7 @@ class Generator:
     by the linear factor, which is 1 for A = +-Id).
     """
 
-    @reads(linear=CLASS, disp_x=TERMS, disp_y=TERMS)
+    @reads(linear=MCGClass, disp_x=TERMS, disp_y=TERMS)
     def __init__(self, name: str, linear: MCGClass, disp_x=(), disp_y=(),
                  _derive: bool = True):
         self.name = str(name)
@@ -133,7 +133,7 @@ class Generator:
 class MapGroup:
     """Finitely generated group of torus maps; group elements are Words."""
 
-    @reads(generators=each(kind(Generator)))
+    @reads(generators=each(Generator))
     def __init__(self, generators: Sequence[Generator]):
         self.generators = generators
         names = [g.name for g in self.generators]
@@ -175,9 +175,6 @@ class MapGroup:
         return Word(self, [])
 
 
-GROUP = kind(MapGroup)
-
-
 def _free_reduce(letters, size: int) -> tuple:
     """The letters checked and freely reduced in one pass; InvalidArgument
     unless they are iterable and each is an (index, sign) pair with an
@@ -213,7 +210,7 @@ class Word:
     Letters compose left to right as maps: the last letter acts first.
     """
 
-    @reads(group=GROUP)
+    @reads(group=MapGroup)
     def __init__(self, group: MapGroup, letters):
         self.group = group
         self.letters = _free_reduce(letters, len(group.generators))
@@ -232,13 +229,13 @@ class Word:
         return "Word(%s)" % (" ".join(parts) or "id")
 
 
-WORD = kind(Word)
+_WORD = kind(Word)
 
 
 class LiftedWord:
     """T_v composed with the canonical lift of a word; v integral."""
 
-    @reads(word=WORD, extra_translation=fields(EXACT_INT, EXACT_INT))
+    @reads(word=Word, extra_translation=each(INTEGRAL, INTEGRAL))
     def __init__(self, word: Word, extra_translation=(0, 0)):
         self.word = word
         self.extra_translation = extra_translation
@@ -247,27 +244,35 @@ class LiftedWord:
         return "LiftedWord(%r, v=%r)" % (self.word, self.extra_translation)
 
 
-LIFTED = kind(LiftedWord)
+def _lifted(word: Word, v) -> LiftedWord:
+    # a lift of a word and an integral translation that were read already
+    lw = object.__new__(LiftedWord)
+    lw.word, lw.extra_translation = word, v
+    return lw
 
 
-@reads(w1=WORD, w2=WORD)
+# The word algebra builds its results from arguments it has read: the
+# composites call the bodies of the declared parts (__wrapped__), so no
+# value is read twice.
+@reads(w1=Word, w2=Word)
 def compose(w1: Word, w2: Word) -> Word:
     if w1.group is not w2.group:
         raise RotorError("words over different groups")
-    return Word(w1.group, list(w1.letters) + list(w2.letters))
+    return Word(w1.group, w1.letters + w2.letters)
 
 
-@reads(w=WORD)
+@reads(w=Word)
 def inverse(w: Word) -> Word:
     return Word(w.group, [(i, -s) for i, s in reversed(w.letters)])
 
 
-@reads(w1=WORD, w2=WORD)
+@reads(w1=Word, w2=Word)
 def commutator(w1: Word, w2: Word) -> Word:
-    return compose(compose(w1, w2), compose(inverse(w1), inverse(w2)))
+    c, i = compose.__wrapped__, inverse.__wrapped__
+    return c(c(w1, w2), c(i(w1), i(w2)))
 
 
-@reads(w=WORD)
+@reads(w=Word)
 def linear_part(w: Word) -> MCGClass:
     """The product of the letters' classes, once per group and reduced
     letter sequence; integer products are exact, so the cache changes no
@@ -283,44 +288,41 @@ def linear_part(w: Word) -> MCGClass:
     return out
 
 
-@reads(l1=LIFTED, l2=LIFTED)
+@reads(l1=LiftedWord, l2=LiftedWord)
 def compose_lift(l1: LiftedWord, l2: LiftedWord) -> LiftedWord:
     # (T_u W1)(T_v W2) = T_{u + [W1] v} (W1 W2)
     u, v = l1.extra_translation, l2.extra_translation
-    a = linear_part(l1.word)
-    shift = a.apply(v)
-    return LiftedWord(compose(l1.word, l2.word), (u[0] + shift[0], u[1] + shift[1]))
+    shift = linear_part.__wrapped__(l1.word).apply(v)
+    return _lifted(compose.__wrapped__(l1.word, l2.word),
+                   (u[0] + shift[0], u[1] + shift[1]))
 
 
-@reads(lw=LIFTED)
+@reads(lw=LiftedWord)
 def inverse_lift(lw: LiftedWord) -> LiftedWord:
     # (T_v W)^-1 = T_{-[W]^-1 v} W^-1
-    a = linear_part(lw.word).inverse()
+    a = linear_part.__wrapped__(lw.word).inverse()
     shift = a.apply(lw.extra_translation)
-    return LiftedWord(inverse(lw.word), (-shift[0], -shift[1]))
+    return _lifted(inverse.__wrapped__(lw.word), (-shift[0], -shift[1]))
 
 
-@reads(l1=LIFTED, l2=LIFTED)
+@reads(l1=LiftedWord, l2=LiftedWord)
 def commutator_lift(l1: LiftedWord, l2: LiftedWord) -> LiftedWord:
-    return compose_lift(compose_lift(l1, l2),
-                        compose_lift(inverse_lift(l1), inverse_lift(l2)))
+    c, i = compose_lift.__wrapped__, inverse_lift.__wrapped__
+    return c(c(l1, l2), c(i(l1), i(l2)))
 
 
-def _lift(w, name) -> LiftedWord:
+def LIFT(w, name) -> LiftedWord:
     # a word as its canonical lift
-    return w if isinstance(w, LiftedWord) else LiftedWord(WORD.read(w, name))
+    return w if isinstance(w, LiftedWord) else _lifted(_WORD(w, name), (0, 0))
 
 
-def _identity_lift(w, name) -> LiftedWord:
-    lw = _lift(w, name)
-    if not linear_part(lw.word).is_identity():
+def IDENTITY(w, name) -> LiftedWord:
+    # a lift whose linear part is the identity
+    lw = LIFT(w, name)
+    if not linear_part.__wrapped__(lw.word).is_identity():
         raise NotIsotopicToIdentity(
             "%s %r has a nontrivial linear part" % (name, lw.word))
     return lw
-
-
-LIFT = Reader("lift", _lift)
-IDENTITY = Reader("identity lift", _identity_lift)
 
 
 @reads(lw=LIFT)

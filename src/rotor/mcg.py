@@ -42,7 +42,7 @@ class MCGClass:
         # read by hand, not declared: products in closure and criterion 1
         # build many classes, and int entries skip the reader
         if not type(a) is type(b) is type(c) is type(d) is int:
-            a, b, c, d = (INTEGRAL.read(v, "a class entry")
+            a, b, c, d = (INTEGRAL(v, "a class entry")
                           for v in (a, b, c, d))
         if a * d - b * c not in (1, -1):
             raise NotUnimodular("det = %d" % (a * d - b * c))
@@ -77,7 +77,7 @@ class MCGClass:
     def __mul__(self, other: "MCGClass") -> "MCGClass":
         # read by hand, not declared, for the same reason as __init__
         if type(other) is not MCGClass:
-            CLASS.read(other, "other")
+            kind(MCGClass)(other, "other")
         return MCGClass(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -121,9 +121,6 @@ class MCGClass:
     def __repr__(self) -> str:
         return "MCGClass(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
 
-
-CLASS = kind(MCGClass)
-CLASSES = each(CLASS)
 
 _ID = MCGClass.identity()
 _MINUS_ID = -_ID
@@ -185,7 +182,7 @@ class FiniteIndexReport:
     description: str
 
 
-@reads(A=CLASS)
+@reads(A=MCGClass)
 def spectral_class(A: MCGClass) -> SpectralClass:
     """Exact (trace, det) tag plus float eigenvalues; RotorError on overflow."""
     t, d = A.trace, A.det
@@ -221,7 +218,7 @@ def spectral_class(A: MCGClass) -> SpectralClass:
     return SpectralClass("other_real_split", eig)
 
 
-@reads(A=CLASS)
+@reads(A=MCGClass)
 def has_nontrivial_unity_root(A: MCGClass) -> bool:
     """True iff some eigenvalue is a root of unity other than 1.
 
@@ -231,7 +228,7 @@ def has_nontrivial_unity_root(A: MCGClass) -> bool:
     return (d == 1 and t in (-2, -1, 0, 1)) or (d == -1 and t == 0)
 
 
-@reads(A=CLASS)
+@reads(A=MCGClass)
 def torsion_order(A: MCGClass) -> Optional[int]:
     """Smallest k >= 1 with A^k = Id, or None for infinite order.
 
@@ -246,7 +243,7 @@ def torsion_order(A: MCGClass) -> Optional[int]:
     return None
 
 
-@reads(gens=CLASSES)
+@reads(gens=each(MCGClass))
 def closure(gens):
     """Breadth-first closure under products and inverses.
 
@@ -410,7 +407,7 @@ def _infinite_form(gens):
     return SubgroupForm("pair" if minus else "cyclic", generator=N)
 
 
-@reads(gens=CLASSES)
+@reads(gens=each(MCGClass))
 def classify_nilpotent(gens) -> SubgroupForm:
     """Match the generated subgroup against the classified nilpotent shapes.
 
@@ -433,7 +430,7 @@ def classify_nilpotent(gens) -> SubgroupForm:
     return _infinite_form(gens)
 
 
-@reads(gens=CLASSES)
+@reads(gens=each(MCGClass))
 def check_condition_star_star(gens) -> StarStarReport:
     """Decide whether the linear-part group admits the averaging witness.
 
@@ -461,7 +458,7 @@ def check_condition_star_star(gens) -> StarStarReport:
     return StarStarReport(True, (N, -N), None, form)
 
 
-@reads(gens=CLASSES)
+@reads(gens=each(MCGClass))
 def finite_index_subgroup(gens) -> FiniteIndexReport:
     """Largest classified subgroup on which the averaging scheme applies.
 

@@ -17,14 +17,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._args import PATH, POINT, POINTS, POSITIVE, count, kind, reads
+from ._args import PATH, POINT, POINTS, POSITIVE, count, reads
 from ._kernels import grid_merge
 from .errors import InvalidArgument
 from .geometry import convex_hull, hull_centroid, hull_diameter
-from .maps import (IDENTITY, LIFT, LiftedWord, Word, apply_lift_batch,
-                   apply_torus_batch, orbit_displacement_means,
-                   orbit_mean_with_tail, orbit_segment, reduce_point,
-                   torus_grid)
+from .maps import (IDENTITY, LIFT, LiftedWord, Word, _lifted,
+                   apply_lift_batch, apply_torus_batch,
+                   orbit_displacement_means, orbit_mean_with_tail,
+                   orbit_segment, reduce_point, torus_grid)
 
 __all__ = [
     "EmpiricalMeasure",
@@ -142,9 +142,6 @@ class EmpiricalMeasure:
         return "EmpiricalMeasure(%d atoms)" % len(self)
 
 
-MEASURE = kind(EmpiricalMeasure)
-
-
 @dataclass(eq=False)
 class RotationSetEstimate:
     """Displacement means over many seeds and their convex hull."""
@@ -188,7 +185,7 @@ class BirkhoffRecord:
     tail_spread: float
 
 
-@reads(w=LIFT, mu=MEASURE)
+@reads(w=LIFT, mu=EmpiricalMeasure)
 def pushforward(w: Word, mu: EmpiricalMeasure) -> EmpiricalMeasure:
     """Image measure: atoms moved by the torus map, weights carried along.
 
@@ -198,7 +195,7 @@ def pushforward(w: Word, mu: EmpiricalMeasure) -> EmpiricalMeasure:
     return EmpiricalMeasure(apply_lift_batch(w, mu.points), mu.weights)
 
 
-@reads(mu=MEASURE, lw=IDENTITY)
+@reads(mu=EmpiricalMeasure, lw=IDENTITY)
 def rotation_vector(mu: EmpiricalMeasure, lw) -> np.ndarray:
     """Integral of the displacement field against mu.
 
@@ -208,7 +205,7 @@ def rotation_vector(mu: EmpiricalMeasure, lw) -> np.ndarray:
     integer vector shifts the result by exactly that vector.
     """
     # canonical atoms are their own torus representatives
-    disp = apply_lift_batch(LiftedWord(lw.word), mu.points) - mu.points
+    disp = apply_lift_batch(_lifted(lw.word, (0, 0)), mu.points) - mu.points
     u = lw.extra_translation
     return np.array([mu.weights @ disp[:, 0] + u[0],
                      mu.weights @ disp[:, 1] + u[1]])
@@ -227,7 +224,7 @@ def _trig_moments(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.concatenate([weights @ np.cos(ang), weights @ np.sin(ang)])
 
 
-@reads(w=LIFT, mu=MEASURE)
+@reads(w=LIFT, mu=EmpiricalMeasure)
 def invariance_defect(w: Word, mu: EmpiricalMeasure,
                       moments: Optional[np.ndarray] = None) -> float:
     """Largest change of a trig test-function integral under the map.

@@ -43,7 +43,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ._args import PATH, TEXT, kind, reads
+from ._args import FINITE, PATH, POSITIVE, count, reads
 from .averaging import GroupSpec
 from .catalog import circle_measure, horizontal_circle_measure
 from .errors import ConfigError, RotorError
@@ -148,21 +148,15 @@ def _text(key, text):
     return text
 
 
-def _number(key, text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError("%s: expected a finite number, got %r" % (key, text))
-    return value
-
-
-def _positive(key, text):
-    value = _number(key, text)
-    if not value > 0.0:
-        raise ValueError("%s must be positive, got %r" % (key, text))
-    return value
+def _reading(read, expected, parse=float):
+    # the text parsed, then decided by the API's reader, so a scenario
+    # value and an argument are held to the same rule
+    def parse_text(key, text):
+        try:
+            return read(parse(text), key)
+        except ValueError:  # InvalidArgument is one
+            raise ValueError(expected % (key, text)) from None
+    return parse_text
 
 
 def _integer(key, text):
@@ -172,11 +166,9 @@ def _integer(key, text):
         raise ValueError("%s: expected an integer, got %r" % (key, text))
 
 
-def _count(key, text):
-    value = _integer(key, text)
-    if value < 1:
-        raise ValueError("expected %s >= 1, got %r" % (key, text))
-    return value
+_number = _reading(FINITE, "%s: expected a finite number, got %r")
+_positive = _reading(POSITIVE, "%s must be positive, got %r")
+_count = _reading(count(1), "expected an integer %s >= 1, got %r", int)
 
 
 def _nonempty(key, text):
@@ -452,7 +444,7 @@ def _build_analysis(scn: Scenario, sec: _Section) -> AnalysisRequest:
 # --- top level
 
 
-@reads(text=TEXT)
+@reads(text=str)
 def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
     sections = _split_sections(text)
 
@@ -542,7 +534,7 @@ def _term_text(term) -> str:
     return "trig(%r, %d, %d, %r)" % (amp, int(kx), int(ky), phase)
 
 
-@reads(gen=kind(Generator))
+@reads(gen=Generator)
 def generator_section_text(gen: Generator) -> str:
     """The [generator] section reproducing gen exactly on reparse."""
     lines = ["[generator %s]" % gen.name]

@@ -265,8 +265,8 @@ def test_rotev_closed_form_family():
 def rotev_oracle(g, h, mu, p):
     """Reference single-power transport residual: every pushforward,
     rotation vector and matrix power computed afresh for p alone."""
-    g = LIFT.read(g, "g")
-    h = IDENTITY.read(h, "h")
+    g = LIFT(g, "g")
+    h = IDENTITY(h, "h")
     a = linear_part(g.word)
 
     mu_p = mu

@@ -1,14 +1,12 @@
 """Bad arguments raise InvalidArgument before any work.
 
-The contract is generated from the declarations: every parameter that a
-callable declares with @reads gets every bad value of its reader's kind,
-on both backends and, where the callable takes threads, at threads 1 and
-2, with the kernels replaced by a function that fails.  So a check that
-comes after a kernel, or a value that slips through (a NaN tolerance
-compares false with everything), fails the test, and the same call
-without the bad value must not raise InvalidArgument.  Every callable in
-a module's __all__ is declared or exempt with a reason.  The named cases
-below pin the calls that once leaked, one bad argument each.
+The named cases pin one bad argument each of the calls that once leaked
+or checked late.  The generated cases come from the declarations: every
+parameter declared with @reads gets every value of BAD that its own
+reader rejects, and must be rejected the same way.  The kernels and the
+evaluators the callables run next are replaced by a function that fails,
+on both backends, so a check that comes late or is missing fails the
+test.  Every callable in a module's __all__ is declared or exempt.
 """
 
 import inspect
@@ -52,23 +50,30 @@ GRID = EmpiricalMeasure.uniform_grid(4)
 SEEDS = torus_grid(4)
 SPEC = GroupSpec(generators_G0=(TR,))
 
-# the kernels a point or a word reaches once it is read, under every name
-# a rotor module holds them by
+# the work the callables do once their arguments pass: the kernels, under
+# every name a rotor module holds them by, and the evaluators run next
 KERNELS = ("apply_word", "orbit_mean_batch", "orbit_mean_tail",
            "orbit_collect", "affine_orbit", "grid_merge", "reduce_batch")
-KERNEL_HOLDERS = (_kernels, maps, measures, averaging, covers, geometry,
-                  fixed_points)
+EVALUATORS = {
+    measures: ("orbit_segment", "estimate_rotation_set",
+               "orbit_displacement_means"),
+    averaging: ("_defect_table", "rotation_vector", "pushforward",
+                "apply_torus_batch"),
+    covers: ("check_sigma_commute", "rotation_vector", "apply_torus_batch"),
+    catalog: ("EmpiricalMeasure",),
+}
 
 
 @pytest.fixture
-def no_kernels(monkeypatch):
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("a kernel ran")
+def no_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the arguments were used")
 
-    for module in KERNEL_HOLDERS:
-        for name in KERNELS:
+    for module in (_kernels, maps, measures, averaging, covers, geometry,
+                   fixed_points, catalog):
+        for name in KERNELS + EVALUATORS.get(module, ()):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, no_kernel)
+                monkeypatch.setattr(module, name, no_work)
 
 
 def _rejected_everywhere(call, backends):
@@ -78,68 +83,53 @@ def _rejected_everywhere(call, backends):
             call()
 
 
-BAD_COUNTS = {
-    "torus_grid(2.5)": lambda: torus_grid(2.5),
-    "torus_grid('4')": lambda: torus_grid("4"),
-    "torus_grid(0)": lambda: torus_grid(0),
-    "uniform_grid(2.5)": lambda: EmpiricalMeasure.uniform_grid(2.5),
-    "uniform_grid('4')": lambda: EmpiricalMeasure.uniform_grid("4"),
-    "krylov n=10.5": lambda: krylov_bogolyubov(TR, (0.1, 0.2), 10.5, 5),
-    "krylov n='10'": lambda: krylov_bogolyubov(TR, (0.1, 0.2), "10", 5),
-    "krylov window=2.5": lambda: krylov_bogolyubov(TR, (0.1, 0.2), 10, 2.5),
-    "krylov window='5'": lambda: krylov_bogolyubov(TR, (0.1, 0.2), 10, "5"),
-    "construct L=2.5": lambda: construct_invariant(SPEC, TR, GRID, L=2.5),
-    "construct L='4'": lambda: construct_invariant(SPEC, TR, GRID, L="4"),
-    "circle atoms=2.5": lambda: circle_measure(0.25, atoms=2.5),
-    "circle atoms='16'": lambda: circle_measure(0.25, atoms="16"),
-    "circle atoms=0": lambda: circle_measure(0.25, atoms=0),
-    "hcircle atoms=2.5": lambda: horizontal_circle_measure(0.25, atoms=2.5),
-    "hcircle atoms='16'": lambda: horizontal_circle_measure(0.25,
-                                                            atoms="16"),
-    "hcircle atoms=0": lambda: horizontal_circle_measure(0.25, atoms=0),
-    "annulus ypow=-1": lambda: annulus_term(0.1, 0, 0.0, -1),
-    "annulus ypow=1.5": lambda: annulus_term(0.1, 0, 0.0, 1.5),
-    "annulus ypow='1'": lambda: annulus_term(0.1, 0, 0.0, "1"),
-}
+def _named(*rows):
+    # {id: call} of rows (id pattern, call of one value, values); a value
+    # list puts each value's repr in the pattern, a dict its label
+    return {pattern % label: (lambda c=call, v=v: c(v))
+            for pattern, call, values in rows
+            for label, v in (values.items() if isinstance(values, dict)
+                             else ((repr(v), v) for v in values))}
 
-BAD_INTEGERS = {
-    "deck (nan, 0)": lambda: LiftedWord(TR, (math.nan, 0)),
-    "deck (inf, 0)": lambda: LiftedWord(TR, (math.inf, 0)),
-    "deck (0.5, 0)": lambda: LiftedWord(TR, (0.5, 0)),
-    "deck ('1', 0)": lambda: LiftedWord(TR, ("1", 0)),
-    "rotev p=1.5": lambda: rotev_residual(DEHN, TR, GRID, 1.5),
-    "rotev p='2'": lambda: rotev_residual(DEHN, TR, GRID, "2"),
-    "rotev p=[1, 1.5]": lambda: rotev_residual(DEHN, TR, GRID, [1, 1.5]),
-    "trig kx=1.5": lambda: trig_term(0.1, 1.5, 0),
-    "trig kx='1'": lambda: trig_term(0.1, "1", 0),
-    "trig ky=nan": lambda: trig_term(0.1, 1, math.nan),
-    "trig ky=inf": lambda: trig_term(0.1, 1, math.inf),
-    "annulus k=1.5": lambda: annulus_term(0.1, 1.5),
-    "annulus k='1'": lambda: annulus_term(0.1, "1"),
-    "annulus k=nan": lambda: annulus_term(0.1, math.nan),
-}
 
-BAD_TOLERANCES = {}
-for _label, _tol in (("nan", math.nan), ("inf", math.inf),
-                     ("-inf", -math.inf), ("0", 0.0), ("-1", -1.0)):
-    BAD_TOLERANCES.update({
-        "construct tol=" + _label:
-            lambda t=_tol: construct_invariant(SPEC, TR, GRID, tol=t),
-        "irrotational tol=" + _label:
-            lambda t=_tol: irrotational_lift(TR, SEEDS, 100, tol=t),
-        "irrotational h tol=" + _label:
-            lambda t=_tol: irrotational_lift(CAT.word("h"), SEEDS, 100, t),
-        "rho_bar sigma_tol=" + _label:
-            lambda t=_tol: rho_bar(GRID, SKEW, sigma_tol=t),
-    })
-
-BAD_CALLS = {**BAD_COUNTS, **BAD_INTEGERS, **BAD_TOLERANCES}
+TOLERANCES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+              "0": 0.0, "-1": -1.0}
+BAD_CALLS = _named(
+    ("torus_grid(%s)", torus_grid, [2.5, "4", 0]),
+    ("uniform_grid(%s)", EmpiricalMeasure.uniform_grid, [2.5, "4"]),
+    ("krylov n=%s", lambda v: krylov_bogolyubov(TR, (0.1, 0.2), v, 5),
+     [10.5, "10"]),
+    ("krylov window=%s", lambda v: krylov_bogolyubov(TR, (0.1, 0.2), 10, v),
+     [2.5, "5"]),
+    ("construct L=%s", lambda v: construct_invariant(SPEC, TR, GRID, L=v),
+     [2.5, "4"]),
+    ("circle atoms=%s", lambda v: circle_measure(0.25, atoms=v),
+     [2.5, "16", 0]),
+    ("hcircle atoms=%s", lambda v: horizontal_circle_measure(0.25, atoms=v),
+     [2.5, "16", 0]),
+    ("annulus ypow=%s", lambda v: annulus_term(0.1, 0, 0.0, v),
+     [-1, 1.5, "1"]),
+    ("deck (%s, 0)", lambda v: LiftedWord(TR, (v, 0)),
+     [math.nan, math.inf, 0.5, "1"]),
+    ("rotev p=%s", lambda v: rotev_residual(DEHN, TR, GRID, v),
+     [1.5, "2", [1, 1.5]]),
+    ("trig kx=%s", lambda v: trig_term(0.1, v, 0), [1.5, "1"]),
+    ("trig ky=%s", lambda v: trig_term(0.1, 1, v), [math.nan, math.inf]),
+    ("annulus k=%s", lambda v: annulus_term(0.1, v), [1.5, "1", math.nan]),
+    ("construct tol=%s", lambda t: construct_invariant(SPEC, TR, GRID, tol=t),
+     TOLERANCES),
+    ("irrotational tol=%s", lambda t: irrotational_lift(TR, SEEDS, 100, tol=t),
+     TOLERANCES),
+    ("irrotational h tol=%s",
+     lambda t: irrotational_lift(CAT.word("h"), SEEDS, 100, t), TOLERANCES),
+    ("rho_bar sigma_tol=%s", lambda t: rho_bar(GRID, SKEW, sigma_tol=t),
+     TOLERANCES))
 
 
 @pytest.mark.parametrize("call", list(BAD_CALLS.values()),
                          ids=list(BAD_CALLS))
 def test_bad_counts_and_tolerances_raise_before_any_evaluation(call, backends,
-                                                               no_kernels):
+                                                               no_work):
     _rejected_everywhere(call, backends)
 
 
@@ -266,7 +256,7 @@ BAD_ARGUMENT_CALLS = {**BAD_POINT_CALLS, **BAD_WORD_CALLS, **BAD_MEASURE_CALLS,
 @pytest.mark.parametrize("call", list(BAD_ARGUMENT_CALLS.values()),
                          ids=list(BAD_ARGUMENT_CALLS))
 def test_bad_points_and_words_raise_before_any_kernel(call, backends,
-                                                      no_kernels):
+                                                      no_work):
     _rejected_everywhere(call, backends)
 
 
@@ -281,7 +271,6 @@ def test_integral_floats_still_read_as_class_entries():
 
 MODULES = (mcg, maps, measures, averaging, fixed_points, covers, geometry,
            catalog, scenario, verify, cli)
-# callables of an __all__ that declare nothing, each with its reason
 RECORD = "a result record, built from values rotor has read"
 EXEMPT = {**dict.fromkeys([
     "mcg.SpectralClass", "mcg.SubgroupForm", "mcg.StarStarReport",
@@ -295,54 +284,27 @@ EXEMPT = {**dict.fromkeys([
     "mcg.MCGClass": "a hot path: int entries skip the reader",
     "cli.main": "argparse reads argv and exits with status 2 on a bad one"}
 
-# one good value of each reader kind, and its bad values (a class reader
-# gets None, 3 and "x"); counts and containers are built from their items
-GOOD = {"positive": 1e-3, "finite": 0.25, "integral": 1, "exact integer": 1,
-        "point": (0.1, 0.2), "points": SQUARE, "lift": TR, "lifts": [TR],
-        "identity lift": TR, "powers": 1, "MCGClass": ID,
-        "Word": TR, "LiftedWord": LiftedWord(TR), "MapGroup": CAT,
-        "Generator": CAT.generators[0], "EmpiricalMeasure": GRID,
-        "GroupSpec": SPEC, "AnnulusMapSpec": annulus_twist_spec(),
-        "str": "x", "str or PathLike": "no_such.scn",
-        "terms trig_term": [(0.01, 1, 0)], "terms annulus_term": [(0.01, 1)]}
-BAD = {"positive": [math.nan, math.inf, -math.inf, 0.0, -1.0, "1", None],
-       "finite": [math.nan, math.inf, -math.inf, "a", None, 10 ** 400],
-       "integral": [1.5, "1", math.nan, math.inf, None],
-       "exact integer": [1.5, "1", math.nan, None, 10 ** 400],
-       "point": list(BAD_POINTS.values()) + [None, SQUARE],
-       "points": list(BAD_POINTS.values()) + [None],
-       "lifts": [None, 3, [], ["h"]], "powers": [1.5, "2", [1, 1.5], None],
-       "MCGClass": [None, "x", (1, 0, 0, 1)], "str": [None, 3, b"x"],
-       "str or PathLike": [None, 3], **dict.fromkeys(
-           ["terms trig_term", "terms annulus_term"],
-           [None, 3, [None], [(math.nan, 1, 0)], [(0.1,) * 9]])}
-# the required parameters that declare nothing
+# a parameter's good call passes the first value of GOOD its reader takes
+ANNULUS = annulus_twist_spec()
+GOOD = [ID, CAT, GRID, SPEC, TR, LiftedWord(TR), CAT.generators[0], ANNULUS,
+        64, (0.1, 0.2), "no_such.scn", (1, 0), [1], [TR], [ID], [(TR, ID)],
+        [CAT.generators[0]], [("a", ANNULUS)], [(0.01, 1, 0)]]
+BAD = [None, 3, 2.5, "4", b"x", 0, -1, 7, math.nan, math.inf, -math.inf,
+       10 ** 400, DEHN, (1, 0, 0, 1), [], [None], ["h"], [1.5], [99], [DEHN],
+       (math.nan, 0), (0.5, 0), (1,), np.zeros((2, 3)), SQUARE,
+       SQUARE + [(math.nan, 0.0)], [(math.nan, 1, 0)], [(0.1,) * 9],
+       [("a", None)], [(TR, None)], [(1, 0, 0, 1)], [(TR, ID, 1)]]
+# required parameters that declare nothing
 UNDECLARED = {"pts": SQUARE, "letters": [], "name": "g"}
 
 
-def good(r):
-    if r.kind == "count":
-        return max(r.least, 4)
-    if r.kind in ("each", "fields", "optional"):
-        items = [good(item) for item in r.items]
-        return items[0] if r.kind == "optional" else items
-    return GOOD[r.kind]
-
-
-def bad(r):
-    if r.kind == "count":
-        return [2.5, "4", None, r.least - 1] + (
-            [r.most + 1] if r.most else [])
-    if r.kind == "each":
-        return [None, 3] + [[b] for b in bad(r.items[0])]
-    if r.kind == "optional":
-        return [b for b in bad(r.items[0]) if b is not None]
-    if r.kind == "fields":
-        g = good(r)
-        return [None, 3, g[:-1]] + [g[:k] + [b] + g[k + 1:]
-                                    for k, item in enumerate(r.items)
-                                    for b in bad(item)]
-    return BAD.get(r.kind, [None, 3, "x"])
+def _rejection(reader, value, name):
+    # the error the reader raises on value, None when it takes value
+    try:
+        reader(value, name)
+    except RotorError as exc:
+        return type(exc)
+    return None
 
 
 def _target(fn):
@@ -355,29 +317,30 @@ def _target(fn):
 
 
 def _cases():
-    # every bad value of every declared parameter, into a call whose other
-    # arguments are good; a callable that takes threads runs at 1 and 2
+    # each declared parameter, into a call whose other arguments are good;
+    # a callable that takes threads runs at threads 1 and 2
     for fn, readers in REGISTRY.items():
         params = inspect.signature(fn).parameters
-        base = {name: good(readers[name]) if name in readers
-                else UNDECLARED[name] for name, p in params.items()
-                if name not in ("self", "cls")
-                and (name in readers or p.default is p.empty)}
-        for threads in ((1, 2) if "threads" in params else (None,)):
-            at = dict(base, threads=threads) if threads else base
-            for name, reader in readers.items():
-                if name == "threads" and threads == 2:
-                    continue
-                for k, value in enumerate(bad(reader)):
-                    label = "%s %s %d%s" % (
-                        fn.__qualname__, name, k,
-                        " threads=%d" % threads if threads else "")
-                    yield pytest.param(_target(fn), at, name, value, id=label)
+        base = {name: next(v for v in GOOD if not _rejection(r, v, name))
+                for name, r in readers.items()}
+        base.update((name, UNDECLARED[name]) for name, p in params.items()
+                    if p.default is p.empty and name not in base
+                    and name not in ("self", "cls"))
+        for name, r in readers.items():
+            bad = [(v, e) for v in BAD if v is not params[name].default
+                   and (e := _rejection(r, v, name))]
+            for threads in ((1, 2) if "threads" in params else (None,)):
+                if name != "threads" or threads != 2:
+                    at = dict(base, threads=threads) if threads else base
+                    label = "%s %s%s" % (fn.__qualname__, name,
+                                         " threads=2" * (threads == 2))
+                    yield pytest.param(_target(fn), at, name, bad, id=label)
 
 
-@pytest.mark.parametrize("call,base,name,value", list(_cases()))
-def test_declared_parameters_reject_every_bad_value(call, base, name, value,
-                                                    backends, no_kernels):
+@pytest.mark.parametrize("call,base,name,bad", list(_cases()))
+def test_declared_parameters_reject_what_their_readers_reject(
+        call, base, name, bad, backends, no_work):
+    assert bad, "%s rejects no value of BAD" % name
     for backend in backends:
         _kernels.set_backend(backend)
         try:
@@ -385,9 +348,10 @@ def test_declared_parameters_reject_every_bad_value(call, base, name, value,
         except InvalidArgument as exc:
             pytest.fail("the good call raised %r" % exc)
         except (AssertionError, RotorError, OSError):
-            pass        # a kernel ran, or a step after the readers failed
-        with pytest.raises(InvalidArgument):
-            call(**dict(base, **{name: value}))
+            pass        # the work began, or a step after the readers failed
+        for value, error in bad:
+            with pytest.raises(error):
+                call(**dict(base, **{name: value}))
 
 
 def test_every_public_callable_is_declared_or_exempt():
