@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._args import POINT, POSITIVE, count, each, reads
+from ._args import PATH, POINT, POSITIVE, count, each, reads
 from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                      NonIsolated)
 from .maps import (IDENTITY, LIFT, LiftedWord, Word, apply_lift_batch,
@@ -108,6 +108,7 @@ class FixedPointReport:
             ],
         }
 
+    @reads(path=PATH)
     def chains_to_csv(self, path) -> None:
         """One polyline per chain, rows (chain, x, y)."""
         with open(path, "w", newline="") as fh:
@@ -130,15 +131,25 @@ def _lifts(ws, name) -> Tuple[LiftedWord, ...]:
 def _residual_fields(lifts: Sequence[LiftedWord], pts: np.ndarray) -> np.ndarray:
     """Stacked per-word lattice residuals, shape (m, n, 2)."""
     out = np.empty((len(lifts), len(pts), 2))
-    for i, lw in enumerate(lifts):
-        d = apply_lift_batch(lw, pts) - pts
-        out[i] = d - np.round(d)
+    for res, lw in zip(out, lifts):
+        # apply_lift_batch returns a new array, so d = lift - pts is taken
+        # in it; res holds rint(d), then d - rint(d)
+        d = apply_lift_batch(lw, pts)
+        np.subtract(d, pts, out=d)
+        np.subtract(d, np.rint(d, out=res), out=res)
     return out
 
 
 def _combined_norm(lifts, pts: np.ndarray) -> np.ndarray:
+    """The worst per-word residual norm at each point, shape (n,).  The
+    squares and their sums are taken in place in the residuals: a fresh
+    full-grid temporary is paid for in page faults on every scan."""
     res = _residual_fields(lifts, pts)
-    return np.sqrt((res * res).sum(axis=2)).max(axis=0)
+    np.multiply(res, res, out=res)
+    sq = res[..., 0]
+    sq += res[..., 1]
+    np.sqrt(sq, out=sq)
+    return sq[0] if len(sq) == 1 else sq.max(axis=0)
 
 
 def _flat_residuals(lifts, pts: np.ndarray) -> np.ndarray:
@@ -253,50 +264,68 @@ def _dedup(found, merge_radius: float) -> List[Tuple[Tuple[float, float], float]
 
 def _grid_components(mask: np.ndarray) -> List[List[Tuple[int, int]]]:
     """8-connected components of a boolean torus grid, each sorted, in the
-    order of their first cell.  The walk visits masked cells only: seeds
-    come in row-major order, so each component is found from its first
-    cell and the components come out already in order."""
+    order of their first cell.  Only masked cells are labelled: each
+    starts as its own root, then every round hooks the larger root of each
+    neighbour pair onto the smaller and shortcuts every cell to its root
+    (Shiloach & Vishkin 1982), until both cells of every pair share one.
+    A root is never hooked onto a larger one, so each component ends
+    labelled by its smallest cell, which is its first in row-major order;
+    one stable sort by label then lists the components in order of their
+    first cell, each in row-major order."""
     n = mask.shape[0]
-    masked = [tuple(c) for c in np.argwhere(mask).tolist()]
-    unseen = set(masked)
-    comps = []
-    for start in masked:
-        if start not in unseen:
-            continue
-        unseen.discard(start)
-        stack = [start]
-        cells = []
-        while stack:
-            a, b = stack.pop()
-            cells.append((a, b))
-            for da in (-1, 0, 1):
-                for db in (-1, 0, 1):
-                    if da == 0 and db == 0:
-                        continue
-                    nb = ((a + da) % n, (b + db) % n)
-                    if nb in unseen:
-                        unseen.discard(nb)
-                        stack.append(nb)
-        cells.sort()
-        comps.append(cells)
-    return comps
+    flat = np.flatnonzero(mask)
+    if not len(flat):
+        return []
+    i, j = np.divmod(flat, n)
+    # the rank of each masked cell in flat, -1 on unmasked cells
+    rank = np.full(n * n, -1, dtype=np.intp)
+    rank[flat] = np.arange(len(flat))
+    # each neighbour pair once: the 4 forward directions, wrapping
+    pairs = [rank[(i + da) % n * n + (j + db) % n]
+             for da, db in ((0, 1), (1, -1), (1, 0), (1, 1))]
+    a = np.concatenate([np.flatnonzero(q >= 0) for q in pairs])
+    b = np.concatenate([q[q >= 0] for q in pairs])
+    label = np.arange(len(flat))
+    while True:
+        la, lb = label[a], label[b]
+        split = la != lb
+        if not split.any():
+            break
+        la, lb = la[split], lb[split]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+    order = np.argsort(label, kind="stable")
+    cells = list(zip(i[order].tolist(), j[order].tolist()))
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(),
+            len(cells)]
+    return [cells[s:e] for s, e in zip(cuts, cuts[1:])]
 
 
 def _local_min_seeds(norms: np.ndarray, exclude: np.ndarray) -> List[Tuple[int, int]]:
     """Cells no worse than all eight torus neighbours and strictly better
-    than at least one; flat plateaus (constant displacement) yield none."""
+    than at least one; flat plateaus (constant displacement) yield none.
+    The eight neighbours are slices of one wrapped pad, folded into their
+    minimum, then into their maximum; both propagate NaN, so a NaN cell or
+    a NaN neighbour makes no seed."""
     n = norms.shape[0]
-    le_all = np.ones_like(norms, dtype=bool)
-    lt_any = np.zeros_like(norms, dtype=bool)
-    for da in (-1, 0, 1):
-        for db in (-1, 0, 1):
-            if da == 0 and db == 0:
-                continue
-            nb = np.roll(np.roll(norms, -da, axis=0), -db, axis=1)
-            le_all &= norms <= nb
-            lt_any |= norms < nb
-    mask = le_all & lt_any & ~exclude
-    return [(int(i), int(j)) for i, j in np.argwhere(mask)]
+    pad = np.pad(norms, 1, mode="wrap")
+    shifts = [pad[da:da + n, db:db + n] for da in (0, 1, 2) for db in (0, 1, 2)
+              if (da, db) != (1, 1)]
+
+    def fold(ufunc):
+        acc = ufunc(shifts[0], shifts[1])
+        for nb in shifts[2:]:
+            ufunc(acc, nb, out=acc)
+        return acc
+
+    # one fold at a time: the maximum reuses the minimum's memory
+    mask = (norms <= fold(np.minimum)) & (norms < fold(np.maximum))
+    ii, jj = np.nonzero(mask & ~exclude)
+    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
@@ -306,16 +335,17 @@ def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
 
     report = FixedPointReport(points=[], chains=[], all_points_fixed=False,
                               grid_n=grid_n, tol=tol, newton_steps=_REFINE_MAX)
-    if bool((norms < tol).all()):
+    below = norms < tol
+    if below.all():
         report.all_points_fixed = True
         return report
 
-    below = norms < tol
     seed_cells: List[Tuple[int, int]] = []
     for comp in _grid_components(below):
         if len(comp) >= _CHAIN_MIN_CELLS:
-            chain_pts = tuple((float(axis[i]), float(axis[j])) for i, j in comp)
-            worst = float(max(norms[i, j] for i, j in comp))
+            ii, jj = np.array(comp).T
+            chain_pts = tuple(zip(axis[ii].tolist(), axis[jj].tolist()))
+            worst = float(norms[ii, jj].max())
             report.chains.append(FixedChain(points=chain_pts, max_residual=worst))
         else:
             best = min(comp, key=lambda c: (norms[c[0], c[1]], c))
@@ -323,7 +353,7 @@ def _scan(lifts, grid_n: int, tol: float) -> FixedPointReport:
 
     # every cell below tol belongs to a chain or seeds its component
     seed_cells.extend(_local_min_seeds(norms, below))
-    seeds = np.array([(axis[i], axis[j]) for i, j in seed_cells], dtype=float)
+    seeds = axis[np.array(seed_cells, dtype=np.intp).reshape(-1, 2)]
     if len(seeds):
         found = _refine(lifts, seeds, tol)
         # keep chain cells out of the isolated list: a Newton run started

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 from ._args import INTEGRAL, each, kind, reads
@@ -89,6 +90,8 @@ class MCGClass:
         s = self.det  # +-1, so the adjugate over det stays integral
         return MCGClass(s * self.d, -s * self.b, -s * self.c, s * self.a)
 
+    # any int: powers are exact, so a twist to the 10**400 is fine
+    @reads(n=Integral)
     def __pow__(self, n: int) -> "MCGClass":
         base = self if n >= 0 else self.inverse()
         n = abs(n)

@@ -108,6 +108,7 @@ class EmpiricalMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
+    @reads(path=PATH)
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
@@ -156,6 +157,7 @@ class RotationSetEstimate:
     def centroid(self) -> np.ndarray:
         return hull_centroid(self.hull)
 
+    @reads(path=PATH)
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)

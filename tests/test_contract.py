@@ -26,8 +26,8 @@ from rotor.catalog import (annulus_twist_spec, build_catalog, circle_measure,
 from rotor.covers import (annulus_term, klein_symmetrize, rho_bar,
                           sigma_apply)
 from rotor.errors import InvalidArgument, RotorError
-from rotor.fixed_points import (find_fixed_points, fixed_point_index,
-                                franks_certificate)
+from rotor.fixed_points import (FixedPointReport, find_fixed_points,
+                                fixed_point_index, franks_certificate)
 from rotor.geometry import (convex_hull, hausdorff_distance, hull_centroid,
                             hull_diameter, point_to_hull_distance)
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_torus_batch,
@@ -249,8 +249,19 @@ BAD_TERM_CALLS = {
     "MapGroup([1])": lambda: MapGroup([1]),
 }
 
+# methods of public classes once leaked TypeError
+REPORT = FixedPointReport([], [], False, 8, 1e-9, 50)
+ROTATION_SET = estimate_rotation_set(TR, SEEDS, 5)
+BAD_METHOD_CALLS = {
+    "FixedPointReport.chains_to_csv(None)":
+        lambda: REPORT.chains_to_csv(None),
+    "EmpiricalMeasure.to_csv(None)": lambda: GRID.to_csv(None),
+    "RotationSetEstimate.to_csv(None)": lambda: ROTATION_SET.to_csv(None),
+    "MCGClass ** '2'": lambda: MCGClass(1, 1, 0, 1) ** "2",
+}
+
 BAD_ARGUMENT_CALLS = {**BAD_POINT_CALLS, **BAD_WORD_CALLS, **BAD_MEASURE_CALLS,
-                      **BAD_CLASS_CALLS, **BAD_TERM_CALLS}
+                      **BAD_CLASS_CALLS, **BAD_TERM_CALLS, **BAD_METHOD_CALLS}
 
 
 @pytest.mark.parametrize("call", list(BAD_ARGUMENT_CALLS.values()),
@@ -284,11 +295,12 @@ EXEMPT = {**dict.fromkeys([
     "mcg.MCGClass": "a hot path: int entries skip the reader",
     "cli.main": "argparse reads argv and exits with status 2 on a bad one"}
 
-# a parameter's good call passes the first value of GOOD its reader takes
+# a parameter's good call passes the first value of GOOD its reader takes;
+# the path is one that neither a reader nor a writer can open
 ANNULUS = annulus_twist_spec()
 GOOD = [ID, CAT, GRID, SPEC, TR, LiftedWord(TR), CAT.generators[0], ANNULUS,
-        64, (0.1, 0.2), "no_such.scn", (1, 0), [1], [TR], [ID], [(TR, ID)],
-        [CAT.generators[0]], [("a", ANNULUS)], [(0.01, 1, 0)]]
+        64, (0.1, 0.2), "no_such_dir/no_such.scn", (1, 0), [1], [TR], [ID],
+        [(TR, ID)], [CAT.generators[0]], [("a", ANNULUS)], [(0.01, 1, 0)]]
 BAD = [None, 3, 2.5, "4", b"x", 0, -1, 7, math.nan, math.inf, -math.inf,
        10 ** 400, DEHN, (1, 0, 0, 1), [], [None], ["h"], [1.5], [99], [DEHN],
        (math.nan, 0), (0.5, 0), (1,), np.zeros((2, 3)), SQUARE,
@@ -296,6 +308,8 @@ BAD = [None, 3, 2.5, "4", b"x", 0, -1, 7, math.nan, math.inf, -math.inf,
        [("a", None)], [(TR, None)], [(1, 0, 0, 1)], [(TR, ID, 1)]]
 # required parameters that declare nothing
 UNDECLARED = {"pts": SQUARE, "letters": [], "name": "g"}
+# the instance a declared method is called on
+SELVES = [ID, GRID, REPORT, ROTATION_SET]
 
 
 def _rejection(reader, value, name):
@@ -308,24 +322,45 @@ def _rejection(reader, value, name):
 
 
 def _target(fn):
-    # a constructor is called through its class, a class method on it
+    # (call, bound): a constructor is called through its class, a class
+    # method on it, and a method as a function of self, bound to the
+    # instance of its class in SELVES (None when there is none)
     owner, _, name = fn.__qualname__.rpartition(".")
     if not owner:
-        return fn
+        return fn, {}
     cls = getattr(sys.modules[fn.__module__], owner)
-    return cls if name == "__init__" else getattr(cls, name)
+    if name == "__init__":
+        return cls, {}
+    call = getattr(cls, name)
+    if "self" not in inspect.signature(call).parameters:
+        return call, {}
+    return call, {"self": next((v for v in SELVES if isinstance(v, cls)),
+                               None)}
 
 
 def _cases():
     # each declared parameter, into a call whose other arguments are good;
-    # a callable that takes threads runs at threads 1 and 2
+    # a callable that takes threads runs at threads 1 and 2.  A required
+    # parameter with no good value (no reader and not in UNDECLARED, or a
+    # reader that takes no value of GOOD, or a method of a class with no
+    # instance in SELVES) is one failing case
     for fn, readers in REGISTRY.items():
         params = inspect.signature(fn).parameters
-        base = {name: next(v for v in GOOD if not _rejection(r, v, name))
-                for name, r in readers.items()}
-        base.update((name, UNDECLARED[name]) for name, p in params.items()
-                    if p.default is p.empty and name not in base
-                    and name not in ("self", "cls"))
+        call, bound = _target(fn)
+        good = dict(UNDECLARED)
+        good.update((name, next((v for v in GOOD
+                                 if not _rejection(r, v, name)), None))
+                    for name, r in readers.items())
+        base = {name: good.get(name) for name, p in params.items()
+                if (p.default is p.empty or name in readers)
+                and name not in ("self", "cls")}
+        base.update(bound)
+        missing = [name for name, v in base.items() if v is None]
+        for name in missing:
+            yield pytest.param(call, None, name, [], id="%s %s no good value"
+                               % (fn.__qualname__, name))
+        if missing:
+            continue
         for name, r in readers.items():
             bad = [(v, e) for v in BAD if v is not params[name].default
                    and (e := _rejection(r, v, name))]
@@ -334,12 +369,13 @@ def _cases():
                     at = dict(base, threads=threads) if threads else base
                     label = "%s %s%s" % (fn.__qualname__, name,
                                          " threads=2" * (threads == 2))
-                    yield pytest.param(_target(fn), at, name, bad, id=label)
+                    yield pytest.param(call, at, name, bad, id=label)
 
 
 @pytest.mark.parametrize("call,base,name,bad", list(_cases()))
 def test_declared_parameters_reject_what_their_readers_reject(
         call, base, name, bad, backends, no_work):
+    assert base is not None, "%s has no good value to call with" % name
     assert bad, "%s rejects no value of BAD" % name
     for backend in backends:
         _kernels.set_backend(backend)

@@ -5,19 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from rotor import fixed_points
+from rotor import _kernels, fixed_points
 from rotor._io import write_json
 from rotor.catalog import build_catalog
 from rotor.errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                           NewtonDivergence, NonIsolated,
                           NotIsotopicToIdentity)
-from rotor.fixed_points import (_grid_components, _min_torus_dist, _refine,
+from rotor.fixed_points import (_combined_norm, _grid_components,
+                                _local_min_seeds, _min_torus_dist, _refine,
                                 _residual_fields, common_fixed_points,
                                 find_fixed_points, fixed_point_index,
                                 franks_certificate)
 from rotor.maps import (Generator, LiftedWord, MapGroup, apply_lift_batch,
-                        displacement_field_batch, reduce_point, trig_term,
-                        constant_term)
+                        displacement_field_batch, reduce_point, torus_grid,
+                        trig_term, constant_term)
 from rotor.measures import EmpiricalMeasure, irrotational_lift
 from rotor.mcg import MCGClass
 
@@ -532,11 +533,30 @@ def _wrapping_mask(n):
     return mask
 
 
+def _snake_mask(n):
+    # every even row but its last cell, the rows joined at alternate ends
+    # by one cell of the odd row between them: one path through n*n/2 cells
+    mask = np.zeros((n, n), dtype=bool)
+    mask[::2, :n - 1] = True
+    mask[1:n - 1:4, n - 2] = True
+    mask[3:n - 1:4, 0] = True
+    return mask
+
+
+def _diagonal_mask(n):
+    # two diagonal loops, each crossing both seams; every pair of
+    # neighbouring cells in them touches only at a corner
+    mask = np.zeros((n, n), dtype=bool)
+    for offset in (3, 3 + n // 2):
+        mask[np.arange(n), (np.arange(n) + offset) % n] = True
+    return mask
+
+
 @pytest.mark.parametrize("n", [8, 16, 64, 256])
 def test_grid_components_match_all_cells_walk(n):
     rng = np.random.default_rng(n)
     masks = [np.ones((n, n), dtype=bool), np.zeros((n, n), dtype=bool),
-             _wrapping_mask(n)]
+             _wrapping_mask(n), _snake_mask(n), _diagonal_mask(n)]
     masks += [rng.random((n, n)) < p for p in (0.02, 0.2, 0.45)]
     for mask in masks:
         assert _grid_components(mask) == _components_all_cells(mask)
@@ -547,6 +567,66 @@ def test_grid_components_join_across_the_seams():
     assert [(0, 0), (15, 0), (15, 15)] in comps
     assert [(0, 3), (15, 4)] in comps
     assert [(5, 0), (6, 15)] in comps
+    assert len(_grid_components(_snake_mask(16))) == 1
+    assert len(_grid_components(_diagonal_mask(16))) == 2
+
+
+def _local_min_seeds_by_rolls(norms, exclude):
+    """The local-minimum test with one rolled copy of the grid per
+    neighbour: the oracle for _local_min_seeds."""
+    le_all = np.ones_like(norms, dtype=bool)
+    lt_any = np.zeros_like(norms, dtype=bool)
+    for da in (-1, 0, 1):
+        for db in (-1, 0, 1):
+            if da == 0 and db == 0:
+                continue
+            nb = np.roll(np.roll(norms, -da, axis=0), -db, axis=1)
+            le_all &= norms <= nb
+            lt_any |= norms < nb
+    mask = le_all & lt_any & ~exclude
+    return [(int(i), int(j)) for i, j in np.argwhere(mask)]
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 256])
+def test_local_min_seeds_match_rolled_neighbours(n):
+    rng = np.random.default_rng(n)
+    grids = [rng.random((n, n)), np.zeros((n, n)),
+             # plateaus and ties everywhere
+             rng.integers(0, 3, (n, n)).astype(float),
+             np.round(rng.random((n, n)), 1)]
+    with_nan = rng.integers(0, 4, (n, n)).astype(float)
+    with_nan[rng.random((n, n)) < 0.05] = math.nan
+    grids.append(with_nan)
+    none = np.zeros((n, n), dtype=bool)
+    for norms in grids:
+        for exclude in (none, rng.random((n, n)) < 0.2):
+            seeds = _local_min_seeds(norms, exclude)
+            assert seeds == _local_min_seeds_by_rolls(norms, exclude)
+    assert _local_min_seeds(grids[0], none)     # random norms have seeds
+
+
+def _residual_fields_by_copies(lifts, pts):
+    # the residual and norm expressions with a temporary per operation
+    out = np.empty((len(lifts), len(pts), 2))
+    for i, lw in enumerate(lifts):
+        d = apply_lift_batch(lw, pts) - pts
+        out[i] = d - np.round(d)
+    return out
+
+
+@pytest.mark.parametrize("words", [["skew"], ["h", "phi"],
+                                   ["skew", "twist'", "h skew h'"]])
+def test_residuals_and_norms_match_the_expressions_bitwise(words, backends):
+    lifts = [LiftedWord(CAT.word(w)) for w in words]
+    rng = np.random.default_rng(len(words))
+    pts = np.vstack([torus_grid(32), rng.random((500, 2)),
+                     rng.uniform(-50.0, 50.0, (500, 2))])
+    for backend in backends:
+        _kernels.set_backend(backend)
+        res = _residual_fields_by_copies(lifts, pts)
+        norm = np.sqrt((res * res).sum(axis=2)).max(axis=0)
+        assert _residual_fields(lifts, pts).tobytes() == res.tobytes()
+        assert _combined_norm(lifts, pts).tobytes() == norm.tobytes()
 
 
 def _torus_dist(a, b) -> float:
