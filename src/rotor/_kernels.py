@@ -68,7 +68,8 @@ _PROGRAM_ARRAYS = [("slot", np.int64), ("mode", np.int64), ("lin", float),
 class Program(ctypes.Structure):
     """The `program` struct of _orbit.c, holding the arrays it points to as
     attributes named as in _PROGRAM_ARRAYS (p.slot, p.lin, ...); len(p) is
-    its letter count.  Never written once built, so the lifts of a word
+    its letter count and p.newton whether a letter is solved by Newton
+    iteration (mode 1).  Never written once built, so the lifts of a word
     and the threads of an orbit_mean call share it."""
     _fields_ = ([("nletters", ctypes.c_int64)]
                 + [("_" + name, ctypes.c_void_p)
@@ -79,7 +80,7 @@ class Program(ctypes.Structure):
                   for name, dtype in _PROGRAM_ARRAYS}
         super().__init__(len(arrays["slot"]),
                          *(a.ctypes.data for a in arrays.values()))
-        vars(self).update(arrays)
+        vars(self).update(arrays, newton=bool(arrays["mode"].any()))
 
     def __len__(self):
         return self.nletters

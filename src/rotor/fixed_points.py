@@ -4,8 +4,9 @@ A point is fixed for the torus map of a word exactly when the canonical
 lift moves it by a deck vector, so every residual here is the distance
 from the lift displacement to the nearest lattice point.  Zero sets are
 located by a grid scan followed by damped Newton refinement, which
-advances all seeds together, one evaluator call per word for each
-Newton round and each step halving.  Curves of fixed points (the
+advances all seeds together in whole-array rounds: one evaluator call
+per word for the Jacobian probes and one per block of line-search rungs
+(_refine).  Curves of fixed points (the
 interesting examples fix whole circles) are detected as connected runs
 of near-zero grid cells and reported as sampled chains.  That needs the
 curve to pass through grid nodes: a fixed circle between the nodes
@@ -29,10 +30,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from ._args import PATH, POINT, POSITIVE, count, each, reads
 from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
-                     NonIsolated)
+                     NewtonDivergence, NonIsolated)
 from .maps import (IDENTITY, LIFT, LiftedWord, Word, apply_lift_batch,
                    displacement_field_batch, orbit_displacement_means,
                    reduce_point, torus_grid)
@@ -52,6 +54,10 @@ __all__ = [
 
 _FD_STEP = 1e-6
 _REFINE_MAX = 50
+# line-search rungs: the full Newton step, then up to 30 halvings of it,
+# tried as rung 0 alone and then in blocks of 2, 4, 8 and 16 rungs
+_RUNGS = 31
+_RUNG_BLOCKS = ((0, 1), (1, 3), (3, 7), (7, 15), (15, 31))
 _CHAIN_MIN_CELLS = 8
 _VANISH = 1e-12
 # an angular step this close to pi means consecutive field directions
@@ -176,53 +182,108 @@ def _fd_jacobians(lifts, pts: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _lstsq_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(jac[i], rhs[i], rcond=None)[0] for each i, shape
+    (k, 2), to the bit: one call of the gufunc that lstsq calls, with its
+    default rcond and its error state, so a system LAPACK cannot solve
+    raises the same LinAlgError."""
+    rcond = np.finfo(float).eps * max(jac.shape[1:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(jac, rhs[:, :, None], rcond,
+                                signature="ddd->ddid")[0]
+    return x[:, :, 0]
+
+
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """math.sqrt(r[i] @ r[i]) for each row, to the bit; (r * r).sum(1) and
+    einsum add in another order."""
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
+def _take_rungs(lifts, p, f, best, seeds: np.ndarray,
+                rungs: np.ndarray) -> np.ndarray:
+    """Move each of the seeds to the first of its rungs, shape (r, k, 2),
+    whose residual norm is below its best, updating p, f and best in
+    place; returns the mask of the seeds that moved.  All candidates go
+    to the evaluator in one call per word.  A rung past a seed's first
+    lowering one may diverge where a one-rung search never evaluates it,
+    so a block that raises NewtonDivergence is tried again one rung per
+    call, and raises only when a rung the seed reaches diverges."""
+    cand = p[seeds] + rungs
+    try:
+        fc = _flat_residuals(lifts, cand.reshape(-1, 2))
+    except NewtonDivergence:
+        if len(rungs) == 1:
+            raise
+        took = np.zeros(len(seeds), dtype=bool)
+        for r in range(len(rungs)):
+            left = np.flatnonzero(~took)
+            if not len(left):
+                break
+            took[left] = _take_rungs(lifts, p, f, best, seeds[left],
+                                     rungs[r:r + 1, left])
+        return took
+    rc = _row_norms(fc).reshape(len(rungs), len(seeds))
+    fc = fc.reshape(len(rungs), len(seeds), -1)
+    below = rc < best[seeds]
+    took = below.any(axis=0)
+    if not took.any():
+        return took
+    rung, col = below.argmax(axis=0)[took], np.flatnonzero(took)
+    moved = seeds[took]
+    p[moved], f[moved], best[moved] = (cand[rung, col], fc[rung, col],
+                                       rc[rung, col])
+    return took
+
+
 def _refine(lifts, seeds: np.ndarray, tol: float) -> List[Tuple[Tuple[float, float], float]]:
     """Damped Newton on the stacked residual system from each seed.
 
     Returns reduced points with their worst per-word residual, keeping
-    only seeds that converged below tol.  All seeds advance together: a
-    Newton round evaluates the probes of every active seed in one call
-    per word, then the candidate steps of every seed still halving in one
-    call per word and halving round.  The evaluator is pointwise and the
-    per-seed arithmetic (least squares, step test, halving, acceptance)
-    is that of a loop over single seeds, so every seed ends on the same
-    bits as it would alone.
+    only seeds that converged below tol.  All seeds advance together in
+    whole-array rounds.  A round evaluates the probes of every active
+    seed in one call per word and solves their least-squares steps in
+    one batched call.  Then the backtracking line search (Dennis &
+    Schnabel, Numerical Methods for Unconstrained Optimization and
+    Nonlinear Equations, 1996, sec. 6.3): rung r is the step halved r
+    times, rung 0 is tried alone and rungs 1-30 in blocks of 2, 4, 8 and
+    16, and each seed takes its first rung that lowers its residual
+    norm.  A seed's best only changes when it takes a rung, so that is
+    the rung a search of one rung per call takes.  The evaluator is
+    pointwise and the per-seed arithmetic (least squares, step test,
+    halving, acceptance) is that of a loop over single seeds, so every
+    seed ends on the same bits, and fails the same way, as it would alone.
     """
     p = np.array(seeds, dtype=float)
     f = _flat_residuals(lifts, p)
-    best = [math.sqrt(float(r @ r)) for r in f]
-    active = [i for i in range(len(p)) if not best[i] < 1e-14]
+    best = _row_norms(f)
+    active = np.flatnonzero(~(best < 1e-14))
     for _ in range(_REFINE_MAX):
-        if not active:
+        if not len(active):
             break
-        jac = _fd_jacobians(lifts, p[active])
-        halving, steps = [], []
-        for i, jac_i in zip(active, jac):
-            step, *_ = np.linalg.lstsq(jac_i, -f[i], rcond=None)
-            # the residual is Z^2-periodic, so a step longer than one period
-            # (or a non-finite one) only says the Jacobian is singular
-            if math.hypot(step[0], step[1]) <= 1.0:
-                halving.append(i)
-                steps.append(step)
-        active = []
-        steps = np.array(steps).reshape(-1, 2)
-        for _ in range(31):  # the full step, then up to 30 halvings
-            if not halving:
+        steps = _lstsq(_fd_jacobians(lifts, p[active]), -f[active])
+        # the residual is Z^2-periodic, so a step longer than one period
+        # (or a non-finite one) only says the Jacobian is singular
+        short = np.array([math.hypot(x, y) <= 1.0
+                          for x, y in steps.tolist()], dtype=bool)
+        searching = active[short]
+        halves = np.full((_RUNGS - 1, len(searching), 2), 0.5)
+        rungs = np.multiply.accumulate(np.concatenate([steps[short][None],
+                                                       halves]))
+        moved = np.zeros(len(p), dtype=bool)
+        for lo, hi in _RUNG_BLOCKS:
+            if not len(searching):
                 break
-            cand = p[halving] + steps
-            fc = _flat_residuals(lifts, cand)
-            left = []
-            for k, i in enumerate(halving):
-                rc = math.sqrt(float(fc[k] @ fc[k]))
-                if rc < best[i]:
-                    p[i], f[i], best[i] = cand[k], fc[k], rc
-                    if not rc < 1e-14:
-                        active.append(i)
-                else:
-                    left.append(k)
-            halving = [halving[k] for k in left]
-            steps = steps[left] * 0.5
-        active.sort()
+            took = _take_rungs(lifts, p, f, best, searching, rungs[lo:hi])
+            if took.any():
+                moved[searching[took]] = True
+                searching, rungs = searching[~took], rungs[:, ~took]
+        active = np.flatnonzero(moved & ~(best < 1e-14))
     per_word = f.reshape(len(p), len(lifts), 2)
     worst = np.sqrt((per_word * per_word).sum(axis=2)).max(axis=1)
     return [(reduce_point(q), float(r))
@@ -247,6 +308,14 @@ def _min_torus_dist(a: np.ndarray, b: np.ndarray) -> float:
         best = min(best, *(math.hypot(d[i, j, 0], d[i, j, 1])
                            for i, j in near))
     return best
+
+
+def _pair_spread(means: np.ndarray) -> float:
+    """The largest np.hypot distance between two rows of means, 0.0 for
+    fewer than two rows."""
+    i, j = np.triu_indices(len(means), 1)
+    d = means[i] - means[j]
+    return float(np.hypot(d[:, 0], d[:, 1]).max(initial=0.0))
 
 
 def _dedup(found, merge_radius: float) -> List[Tuple[Tuple[float, float], float]]:
@@ -482,10 +551,7 @@ def franks_certificate(w: Word, mu: EmpiricalMeasure, tol: float = 1e-6,
                                  min(len(mu.points), 8)).round().astype(int))
     seeds = mu.points[pick]
     means = orbit_displacement_means(w, seeds, 512)
-    spread = 0.0
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            spread = max(spread, float(np.hypot(*(means[i] - means[j]))))
+    spread = _pair_spread(means)
 
     fp = _scan([w], grid_n, tol if tol > 1e-12 else 1e-9)
     found = not fp.is_empty()

@@ -336,8 +336,8 @@ def apply_lift_batch(lw, pts: np.ndarray) -> np.ndarray:
     """
     prog, vx, vy = compile_program(lw)
     out = _kernels.apply_word(pts, prog, vx, vy)
-    # only Newton letters (mode 1) emit NaN
-    if prog.mode.any() and np.isnan(out).any():
+    # only Newton letters emit NaN
+    if prog.newton and np.isnan(out).any():
         raise _divergence(lw)
     return out
 

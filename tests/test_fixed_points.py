@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rotor import _kernels, fixed_points
+from rotor import _kernels, fixed_points, maps
 from rotor._io import write_json
-from rotor.catalog import build_catalog
+from rotor.catalog import build_catalog, franks_cases
 from rotor.errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                           NewtonDivergence, NonIsolated,
                           NotIsotopicToIdentity)
@@ -475,6 +475,166 @@ def test_batched_refine_diverges_when_the_seed_loop_does():
                                                                    1e-9)
 
 
+def _rung_map(seeds, rungs, diverge_like=None, c=0.2):
+    """A stand-in evaluator under which the line search from seeds[i]
+    first lowers the residual at rung rungs[i] (None: at no rung).
+
+    Its displacement is (0, psi), psi a function of d, the height above
+    the seed nearest in x: c at the seed, c + d at the Jacobian's probes
+    a distance 1e-6 above and below it (so the Newton step is about
+    (0, -c) and rung r lies about c / 2**r below the seed), c / 2 nearer
+    to the seed than rung rungs[i] - 1 and 2c from there on.  With
+    diverge_like, each call first evaluates that lift on the same points,
+    and so raises NewtonDivergence where it diverges."""
+    x0, y0 = np.asarray(seeds, dtype=float).T
+    t = np.array([0.0 if r is None else 1.5 * c / 2.0 ** r for r in rungs])
+
+    def lift(lw, pts):
+        if diverge_like is not None:
+            maps.apply_lift_batch(diverge_like, pts)
+        i = np.abs(pts[:, :1] - x0).argmin(axis=1)
+        d = pts[:, 1] - y0[i]
+        psi = np.where(np.abs(d) < t[i], 0.5 * c, 2.0 * c)
+        probe = np.abs(np.abs(d) - fixed_points._FD_STEP) < 1e-12
+        psi[probe] = c + d[probe]
+        psi[d == 0.0] = c
+        out = pts.copy()
+        out[:, 1] += psi
+        return out
+    return lift
+
+
+def _patch_evaluator(monkeypatch, lift):
+    # _refine and the oracle both evaluate through apply_lift_batch
+    monkeypatch.setattr(fixed_points, "apply_lift_batch", lift)
+    monkeypatch.setitem(globals(), "apply_lift_batch", lift)
+
+
+# the first and the last rung of each block of _RUNG_BLOCKS, and a seed
+# that lowers its residual at no rung
+BLOCK_EDGE_RUNGS = [0, 1, 2, 3, 6, 7, 14, 15, 30, None]
+
+
+def test_refine_takes_each_block_edge_rung_as_the_seed_loop(monkeypatch):
+    k = len(BLOCK_EDGE_RUNGS)
+    seeds = np.column_stack([(np.arange(k) + 0.5) / k, np.full(k, 0.5)])
+    _patch_evaluator(monkeypatch, _rung_map(seeds, BLOCK_EDGE_RUNGS))
+    lifts = [LiftedWord(PRODOFF)]      # evaluated by the rung map only
+    got = _refine(lifts, seeds, 1.0)
+    assert got == _refine_one_seed_at_a_time(lifts, seeds, 1.0)
+    for (pt, res), r, (x, y) in zip(got, BLOCK_EDGE_RUNGS, seeds):
+        assert pt[0] == x
+        if r is None:       # all 31 rungs rejected: the seed stays put
+            assert pt == (x, y) and res == pytest.approx(0.2)
+        else:
+            assert pt[1] == pytest.approx(y - 0.2 / 2.0 ** r, rel=0,
+                                          abs=1e-9 / 2.0 ** r)
+            assert res == pytest.approx(0.1)
+    # one seed at a time, each alone in its block calls
+    for seed in seeds:
+        one = _refine(lifts, seed[None, :], 1.0)
+        assert one == _refine_one_seed_at_a_time(lifts, seed[None, :], 1.0)
+
+
+@pytest.mark.parametrize("rung", [1, 3, 7])
+def test_refine_retries_a_diverging_block_one_rung_per_call(rung,
+                                                           monkeypatch):
+    # seeds under the rung map that diverges wherever _bad_inverse() does
+    bad = LiftedWord(_bad_inverse())
+    failed, outcomes = [], set()
+    flat = fixed_points._flat_residuals
+
+    def spy(lifts, pts):
+        try:
+            return flat(lifts, pts)
+        except NewtonDivergence:
+            failed.append(len(pts))
+            raise
+
+    monkeypatch.setattr(fixed_points, "_flat_residuals", spy)
+    for y0 in np.linspace(0.3, 0.7, 1201):
+        seed = np.array([[0.1, y0]])
+        _patch_evaluator(monkeypatch,
+                         _rung_map(seed, [rung], diverge_like=bad))
+        try:
+            want = _refine_one_seed_at_a_time([bad], seed, 1.0)
+        except NewtonDivergence:
+            failed.clear()
+            with pytest.raises(NewtonDivergence):
+                _refine([bad], seed, 1.0)
+            outcomes.add(("raised", tuple(failed)))
+            continue
+        failed.clear()
+        assert _refine([bad], seed, 1.0) == want
+        outcomes.add(("returned", tuple(failed)))
+    block = 2 ** rung.bit_length()
+    # a rung past the taken one diverged: the block raised, its one-rung
+    # retry did not, and the seed ended where the seed loop ends it
+    assert ("returned", (block,)) in outcomes
+    # a rung the seed loop reaches diverged: a block raised, then that rung
+    assert any(how == "raised" and len(f) == 2 and f[0] > 1 == f[1]
+               for how, f in outcomes)
+    assert all(f in [(), (block,)] for how, f in outcomes
+               if how == "returned")
+
+
+def test_refine_matches_seed_loop_for_two_words_from_random_seeds():
+    rng = np.random.default_rng(3)
+    for ws in [(CAT.word("h"), CAT.word("phi")), (PRODOFF, HMAP),
+               (CAT.word("h' tr"), CAT.word("skew"))]:
+        lifts = [LiftedWord(w) for w in ws]
+        seeds = rng.random((20, 2))
+        assert _refine(lifts, seeds, 1.0) == _refine_one_seed_at_a_time(
+            lifts, seeds, 1.0)
+
+
+def _systems(rng, rows, n):
+    """n random (rows, 2) systems with right-hand sides: a quarter with a
+    zero column, a quarter with proportional columns, and a quarter with
+    columns proportional up to about 1e-13, where rcond decides the rank."""
+    jac = rng.standard_normal((n, rows, 2))
+    jac[0::4, :, 1] = 0.0
+    jac[1::4, :, 1] = 3.0 * jac[1::4, :, 0] * (
+        1.0 + 1e-13 * rng.standard_normal((len(jac[1::4]), rows)))
+    jac[2::4, :, 1] = 3.0 * jac[2::4, :, 0]
+    return jac, rng.standard_normal((n, rows))
+
+
+@pytest.mark.parametrize("rows", [2, 4, 6])
+def test_batched_lstsq_and_row_norms_match_per_row_bitwise(rows):
+    jac, rhs = _systems(np.random.default_rng(rows), rows, 2000)
+    want = np.array([np.linalg.lstsq(a, b, rcond=None)[0]
+                     for a, b in zip(jac, rhs)])
+    assert fixed_points._lstsq(jac, rhs).tobytes() == want.tobytes()
+    norms = [math.sqrt(float(r @ r)) for r in rhs]
+    assert fixed_points._row_norms(rhs).tolist() == norms
+
+
+def test_batched_lstsq_fails_as_lstsq_does():
+    jac = np.full((2, 2, 2), np.nan)
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.lstsq(jac[0], np.ones(2), rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        fixed_points._lstsq(jac, np.ones((2, 2)))
+    assert str(got.value) == str(want.value)
+
+
+def test_newton_word_evaluator_calls_are_pinned(monkeypatch):
+    # h' tr has no fixed point; grid 8 gives Newton 14 seeds, and some
+    # wander for all 50 rounds.  108 calls in all (the scan, the first
+    # residuals, then per round the probes and the rung blocks), where one
+    # rung per call takes 188
+    calls = []
+
+    def spy(lw, pts):
+        calls.append(len(pts))
+        return apply_lift_batch(lw, pts)
+
+    monkeypatch.setattr(fixed_points, "apply_lift_batch", spy)
+    assert find_fixed_points(CAT.word("h' tr"), 8, 1e-9).is_empty()
+    assert len(calls) == 108
+
+
 def test_refine_calls_do_not_grow_with_the_seeds(monkeypatch):
     calls = []
 
@@ -681,3 +841,35 @@ def test_support_distance_matches_pairwise_loop():
     for c in rep.fixed_points.chains:
         samples.extend(c.points)
     assert rep.support_distance == _pairwise_min(samples, mu.points)
+
+
+def _pair_spread_loop(means):
+    """The ergodicity spread as a loop over the pairs of rows."""
+    spread = 0.0
+    for i in range(len(means)):
+        for j in range(i + 1, len(means)):
+            spread = max(spread, float(np.hypot(*(means[i] - means[j]))))
+    return spread
+
+
+def test_pair_spread_matches_pair_loop():
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        for scale in (1e-9, 1e-3, 1.0, 10.0):
+            means = rng.standard_normal((n, 2)) * scale
+            assert fixed_points._pair_spread(means) == _pair_spread_loop(
+                means)
+    assert fixed_points._pair_spread(np.zeros((1, 2))) == 0.0
+
+
+def test_franks_spread_matches_pair_loop(monkeypatch):
+    cases = franks_cases(CAT)
+    got = [franks_certificate(c.word, c.measure, 1e-2, 16).to_json_dict()
+           for c in cases]
+    assert any(len(c.measure.points) == 1 for c in cases)
+    monkeypatch.setattr(fixed_points, "_pair_spread", _pair_spread_loop)
+    assert got == [franks_certificate(c.word, c.measure, 1e-2, 16)
+                   .to_json_dict() for c in cases]
+    one = franks_certificate(SKEW, EmpiricalMeasure.dirac((0.0, 0.37)))
+    assert one.birkhoff_spread == 0.0
+
