@@ -1,5 +1,6 @@
-"""Report formatting shared by every module that writes JSON."""
+"""Report formatting shared by every module that writes JSON or CSV."""
 
+import csv
 import json
 
 
@@ -14,3 +15,10 @@ def json_text(payload) -> str:
 def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_text(payload))
+
+
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)

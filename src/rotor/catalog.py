@@ -87,7 +87,7 @@ def orbit_measure(n: int = 2048) -> EmpiricalMeasure:
     """Orbit of the irrational translation; invariance defect ~ 1/n."""
     k = np.arange(n)
     return EmpiricalMeasure(
-        np.column_stack([(ALPHA * k) % 1.0, (0.3 * k) % 1.0]))
+        np.column_stack([ALPHA * k, 0.3 * k]))
 
 
 @dataclass(frozen=True)

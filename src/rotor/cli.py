@@ -470,8 +470,6 @@ def _cmd_analysis(sub: str, path: str, outdir: str, threads: int) -> int:
         json_path = os.path.join(outdir, req.slug + ".json")
         try:
             payload, files = _RUNNERS[kind](req, outdir, threads)
-        except ConfigError:
-            raise
         except (RotorError, ValueError) as exc:
             failed += 1
             payload = {

@@ -5,7 +5,8 @@ The torus double-covers the Klein bottle with deck maps T1(x,y) =
 sigma.  Maps lifted from the Klein bottle commute with sigma, which is
 measured here on a grid rather than enforced symbolically.  The rho_bar
 invariant (a mod 1, |b|) quotients the rotation vector by exactly the
-ambiguity sigma introduces.
+ambiguity sigma introduces; a lies in [0, 1), snapped at the seam like
+every torus coordinate.
 
 Annulus maps double across a mirror into torus maps.  The collar
 parametrization is t = sin^2(pi*y), which is mirror symmetric and turns
@@ -26,7 +27,7 @@ from ._args import (FINITE, INTEGRAL, POINTS, POSITIVE, count, each, reads,
 from ._kernels import reduce_batch
 from .errors import NotSigmaEquivariant
 from .maps import (LIFT, Generator, LiftedWord, MapGroup, Word,
-                   apply_torus_batch, torus_grid, trig_term)
+                   apply_torus_batch, reduce_point, torus_grid, trig_term)
 from .mcg import MCGClass
 from .measures import EmpiricalMeasure, rotation_vector
 
@@ -69,7 +70,8 @@ def check_sigma_commute(w: Word) -> float:
 @reads(mu=EmpiricalMeasure, lw=LIFT, sigma_tol=POSITIVE)
 def rho_bar(mu: EmpiricalMeasure, lw,
             sigma_tol: float = 1e-9) -> Tuple[float, float]:
-    """The Klein rotation invariant (a mod 1, |b|) of a lifted word.
+    """The Klein rotation invariant (a mod 1, |b|) of a lifted word; a lies
+    in [0, 1) with reduce_point's seam snap (-1e-17 gives 0.0, not 1.0).
 
     The x component of the deck translation never enters, so replacing
     the lift by T_(m,0) composed with it leaves both coordinates bitwise
@@ -80,7 +82,7 @@ def rho_bar(mu: EmpiricalMeasure, lw,
         raise NotSigmaEquivariant(
             "rho_bar needs a sigma-commuting word; defect %.3e" % defect)
     rho0 = rotation_vector(mu, LiftedWord(lw.word))
-    a = float(rho0[0]) % 1.0
+    a = reduce_point(rho0)[0]
     b = float(rho0[1]) + lw.extra_translation[1]
     return (a, abs(b))
 

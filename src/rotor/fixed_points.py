@@ -24,7 +24,6 @@ tolerance it was computed at.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -33,6 +32,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from ._args import PATH, POINT, POSITIVE, count, each, reads
+from ._io import write_csv
 from .errors import (AmbiguousWinding, DefectExceeded, InvalidArgument,
                      NewtonDivergence, NonIsolated)
 from .maps import (IDENTITY, LIFT, LiftedWord, Word, apply_lift_batch,
@@ -117,12 +117,9 @@ class FixedPointReport:
     @reads(path=PATH)
     def chains_to_csv(self, path) -> None:
         """One polyline per chain, rows (chain, x, y)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["chain", "x", "y"])
-            for k, chain in enumerate(self.chains):
-                for x, y in chain.points:
-                    w.writerow([k, repr(x), repr(y)])
+        write_csv(path, ["chain", "x", "y"],
+                  ([k, repr(x), repr(y)] for k, chain in enumerate(self.chains)
+                   for x, y in chain.points))
 
 
 def _lifts(ws, name) -> Tuple[LiftedWord, ...]:

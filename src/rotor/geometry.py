@@ -41,11 +41,7 @@ def convex_hull(points) -> np.ndarray:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
             upper.pop()
         upper.append(p)
-    out = lower[:-1] + upper[:-1]
-    if not out:
-        # all points collinear: keep the extreme pair
-        out = [uniq[0], uniq[-1]]
-    return np.array(out, dtype=float)
+    return np.array(lower[:-1] + upper[:-1], dtype=float)
 
 
 @reads(vertices=POINTS)

@@ -100,11 +100,9 @@ class Generator:
         self.disp_x = disp_x
         self.disp_y = disp_y
 
-        row_x = sum(abs(a) * 2.0 * math.pi * (abs(kx) + abs(ky))
-                    for a, kx, ky, _ in self.disp_x)
-        row_y = sum(abs(a) * 2.0 * math.pi * (abs(kx) + abs(ky))
-                    for a, kx, ky, _ in self.disp_y)
-        self.displacement_lipschitz = max(row_x, row_y)
+        self.displacement_lipschitz = max(
+            sum(abs(a) * 2.0 * math.pi * (abs(kx) + abs(ky))
+                for a, kx, ky, _ in row) for row in (disp_x, disp_y))
         inv = linear.inverse()
         self.linear_inf_inv = float(max(abs(inv.a) + abs(inv.b),
                                         abs(inv.c) + abs(inv.d)))

@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ._args import PATH, POINT, POINTS, POSITIVE, count, reads
+from ._io import write_csv
 from ._kernels import grid_merge
 from .errors import InvalidArgument
 from .geometry import convex_hull, hull_centroid, hull_diameter
@@ -110,11 +111,8 @@ class EmpiricalMeasure:
 
     @reads(path=PATH)
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "y", "weight"])
-            for (x, y), w in self.atoms:
-                wr.writerow([repr(x), repr(y), repr(w)])
+        write_csv(path, ["x", "y", "weight"],
+                  ([repr(x), repr(y), repr(w)] for (x, y), w in self.atoms))
 
     @classmethod
     @reads(path=PATH)
@@ -159,13 +157,9 @@ class RotationSetEstimate:
 
     @reads(path=PATH)
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["kind", "x", "y"])
-            for x, y in self.samples:
-                wr.writerow(["sample", repr(float(x)), repr(float(y))])
-            for x, y in self.hull:
-                wr.writerow(["hull", repr(float(x)), repr(float(y))])
+        write_csv(path, ["kind", "x", "y"],
+                  ([kind, repr(float(x)), repr(float(y))] for kind, pts in
+                   (("sample", self.samples), ("hull", self.hull)) for x, y in pts))
 
     def __repr__(self):
         return ("RotationSetEstimate(%d samples, %d hull vertices, n=%d)"

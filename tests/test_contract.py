@@ -6,7 +6,8 @@ parameter declared with @reads gets every value of BAD that its own
 reader rejects, and must be rejected the same way.  The kernels and the
 evaluators the callables run next are replaced by a function that fails,
 on both backends, so a check that comes late or is missing fails the
-test.  Every callable in a module's __all__ is declared or exempt.
+test.  Every callable in a module's __all__, and every public method
+of a class there, is declared or exempt.
 """
 
 import inspect
@@ -260,8 +261,22 @@ BAD_METHOD_CALLS = {
     "MCGClass ** '2'": lambda: MCGClass(1, 1, 0, 1) ** "2",
 }
 
+# the exempt methods that read through what they call, each given None
+EXEMPT_METHOD_CALLS = {
+    "mcg.MCGClass.__mul__": lambda: ID * None,
+    "mcg.MCGClass.commutator": lambda: ID.commutator(None),
+    "maps.MapGroup.word": lambda: CAT.word(None),
+    "maps.MapGroup.gen": lambda: CAT.gen(None),
+    "maps.MapGroup.by_name": lambda: CAT.by_name(None),
+    "maps.Word.lift": lambda: TR.lift(None),
+    "maps.Word.__mul__": lambda: TR * None,
+    "measures.EmpiricalMeasure.dirac": lambda: EmpiricalMeasure.dirac(None),
+    "measures.EmpiricalMeasure.uniform_grid":
+        lambda: EmpiricalMeasure.uniform_grid(None)}
+
 BAD_ARGUMENT_CALLS = {**BAD_POINT_CALLS, **BAD_WORD_CALLS, **BAD_MEASURE_CALLS,
-                      **BAD_CLASS_CALLS, **BAD_TERM_CALLS, **BAD_METHOD_CALLS}
+                      **BAD_CLASS_CALLS, **BAD_TERM_CALLS, **BAD_METHOD_CALLS,
+                      **EXEMPT_METHOD_CALLS}
 
 
 @pytest.mark.parametrize("call", list(BAD_ARGUMENT_CALLS.values()),
@@ -293,7 +308,20 @@ EXEMPT = {**dict.fromkeys([
     "catalog.FranksCase", "scenario.AnalysisRequest", "scenario.Scenario",
     "verify.CriterionResult", "verify.SuiteReport"], RECORD),
     "mcg.MCGClass": "a hot path: int entries skip the reader",
-    "cli.main": "argparse reads argv and exits with status 2 on a bad one"}
+    "cli.main": "argparse reads argv and exits with status 2 on a bad one",
+    "mcg.MCGClass.__mul__": "a hot path: reads other by hand, as __init__",
+    "mcg.MCGClass.commutator": "reads through MCGClass.__mul__",
+    "mcg.MCGClass.apply": "a hot path: v goes unread into the product",
+    "maps.MapGroup.word": "reads through Word",
+    "maps.MapGroup.gen": "reads through Word",
+    "maps.MapGroup.by_name": "reads through MapGroup._index",
+    "maps.Word.lift": "reads through LiftedWord",
+    "maps.Word.__mul__": "reads through compose",
+    "measures.EmpiricalMeasure.dirac": "reads through EmpiricalMeasure",
+    "measures.EmpiricalMeasure.uniform_grid": "reads through torus_grid"}
+# operators are public methods; the comparison and attribute hooks keep
+# Python's own protocols (NotImplemented, AttributeError)
+OPERATORS = ("__mul__", "__pow__")
 
 # a parameter's good call passes the first value of GOOD its reader takes;
 # the path is one that neither a reader nor a writer can open
@@ -390,6 +418,18 @@ def test_declared_parameters_reject_what_their_readers_reject(
                 call(**dict(base, **{name: value}))
 
 
+def _members(label, obj):
+    # (label, function) of a callable: a class gives its __init__ and its
+    # public methods, class methods included
+    if not isinstance(obj, type):
+        return [(label, obj)]
+    methods = [("%s.%s" % (label, name), getattr(attr, "__func__", attr))
+               for name, attr in vars(obj).items()
+               if not name.startswith("_") or name in OPERATORS]
+    return [(label, obj.__init__)] + [(name, fn) for name, fn in methods
+                                      if inspect.isfunction(fn)]
+
+
 def test_every_public_callable_is_declared_or_exempt():
     wrong, seen = [], set()
     for module in MODULES:
@@ -398,11 +438,14 @@ def test_every_public_callable_is_declared_or_exempt():
             label = "%s.%s" % (module.__name__.split(".")[1], name)
             if not callable(obj):
                 continue
-            fn = obj.__init__ if isinstance(obj, type) else obj
-            takes = set(inspect.signature(fn).parameters) - {"self"}
-            declared, exempt = fn in REGISTRY, label in EXEMPT
-            if declared == exempt and (takes or exempt):
-                wrong.append(label)
-            seen.add(label)
+            for member, fn in _members(label, obj):
+                takes = set(inspect.signature(fn).parameters) - {"self", "cls"}
+                declared, exempt = fn in REGISTRY, member in EXEMPT
+                if declared == exempt and (takes or exempt):
+                    wrong.append(member)
+                seen.add(member)
     assert not wrong, "neither declared nor exempt, or both: %s" % wrong
     assert set(EXEMPT) <= seen
+    # every exempt method but the hot path rejects None through its callees
+    methods = {label for label in EXEMPT if label.count(".") == 2}
+    assert methods - {"mcg.MCGClass.apply"} == set(EXEMPT_METHOD_CALLS)

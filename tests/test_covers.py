@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotor.catalog import build_catalog, horizontal_circle_measure
 from rotor.covers import (AnnulusMapSpec, annulus_term, check_sigma_commute,
                           double_annulus, double_annulus_family,
                           klein_symmetrize, rho_bar, sigma_apply)
@@ -93,6 +94,18 @@ def test_rho_bar_ignores_horizontal_deck_shift_bitwise():
     base = rho_bar(mu, lw)
     for m in (1, -3, 7):
         assert rho_bar(mu, LiftedWord(lw.word, (m, 0))) == base
+
+
+def test_rho_bar_snaps_a_hair_below_one_to_zero():
+    # h's mean x displacement over these atoms rounds to a tiny negative
+    # float (-1.7e-18 on the 32 grid), which a bare % 1.0 turns into 1.0
+    h = build_catalog().by_name("h")
+    assert rho_bar(EmpiricalMeasure.uniform_grid(32), h)[0] == 0.0
+    measures = [EmpiricalMeasure.uniform_grid(k) for k in range(2, 41)]
+    measures += [horizontal_circle_measure(y0, n)
+                 for y0 in (0.0, 0.1, 0.25, 0.3) for n in range(3, 40)]
+    for mu in measures:
+        assert 0.0 <= rho_bar(mu, h)[0] < 1.0, mu
 
 
 def test_rho_bar_vertical_deck_shift_moves_b():

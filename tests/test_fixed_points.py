@@ -93,6 +93,21 @@ def test_odd_shear_fixes_the_same_circles():
     assert r.points == []
 
 
+def test_newton_points_within_one_and_a_half_cells_of_a_chain_are_dropped(
+        monkeypatch):
+    # a Newton run seeded beside a fixed circle lands on the circle; the
+    # chains of hmap (the catalog's h) at grid 32 are the columns x = 0
+    # and x = 1/2, and 1.5 cells is 0.046875
+    on_chain, beyond, far = (0.0, 0.3), (0.05, 0.3), (0.25, 0.5)
+    monkeypatch.setattr(fixed_points, "_local_min_seeds",
+                        lambda norms, exclude: [(8, 16)])
+    monkeypatch.setattr(fixed_points, "_refine", lambda lifts, seeds, tol: [
+        (on_chain, 0.0), (beyond, 0.0), (far, 0.0)])
+    r = find_fixed_points(HMAP, 32, 1e-9)
+    assert sorted(c.points[0][0] for c in r.chains) == [0.0, 0.5]
+    assert [p.point for p in r.points] == [beyond, far]
+
+
 def test_product_map_four_isolated_zeros():
     r = find_fixed_points(PROD, 32, 1e-9)
     assert len(r.chains) == 0

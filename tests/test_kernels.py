@@ -796,6 +796,9 @@ LIBM_CALLS = {
     "twist": (3, 0),
     "h skew'": (111, 37),
     "irrskew": (1002, 0),
+    # the same Newton slot twice, with a translation between the two
+    "h' tr h'": (19964, 19962),
+    "irrskew' tr irrskew'": (1006, 1004),
 }
 
 
@@ -806,6 +809,9 @@ GRID_LIBM_CALLS = {
     "h skew h'": (3272, 2504),
     "h'": (2504, 2504),
     "skew twist'": (196609, 131073),
+    # the same Newton slot twice, with a translation between the two
+    "h' tr h'": (4986, 4984),
+    "h' halftr h'": (4897, 4896),
 }
 
 
