@@ -6,13 +6,14 @@ Every kernel takes it with the deck translation (vx, vy).  mode 0 applies
 the slot's map forward, mode 1 solves it backward by Newton iteration; a
 Newton failure surfaces as NaN coordinates and the callers raise.
 
-Every kernel has two backends that run the same float operations in the
-same order: "c", the loops of _orbit.c run one point at a time through
-ctypes; and "numpy", the same loops vectorized over a batch of points,
-which are the reference the C loops are tested against.  Their results are
-bit-identical wherever numpy's sin and cos round like the C library's; the
-shortcuts of the C word step (its memo, its fractional part and its thread
-blocks) change no bit, and the header of _orbit.c explains why.
+Every kernel has two backends that run the same float operations in the same
+order: "c", the loops of _orbit.c run one point at a time, called through
+the CPython extension module that _orbit.c defines; and "numpy", the same
+loops vectorized over a batch of points, which are the reference the C loops
+are tested against.  Their results are bit-identical wherever numpy's sin
+and cos round like the C library's; the shortcuts of the C word step (its
+memo, its fractional part and its thread blocks) change no bit, and the
+header of _orbit.c explains why.
 
 apply_word evaluates a program on a batch of plane points and rejects
 points that are not finite with InvalidArgument before it evaluates any,
@@ -26,18 +27,29 @@ grid_merge, the one atom merge of the measures, and affine_orbit, the scan
 of averaging.bounded_orbit_check, call no trig, so their backends agree bit
 for bit everywhere.
 
-At import the C file is built with the system compiler (cc) into this
-package's __pycache__, once per source and flags, and loaded; "c" is then
-the default.  Without a compiler, or when the build or the load fails, the
-backend is "numpy" and C_UNAVAILABLE says why.  set_backend() switches at
-runtime.  The seam snap and the Newton tolerance and step budget are
-defined here once, shared by maps and passed to the C build as macros.
+At import the C file is built with the system compiler (cc) and the
+interpreter's include directory (sysconfig's "include" path, where Python.h
+lives) into this package's __pycache__, once per source, flags and include
+directory, and loaded as an extension module; "c" is then the default.  The
+built file is named by the CRC-32 of those and ends in the interpreter's ABI
+tag (EXT_SUFFIX, e.g. .cpython-311-x86_64-linux-gnu.so), so a __pycache__
+shared by two Python versions holds one build for each.  The module's entry
+points take their sizes from the lengths of the arrays they are given and
+refuse lengths that disagree with ValueError, so no call reads or writes
+past an array.  Without a compiler or without Python.h, or when the build or
+the load fails, the backend is "numpy" and C_UNAVAILABLE says why.
+set_backend() switches at runtime.  The seam snap and the Newton tolerance
+and step budget are defined here once, shared by maps and passed to the C
+build as macros.
 """
 
 import ctypes
+import importlib.util
 import math
 import os
+import sysconfig
 import zlib
+from importlib.machinery import ExtensionFileLoader
 
 import numpy as np
 
@@ -49,10 +61,12 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX = 60
 _NOT_FINITE = "points must be finite"
 
+_INCLUDE = sysconfig.get_paths()["include"]
 # -ffp-contract=off keeps the compiler from fusing multiply-adds (the default
 # on some targets), which would change the last bits of the results.
+# Python.h comes in as a system header, so its warnings are not ours.
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off",
-           "-DTWO_PI=%r" % _TWO_PI, "-DSNAP=%r" % _SNAP,
+           "-isystem", _INCLUDE, "-DTWO_PI=%r" % _TWO_PI, "-DSNAP=%r" % _SNAP,
            "-DNEWTON_TOL=%r" % _NEWTON_TOL, "-DNEWTON_MAX=%d" % _NEWTON_MAX]
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "_orbit.c")
@@ -66,7 +80,8 @@ _PROGRAM_ARRAYS = [("slot", np.int64), ("mode", np.int64), ("lin", float),
 
 
 class Program(ctypes.Structure):
-    """The `program` struct of _orbit.c, holding the arrays it points to as
+    """The `program` struct of _orbit.c, which the C entry points read
+    through the buffer protocol, holding the arrays it points to as
     attributes named as in _PROGRAM_ARRAYS (p.slot, p.lin, ...); len(p) is
     its letter count and p.newton whether a letter is solved by Newton
     iteration (mode 1).  Never written once built, so the lifts of a word
@@ -79,27 +94,41 @@ class Program(ctypes.Structure):
         arrays = {name: np.ascontiguousarray(arrays[name], dtype)
                   for name, dtype in _PROGRAM_ARRAYS}
         super().__init__(len(arrays["slot"]),
-                         *(a.ctypes.data for a in arrays.values()))
+                         *(a.__array_interface__["data"][0]
+                           for a in arrays.values()))
         vars(self).update(arrays, newton=bool(arrays["mode"].any()))
 
     def __len__(self):
         return self.nletters
 
 
-def _load_c():
-    """The built C orbit library and None, or None and why it is missing.
+def _load_module(path):
+    """The extension module built from _orbit.c at path."""
+    loader = ExtensionFileLoader(__package__ + "._orbit", path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
 
-    The library is cached next to the .pyc files, named by the CRC-32 of
-    the source and the flags; it is written under a temporary name and
-    renamed into place, so concurrent imports never see a partial file.
-    A fresh build removes the libraries built from other sources.
+
+def _load_c():
+    """The built C extension module and None, or None and why it is missing.
+
+    The module is cached next to the .pyc files, named by the CRC-32 of
+    the source, the flags and the include directory, with the interpreter's
+    ABI tag; it is written under a temporary name and renamed into place, so
+    concurrent imports never see a partial file.  A fresh build removes the
+    builds of other sources for the same ABI tag.
     """
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
     try:
         with open(_C_SOURCE, "rb") as f:
             key = zlib.crc32(f.read() + " ".join(_CFLAGS).encode())
         cache = os.path.join(os.path.dirname(_C_SOURCE), "__pycache__")
-        path = os.path.join(cache, "_orbit.%08x.so" % key)
+        path = os.path.join(cache, "_orbit.%08x%s" % (key, suffix))
         if not os.path.exists(path):
+            if not os.path.exists(os.path.join(_INCLUDE, "Python.h")):
+                return None, "no Python.h in %s" % _INCLUDE
             import subprocess
 
             os.makedirs(cache, exist_ok=True)
@@ -112,7 +141,7 @@ def _load_c():
                     return None, "cc failed: %s" % out.stderr.strip()
                 os.replace(tmp, path)
                 for name in os.listdir(cache):  # builds of older sources
-                    if (name.startswith("_orbit.") and name.endswith(".so")
+                    if (name.startswith("_orbit.") and name.endswith(suffix)
                             and name != os.path.basename(path)):
                         try:
                             os.remove(os.path.join(cache, name))
@@ -121,27 +150,9 @@ def _load_c():
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
-        lib = ctypes.CDLL(path)
-    except OSError as exc:
+        return _load_module(path), None
+    except (ImportError, OSError) as exc:
         return None, str(exc)
-    # every entry point ends with (program, vx, vy, out)
-    tail = [ctypes.POINTER(Program), ctypes.c_double, ctypes.c_double,
-            ctypes.c_void_p]
-    lib.apply_batch.argtypes = [ctypes.c_void_p, ctypes.c_int64, *tail]
-    lib.orbit_mean.argtypes = [
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-        ctypes.c_int, *tail]
-    lib.grid_merge.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
-                               ctypes.c_int64, ctypes.c_double,
-                               ctypes.c_int64, ctypes.c_void_p,
-                               ctypes.c_void_p]
-    lib.affine_orbit.argtypes = ([ctypes.c_double] * 12
-                                 + [ctypes.c_int64, ctypes.c_void_p,
-                                    ctypes.c_void_p])
-    lib.apply_batch.restype = lib.orbit_mean.restype = ctypes.c_int
-    lib.grid_merge.restype = lib.affine_orbit.restype = ctypes.c_int64
-    return lib, None
 
 
 _LIB, C_UNAVAILABLE = _load_c()
@@ -165,54 +176,34 @@ def set_backend(name: str):
 # C backend
 
 
-def _no_memo(status):
-    # the word-step entry points return -1 when their memo cannot be
-    # allocated
-    if status < 0:
-        raise MemoryError("the word step could not allocate its memo")
-    return status
-
-
 def _apply_word_c(pts, prog, vx, vy):
     out = np.empty_like(pts)
     # apply_batch checks every point before it evaluates any
-    if _no_memo(_LIB.apply_batch(pts.ctypes.data, len(pts), prog, vx, vy,
-                                 out.ctypes.data)):
+    if _LIB.apply_batch(pts, prog, vx, vy, out):
         raise InvalidArgument(_NOT_FINITE)
     return out
 
 
-def _steps_address(a, seeds):
-    # the address of a tail or path array (steps, m, 2) for the C loop,
-    # which writes at most len(a) steps of it; NULL for an empty one, which
-    # it never touches, to spare a .ctypes.data lookup of a few microseconds
-    if (a.shape[1:] != seeds.shape or a.dtype != float
-            or not a.flags.c_contiguous):
-        raise InvalidArgument("tail and path must be (steps, m, 2)")
-    return a.ctypes.data if len(a) else None
-
-
 def _orbit_mean_c(seeds, n, plane_mode, tail, path, prog, vx, vy, threads=1):
     # same arguments and result as _orbit_mean_np, with the seeds cut into
-    # `threads` blocks; the checks bound every index the C loop touches
+    # `threads` blocks
     seeds = np.ascontiguousarray(seeds, dtype=float)
     if seeds.shape[1:] != (2,):
         raise InvalidArgument("seeds must be (m, 2)")
+    for a in (tail, path):
+        if (a.shape[1:] != seeds.shape or a.dtype != float
+                or not a.flags.c_contiguous):
+            raise InvalidArgument("tail and path must be (steps, m, 2)")
     out = np.empty_like(seeds)
-    _no_memo(_LIB.orbit_mean(seeds.ctypes.data, len(seeds), n, plane_mode,
-                             _steps_address(tail, seeds), len(tail),
-                             _steps_address(path, seeds), len(path),
-                             threads, prog, vx, vy, out.ctypes.data))
+    _LIB.orbit_mean(seeds, n, plane_mode, tail, path, threads, prog, vx, vy,
+                    out)
     return out
 
 
 def _grid_merge_c(pts, w, scale, cells):
     out_pts = np.empty_like(pts)
     out_w = np.empty_like(w)
-    m = _LIB.grid_merge(pts.ctypes.data, w.ctypes.data, len(w), scale, cells,
-                        out_pts.ctypes.data, out_w.ctypes.data)
-    if m < 0:
-        raise MemoryError("grid_merge could not allocate its scratch")
+    m = _LIB.grid_merge(pts, w, scale, cells, out_pts, out_w)
     if m == len(w):
         return out_pts, out_w
     # copies, so no measure pins the n-sized buffers
@@ -222,8 +213,7 @@ def _grid_merge_c(pts, w, scale, cells):
 def _affine_orbit_c(x0, y0, w1, w2, mat, inv, P):
     xs = np.empty(2 * P + 1)
     ys = np.empty(2 * P + 1)
-    n = _LIB.affine_orbit(x0, y0, w1, w2, *mat, *inv, P, xs.ctypes.data,
-                          ys.ctypes.data)
+    n = _LIB.affine_orbit(x0, y0, w1, w2, *mat, *inv, xs, ys)
     return xs[:n], ys[:n]
 
 

@@ -1,8 +1,11 @@
 /* Word step, orbit loop, grid merge and affine orbit scan of the "c"
- * backend: a statement-for-statement port of the numpy code in _kernels.py
- * (_apply_word_np, _orbit_mean_np, _grid_merge_np, _affine_orbit_np), one
- * point at a time, except for three shortcuts of the word step that change
- * no bit.  _kernels builds this file with -ffp-contract=off and defines
+ * backend, and the CPython extension module "_orbit" that calls them.
+ *
+ * The kernels are a statement-for-statement port of the numpy code in
+ * _kernels.py (_apply_word_np, _orbit_mean_np, _grid_merge_np,
+ * _affine_orbit_np), one point at a time, except for three shortcuts of the
+ * word step that change no bit.  _kernels builds this file with
+ * -ffp-contract=off and the interpreter's include directory, and defines
  * TWO_PI, SNAP, NEWTON_TOL and NEWTON_MAX from its own constants, so
  * results match numpy bit for bit wherever numpy's sin and cos round like
  * this C library's.
@@ -26,8 +29,14 @@
  * as before and the sums take the values in the same order, so the memo
  * changes no bit of any result.  Each call of apply_batch owns its memo,
  * and so does each block of seeds of an orbit_mean call, so the threads
- * that run the blocks share nothing they write.  Callers check all sizes;
- * nothing here checks bounds. */
+ * that run the blocks share nothing they write.
+ *
+ * The kernels check no bounds: the module's entry points at the end of
+ * this file take every size from the lengths of the buffers they are
+ * given and refuse lengths that disagree before any kernel runs. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <math.h>
 #include <pthread.h>
@@ -263,8 +272,8 @@ apply_word(const program *w, memo_entry *memo, memo_entry *iters, double vx,
 /* The lift at m plane points (m, 2) into out (m, 2).  Returns 0; 1, and
  * evaluates nothing, when a coordinate is not finite; -1 when the memo
  * cannot be allocated. */
-int apply_batch(const double *pts, int64_t m, const program *w, double vx,
-                double vy, double *out)
+static int apply_batch(const double *pts, int64_t m, const program *w,
+                       double vx, double vy, double *out)
 {
     for (int64_t i = 0; i < 2 * m; i++)
         if (!isfinite(pts[i]))
@@ -393,10 +402,10 @@ static void *run_block(void *arg)
  * changes only which memo serves a seed, so the results have the same bits
  * for every thread count.  Returns 0 once every block has finished, or -1
  * when a memo or the blocks cannot be allocated. */
-int orbit_mean(const double *seeds, int64_t m, int64_t n, int plane_mode,
-               double *tail, int64_t window, double *path, int64_t steps,
-               int threads, const program *w, double vx, double vy,
-               double *out)
+static int orbit_mean(const double *seeds, int64_t m, int64_t n,
+                      int plane_mode, double *tail, int64_t window,
+                      double *path, int64_t steps, int threads,
+                      const program *w, double vx, double vy, double *out)
 {
     if (threads <= 1)
         return orbit_block(seeds, m, 0, m, n, plane_mode, tail, window, path,
@@ -471,9 +480,9 @@ static void sort_keys(keyed *a, keyed *tmp, int64_t n)
  * from 0.0 into out_w, as np.bincount adds.  Both outputs need room for n
  * cells.  Returns the number of cells, or -1 when the scratch memory
  * cannot be allocated. */
-int64_t grid_merge(const double *pts, const double *w, int64_t n,
-                   double scale, int64_t cells, double *out_pts,
-                   double *out_w)
+static int64_t grid_merge(const double *pts, const double *w, int64_t n,
+                          double scale, int64_t cells, double *out_pts,
+                          double *out_w)
 {
     if (n == 0)
         return 0;
@@ -510,9 +519,10 @@ int64_t grid_merge(const double *pts, const double *w, int64_t n,
  * to xs and ys, which have room for 2P + 1 points.  The scan stops at the
  * first point that is not finite, so a forward overflow skips the backward
  * half.  Returns the number of points written. */
-int64_t affine_orbit(double x0, double y0, double w1, double w2, double a,
-                     double b, double c, double d, double ai, double bi,
-                     double ci, double di, int64_t P, double *xs, double *ys)
+static int64_t affine_orbit(double x0, double y0, double w1, double w2,
+                            double a, double b, double c, double d,
+                            double ai, double bi, double ci, double di,
+                            int64_t P, double *xs, double *ys)
 {
     int64_t n = 0;
     double x = x0, y = y0;
@@ -539,4 +549,233 @@ int64_t affine_orbit(double x0, double y0, double w1, double w2, double a,
         ys[n++] = y;
     }
     return n;
+}
+
+/* ------------------------------------------------------------------------
+ * The module.  Each entry point takes its arguments by position, in the
+ * order of the kernel it calls but without the sizes, which it takes from
+ * the buffers: an array is a C-contiguous buffer of doubles, read-only or
+ * not for an input and writable for an output, and a program is a
+ * _kernels.Program, read as its bytes.  A wrong argument count or kind
+ * raises TypeError, lengths that disagree ValueError, and a failed
+ * allocation MemoryError; the kernel runs with the GIL released. */
+
+/* The buffer format ctypes gives a _kernels.Program, fields in native byte
+ * order: the reader follows the pointers of a program, so it takes no other
+ * bytes for one. */
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#define FIELD(code, name) ">" code ":" name ":"
+#else
+#define FIELD(code, name) "<" code ":" name ":"
+#endif
+static const char PROGRAM_FORMAT[] =
+    "T{" FIELD("q", "nletters") FIELD("P", "_slot") FIELD("P", "_mode")
+    FIELD("P", "_lin") FIELD("P", "_lin_inv") FIELD("P", "_tstart")
+    FIELD("P", "_tend") FIELD("P", "_amps") FIELD("P", "_fkx")
+    FIELD("P", "_fky") FIELD("P", "_phase") FIELD("P", "_row") "}";
+
+/* The arguments of one call, in the order of a signature of one letter per
+ * argument: 'f' a float, 'i' an integer, 'p' a program, 'r' an input array
+ * and 'w' an output one.  len holds each array's length in doubles. */
+typedef struct {
+    double f[12];
+    int64_t i[3];
+    program w;
+    Py_buffer buf[4];
+    Py_ssize_t len[4];
+    int nbuf;
+} call;
+
+static void release(call *c)
+{
+    while (c->nbuf > 0)
+        PyBuffer_Release(&c->buf[--c->nbuf]);
+}
+
+/* Reads args into c by sig.  Returns 0, or -1 with an exception set and no
+ * buffer held. */
+static int parse(const char *sig, PyObject *const *args, Py_ssize_t nargs,
+                 call *c)
+{
+    Py_ssize_t want = (Py_ssize_t)strlen(sig);
+    int nf = 0, ni = 0;
+    c->nbuf = 0;
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "expected %zd arguments, got %zd",
+                     want, nargs);
+        return -1;
+    }
+    for (Py_ssize_t k = 0; k < nargs; k++) {
+        if (sig[k] == 'f') {
+            c->f[nf] = PyFloat_AsDouble(args[k]);
+            if (c->f[nf++] == -1.0 && PyErr_Occurred())
+                goto fail;
+        } else if (sig[k] == 'i') {
+            c->i[ni] = PyLong_AsLongLong(args[k]);
+            if (c->i[ni++] == -1 && PyErr_Occurred())
+                goto fail;
+        } else if (sig[k] == 'p') {
+            Py_buffer v;
+            if (PyObject_GetBuffer(args[k], &v, PyBUF_FORMAT) < 0)
+                goto fail;
+            int ok = v.len == (Py_ssize_t)sizeof(program) && v.format
+                     && strcmp(v.format, PROGRAM_FORMAT) == 0;
+            if (ok)
+                memcpy(&c->w, v.buf, sizeof(program));
+            PyBuffer_Release(&v);
+            if (!ok) {
+                PyErr_Format(PyExc_ValueError,
+                             "argument %zd is not a program", k + 1);
+                goto fail;
+            }
+        } else {
+            Py_buffer *v = &c->buf[c->nbuf];
+            int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                        | (sig[k] == 'w' ? PyBUF_WRITABLE : 0);
+            if (PyObject_GetBuffer(args[k], v, flags) < 0)
+                goto fail;
+            c->len[c->nbuf++] = v->len / (Py_ssize_t)sizeof(double);
+            if (v->format == NULL || strcmp(v->format, "d") != 0) {
+                PyErr_Format(PyExc_ValueError,
+                             "argument %zd is not an array of doubles",
+                             k + 1);
+                goto fail;
+            }
+        }
+    }
+    return 0;
+fail:
+    release(c);
+    return -1;
+}
+
+/* Releases c and returns what the entry point returns: status as an int,
+ * or NULL with MemoryError when it is negative (a kernel that could not
+ * allocate its memo or scratch) or with ValueError and msg when msg is
+ * not NULL (lengths that disagree; the kernel did not run). */
+static PyObject *finish(call *c, int64_t status, const char *msg)
+{
+    release(c);
+    if (msg != NULL) {
+        PyErr_SetString(PyExc_ValueError, msg);
+        return NULL;
+    }
+    if (status < 0)
+        return PyErr_NoMemory();
+    return PyLong_FromLongLong(status);
+}
+
+/* apply_batch(pts, program, vx, vy, out): pts and out (m, 2).  Returns 0,
+ * or 1 when a point is not finite. */
+static PyObject *py_apply_batch(PyObject *self, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    call c;
+    int status;
+    (void)self;
+    if (parse("rpffw", args, nargs, &c) < 0)
+        return NULL;
+    if (c.len[0] % 2 != 0 || c.len[1] != c.len[0])
+        return finish(&c, 0, "pts and out must be (m, 2)");
+    Py_BEGIN_ALLOW_THREADS
+    status = apply_batch(c.buf[0].buf, c.len[0] / 2, &c.w, c.f[0], c.f[1],
+                         c.buf[1].buf);
+    Py_END_ALLOW_THREADS
+    return finish(&c, status, NULL);
+}
+
+/* orbit_mean(seeds, n, plane_mode, tail, path, threads, program, vx, vy,
+ * out): seeds and out (m, 2), tail (window, m, 2), path (steps, m, 2), and
+ * at most one thread per seed.  Returns 0. */
+static PyObject *py_orbit_mean(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    call c;
+    int status;
+    (void)self;
+    if (parse("riiwwipffw", args, nargs, &c) < 0)
+        return NULL;
+    int64_t m = c.len[0] / 2, threads = c.i[2];
+    int64_t window = m > 0 ? c.len[1] / (2 * m) : 0;
+    int64_t steps = m > 0 ? c.len[2] / (2 * m) : 0;
+    if (c.len[0] % 2 != 0 || c.len[3] != c.len[0]
+            || c.len[1] != 2 * m * window || c.len[2] != 2 * m * steps)
+        return finish(&c, 0, "seeds and out must be (m, 2), tail and path "
+                             "(steps, m, 2)");
+    if (threads > (m > 1 ? m : 1))
+        return finish(&c, 0, "threads must not exceed the seeds");
+    Py_BEGIN_ALLOW_THREADS
+    status = orbit_mean(c.buf[0].buf, m, c.i[0], (int)c.i[1], c.buf[1].buf,
+                        window, c.buf[2].buf, steps, (int)threads, &c.w,
+                        c.f[0], c.f[1], c.buf[3].buf);
+    Py_END_ALLOW_THREADS
+    return finish(&c, status, NULL);
+}
+
+/* grid_merge(pts, w, scale, cells, out_pts, out_w): pts and out_pts (n, 2),
+ * w and out_w (n,), cells > 0.  Returns the number of cells. */
+static PyObject *py_grid_merge(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    call c;
+    int64_t cells;
+    (void)self;
+    if (parse("rrfiww", args, nargs, &c) < 0)
+        return NULL;
+    cells = c.i[0];
+    if (c.len[0] != 2 * c.len[1] || c.len[2] != c.len[0]
+            || c.len[3] != c.len[1])
+        return finish(&c, 0, "pts and out_pts must be (n, 2), w and out_w "
+                             "(n,)");
+    if (cells <= 0)
+        return finish(&c, 0, "cells must be positive");
+    Py_BEGIN_ALLOW_THREADS
+    cells = grid_merge(c.buf[0].buf, c.buf[1].buf, c.len[1], c.f[0], cells,
+                       c.buf[2].buf, c.buf[3].buf);
+    Py_END_ALLOW_THREADS
+    return finish(&c, cells, NULL);
+}
+
+/* affine_orbit(x0, y0, w1, w2, a, b, c, d, ai, bi, ci, di, xs, ys): xs and
+ * ys of length 2P + 1.  Returns the number of points written. */
+static PyObject *py_affine_orbit(PyObject *self, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    call c;
+    int64_t n;
+    (void)self;
+    if (parse("ffffffffffffww", args, nargs, &c) < 0)
+        return NULL;
+    if (c.len[0] % 2 != 1 || c.len[1] != c.len[0])
+        return finish(&c, 0, "xs and ys must have the same odd length");
+    Py_BEGIN_ALLOW_THREADS
+    n = affine_orbit(c.f[0], c.f[1], c.f[2], c.f[3], c.f[4], c.f[5], c.f[6],
+                     c.f[7], c.f[8], c.f[9], c.f[10], c.f[11],
+                     c.len[0] / 2, c.buf[0].buf, c.buf[1].buf);
+    Py_END_ALLOW_THREADS
+    return finish(&c, n, NULL);
+}
+
+#define ENTRY(name) \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
+
+static PyMethodDef methods[] = {
+    ENTRY(apply_batch),
+    ENTRY(orbit_mean),
+    ENTRY(grid_merge),
+    ENTRY(affine_orbit),
+    {NULL, NULL, 0, NULL}
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_orbit",
+    .m_doc = "The C kernels of rotor._kernels.",
+    .m_size = 0,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC PyInit__orbit(void)
+{
+    return PyModuleDef_Init(&module);
 }

@@ -18,6 +18,7 @@ them; a sequence pushes mu once per step and shares its rotation vectors.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral
@@ -332,7 +333,15 @@ def bounded_orbit_check(g_class: MCGClass, rho0, w, P: int = 1000) -> OrbitCheck
                           (g_class.a, g_class.b, g_class.c, g_class.d),
                           (inv.a, inv.b, inv.c, inv.d), P)
     # a stop leaves fewer than 2P + 1 points: the orbit overflowed
-    with np.errstate(over="ignore"):
-        max_norm = (math.inf if len(xs) < 2 * P + 1
-                    else float(np.hypot(xs, ys).max()))
+    max_norm = math.inf
+    if len(xs) == 2 * P + 1:
+        # np.hypot on the points whose squared norm is within a relative
+        # 1e-9 (plus 1e-300 for the subnormal range) of the largest, as in
+        # fixed_points._min_torus_dist; a squared norm that overflows counts
+        # as the float maximum, so every point near the overflow is kept
+        with np.errstate(over="ignore"):
+            d2 = xs * xs + ys * ys
+            top = min(float(d2.max()), sys.float_info.max)
+            near = d2 >= top * (1.0 - 1e-9) - 1e-300
+            max_norm = float(np.hypot(xs[near], ys[near]).max())
     return OrbitCheck(bounded=max_norm <= bound, max_norm=max_norm)

@@ -157,9 +157,13 @@ class RotationSetEstimate:
 
     @reads(path=PATH)
     def to_csv(self, path) -> None:
+        # rows from Python floats, whose repr is the numpy scalar's, in
+        # blocks of 512: one .tolist() of 4096 samples held 0.5 MB at once
         write_csv(path, ["kind", "x", "y"],
-                  ([kind, repr(float(x)), repr(float(y))] for kind, pts in
-                   (("sample", self.samples), ("hull", self.hull)) for x, y in pts))
+                  ([kind, repr(x), repr(y)] for kind, pts in
+                   (("sample", self.samples), ("hull", self.hull))
+                   for k in range(0, len(pts), 512) for x, y in
+                   np.asarray(pts[k:k + 512], dtype=float).tolist()))
 
     def __repr__(self):
         return ("RotationSetEstimate(%d samples, %d hull vertices, n=%d)"

@@ -1,3 +1,4 @@
+import os
 import shutil
 
 import pytest
@@ -8,10 +9,12 @@ from rotor import _kernels
 @pytest.fixture
 def backends():
     """The kernel backends a test runs on in turn: "c" wherever a compiler
-    is found, so a broken build fails the test, and "numpy".  The backend
-    set before the test is restored after it."""
+    and Python.h are found, so a broken build fails the test, and "numpy".
+    The backend set before the test is restored after it."""
     before = _kernels.get_backend()
-    yield (["c"] if shutil.which("cc") else []) + ["numpy"]
+    buildable = shutil.which("cc") and os.path.exists(
+        os.path.join(_kernels._INCLUDE, "Python.h"))
+    yield (["c"] if buildable else []) + ["numpy"]
     _kernels.set_backend(before)
 
 

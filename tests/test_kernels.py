@@ -5,7 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
-import types
+import sysconfig
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -40,9 +40,12 @@ def build_group():
 
 
 G = build_group()
-# skipped only without a compiler, so a broken build fails these tests
-needs_c = pytest.mark.skipif(shutil.which("cc") is None,
-                             reason="no C compiler")
+# skipped only without a compiler or Python's headers, so a broken build
+# fails these tests
+needs_c = pytest.mark.skipif(
+    shutil.which("cc") is None
+    or not os.path.exists(os.path.join(_kernels._INCLUDE, "Python.h")),
+    reason="no C compiler or no Python.h")
 
 
 def _numpy_trig_is_libm():
@@ -332,24 +335,39 @@ def test_c_memo_hits_match_numpy(restore_backend):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
 
 
-@needs_c
-def test_c_memo_allocation_failure_is_a_memory_error(monkeypatch,
-                                                     restore_backend):
-    # each word-step entry point returns -1 when its memo cannot be
-    # allocated; that is never "points must be finite"
-    class NoMemory:
-        def __getattr__(self, name):
-            return lambda *args: -1
+# makes every malloc of a build that includes it fail, as on a system out
+# of memory
+_NO_MEMORY_HEADER = """\
+#include <stdlib.h>
+static void *no_memory(size_t size)
+{
+    (void)size;
+    return NULL;
+}
+#define malloc(size) no_memory(size)
+"""
 
-    prog = compile_program(G.word("skew mix'"))
+
+@needs_c
+def test_c_memo_allocation_failure_is_a_memory_error(tmp_path, monkeypatch,
+                                                     restore_backend):
+    # every entry point that allocates raises MemoryError when it cannot;
+    # that is never "points must be finite"
+    header = tmp_path / "no_memory.h"
+    header.write_text(_NO_MEMORY_HEADER)
+    monkeypatch.setattr(_kernels, "_LIB", _build_orbit_module(
+        tmp_path, "-O2", "-include", str(header)))
     _kernels.set_backend("c")
-    monkeypatch.setattr(_kernels, "_LIB", NoMemory())
+    prog = compile_program(G.word("skew mix'"))
     none = np.empty((0, 2, 2))
     calls = [
         lambda: _kernels._apply_word_c(np.zeros((2, 2)), *prog),
         lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False, none,
                                        none, *prog),
+        lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False, none,
+                                       none, *prog, threads=2),
         lambda: _kernels.orbit_collect(0.1, 0.2, 3, 4, *prog),
+        lambda: _kernels.grid_merge(np.zeros((3, 2)), np.ones(3), 8.0, 8),
     ]
     for call in calls:
         with pytest.raises(MemoryError):
@@ -615,70 +633,98 @@ def test_affine_orbit_backends_agree_on_edges(restore_backend):
 
 
 def _c_entry_points():
-    # name -> parameter count of every function _orbit.c defines without
-    # static: its comments, directives and brace bodies removed, each
-    # definition is a top-level statement ending in its parameter list
+    # the names in the method table of _orbit.c
     with open(_kernels._C_SOURCE) as f:
-        src = f.read()
-    src = re.sub(r"/\*.*?\*/|^#[^\n]*", " ", src, flags=re.S | re.M)
-    while "{" in src:
-        src = re.sub(r"\{[^{}]*\}", ";", src)
-    out = {}
-    for stmt in src.split(";"):
-        m = re.search(r"(\w+)\s*\(([^()]*)\)\s*$", stmt)
-        if m and stmt.split()[0] != "static":
-            out[m.group(1)] = len(m.group(2).split(","))
+        return set(re.findall(r"^\s*ENTRY\((\w+)\),", f.read(), re.M))
+
+
+def _good_calls(prog):
+    # per C entry point: arguments it takes, and the positions of its
+    # arrays, its output arrays and its program
+    def z(*shape):
+        return np.zeros(shape)
+
+    return {
+        "apply_batch": ([z(3, 2), prog, 0.0, 0.0, z(3, 2)], [0, 4], [4], 1),
+        "orbit_mean": ([z(3, 2), 5, 0, z(2, 3, 2), z(1, 3, 2), 2, prog, 0.0,
+                        0.0, z(3, 2)], [0, 3, 4, 9], [3, 4, 9], 6),
+        "grid_merge": ([z(3, 2), np.ones(3), 8.0, 8, z(3, 2), z(3)],
+                       [0, 1, 4, 5], [4, 5], None),
+        "affine_orbit": ([0.5] * 12 + [z(7), z(7)], [12, 13], [12, 13],
+                         None),
+    }
+
+
+def _bad_variants(args, arrays, outputs, program):
+    # the arguments with one thing wrong each: the count, an argument that
+    # is no buffer or of the wrong kind, a read-only or non-contiguous
+    # array, a length that disagrees with the others
+    def put(i, value):
+        return args[:i] + [value] + args[i + 1:]
+
+    out = [args[:-1], args + [args[-1]], []]
+    for i in arrays:
+        a = args[i]
+        ints = np.zeros(a.shape, dtype=np.int64)
+        strided = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))[..., ::2]
+        out += [put(i, None), put(i, a.tolist()), put(i, ints),
+                put(i, strided), put(i, a.reshape(-1)[:-1])]
+    for i in outputs:
+        read_only = args[i].copy()
+        read_only.flags.writeable = False
+        out += [put(i, read_only), put(i, b"\0" * args[i].nbytes)]
+    if program is not None:
+        # a program's size but not its layout: one letter, null arrays
+        forged = np.zeros(len(bytes(args[program])) // 8, dtype=np.int64)
+        forged[0] = 1
+        out += [put(program, None), put(program, bytes(8)),
+                put(program, np.zeros(3)), put(program, forged),
+                put(program, forged.tobytes())]
+    out += [put(i, "0.5") for i, a in enumerate(args)
+            if isinstance(a, (int, float))]
     return out
 
 
 @pytest.mark.skipif(_kernels.C_UNAVAILABLE is not None,
                     reason="C backend unavailable: %s" % _kernels.C_UNAVAILABLE)
-def test_every_c_entry_point_is_typed(monkeypatch):
-    # ctypes passes untyped arguments as C ints and reads a C int back by
-    # default, which would truncate an int64_t count, so _load_c must set
-    # argtypes and restype of every exported function
-    typed = {}
-
-    class Recorder:
-        def __init__(self, path):
-            pass
-
-        def __getattr__(self, name):
-            return typed.setdefault(name, types.SimpleNamespace())
-
-    monkeypatch.setattr(ctypes, "CDLL", Recorder)
-    _, why = _kernels._load_c()
-    assert why is None
-    entry = _c_entry_points()
-    assert set(entry) == {"apply_batch", "orbit_mean", "grid_merge",
-                          "affine_orbit"}
-    for name, nparams in entry.items():
-        fn = vars(typed.get(name, types.SimpleNamespace()))
-        assert "restype" in fn, name
-        assert len(fn.get("argtypes", ())) == nparams, name
+def test_every_c_entry_point_refuses_bad_arguments():
+    # the extension takes every size from the buffers it is given, so a bad
+    # call raises before any kernel runs instead of reading or writing past
+    # an array
+    prog = compile_program(G.word("skew mix'"))[0]
+    calls = _good_calls(prog)
+    assert set(calls) == _c_entry_points() == {
+        name for name in vars(_kernels._LIB) if not name.startswith("_")}
+    for name, (args, arrays, outputs, program) in calls.items():
+        fn = getattr(_kernels._LIB, name)
+        fn(*args)
+        variants = _bad_variants(args, arrays, outputs, program)
+        if name == "orbit_mean":            # more threads than seeds
+            variants.append(args[:5] + [4] + args[6:])
+        if name == "grid_merge":
+            variants.append(args[:3] + [0] + args[4:])
+        for bad in variants:
+            with pytest.raises((TypeError, ValueError, BufferError)):
+                fn(*bad)
 
 
 def test_every_c_entry_point_is_called():
     # an export that _kernels never calls is dead C code
     with open(_kernels.__file__) as f:
         called = set(re.findall(r"_LIB\.(\w+)\(", f.read()))
-    assert called == set(_c_entry_points())
+    assert called == _c_entry_points()
 
 
-def _build_orbit_library(tmp_path, opt, *extra):
-    # _orbit.c built with the package's flags but another optimisation level
-    # and the extra flags, its entry points typed like the loaded library's
+def _build_orbit_module(tmp_path, opt, *extra):
+    # _orbit.c built as an extension module with the package's flags but
+    # another optimisation level and the extra flags, and loaded
     flags = [f for f in _kernels._CFLAGS if not f.startswith("-O")]
     path = tmp_path / ("orbit%s%d.so" % (opt, len(extra)))
     out = subprocess.run(["cc", opt, *flags, *extra, "-o", str(path),
                           _kernels._C_SOURCE, "-lm"],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    lib = ctypes.CDLL(str(path))
-    for name in _c_entry_points():
-        fn, typed = getattr(lib, name), getattr(_kernels._LIB, name)
-        fn.argtypes, fn.restype = typed.argtypes, typed.restype
-    return lib
+    return _kernels._load_module(str(path))
 
 
 def _split_orbit_outputs(pts, n, plane_mode, prog, threads):
@@ -726,7 +772,7 @@ def test_optimisation_level_changes_no_bit(tmp_path, monkeypatch,
     _kernels.set_backend("c")
     want = _c_outputs(_kernels._LIB, monkeypatch)
     for opt in ("-O0", "-O3"):
-        got = _c_outputs(_build_orbit_library(tmp_path, opt), monkeypatch)
+        got = _c_outputs(_build_orbit_module(tmp_path, opt), monkeypatch)
         assert len(got) == len(want) == 18 + 2 * len(AFFINE_EDGES)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), opt
 
@@ -757,8 +803,9 @@ def test_blocks_without_a_thread_run_on_the_caller(tmp_path, monkeypatch,
     header = tmp_path / "no_thread.h"
     header.write_text(_NO_THREAD_HEADER)
     loaded = _kernels._LIB
-    lib = _build_orbit_library(tmp_path, "-O2", "-include", str(header))
-    calls = ctypes.c_int64.in_dll(lib, "create_calls")
+    lib = _build_orbit_module(tmp_path, "-O2", "-include", str(header))
+    # the module's file, opened again, holds the counter
+    calls = ctypes.c_int64.in_dll(ctypes.CDLL(lib.__file__), "create_calls")
     pts = np.random.default_rng(9).uniform(-2.0, 3.0, (23, 2))
     for word in ("h skew'", "dehn"):
         plane_mode, prog = maps._orbit_program(
@@ -824,8 +871,8 @@ def test_twin_memo_libm_calls(tmp_path, monkeypatch, restore_backend):
     header = tmp_path / "counting.h"
     header.write_text(_COUNTING_HEADER)
     loaded = _kernels._LIB
-    counting = _build_orbit_library(tmp_path, "-O2", "-include", str(header))
-    calls = [ctypes.c_int64.in_dll(counting, name)
+    counting = _build_orbit_module(tmp_path, "-O2", "-include", str(header))
+    calls = [ctypes.c_int64.in_dll(ctypes.CDLL(counting.__file__), name)
              for name in ("sin_calls", "cos_calls")]
     cat = build_catalog()
     grid = torus_grid(256)
@@ -925,10 +972,22 @@ except RotorError as exc:
 """
 
 
-def _probe_backend(root, path):
+# points sysconfig's include directory, where Python.h lives, at a
+# directory given as the first argument
+_NO_HEADERS = """\
+import sys
+import sysconfig
+paths = sysconfig.get_paths()
+sysconfig.get_paths = lambda *args, **kwargs: dict(paths, include=sys.argv[1])
+"""
+
+
+def _probe_backend(root, path, include=None):
     # runs the probe on the copy of rotor under root, with PATH set to path
+    # and, if given, another include directory
     env = dict(os.environ, PYTHONPATH=str(root), PATH=str(path))
-    out = subprocess.run([sys.executable, "-c", _BACKEND_PROBE], env=env,
+    code = _BACKEND_PROBE if include is None else _NO_HEADERS + _BACKEND_PROBE
+    out = subprocess.run([sys.executable, "-c", code, str(include)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()
@@ -942,20 +1001,28 @@ def test_build_cache_and_fallback_without_compiler(tmp_path):
     for root in (built, fresh):
         shutil.copytree(_PACKAGE, root / "rotor",
                         ignore=shutil.ignore_patterns("__pycache__"))
-    # a cold import builds the library into the package's __pycache__ and
-    # removes the library of an older source
+    # a cold import builds the module into the package's __pycache__, under
+    # a name that ends in the interpreter's ABI tag, and removes the build
+    # of an older source for the same tag, but not those for other tags
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    stale, other = "_orbit.deadbeef" + suffix, "_orbit.deadbeef.cpython-0.so"
     cache = built / "rotor" / "__pycache__"
     cache.mkdir()
-    (cache / "_orbit.deadbeef.so").write_bytes(b"stale")
+    for name in (stale, other):
+        (cache / name).write_bytes(b"stale")
     assert _probe_backend(built, os.environ["PATH"]) == ["c"]
-    libs = [f for f in os.listdir(cache) if f.endswith(".so")]
-    assert len(libs) == 1 and libs[0] != "_orbit.deadbeef.so"
-    # the next import loads the cached library and needs no compiler
+    (lib,) = set(os.listdir(cache)) - {other}
+    assert lib.startswith("_orbit.") and lib.endswith(suffix) and lib != stale
+    # the next import loads the cached module and needs no compiler
     assert _probe_backend(built, no_cc) == ["c"]
-    # with no compiler and no cache the backend is numpy, and says why
+    # with no compiler or no Python.h, and no cache, the backend is numpy,
+    # and says which was missing
     backend, reason = _probe_backend(fresh, no_cc)
     assert backend == "numpy"
     assert reason.startswith("C backend unavailable") and "'cc'" in reason
+    backend, reason = _probe_backend(fresh, os.environ["PATH"], no_cc)
+    assert backend == "numpy"
+    assert reason == "C backend unavailable: no Python.h in %s" % no_cc
 
 
 @needs_c
