@@ -2,9 +2,11 @@
 
 A word program is a Program: per-letter (slot, mode), per-slot linear
 matrices and trig-term ranges, built once per word by maps.compile_program.
-Every kernel takes it with the deck translation (vx, vy).  mode 0 applies
-the slot's map forward, mode 1 solves it backward by Newton iteration; a
-Newton failure surfaces as NaN coordinates and the callers raise.
+Building one checks every index in it, on every backend, and makes the C
+copy of it that the C kernels take.  Every kernel takes it with the deck
+translation (vx, vy).  mode 0 applies the slot's map forward, mode 1 solves
+it backward by Newton iteration; a Newton failure surfaces as NaN
+coordinates and the callers raise.
 
 Every kernel has two backends that run the same float operations in the same
 order: "c", the loops of _orbit.c run one point at a time, called through
@@ -35,15 +37,15 @@ built file is named by the CRC-32 of those and ends in the interpreter's ABI
 tag (EXT_SUFFIX, e.g. .cpython-311-x86_64-linux-gnu.so), so a __pycache__
 shared by two Python versions holds one build for each.  The module's entry
 points take their sizes from the lengths of the arrays they are given and
-refuse lengths that disagree with ValueError, so no call reads or writes
-past an array.  Without a compiler or without Python.h, or when the build or
+refuse lengths that disagree with ValueError, and take only programs that
+its entry point program built and checked, so no call reads or writes past
+an array.  Without a compiler or without Python.h, or when the build or
 the load fails, the backend is "numpy" and C_UNAVAILABLE says why.
 set_backend() switches at runtime.  The seam snap and the Newton tolerance
 and step budget are defined here once, shared by maps and passed to the C
 build as macros.
 """
 
-import ctypes
 import importlib.util
 import math
 import os
@@ -72,34 +74,49 @@ _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "_orbit.c")
 
 
-# the arrays of a word program, in _orbit.c's struct order, with dtypes
+# the arrays of a word program, in the order of _orbit.c's program(), with
+# dtypes
 _PROGRAM_ARRAYS = [("slot", np.int64), ("mode", np.int64), ("lin", float),
                    ("lin_inv", float), ("tstart", np.int64),
                    ("tend", np.int64), ("amps", float), ("fkx", float),
                    ("fky", float), ("phase", float), ("row", np.int64)]
 
 
-class Program(ctypes.Structure):
-    """The `program` struct of _orbit.c, which the C entry points read
-    through the buffer protocol, holding the arrays it points to as
-    attributes named as in _PROGRAM_ARRAYS (p.slot, p.lin, ...); len(p) is
-    its letter count and p.newton whether a letter is solved by Newton
-    iteration (mode 1).  Never written once built, so the lifts of a word
-    and the threads of an orbit_mean call share it."""
-    _fields_ = ([("nletters", ctypes.c_int64)]
-                + [("_" + name, ctypes.c_void_p)
-                   for name, _ in _PROGRAM_ARRAYS])
+class Program:
+    """A word program: read-only copies of the arrays of _PROGRAM_ARRAYS
+    under their names (p.slot, p.lin, ...) for the numpy loops, and the
+    program that _orbit.c's program() builds of them for the C loops
+    (p.handle, None without C).  It checks the indices as program() does,
+    but raises InvalidArgument.  len(p) is its letter count and p.newton
+    whether a letter is solved by Newton iteration (mode 1)."""
 
     def __init__(self, **arrays):
-        arrays = {name: np.ascontiguousarray(arrays[name], dtype)
-                  for name, dtype in _PROGRAM_ARRAYS}
-        super().__init__(len(arrays["slot"]),
-                         *(a.__array_interface__["data"][0]
-                           for a in arrays.values()))
-        vars(self).update(arrays, newton=bool(arrays["mode"].any()))
+        a = {name: np.array(arrays[name], dtype, order="C")
+             for name, dtype in _PROGRAM_ARRAYS}
+        for v in a.values():
+            v.flags.writeable = False
+        L, S, T = (a[k].shape[:1] for k in ("slot", "tstart", "amps"))
+        want = [L, L, S + (2, 2), S + (2, 2), S, S, T, T, T, T, T]
+        if len(L + S + T) < 3 or [v.shape for v in a.values()] != want:
+            raise InvalidArgument(
+                "slot and mode must have one length, lin and lin_inv "
+                "(slots, 2, 2), tstart and tend (slots,), and the term "
+                "arrays one length")
+        if ((a["tstart"] < 0) | (a["tstart"] > a["tend"])
+                | (a["tend"] > T[0])).any():
+            raise InvalidArgument("tstart and tend must bound ranges of the "
+                                  "terms")
+        if ((a["row"] < 0) | (a["row"] > 1)).any():
+            raise InvalidArgument("row must be 0 or 1")
+        if ((a["mode"] < 0) | (a["mode"] > 1) | (a["slot"] < 0)
+                | (a["slot"] >= S[0])).any():
+            raise InvalidArgument("mode must be 0 or 1 and slot below the "
+                                  "slots")
+        vars(self).update(a, newton=bool(a["mode"].any()), handle=None
+                          if _LIB is None else _LIB.program(*a.values()))
 
     def __len__(self):
-        return self.nletters
+        return len(self.slot)
 
 
 def _load_module(path):
@@ -179,7 +196,7 @@ def set_backend(name: str):
 def _apply_word_c(pts, prog, vx, vy):
     out = np.empty_like(pts)
     # apply_batch checks every point before it evaluates any
-    if _LIB.apply_batch(pts, prog, vx, vy, out):
+    if _LIB.apply_batch(pts, prog.handle, vx, vy, out):
         raise InvalidArgument(_NOT_FINITE)
     return out
 
@@ -195,8 +212,8 @@ def _orbit_mean_c(seeds, n, plane_mode, tail, path, prog, vx, vy, threads=1):
                 or not a.flags.c_contiguous):
             raise InvalidArgument("tail and path must be (steps, m, 2)")
     out = np.empty_like(seeds)
-    _LIB.orbit_mean(seeds, n, plane_mode, tail, path, threads, prog, vx, vy,
-                    out)
+    _LIB.orbit_mean(seeds, n, plane_mode, tail, path, threads, prog.handle,
+                    vx, vy, out)
     return out
 
 

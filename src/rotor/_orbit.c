@@ -33,7 +33,8 @@
  *
  * The kernels check no bounds: the module's entry points at the end of
  * this file take every size from the lengths of the buffers they are
- * given and refuse lengths that disagree before any kernel runs. */
+ * given and refuse lengths that disagree before any kernel runs, and take
+ * only programs that the entry point program built and checked. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -43,20 +44,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* A compiled word program: the fields of _kernels.Program, which holds the
- * arrays under the same names (see maps._compile_letters for their
- * content).  One program is shared by every lift of its word and by the
- * threads of an orbit_mean call, so it is never written: the deck
- * translation (vx, vy) is an argument. */
-typedef struct {
-    int64_t nletters;
-    const int64_t *slot, *mode;
-    const double *lin, *lin_inv;        /* (slots, 2, 2) */
-    const int64_t *tstart, *tend;
-    const double *amps, *fkx, *fky, *phase;
-    const int64_t *row;
-} program;
 
 /* The memo entry of one trig term at one letter position: the bits of the
  * last argument, amps * sin(arg), for an inverse letter also
@@ -69,45 +56,42 @@ typedef struct {
     int64_t twin;
 } memo_entry;
 
+/* A compiled word program: copies of the arrays of _kernels.Program under
+ * the same names (see maps._compile_letters for their content), and the
+ * size of its memo, nmemo entries of which niters per iteration.  Its blank
+ * memo follows it (see memo_layout and py_program).  One program is shared
+ * by every lift of its word and by the threads of an orbit_mean call, so it
+ * is never written once built: the deck translation (vx, vy) is an
+ * argument. */
+typedef struct {
+    int64_t nletters;
+    const int64_t *slot, *mode;
+    const double *lin, *lin_inv;        /* (slots, 2, 2) */
+    const int64_t *tstart, *tend;
+    const double *amps, *fkx, *fky, *phase;
+    const int64_t *row;
+    int64_t nmemo, niters;
+} program;
+
 /* A signalling NaN: arithmetic never gives one, so no argument matches it. */
 #define UNSET UINT64_C(0x7ff0000000000001)
 
-/* A memo for w, one entry per letter position and term in the order the
- * letters run, every key unset; NULL when it cannot be allocated.  The
- * caller frees it.  *iters points into it at the entries per iteration:
- * NEWTON_MAX rows of nterms entries per Newton letter, in the same order.
- * They sit apart from the others, so a forward letter's walk over its
- * entries is the same whatever inverse letters the word has.  The twin of
- * a letter is the letter of the same slot and mode that ran most recently
- * before it: the letters run last to first and wrap from one step to the
- * next, so for letter li it is the first of li+1, ..., L-1, 0, ..., li-1
- * with li's slot and mode.  A forward entry holds no cv, so forward and
- * Newton letters are never twins.  A letter without a twin is its own, at
- * offset 0. */
-static memo_entry *memo_new(const program *w, memo_entry **iters)
+/* Writes the blank memo of w to memo: one entry per letter position and
+ * term in the order the letters run, then the entries per iteration,
+ * NEWTON_MAX rows of nterms entries per Newton letter in the same order,
+ * every key unset.  The entries per iteration sit apart from the others, so
+ * a forward letter's walk over its entries is the same whatever inverse
+ * letters the word has.  The twin of a letter is the letter of the same
+ * slot and mode that ran most recently before it: the letters run last to
+ * first and wrap from one step to the next, so for letter li it is the
+ * first of li+1, ..., L-1, 0, ..., li-1 with li's slot and mode.  A forward
+ * entry holds no cv, so forward and Newton letters are never twins.  A
+ * letter without a twin is its own, at offset 0.  last is scratch for
+ * 2 * slots offsets. */
+static void memo_layout(const program *w, memo_entry *memo, int64_t *last)
 {
-    int64_t n = 0, ni = 0, slots = 0;
-    for (int64_t li = 0; li < w->nletters; li++) {
-        int64_t nterms = w->tend[w->slot[li]] - w->tstart[w->slot[li]];
-        n += nterms;
-        if (w->mode[li])
-            ni += NEWTON_MAX * nterms;
-        if (w->slot[li] >= slots)
-            slots = w->slot[li] + 1;
-    }
-    /* the entries, those per iteration, then per slot and mode the first
-     * entry of the letter of that slot and mode that ran last */
-    size_t size = (n + ni) * sizeof(memo_entry)
-                  + 2 * slots * sizeof(int64_t);
-    memo_entry *memo = malloc(size > 0 ? size : 1);
-    if (memo == NULL)
-        return NULL;
-    /* only the keys: a row entry is read after its key matched, and only
-     * a whole entry ever gives it a key */
-    *iters = memo + n;
-    for (int64_t i = n; i < n + ni; i++)
-        memo[i].key = UNSET;
-    int64_t *last = (int64_t *)(memo + n + ni);
+    for (int64_t i = w->nmemo - w->niters; i < w->nmemo; i++)
+        memo[i] = (memo_entry){UNSET, 0.0, 0.0, 0};
     /* two steps in running order: the first sees every letter, so in the
      * second each letter finds its twin */
     for (int round = 0; round < 2; round++) {
@@ -122,6 +106,19 @@ static memo_entry *memo_new(const program *w, memo_entry **iters)
             off += nterms;
         }
     }
+}
+
+/* A memo for w, a copy of its blank memo; NULL when it cannot be
+ * allocated.  The caller frees it.  *iters points into it at the entries
+ * per iteration. */
+static memo_entry *memo_new(const program *w, memo_entry **iters)
+{
+    size_t size = w->nmemo * sizeof(memo_entry);
+    memo_entry *memo = malloc(size > 0 ? size : 1);
+    if (memo == NULL)
+        return NULL;
+    memcpy(memo, w + 1, size);
+    *iters = memo + w->nmemo - w->niters;
     return memo;
 }
 
@@ -554,35 +551,26 @@ static int64_t affine_orbit(double x0, double y0, double w1, double w2,
 /* ------------------------------------------------------------------------
  * The module.  Each entry point takes its arguments by position, in the
  * order of the kernel it calls but without the sizes, which it takes from
- * the buffers: an array is a C-contiguous buffer of doubles, read-only or
- * not for an input and writable for an output, and a program is a
- * _kernels.Program, read as its bytes.  A wrong argument count or kind
- * raises TypeError, lengths that disagree ValueError, and a failed
- * allocation MemoryError; the kernel runs with the GIL released. */
+ * the buffers: an array is a C-contiguous buffer of doubles (of int64 where
+ * an entry point says so), read-only or not for an input and writable for
+ * an output, and a program is a capsule that the entry point program made.
+ * A wrong argument count or kind raises TypeError, lengths that disagree or
+ * indices out of range ValueError, and a failed allocation MemoryError; the
+ * kernels run with the GIL released. */
 
-/* The buffer format ctypes gives a _kernels.Program, fields in native byte
- * order: the reader follows the pointers of a program, so it takes no other
- * bytes for one. */
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-#define FIELD(code, name) ">" code ":" name ":"
-#else
-#define FIELD(code, name) "<" code ":" name ":"
-#endif
-static const char PROGRAM_FORMAT[] =
-    "T{" FIELD("q", "nletters") FIELD("P", "_slot") FIELD("P", "_mode")
-    FIELD("P", "_lin") FIELD("P", "_lin_inv") FIELD("P", "_tstart")
-    FIELD("P", "_tend") FIELD("P", "_amps") FIELD("P", "_fkx")
-    FIELD("P", "_fky") FIELD("P", "_phase") FIELD("P", "_row") "}";
+/* The name of the capsules that hold programs. */
+#define PROGRAM "rotor._orbit.program"
 
 /* The arguments of one call, in the order of a signature of one letter per
  * argument: 'f' a float, 'i' an integer, 'p' a program, 'r' an input array
- * and 'w' an output one.  len holds each array's length in doubles. */
+ * of doubles, 'q' one of int64 and 'w' an output array of doubles.  len
+ * holds each array's length in elements. */
 typedef struct {
     double f[12];
     int64_t i[3];
-    program w;
-    Py_buffer buf[4];
-    Py_ssize_t len[4];
+    const program *w;
+    Py_buffer buf[11];
+    Py_ssize_t len[11];
     int nbuf;
 } call;
 
@@ -615,15 +603,8 @@ static int parse(const char *sig, PyObject *const *args, Py_ssize_t nargs,
             if (c->i[ni++] == -1 && PyErr_Occurred())
                 goto fail;
         } else if (sig[k] == 'p') {
-            Py_buffer v;
-            if (PyObject_GetBuffer(args[k], &v, PyBUF_FORMAT) < 0)
-                goto fail;
-            int ok = v.len == (Py_ssize_t)sizeof(program) && v.format
-                     && strcmp(v.format, PROGRAM_FORMAT) == 0;
-            if (ok)
-                memcpy(&c->w, v.buf, sizeof(program));
-            PyBuffer_Release(&v);
-            if (!ok) {
+            c->w = PyCapsule_GetPointer(args[k], PROGRAM);
+            if (c->w == NULL) {
                 PyErr_Format(PyExc_ValueError,
                              "argument %zd is not a program", k + 1);
                 goto fail;
@@ -635,10 +616,13 @@ static int parse(const char *sig, PyObject *const *args, Py_ssize_t nargs,
             if (PyObject_GetBuffer(args[k], v, flags) < 0)
                 goto fail;
             c->len[c->nbuf++] = v->len / (Py_ssize_t)sizeof(double);
-            if (v->format == NULL || strcmp(v->format, "d") != 0) {
-                PyErr_Format(PyExc_ValueError,
-                             "argument %zd is not an array of doubles",
-                             k + 1);
+            /* numpy writes int64 as 'l' where a long has 64 bits, else 'q' */
+            const char *f = v->format && v->itemsize == 8 ? v->format : "";
+            if (sig[k] == 'q' ? strcmp(f, "l") && strcmp(f, "q")
+                              : strcmp(f, "d")) {
+                PyErr_Format(PyExc_ValueError, "argument %zd is not an array "
+                             "of %s", k + 1,
+                             sig[k] == 'q' ? "int64" : "doubles");
                 goto fail;
             }
         }
@@ -678,7 +662,7 @@ static PyObject *py_apply_batch(PyObject *self, PyObject *const *args,
     if (c.len[0] % 2 != 0 || c.len[1] != c.len[0])
         return finish(&c, 0, "pts and out must be (m, 2)");
     Py_BEGIN_ALLOW_THREADS
-    status = apply_batch(c.buf[0].buf, c.len[0] / 2, &c.w, c.f[0], c.f[1],
+    status = apply_batch(c.buf[0].buf, c.len[0] / 2, c.w, c.f[0], c.f[1],
                          c.buf[1].buf);
     Py_END_ALLOW_THREADS
     return finish(&c, status, NULL);
@@ -706,7 +690,7 @@ static PyObject *py_orbit_mean(PyObject *self, PyObject *const *args,
         return finish(&c, 0, "threads must not exceed the seeds");
     Py_BEGIN_ALLOW_THREADS
     status = orbit_mean(c.buf[0].buf, m, c.i[0], (int)c.i[1], c.buf[1].buf,
-                        window, c.buf[2].buf, steps, (int)threads, &c.w,
+                        window, c.buf[2].buf, steps, (int)threads, c.w,
                         c.f[0], c.f[1], c.buf[3].buf);
     Py_END_ALLOW_THREADS
     return finish(&c, status, NULL);
@@ -756,6 +740,74 @@ static PyObject *py_affine_orbit(PyObject *self, PyObject *const *args,
     return finish(&c, n, NULL);
 }
 
+static void program_free(PyObject *capsule)
+{
+    free(PyCapsule_GetPointer(capsule, PROGRAM));
+}
+
+/* program(slot, mode, lin, lin_inv, tstart, tend, amps, fkx, fky, phase,
+ * row): the arrays of a word program, those of slot, mode, tstart, tend and
+ * row int64.  Checks every index once and returns the program in a capsule
+ * that frees it: one allocation holds the program, its blank memo, copies
+ * of the arrays and the scratch of memo_layout, in that order. */
+static PyObject *py_program(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    call c;
+    (void)self;
+    if (parse("qqrrqqrrrrq", args, nargs, &c) < 0)
+        return NULL;
+    const int64_t *slot = c.buf[0].buf, *mode = c.buf[1].buf;
+    const int64_t *tstart = c.buf[4].buf, *tend = c.buf[5].buf;
+    const int64_t *row = c.buf[10].buf;
+    int64_t slots = c.len[4], terms = c.len[6], n = 0, ni = 0;
+    if (c.len[1] != c.len[0] || c.len[2] != 4 * slots
+            || c.len[3] != 4 * slots || c.len[5] != slots
+            || c.len[7] != terms || c.len[8] != terms
+            || c.len[9] != terms || c.len[10] != terms)
+        return finish(&c, 0, "slot and mode must have one length, lin and "
+                             "lin_inv (slots, 2, 2), tstart and tend "
+                             "(slots,), and the term arrays one length");
+    for (int64_t s = 0; s < slots; s++)
+        if (tstart[s] < 0 || tstart[s] > tend[s] || tend[s] > terms)
+            return finish(&c, 0, "tstart and tend must bound ranges of the "
+                                 "terms");
+    for (int64_t t = 0; t < terms; t++)
+        if (row[t] != 0 && row[t] != 1)
+            return finish(&c, 0, "row must be 0 or 1");
+    for (int64_t li = 0; li < c.len[0]; li++) {
+        if ((mode[li] != 0 && mode[li] != 1) || slot[li] < 0
+                || slot[li] >= slots)
+            return finish(&c, 0, "mode must be 0 or 1 and slot below the "
+                                 "slots");
+        int64_t nterms = tend[slot[li]] - tstart[slot[li]];
+        n += nterms;
+        ni += mode[li] * NEWTON_MAX * nterms;
+    }
+    int64_t words = 2 * slots;
+    for (int k = 0; k < 11; k++)
+        words += c.len[k];
+    program *w = malloc(sizeof(program) + (n + ni) * sizeof(memo_entry)
+                        + words * sizeof(int64_t));
+    if (w == NULL)
+        return finish(&c, -1, NULL);
+    memo_entry *memo = (memo_entry *)(w + 1);
+    int64_t *data = (int64_t *)(memo + n + ni);
+    void *at[11];
+    for (int k = 0; k < 11; k++) {
+        at[k] = memcpy(data, c.buf[k].buf, c.len[k] * sizeof(int64_t));
+        data += c.len[k];
+    }
+    release(&c);
+    *w = (program){c.len[0], at[0], at[1], at[2], at[3], at[4], at[5],
+                   at[6], at[7], at[8], at[9], at[10], n + ni, ni};
+    memo_layout(w, memo, data);
+    PyObject *capsule = PyCapsule_New(w, PROGRAM, program_free);
+    if (capsule == NULL)
+        free(w);
+    return capsule;
+}
+
 #define ENTRY(name) \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
@@ -764,6 +816,7 @@ static PyMethodDef methods[] = {
     ENTRY(orbit_mean),
     ENTRY(grid_merge),
     ENTRY(affine_orbit),
+    ENTRY(program),
     {NULL, NULL, 0, NULL}
 };
 

@@ -115,7 +115,13 @@ class Generator:
         self.certified = self.inverse_gen is not None or self.contraction_margin > 0.0
 
     def _constant_inverse(self):
-        cx, cy = _run_letters([(self, 1)], np.zeros((1, 2)))[0]
+        # the displacement at the origin, summed from 0.0 in term order as
+        # the word kernels sum it; the linear part adds nothing there
+        c = [0.0, 0.0]
+        for r, disp in enumerate((self.disp_x, self.disp_y)):
+            for amp, _, _, phase in disp:
+                c[r] += amp * math.sin(phase)
+        cx, cy = c
         inv = self.linear.inverse()
         mx = -(inv.a * cx + inv.b * cy)
         my = -(inv.c * cx + inv.d * cy)
@@ -383,29 +389,22 @@ def _compile_letters(letters) -> _kernels.Program:
         slot.append(table_index[id(g)])
         mode.append(0 if sign > 0 else 1)
 
-    nslots = max(1, len(table))
-    lin = np.zeros((nslots, 2, 2))
-    lin_inv = np.zeros((nslots, 2, 2))
-    tstart = np.zeros(nslots, dtype=np.int64)
-    tend = np.zeros(nslots, dtype=np.int64)
-    terms, row = [], []
+    lin = np.zeros((len(table), 2, 2))
+    lin_inv = np.zeros((len(table), 2, 2))
+    tstart, tend, terms, row = [], [], [], []
     for i, g in enumerate(table):
         a, ai = g.linear, g.linear.inverse()
         lin[i] = [[a.a, a.b], [a.c, a.d]]
         lin_inv[i] = [[ai.a, ai.b], [ai.c, ai.d]]
-        tstart[i] = len(terms)
+        tstart.append(len(terms))
         for r, disp in ((0, g.disp_x), (1, g.disp_y)):
             terms.extend(disp)
             row.extend([r] * len(disp))
-        tend[i] = len(terms)
+        tend.append(len(terms))
     amps, fkx, fky, phase = np.array(terms, dtype=float).reshape(-1, 4).T
     return _kernels.Program(slot=slot, mode=mode, lin=lin, lin_inv=lin_inv,
                             tstart=tstart, tend=tend, amps=amps, fkx=fkx,
                             fky=fky, phase=phase, row=row)
-
-
-def _run_letters(letters, pts: np.ndarray) -> np.ndarray:
-    return _kernels.apply_word(pts, _compile_letters(letters), 0.0, 0.0)
 
 
 @reads(lw=LIFT)
@@ -415,10 +414,8 @@ def compile_program(lw) -> tuple:
     translation.
 
     The letters are compiled once per group and reduced letter sequence;
-    words built afresh on every call (commutators, transports) reuse them.
-    A Program is never written after it is built, so lifts of one word
-    that differ by their deck translation, and the threads of one orbit
-    kernel call, share it safely.
+    words built afresh on every call (commutators, transports) reuse them,
+    and so do the lifts of one word, which differ by their translation.
     """
     programs = lw.word.group._programs
     prog = programs.get(lw.word.letters)

@@ -1,4 +1,5 @@
 import ctypes
+import datetime
 import math
 import os
 import re
@@ -143,7 +144,7 @@ def test_c_kernels_match_numpy(restore_backend):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
 
 
-def _struct(w):
+def _program(w):
     # a compiled program is its Program, then vx, vy
     return compile_program(w)[0]
 
@@ -242,7 +243,7 @@ def test_tail_and_path_match_numpy(n, window, steps):
 
 @needs_c
 def test_lifts_sharing_a_program_keep_their_translations(restore_backend):
-    # both lifts run on the one cached program struct, also concurrently:
+    # both lifts run on the one cached program, also concurrently:
     # more threads than cores, switching as often as the interpreter allows
     _kernels.set_backend("c")
     w = build_catalog().word("h' irrskew")
@@ -250,7 +251,7 @@ def test_lifts_sharing_a_program_keep_their_translations(restore_backend):
     pts = torus_grid(64)
     base = apply_lift_batch(LiftedWord(w), pts)
     moved = base + v
-    assert _struct(w) is _struct(w.lift(v))
+    assert _program(w) is _program(w.lift(v))
     lifts = [LiftedWord(w), LiftedWord(w, v)] * 20
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -266,14 +267,14 @@ def test_lifts_sharing_a_program_keep_their_translations(restore_backend):
 
 
 @needs_c
-def test_groups_do_not_share_program_structs(restore_backend):
+def test_groups_do_not_share_programs(restore_backend):
     # same letters, different maps: each group compiles its own program
     def group(amp):
         return MapGroup([Generator("g", ID, disp_x=[trig_term(amp, 1, 1)])])
 
     w1, w2 = group(0.02).word("g' g'"), group(0.05).word("g' g'")
     assert w1.letters == w2.letters
-    assert _struct(w1) is not _struct(w2)
+    assert _program(w1) is not _program(w2)
     pts = torus_grid(8)
     for backend in ("c", "numpy"):
         _kernels.set_backend(backend)
@@ -282,6 +283,39 @@ def test_groups_do_not_share_program_structs(restore_backend):
         for w, out in ((w1, a), (w2, b)):
             oracle = _kernels._apply_word_np(pts, *compile_program(w))
             assert np.abs(out - oracle).max() < 1e-12
+
+
+def test_constant_inverse_runs_no_kernel(monkeypatch, restore_backend):
+    # the inverse of a constant generator is read off its terms, so building
+    # one runs no kernel; its offsets are those of the generator's program
+    # at the origin, bit for bit, on the C backend and on numpy where its
+    # sin is libm's
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    rng = np.random.default_rng(12)
+    linears = [ID, MCGClass(1, 0, 1, 1), MCGClass(2, 1, 1, 1),
+               MCGClass(0, -1, 1, 0)]
+    gens = []
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "apply_word", no_kernel)
+        for k in range(400):
+            rows = [[trig_term(amp, 0, 0, phase) for amp, phase in
+                     rng.uniform(-5.0, 5.0, (rng.integers(4), 2))]
+                    for _ in range(2)]
+            gens.append(Generator("c", linears[k % 4], *rows))
+    backends = ["numpy"] if _numpy_trig_is_libm() else []
+    if _kernels.C_UNAVAILABLE is None:
+        backends.append("c")
+    for backend in backends:
+        _kernels.set_backend(backend)
+        for g in gens:
+            prog = maps._compile_letters([(g, 1)])
+            cx, cy = _kernels.apply_word(np.zeros((1, 2)), prog, 0.0, 0.0)[0]
+            inv = g.linear.inverse()
+            want = [-(inv.a * cx + inv.b * cy), -(inv.c * cx + inv.d * cy)]
+            got = [g.inverse_gen.disp_x[0][0], g.inverse_gen.disp_y[0][0]]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @needs_c
@@ -355,12 +389,14 @@ def test_c_memo_allocation_failure_is_a_memory_error(tmp_path, monkeypatch,
     # that is never "points must be finite"
     header = tmp_path / "no_memory.h"
     header.write_text(_NO_MEMORY_HEADER)
-    monkeypatch.setattr(_kernels, "_LIB", _build_orbit_module(
-        tmp_path, "-O2", "-include", str(header)))
     _kernels.set_backend("c")
     prog = compile_program(G.word("skew mix'"))
+    arrays = [getattr(prog[0], name) for name, _ in _kernels._PROGRAM_ARRAYS]
+    monkeypatch.setattr(_kernels, "_LIB", _build_orbit_module(
+        tmp_path, "-O2", "-include", str(header)))
     none = np.empty((0, 2, 2))
     calls = [
+        lambda: _kernels._LIB.program(*arrays),
         lambda: _kernels._apply_word_c(np.zeros((2, 2)), *prog),
         lambda: _kernels._orbit_mean_c(np.zeros((2, 2)), 5, False, none,
                                        none, *prog),
@@ -644,10 +680,14 @@ def _good_calls(prog):
     def z(*shape):
         return np.zeros(shape)
 
+    arrays = [getattr(prog, name) for name, _ in _kernels._PROGRAM_ARRAYS]
     return {
-        "apply_batch": ([z(3, 2), prog, 0.0, 0.0, z(3, 2)], [0, 4], [4], 1),
-        "orbit_mean": ([z(3, 2), 5, 0, z(2, 3, 2), z(1, 3, 2), 2, prog, 0.0,
-                        0.0, z(3, 2)], [0, 3, 4, 9], [3, 4, 9], 6),
+        "apply_batch": ([z(3, 2), prog.handle, 0.0, 0.0, z(3, 2)], [0, 4],
+                        [4], 1),
+        "orbit_mean": ([z(3, 2), 5, 0, z(2, 3, 2), z(1, 3, 2), 2,
+                        prog.handle, 0.0, 0.0, z(3, 2)], [0, 3, 4, 9],
+                       [3, 4, 9], 6),
+        "program": (arrays, list(range(len(arrays))), [], None),
         "grid_merge": ([z(3, 2), np.ones(3), 8.0, 8, z(3, 2), z(3)],
                        [0, 1, 4, 5], [4, 5], None),
         "affine_orbit": ([0.5] * 12 + [z(7), z(7)], [12, 13], [12, 13],
@@ -665,21 +705,26 @@ def _bad_variants(args, arrays, outputs, program):
     out = [args[:-1], args + [args[-1]], []]
     for i in arrays:
         a = args[i]
-        ints = np.zeros(a.shape, dtype=np.int64)
-        strided = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))[..., ::2]
-        out += [put(i, None), put(i, a.tolist()), put(i, ints),
+        # doubles where int64 belong, and int64 where doubles do
+        other = np.zeros(a.shape, np.int64 if a.dtype == float else float)
+        strided = np.zeros(a.shape[:-1] + (2 * a.shape[-1],),
+                           a.dtype)[..., ::2]
+        out += [put(i, None), put(i, a.tolist()), put(i, other),
                 put(i, strided), put(i, a.reshape(-1)[:-1])]
     for i in outputs:
         read_only = args[i].copy()
         read_only.flags.writeable = False
         out += [put(i, read_only), put(i, b"\0" * args[i].nbytes)]
     if program is not None:
-        # a program's size but not its layout: one letter, null arrays
-        forged = np.zeros(len(bytes(args[program])) // 8, dtype=np.int64)
+        # the bytes of a program struct (one letter, null arrays), the
+        # Program that holds the program, and a capsule of another name
+        forged = np.zeros(16, dtype=np.int64)
         forged[0] = 1
         out += [put(program, None), put(program, bytes(8)),
                 put(program, np.zeros(3)), put(program, forged),
-                put(program, forged.tobytes())]
+                put(program, forged.tobytes()),
+                put(program, _program(G.word("skew mix'"))),
+                put(program, datetime.datetime_CAPI)]
     out += [put(i, "0.5") for i, a in enumerate(args)
             if isinstance(a, (int, float))]
     return out
@@ -691,8 +736,7 @@ def test_every_c_entry_point_refuses_bad_arguments():
     # the extension takes every size from the buffers it is given, so a bad
     # call raises before any kernel runs instead of reading or writing past
     # an array
-    prog = compile_program(G.word("skew mix'"))[0]
-    calls = _good_calls(prog)
+    calls = _good_calls(_program(G.word("skew mix'")))
     assert set(calls) == _c_entry_points() == {
         name for name in vars(_kernels._LIB) if not name.startswith("_")}
     for name, (args, arrays, outputs, program) in calls.items():
@@ -706,6 +750,78 @@ def test_every_c_entry_point_refuses_bad_arguments():
         for bad in variants:
             with pytest.raises((TypeError, ValueError, BufferError)):
                 fn(*bad)
+
+
+# builds word programs with an index out of range: the two reproducers of a
+# crash in the C word step (an out-of-range slot, and term ranges past the
+# terms) and seeded random ones.  Each must raise InvalidArgument through
+# Program on both backends, and ValueError from the C builder on its own,
+# before any C reads the index.  Exits 0 when all do.
+_BAD_PROGRAMS = """\
+import numpy as np
+from rotor import _kernels, maps
+from rotor.catalog import build_catalog
+from rotor.errors import InvalidArgument
+
+def arrays(w):
+    p = maps.compile_program(build_catalog().word(w))[0]
+    return {name: getattr(p, name).copy()
+            for name, _ in _kernels._PROGRAM_ARRAYS}
+
+h = arrays("h")
+cases = [dict(h, slot=[1000000]), dict(h, tend=h["tend"] + 10**7)]
+rng = np.random.default_rng(17)
+big = 2**62
+for _ in range(60):
+    a = arrays("h' skew h irrskew'")
+    slots, terms = len(a["tstart"]), len(a["amps"])
+    name = rng.choice(["slot", "mode", "tstart", "tend", "row"])
+    i = rng.integers(len(a[name]))
+    # the values the entry may take: lo, ..., hi - 1
+    if name == "tstart":
+        lo, hi = 0, a["tend"][i] + 1
+    elif name == "tend":
+        lo, hi = a["tstart"][i], terms + 1
+    else:
+        lo, hi = 0, slots if name == "slot" else 2
+    a[name][i] = rng.integers(-big, lo) if rng.random() < 0.5 else \\
+        rng.integers(hi, big)
+    cases.append(a)
+for backend in ("c", "numpy"):
+    _kernels.set_backend(backend)
+    for case in cases:
+        try:
+            prog = _kernels.Program(**case)
+            _kernels.apply_word(np.zeros((1, 2)), prog, 0.0, 0.0)
+        except InvalidArgument:
+            continue
+        raise SystemExit("accepted on %s: %r" % (backend, case))
+for case in cases:
+    try:
+        _kernels._LIB.program(*(np.asarray(case[name], dtype)
+                                for name, dtype in _kernels._PROGRAM_ARRAYS))
+    except ValueError:
+        continue
+    raise SystemExit("the C builder accepted %r" % case)
+"""
+
+
+@needs_c
+def test_programs_with_indices_out_of_range_are_refused():
+    # in a process of its own, so a crash fails this test and not the run
+    env = dict(os.environ, PYTHONPATH=os.path.join(_PACKAGE, os.pardir))
+    out = subprocess.run([sys.executable, "-c", _BAD_PROGRAMS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, (out.returncode, out.stderr)
+
+
+def test_program_arrays_are_read_only():
+    # the numpy loops read the arrays and the C loops a copy made when the
+    # program was built, so neither may change
+    prog = _program(G.word("skew mix'"))
+    for name, _ in _kernels._PROGRAM_ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(prog, name)[0] = 1
 
 
 def test_every_c_entry_point_is_called():
