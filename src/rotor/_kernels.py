@@ -2,8 +2,9 @@
 
 A word program is a Program: per-letter (slot, mode), per-slot linear
 matrices and trig-term ranges, built once per word by maps.compile_program.
-Building one checks every index in it, on every backend, and makes the C
-copy of it that the C kernels take.  Every kernel takes it with the deck
+Building one checks that its arrays hold numbers, integers for the
+indices, and every index in it, on every backend, and makes the C copy of
+it that the C kernels take.  Every kernel takes it with the deck
 translation (vx, vy).  mode 0 applies the slot's map forward, mode 1 solves
 it backward by Newton iteration; a Newton failure surfaces as NaN
 coordinates and the callers raise.
@@ -82,16 +83,36 @@ _PROGRAM_ARRAYS = [("slot", np.int64), ("mode", np.int64), ("lin", float),
                    ("fky", float), ("phase", float), ("row", np.int64)]
 
 
+def _program_array(x, name, dtype):
+    """A C-contiguous dtype copy of x, or InvalidArgument unless x is an
+    array of real numbers, all integers where dtype is int64 (an empty
+    list is float64 to numpy).  A plain cast would truncate floats to
+    int64 and raise ValueError on strings or ragged lists."""
+    try:
+        v = np.asarray(x)
+    except ValueError:          # a ragged list
+        v = np.asarray(None)
+    ok = v.dtype.kind in "biuf"
+    if ok and dtype is np.int64 and v.dtype.kind == "f":
+        ok = bool((np.abs(v) < 2.0 ** 63).all() and (np.trunc(v) == v).all())
+    if not ok:
+        raise InvalidArgument("%s must be an array of %s" % (
+            name, "integers" if dtype is np.int64 else "real numbers"))
+    return np.array(v, dtype, order="C")
+
+
 class Program:
     """A word program: read-only copies of the arrays of _PROGRAM_ARRAYS
     under their names (p.slot, p.lin, ...) for the numpy loops, and the
     program that _orbit.c's program() builds of them for the C loops
     (p.handle, None without C).  It checks the indices as program() does,
-    but raises InvalidArgument.  len(p) is its letter count and p.newton
-    whether a letter is solved by Newton iteration (mode 1)."""
+    but raises InvalidArgument, as it does for an array that is not of
+    real numbers or an index array that is not of integers.  len(p) is its
+    letter count and p.newton whether a letter is solved by Newton
+    iteration (mode 1)."""
 
     def __init__(self, **arrays):
-        a = {name: np.array(arrays[name], dtype, order="C")
+        a = {name: _program_array(arrays[name], name, dtype)
              for name, dtype in _PROGRAM_ARRAYS}
         for v in a.values():
             v.flags.writeable = False

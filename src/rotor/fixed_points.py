@@ -5,13 +5,13 @@ lift moves it by a deck vector, so every residual here is the distance
 from the lift displacement to the nearest lattice point.  Zero sets are
 located by a grid scan followed by damped Newton refinement, which
 advances all seeds together in whole-array rounds: one evaluator call
-per word for the Jacobian probes and one per block of line-search rungs
-(_refine).  Curves of fixed points (the
-interesting examples fix whole circles) are detected as connected runs
-of near-zero grid cells and reported as sampled chains.  That needs the
-curve to pass through grid nodes: a fixed circle between the nodes
-leaves no near-zero cell, Newton lands on it from every local-minimum
-seed, and each landing is reported as an isolated point.  So
+per word for the Jacobian probes and one per block of line-search rungs,
+and stops a seed that stalls above tol (_refine).  Curves of fixed
+points (the interesting examples fix whole circles) are detected as
+connected runs of near-zero grid cells and reported as sampled chains.
+That needs the curve to pass through grid nodes: a fixed circle between
+the nodes leaves no near-zero cell, Newton lands on it from every
+local-minimum seed, and each landing is reported as an isolated point.  So
 `skew tr skew' tr'`, whose fixed set is the two circles
 x = 0.457107... and x = 0.957107..., comes back as 58 / 119 / 246
 isolated points and no chain at grid 32 / 64 / 128.
@@ -54,6 +54,10 @@ __all__ = [
 
 _FD_STEP = 1e-6
 _REFINE_MAX = 50
+# a seed stops after round r >= _STALL_ROUNDS once its residual norm has
+# not fallen by a tenth in the last _STALL_ROUNDS rounds, is not falling
+# faster, and it would be dropped (_refine)
+_STALL_ROUNDS = 5
 # line-search rungs: the full Newton step, then up to 30 halvings of it,
 # tried as rung 0 alone and then in blocks of 2, 4, 8 and 16 rungs
 _RUNGS = 31
@@ -85,6 +89,10 @@ class FixedChain:
 
 @dataclass
 class FixedPointReport:
+    """newton_steps is the cap on the Newton rounds of a seed (_REFINE_MAX),
+    not the rounds run: a seed stops earlier when it converges, cannot
+    step, or stalls above tol."""
+
     points: List[FixedPointEntry]
     chains: List[FixedChain]
     all_points_fixed: bool
@@ -202,6 +210,12 @@ def _row_norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
 
 
+def _worst_norms(f: np.ndarray, m: int) -> np.ndarray:
+    """The worst per-word residual norm of each row of f, shape (n, 2m)."""
+    per_word = f.reshape(len(f), m, 2)
+    return np.sqrt((per_word * per_word).sum(axis=2)).max(axis=1)
+
+
 def _take_rungs(lifts, p, f, best, seeds: np.ndarray,
                 rungs: np.ndarray) -> np.ndarray:
     """Move each of the seeds to the first of its rungs, shape (r, k, 2),
@@ -255,12 +269,25 @@ def _refine(lifts, seeds: np.ndarray, tol: float) -> List[Tuple[Tuple[float, flo
     pointwise and the per-seed arithmetic (least squares, step test,
     halving, acceptance) is that of a loop over single seeds, so every
     seed ends on the same bits, and fails the same way, as it would alone.
+
+    A seed that settles on a local minimum of the residual norm that is
+    not a root (Dennis & Schnabel, sec. 7.2) stops early: after round
+    r >= 5 (_STALL_ROUNDS) it stops when its best norm is above 0.9 times
+    its best after round r - 5, fell by no more in round r than in round
+    r - 1 (a seed whose steps grow may still be leaving a plateau), and its
+    worst per-word residual is not below tol, so it would be dropped if
+    it stopped now.  Seeds that converge later can fall by 30% to 45% in
+    their first five rounds, so the bar is a tenth, not a half.  The test
+    reads the seed's own norms only, so it too is the same for a seed
+    alone; a stopped seed is dropped, as it would be after all _REFINE_MAX
+    rounds unless it converged later.
     """
     p = np.array(seeds, dtype=float)
     f = _flat_residuals(lifts, p)
     best = _row_norms(f)
+    history = [best.copy()]       # best after each round, round 0 first
     active = np.flatnonzero(~(best < 1e-14))
-    for _ in range(_REFINE_MAX):
+    for r in range(1, _REFINE_MAX + 1):
         if not len(active):
             break
         steps = _lstsq(_fd_jacobians(lifts, p[active]), -f[active])
@@ -281,10 +308,15 @@ def _refine(lifts, seeds: np.ndarray, tol: float) -> List[Tuple[Tuple[float, flo
                 moved[searching[took]] = True
                 searching, rungs = searching[~took], rungs[:, ~took]
         active = np.flatnonzero(moved & ~(best < 1e-14))
-    per_word = f.reshape(len(p), len(lifts), 2)
-    worst = np.sqrt((per_word * per_word).sum(axis=2)).max(axis=1)
-    return [(reduce_point(q), float(r))
-            for q, r in zip(p, worst) if r < tol]
+        history.append(best.copy())
+        if r >= _STALL_ROUNDS and len(active):
+            now, last, before = (history[k][active] for k in (r, r - 1, r - 2))
+            stalled = ((now > 0.9 * history[r - _STALL_ROUNDS][active])
+                       & (last - now <= before - last)
+                       & ~(_worst_norms(f[active], len(lifts)) < tol))
+            active = active[~stalled]
+    worst = _worst_norms(f, len(lifts))
+    return [(reduce_point(q), float(w)) for q, w in zip(p, worst) if w < tol]
 
 
 def _min_torus_dist(a: np.ndarray, b: np.ndarray) -> float:

@@ -635,10 +635,11 @@ def test_batched_lstsq_fails_as_lstsq_does():
 
 
 def test_newton_word_evaluator_calls_are_pinned(monkeypatch):
-    # h' tr has no fixed point; grid 8 gives Newton 14 seeds, and some
-    # wander for all 50 rounds.  108 calls in all (the scan, the first
-    # residuals, then per round the probes and the rung blocks), where one
-    # rung per call takes 188
+    # neither word has a fixed point; at grid 8 their seeds settle on local
+    # minima of the residual norm well above tol, and the stall test stops
+    # each a few rounds after its norm stops falling (108 and 202 calls
+    # when every seed ran all 50 rounds).  The calls are the scan, the
+    # first residuals, then per round the probes and the rung blocks
     calls = []
 
     def spy(lw, pts):
@@ -646,8 +647,10 @@ def test_newton_word_evaluator_calls_are_pinned(monkeypatch):
         return apply_lift_batch(lw, pts)
 
     monkeypatch.setattr(fixed_points, "apply_lift_batch", spy)
-    assert find_fixed_points(CAT.word("h' tr"), 8, 1e-9).is_empty()
-    assert len(calls) == 108
+    for word, want in (("h' tr", 22), ("h' irrskew", 26)):
+        calls.clear()
+        assert find_fixed_points(CAT.word(word), 8, 1e-9).is_empty()
+        assert len(calls) == want, word
 
 
 def test_refine_calls_do_not_grow_with_the_seeds(monkeypatch):
@@ -667,6 +670,77 @@ def test_refine_calls_do_not_grow_with_the_seeds(monkeypatch):
     assert n_one > 3          # the seed needs several Newton rounds
     assert len(calls) == n_one
     assert len(one) == 1 and many == one * 20
+
+
+# --- the stall stop against all _REFINE_MAX rounds
+
+
+STALL_WORDS = IDENTITY_CLASS + ["skew tr skew' tr'",
+                                "twist irrskew twist' irrskew'",
+                                "h twist h' twist'"]
+
+
+def _without_stall_stop(monkeypatch):
+    monkeypatch.setattr(fixed_points, "_STALL_ROUNDS",
+                        fixed_points._REFINE_MAX + 1)
+
+
+def _stall_reports():
+    out = [find_fixed_points(CAT.word(w), n, tol).to_json_dict()
+           for w in STALL_WORDS for n in (8, 16, 32, 64)
+           for tol in (1e-9, 1e-3)]
+    out.append(common_fixed_points([CAT.word("h"), CAT.word("phi")], 32,
+                                   1e-9).to_json_dict())
+    for case in franks_cases():
+        try:
+            out.append(franks_certificate(case.word, case.measure)
+                       .to_json_dict())
+        except DefectExceeded as e:
+            out.append(str(e))
+    return out
+
+
+def test_stall_stop_leaves_every_report_unchanged(monkeypatch):
+    stopped = _stall_reports()
+    _without_stall_stop(monkeypatch)
+    assert _stall_reports() == stopped
+
+
+def test_stall_stop_keeps_every_point_from_random_seeds(monkeypatch):
+    rng = np.random.default_rng(32)
+    cases = [([LiftedWord(CAT.word(w))], rng.random((40, 2)))
+             for w in STALL_WORDS]
+    cases.append(([LiftedWord(PRODOFF)], rng.random((200, 2))))
+    cases.append(([LiftedWord(CAT.word(w)) for w in ("h", "phi")],
+                  rng.random((40, 2))))
+    # at tol 1.0 most seeds sit below tol, where they must never stop
+    runs = [(lifts, seeds, tol) for lifts, seeds in cases
+            for tol in (1e-9, 1e-3, 1.0)]
+    stopped = [_refine(*run) for run in runs]
+    _without_stall_stop(monkeypatch)
+    assert [_refine(*run) for run in runs] == stopped
+
+
+@pytest.mark.parametrize("word, seed", [
+    # the residual norm of h creeps down, 0.09996 to 0.0963 over ten
+    # rounds, while the step grows every round; it converges to x = 0.5 in
+    # round 14.  A stop that ignored the growing step would drop it
+    ("h", (0.27496937268, 0.65743301)),
+    # these fall by 30% to 45% in five rounds, slowing down, then converge
+    # in rounds 9 to 17.  A stop at a norm not halved in five rounds would
+    # drop them
+    ("prodoff", (0.44093298844268625, 0.3518761011902296)),
+    ("twist irrskew twist' irrskew'", (0.2679052214394303,
+                                       0.5297194804162239)),
+    ("twist irrskew twist' irrskew'", (0.8236726583489591,
+                                       0.5466354924673619)),
+    ("twist' skew", (0.20096902508950742, 0.10604141672892253))])
+def test_stall_stop_keeps_seeds_that_converge_late(word, seed):
+    lifts = [LiftedWord(PRODOFF if word == "prodoff" else CAT.word(word))]
+    seeds = np.array([seed])
+    got = _refine(lifts, seeds, 1e-9)
+    assert len(got) == 1
+    assert got == _refine_one_seed_at_a_time(lifts, seeds, 1e-9)
 
 
 def _components_all_cells(mask):

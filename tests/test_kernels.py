@@ -787,15 +787,29 @@ for _ in range(60):
     a[name][i] = rng.integers(-big, lo) if rng.random() < 0.5 else \\
         rng.integers(hi, big)
     cases.append(a)
+# index arrays that are not all integers and arrays that are not all
+# numbers, which a cast would truncate or fail on with a plain ValueError
+hs = arrays("h skew")
+not_numbers = [dict(hs, slot=[0.9, 1.7]), dict(hs, slot=["x", 1]),
+               dict(hs, slot=[0, None]), dict(hs, mode=[0.0, 1e-300]),
+               dict(hs, tend=hs["tend"] + 0.5), dict(hs, row=[np.nan] * 3),
+               dict(hs, tstart=[0, 2.0**64]), dict(hs, row=[0j] * 3),
+               dict(hs, slot=[[0], [1, 1]]), dict(hs, amps=["x"] * 3),
+               dict(hs, phase=[1j] * 3), dict(hs, fkx=[None] * 3)]
 for backend in ("c", "numpy"):
     _kernels.set_backend(backend)
-    for case in cases:
+    for case in cases + not_numbers:
         try:
             prog = _kernels.Program(**case)
             _kernels.apply_word(np.zeros((1, 2)), prog, 0.0, 0.0)
         except InvalidArgument:
             continue
         raise SystemExit("accepted on %s: %r" % (backend, case))
+    # floats that are integers are those integers
+    floats = _kernels.Program(**{k: np.asarray(v, float)
+                                 for k, v in hs.items()})
+    for name, _ in _kernels._PROGRAM_ARRAYS:
+        assert getattr(floats, name).tobytes() == hs[name].tobytes(), name
 for case in cases:
     try:
         _kernels._LIB.program(*(np.asarray(case[name], dtype)
